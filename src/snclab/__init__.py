@@ -56,6 +56,7 @@ from .snc import (
     BlowupLedger,
     PillowConstant,
     Pi1Verdict,
+    SncCheckError,
     SncError,
     SncModel,
     blowup_dual_complex,
@@ -67,10 +68,12 @@ from .snc import (
     sheaf_cohomology_dims,
 )
 from .voronoi import (
+    CheckFailed,
     GenericityError,
     NotSimpleError,
     SiteSet,
     SubspaceReport,
+    VoronoiCheckError,
     VoronoiComplex,
     VoronoiError,
     classify_subspaces,

@@ -51,6 +51,7 @@ from .snc import (
     sheaf_cohomology_dims,
 )
 from .voronoi import (
+    CheckFailed,
     SiteSet,
     VoronoiError,
     classify_subspaces,
@@ -469,6 +470,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except CheckFailed as exc:
+        sys.stderr.write(f"error: check failed: {exc}\n")
+        return 1
     except INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

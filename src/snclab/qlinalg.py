@@ -1,16 +1,20 @@
 """Exact rational linear algebra: solvers, affine subspaces, feasibility.
 
 All coordinates are Fractions; no predicate ever touches floating point.
-The feasibility engine is Fourier-Motzkin elimination over mixed strict
-and non-strict inequalities, with rational witness extraction.  That is
-enough for the desk scales targeted here (a handful of variables, tens
-of constraints).
+An affine subspace compares and hashes by a canonical key (the primitive
+integer reduced row-echelon form of its equations), computed once per
+object.  The feasibility engine is Fourier-Motzkin elimination over mixed
+strict and non-strict inequalities, with rational witness extraction.
+That is enough for the desk scales targeted here (a handful of variables,
+tens of constraints).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -24,34 +28,14 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
-def solve_affine(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve rows * x = rhs.
-
-    Returns (particular solution, basis of the homogeneous solution space)
-    or None when inconsistent.  The basis comes from the reduced echelon
-    form with free variables in ascending column order, so the output is
-    deterministic.
-    """
-    m = len(rows)
-    if m == 0:
-        raise ValueError("empty system; caller should special-case it")
-    n = len(rows[0])
-    work = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+def _row_reduce(work: list[list[Fraction]], ncols: int) -> list[int]:
+    """Bring work to reduced row-echelon form over its first ncols columns,
+    in place, and return the pivot columns; the rows below the last pivot
+    row are zero in those columns."""
+    m = len(work)
     pivots: list[int] = []
     r = 0
-    for col in range(n):
+    for col in range(ncols):
         pivot_row = None
         for i in range(r, m):
             if work[i][col] != 0:
@@ -70,7 +54,24 @@ def solve_affine(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
         r += 1
         if r == m:
             break
-    for i in range(r, m):
+    return pivots
+
+
+def solve_affine(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
+    """Solve rows * x = rhs.
+
+    Returns (particular solution, basis of the homogeneous solution space)
+    or None when inconsistent.  The basis comes from the reduced echelon
+    form with free variables in ascending column order, so the output is
+    deterministic.
+    """
+    m = len(rows)
+    if m == 0:
+        raise ValueError("empty system; caller should special-case it")
+    n = len(rows[0])
+    work = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = _row_reduce(work, n)
+    for i in range(len(pivots), m):
         if work[i][n] != 0:
             return None
     free_cols = [c for c in range(n) if c not in pivots]
@@ -87,6 +88,14 @@ def solve_affine(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return tuple(point), tuple(basis)
 
 
+def _clear_denominators(row: Sequence[Fraction]) -> tuple[int, ...]:
+    """A rational row times the lcm of its denominators.  When some entry
+    is 1, as a pivot entry of a reduced echelon row is, the result is
+    already primitive: no prime divides all of its entries."""
+    den = lcm(*(x.denominator for x in row))
+    return tuple(x.numerator * (den // x.denominator) for x in row)
+
+
 def nullspace(rows: Sequence[Sequence[Fraction]], n: int) -> tuple[Vector, ...]:
     if not rows:
         return tuple(
@@ -99,7 +108,13 @@ def nullspace(rows: Sequence[Sequence[Fraction]], n: int) -> tuple[Vector, ...]:
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """An affine subspace of Q^n as point + span(basis)."""
+    """An affine subspace of Q^n as point + span(basis).
+
+    Equality and hashing go through `key`, a canonical form of the subspace
+    as a set, so two representations of one subspace are interchangeable
+    as dict keys.  The implicit equations and the key are computed once
+    per object.
+    """
 
     point: Vector
     basis: tuple[Vector, ...]
@@ -120,37 +135,40 @@ class AffineSubspace:
         return tuple(out)
 
     def contains_point(self, x: Sequence[Fraction]) -> bool:
-        diff = vec_sub(vec(x), self.point)
-        if not self.basis:
-            return all(d == 0 for d in diff)
-        cols = list(zip(*self.basis))
-        solved = solve_affine(cols, diff)
-        return solved is not None
+        normals, rhs = self.implicit()
+        p = vec(x)
+        return all(dot(a, p) == b for a, b in zip(normals, rhs))
 
     def contains(self, other: "AffineSubspace") -> bool:
-        if not self.contains_point(other.point):
-            return False
-        if not other.basis:
-            return True
-        if not self.basis:
-            return False
-        cols = list(zip(*self.basis))
-        for b in other.basis:
-            if solve_affine(cols, list(b)) is None:
-                return False
-        return True
+        normals, _ = self.implicit()
+        return self.contains_point(other.point) and all(
+            dot(a, v) == 0 for a in normals for v in other.basis
+        )
+
+    @cached_property
+    def key(self) -> tuple[tuple[int, ...], ...]:
+        """The primitive integer rows of the reduced row-echelon form of the
+        implicit equations [A | b], denominators cleared.  The whole space
+        has the empty key."""
+        normals, rhs = self.implicit()
+        work = [list(a) + [b] for a, b in zip(normals, rhs)]
+        rank = len(_row_reduce(work, self.ambient_dim))
+        return tuple(_clear_denominators(row) for row in work[:rank])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineSubspace):
             return NotImplemented
-        return self.dim == other.dim and self.contains(other) and other.contains(self)
+        return self.ambient_dim == other.ambient_dim and self.key == other.key
 
     def __hash__(self):
-        # structural hash only; semantic comparisons go through __eq__
-        return hash((self.point, self.basis))
+        return hash((self.ambient_dim, self.key))
 
     def implicit(self) -> tuple[tuple[Vector, ...], tuple[Fraction, ...]]:
         """Equations (A, b) with A x = b cutting out exactly this subspace."""
+        return self._implicit
+
+    @cached_property
+    def _implicit(self) -> tuple[tuple[Vector, ...], tuple[Fraction, ...]]:
         n = self.ambient_dim
         if self.dim == n:
             return (), ()
@@ -163,6 +181,10 @@ class AffineSubspace:
         return normals, tuple(dot(nrm, self.point) for nrm in normals)
 
     def intersect(self, other: "AffineSubspace") -> Optional["AffineSubspace"]:
+        if not self.basis:
+            return self if other.contains(self) else None
+        if not other.basis:
+            return other if self.contains(other) else None
         a1, b1 = self.implicit()
         a2, b2 = other.implicit()
         rows = list(a1) + list(a2)

@@ -270,13 +270,8 @@ class Policy:
             return None
         return random.Random(self.seed * 1000003 + counter)
 
-    def choose_pair(self, candidates: Sequence[tuple[int, int]], counter: int):
-        rng = self._rng(counter)
-        if rng is None:
-            return candidates[0]
-        return candidates[rng.randrange(len(candidates))]
-
-    def choose_label(self, candidates: Sequence, counter: int):
+    def choose_pair(self, candidates: Sequence, counter: int):
+        """The first candidate, or a seeded pick among them (pairs or labels)."""
         rng = self._rng(counter)
         if rng is None:
             return candidates[0]
@@ -302,7 +297,7 @@ def select_rule(model: LocalModel, policy: Policy = Policy(), counter: int = 0):
         return ("detres", policy.choose_pair(pairs, counter))
     heavy = [j for j, a in model.exceptional if a >= 2]
     if heavy:
-        return ("monres-1", ("exp>=2", policy.choose_label(sorted(heavy), counter)))
+        return ("monres-1", ("exp>=2", policy.choose_pair(sorted(heavy), counter)))
     singles = sorted(j for j, a in model.exceptional if a == 1)
     if len(singles) >= 2:
         j1, j2 = singles[0], singles[1]
@@ -332,7 +327,7 @@ def apply_rule(model: LocalModel, rule, policy: Policy = Policy(), counter: int 
         return step_monomial(model, detail, pair, fresh_label)
     if name == "binres":
         xs = sorted(model.x_divisors)
-        i1 = policy.choose_label(xs, counter)
+        i1 = policy.choose_pair(xs, counter)
         return step_mult2(model, i1)
     if name == "normalize":
         return [normalize(model)]

@@ -11,6 +11,11 @@ class representatives by lowest (chart, face) pair).  The ledgers are
 what keeps spurious identifications from appearing: with them disabled
 (a test hook) the classes may merge charts whose cells do not share a
 face, reproducing the classical failure of the naive quotient.
+
+The ledger checks (stage disjointness, agreement across each gluing) run
+for every cell and every gluing, but read their meets and containments
+from the Voronoi complex's subspace arrangement, so each geometric fact is
+computed once per complex.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Optional, Sequence
 
 from .complexes import DeltaComplex, build_complex, delta_isomorphic
 from .voronoi import (
+    CheckFailed,
     NotSimpleError,
     SubspaceRecord,
     VoronoiComplex,
@@ -33,6 +39,10 @@ from .voronoi import (
 
 class SncError(ValueError):
     pass
+
+
+class SncCheckError(CheckFailed, SncError):
+    """A gluing self-check failed: ledgers or the dual-vs-Delaunay test."""
 
 
 class _UnionFind:
@@ -95,21 +105,21 @@ def blowup_ledger(vc: VoronoiComplex, cell: int) -> BlowupLedger:
 
 
 def _verify_stage_disjointness(vc: VoronoiComplex, ledger: BlowupLedger) -> None:
+    arrangement = vc.arrangement
     m = vc.dim
     for d in range(0, max(m - 1, 0)):
         stage = ledger.centers_of_dim(d)
         for a_idx in range(len(stage)):
             for b_idx in range(a_idx + 1, len(stage)):
                 a, b = stage[a_idx], stage[b_idx]
-                meet = a.span.intersect(b.span)
+                meet = arrangement.meet(a.sites, b.sites)
                 if meet is None:
                     continue
                 covered = any(
-                    c.dim < d and c.span.contains_point(meet.point) and c.span.contains(meet)
-                    for c in ledger.centers
+                    c.dim < d and arrangement.contains(c.sites, meet) for c in ledger.centers
                 )
                 if not covered:
-                    raise SncError(
+                    raise SncCheckError(
                         f"stage-{d} centers H{sorted(a.sites)} and H{sorted(b.sites)} of cell "
                         f"{ledger.cell} overlap outside every earlier center"
                     )
@@ -284,19 +294,19 @@ def build_snc(
 
 def _verify_ledger_match(vc, ledger_a: BlowupLedger, ledger_b: BlowupLedger, glue_key) -> None:
     """The two charts must blow up the same centers inside the shared face."""
-    wall = vc.subspaces[glue_key]
+    arrangement = vc.arrangement
 
     def restriction(ledger: BlowupLedger):
         out = []
         for c in ledger.centers:
             if glue_key <= c.sites:
                 out.append(c.sites)
-            elif not (c.sites & glue_key) and wall.contains_point(c.span.point) and wall.contains(c.span):
+            elif not (c.sites & glue_key) and arrangement.contains(glue_key, c.span):
                 out.append(c.sites)
         return sorted(out, key=sorted)
 
     if restriction(ledger_a) != restriction(ledger_b):
-        raise SncError(
+        raise SncCheckError(
             f"ledgers of cells {ledger_a.cell} and {ledger_b.cell} disagree on their "
             f"shared face {sorted(glue_key)}"
         )
@@ -336,7 +346,7 @@ def dual_complex(model: SncModel) -> DeltaComplex:
     out = build_complex(spec, labels)
     reference = delaunay_dual(model.vc, model.selection)
     if not delta_isomorphic(out, reference):
-        raise SncError("dual complex is not isomorphic to the Delaunay dual")
+        raise SncCheckError("dual complex is not isomorphic to the Delaunay dual")
     return out
 
 

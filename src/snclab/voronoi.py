@@ -9,12 +9,19 @@ affine subspace H(J).
 
 Face enumeration brute-forces index subsets, which is fine for the
 intended scale (about ten sites, ambient dimension up to four).
+
+The subspace classification and the SNC gluing read the complex's
+`SubspaceArrangement`, built on first use: every H(J) under its canonical
+key (which is the genericity check), and the pairwise meets and
+containments, each computed once per complex.  The self-checks themselves
+(parasitic parents, intersection closure) still run for every cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -33,6 +40,16 @@ from .qlinalg import (
 
 class VoronoiError(ValueError):
     pass
+
+
+class CheckFailed(Exception):
+    """Marker for a failed engine self-check, as opposed to bad input.
+
+    Each concrete check error also derives from its layer's error class."""
+
+
+class VoronoiCheckError(CheckFailed, VoronoiError):
+    """A classification self-check failed: parasitic parents or closure."""
 
 
 class GenericityError(VoronoiError):
@@ -108,6 +125,11 @@ def equidistance_subspace(sites: SiteSet, j_set: Sequence[int]) -> Optional[Affi
     return AffineSubspace(solved[0], solved[1])
 
 
+def _lattice_order(j_set: frozenset[int]) -> tuple[int, list[int]]:
+    """Sort key for index sets: by size, then lexicographically."""
+    return len(j_set), sorted(j_set)
+
+
 @dataclass(frozen=True)
 class VoronoiFace:
     """A face of the complex: sites J attaining the minimum, span, witness."""
@@ -143,8 +165,13 @@ class VoronoiComplex:
         """The cell as an exact half-space system (one bisector per rival)."""
         return self.sites.cell_halfspaces(i)
 
+    @cached_property
+    def arrangement(self) -> "SubspaceArrangement":
+        """The arrangement of every H(J), built on first use."""
+        return SubspaceArrangement(self.subspaces)
+
     def face_list(self) -> list[VoronoiFace]:
-        return [self.faces[k] for k in sorted(self.faces, key=lambda j: (len(j), sorted(j)))]
+        return [self.faces[k] for k in sorted(self.faces, key=_lattice_order)]
 
     def faces_of_cell(self, i: int) -> list[VoronoiFace]:
         return [f for f in self.face_list() if i in f.sites]
@@ -335,19 +362,46 @@ class SubspaceReport:
     minimal_parasitic_parent: dict[frozenset[int], frozenset[int]]
 
 
-def _check_genericity(vc: "VoronoiComplex") -> None:
-    if getattr(vc, "_genericity_checked", False):
-        return
-    by_dim: dict[int, list[tuple[frozenset[int], AffineSubspace]]] = {}
-    for key, span in vc.subspaces.items():
-        by_dim.setdefault(span.dim, []).append((key, span))
-    for group in by_dim.values():
-        for (k1, s1), (k2, s2) in combinations(group, 2):
-            if s1.contains_point(s2.point) and s1 == s2:
+class SubspaceArrangement:
+    """Every nonempty H(J) of one Voronoi complex with the geometric facts
+    the self-checks read: pairwise meets and containments, each computed
+    once and memoised.
+
+    Building it is the genericity check: the table from canonical key to
+    index set rejects two index sets with one subspace, naming the first
+    colliding pair in (size, sorted) order.  Only geometry is memoised;
+    the callers evaluate their checks on every call.
+    """
+
+    def __init__(self, subspaces: dict[frozenset[int], AffineSubspace]):
+        self.spans = subspaces
+        self._index: dict[AffineSubspace, frozenset[int]] = {}
+        for key in sorted(subspaces, key=_lattice_order):
+            first = self._index.setdefault(subspaces[key], key)
+            if first != key:
                 raise GenericityError(
-                    f"H{sorted(k1)} and H{sorted(k2)} span the same subspace"
+                    f"H{sorted(first)} and H{sorted(key)} span the same subspace"
                 )
-    object.__setattr__(vc, "_genericity_checked", True)
+        self._meets: dict[frozenset[frozenset[int]], Optional[AffineSubspace]] = {}
+        self._contains: dict[tuple[frozenset[int], AffineSubspace], bool] = {}
+
+    def lookup(self, span: AffineSubspace) -> Optional[frozenset[int]]:
+        """The index set J with H(J) == span, or None."""
+        return self._index.get(span)
+
+    def meet(self, j1: frozenset[int], j2: frozenset[int]) -> Optional[AffineSubspace]:
+        """H(j1) intersected with H(j2), or None when they are disjoint."""
+        pair = frozenset((j1, j2))
+        if pair not in self._meets:
+            self._meets[pair] = self.spans[j1].intersect(self.spans[j2])
+        return self._meets[pair]
+
+    def contains(self, j_set: frozenset[int], span: AffineSubspace) -> bool:
+        """Whether H(j_set) contains span."""
+        memo = (j_set, span)
+        if memo not in self._contains:
+            self._contains[memo] = self.spans[j_set].contains(span)
+        return self._contains[memo]
 
 
 def classify_subspaces(vc: VoronoiComplex, cell: int) -> SubspaceReport:
@@ -364,14 +418,14 @@ def classify_subspaces(vc: VoronoiComplex, cell: int) -> SubspaceReport:
     witness = vc.simplicity_witness()
     if witness is not None:
         raise NotSimpleError(witness)
-    _check_genericity(vc)
+    arrangement = vc.arrangement
     m = vc.dim
     essential_keys = {
         key for key in vc.faces if cell in key and len(key) >= 2
     }
     essential = []
     parasitic = []
-    for key in sorted(vc.subspaces, key=lambda j: (len(j), sorted(j))):
+    for key in sorted(vc.subspaces, key=_lattice_order):
         record = SubspaceRecord(key, vc.subspaces[key])
         if key in essential_keys:
             essential.append(record)
@@ -384,15 +438,15 @@ def classify_subspaces(vc: VoronoiComplex, cell: int) -> SubspaceReport:
         supers = [
             p
             for p in parasitic
-            if p.dim > record.dim and _contains(vc, p, record)
+            if p.dim > record.dim and _contains(arrangement, p, record)
         ]
         minimal = [
             p
             for p in supers
-            if not any(q is not p and _contains(vc, p, q) for q in supers)
+            if not any(q is not p and _contains(arrangement, p, q) for q in supers)
         ]
         if len(minimal) != 1 or minimal[0].dim != record.dim + 1:
-            raise VoronoiError(
+            raise VoronoiCheckError(
                 f"essential H{sorted(record.sites)} of cell {cell} has no unique "
                 f"minimal parasitic parent of dimension {record.dim + 1}"
             )
@@ -401,7 +455,9 @@ def classify_subspaces(vc: VoronoiComplex, cell: int) -> SubspaceReport:
     return SubspaceReport(cell, m, tuple(essential), tuple(parasitic), parent)
 
 
-def _contains(vc: VoronoiComplex, big: SubspaceRecord, small: SubspaceRecord) -> bool:
+def _contains(
+    arrangement: SubspaceArrangement, big: SubspaceRecord, small: SubspaceRecord
+) -> bool:
     """big.span contains small.span, using index structure where possible."""
     if big.sites <= small.sites:
         return True
@@ -409,30 +465,27 @@ def _contains(vc: VoronoiComplex, big: SubspaceRecord, small: SubspaceRecord) ->
         # overlapping index sets: containment would force H(big | small) to
         # coincide with H(small), which genericity rules out
         return False
-    if not big.span.contains_point(small.span.point):
-        return False
-    return big.span.contains(small.span)
+    return arrangement.contains(big.sites, small.span)
 
 
 def _check_intersection_closure(vc: VoronoiComplex, parasitic: Sequence[SubspaceRecord]) -> None:
+    arrangement = vc.arrangement
     parasitic_keys = {p.sites for p in parasitic}
-    table = vc.subspaces
     for p1, p2 in combinations(parasitic, 2):
         if p1.sites & p2.sites:
             union = p1.sites | p2.sites
-            if union in table and union not in parasitic_keys:
-                raise VoronoiError(
+            if union in arrangement.spans and union not in parasitic_keys:
+                raise VoronoiCheckError(
                     f"intersection of parasitic H{sorted(p1.sites)} and H{sorted(p2.sites)} "
                     f"is essential H{sorted(union)}"
                 )
             continue
-        meet = p1.span.intersect(p2.span)
+        meet = arrangement.meet(p1.sites, p2.sites)
         if meet is None:
             continue
-        for key, span in table.items():
-            if span.dim == meet.dim and span.contains_point(meet.point) and span == meet:
-                if key not in parasitic_keys:
-                    raise VoronoiError(
-                        f"intersection of parasitic H{sorted(p1.sites)} and "
-                        f"H{sorted(p2.sites)} equals essential H{sorted(key)}"
-                    )
+        key = arrangement.lookup(meet)
+        if key is not None and key not in parasitic_keys:
+            raise VoronoiCheckError(
+                f"intersection of parasitic H{sorted(p1.sites)} and "
+                f"H{sorted(p2.sites)} equals essential H{sorted(key)}"
+            )

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from snclab import snc, voronoi
 from snclab.cli import main, run_pipeline
+from snclab.voronoi import VoronoiCheckError
 
 
 def write(tmp_path, name, payload):
@@ -193,6 +195,30 @@ def test_input_errors_exit_2(inputs, capsys):
     bad_json = inputs["tmp"] / "notjson.json"
     bad_json.write_text("{nope")
     assert run_cli("homology", str(bad_json), capsys=capsys)[0] == 2
+
+
+def _refuse_closure(vc, parasitic):
+    raise VoronoiCheckError("intersection closure refused")
+
+
+@pytest.mark.parametrize(
+    "module, name, replacement, argv, message",
+    [
+        (snc, "delta_isomorphic", lambda a, b: False, ("snc", "dual", "triangle"),
+         "dual complex is not isomorphic"),
+        (voronoi, "_check_intersection_closure", _refuse_closure,
+         ("voronoi", "classify", "triangle"), "intersection closure refused"),
+    ],
+    ids=["dual_isomorphism", "intersection_closure"],
+)
+def test_failed_check_exits_1(inputs, capsys, monkeypatch, module, name, replacement, argv,
+                              message):
+    monkeypatch.setattr(module, name, replacement)
+    code = main([*argv[:2], inputs[argv[2]]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: check failed: {message}")
 
 
 def test_unknown_subcommand_exits_2():
