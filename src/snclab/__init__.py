@@ -27,11 +27,10 @@ from .resolution import (
     LocalModel,
     Mdeg,
     Policy,
+    ResolutionCheckError,
     ResolutionError,
     ResolutionTrace,
     embed_snc,
-    is_resolved,
-    mdeg,
     normalize,
     resolve,
     step_determinantal,

@@ -6,6 +6,12 @@ boundary map is the usual alternating sum, so the composite boundary
 vanishes; build_complex checks this and names the offending cell when it
 does not.
 
+Every nerve in the package (the simplicial complex of from_simplices, the
+Delaunay dual, the SNC dual complex, the resolver's nerve) is built here:
+`closure` takes the downward closure of a family of index sets, and
+`nerve_cells` turns a downward-closed family into cells for build_complex.
+`UnionFind` is the package's one union-find.
+
 Values are immutable after construction and safe to share across threads.
 """
 
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .intlinalg import IntMatrix, rank, smith_normal_form
@@ -112,19 +119,10 @@ class DeltaComplex:
         n = self.n_cells(0)
         if n == 0:
             return False
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = UnionFind(range(n))
         for head, tail in self.cells[1] if self.dim >= 1 else ():
-            a, b = find(head), find(tail)
-            if a != b:
-                parent[a] = b
-        return len({find(v) for v in range(n)}) == 1
+            uf.union(head, tail)
+        return len(uf.classes()) == 1
 
     def homology(self, k: int) -> AbelianGroup:
         """H_k over the integers; out-of-range k gives the zero group."""
@@ -211,47 +209,87 @@ def build_complex(cells: Sequence[CellSpec], labels=None) -> DeltaComplex:
     return complex_
 
 
-def from_simplices(simplices: Iterable[Sequence[int]]) -> DeltaComplex:
-    """Build the simplicial Delta-complex generated by the given simplices.
+def closure(sets: Iterable[Iterable]) -> frozenset:
+    """The downward closure: every nonempty subset of every given set."""
+    out = set()
+    for s in sets:
+        items = sorted(set(s))
+        for size in range(1, len(items) + 1):
+            out.update(frozenset(sub) for sub in combinations(items, size))
+    return frozenset(out)
 
-    Vertices are arbitrary sortable keys; all faces are generated and
-    vertices are labeled by their keys.  The i-th face of a simplex drops
-    its i-th vertex, which makes the boundary identity automatic.
+
+def nerve_cells(family: Iterable[Iterable]) -> tuple[list, list]:
+    """(cells, labels) for build_complex from a downward-closed family of
+    nonempty index sets.
+
+    Simplices are sorted lexicographically within each dimension, the i-th
+    face of a simplex drops its i-th vertex (which makes the boundary
+    identity automatic), and vertices are labelled by their keys.  A
+    simplex whose face is not in the family raises ComplexError.
     """
-    from itertools import combinations
-
-    by_dim: list[set[tuple]] = []
-    for s in simplices:
-        vs = tuple(sorted(set(s)))
-        if not vs:
-            continue
-        k = len(vs) - 1
-        while len(by_dim) <= k:
-            by_dim.append(set())
-        for size in range(1, len(vs) + 1):
-            for sub in combinations(vs, size):
-                by_dim[size - 1].add(sub)
+    by_dim: list[list[tuple]] = []
+    for s in family:
+        vs = tuple(sorted(s))
+        while len(by_dim) < len(vs):
+            by_dim.append([])
+        by_dim[len(vs) - 1].append(vs)
     if not by_dim:
         raise ComplexError("no simplices given")
-    index: list[dict[tuple, int]] = []
     for layer in by_dim:
-        ordered = sorted(layer)
-        index.append({s: i for i, s in enumerate(ordered)})
-    cells: list[list[list[int]]] = [[[] for _ in index[0]]]
+        layer.sort()
+    index = [{s: i for i, s in enumerate(layer)} for layer in by_dim]
+    cells: list[list[list[int]]] = [[[] for _ in by_dim[0]]]
     for k in range(1, len(by_dim)):
         layer = []
-        for s in sorted(by_dim[k]):
+        for s in by_dim[k]:
             faces = []
             for i in range(len(s)):
                 sub = s[:i] + s[i + 1 :]
+                if sub not in index[k - 1]:
+                    raise ComplexError(f"simplex {list(s)} lacks face {list(sub)}")
                 faces.append(index[k - 1][sub])
             layer.append(faces)
         cells.append(layer)
-    vertex_keys = sorted(by_dim[0])
-    labels = [[str(v[0]) for v in vertex_keys]] + [
-        [None] * len(layer) for layer in cells[1:]
-    ]
-    return build_complex(cells, labels)
+    labels = [[str(v[0]) for v in by_dim[0]]] + [[None] * len(l) for l in cells[1:]]
+    return cells, labels
+
+
+def from_simplices(simplices: Iterable[Sequence[int]]) -> DeltaComplex:
+    """The simplicial Delta-complex generated by the given simplices, with
+    vertices (arbitrary sortable keys) labelled by their keys."""
+    return build_complex(*nerve_cells(closure(simplices)))
+
+
+class UnionFind:
+    """Union-find over hashable, sortable keys; a class is represented by
+    its smallest key, so the representatives are deterministic."""
+
+    def __init__(self, keys: Iterable = ()):
+        self.parent: dict = {x: x for x in keys}
+
+    def add(self, x) -> None:
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            lo, hi = sorted((ra, rb))
+            self.parent[hi] = lo
+
+    def classes(self) -> dict:
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return out
 
 
 def complex_from_json_dict(data: dict) -> DeltaComplex:

@@ -14,6 +14,12 @@ tracked separately in the certificate.
 Rule names follow the chart families: "detres" (determinantal center),
 "monres-1/2/3" (monomial order reduction), "binres" (the multiplicity-2
 case), "normalize" (the relabeling).
+
+The nerve of the x-index sets is an invariant of resolution.  The engine
+checks, on every step, the two local facts that force it (each child's
+x-index set lies inside the parent's, and some child keeps it), and
+compares the nerve itself once, at the roots and at the leaves.  A failed
+check raises ResolutionCheckError.
 """
 
 from __future__ import annotations
@@ -24,12 +30,18 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .complexes import DeltaComplex, from_simplices
+from .complexes import DeltaComplex, closure, from_simplices
 from .snc import SncModel
+from .voronoi import CheckFailed
 
 
 class ResolutionError(ValueError):
     pass
+
+
+class ResolutionCheckError(CheckFailed, ResolutionError):
+    """A resolver self-check failed: the local nerve facts, termination, or
+    the descent certificate."""
 
 
 class Mdeg(NamedTuple):
@@ -94,14 +106,6 @@ class LocalModel:
             "m": self.det_size,
             "F": [[j, a] for j, a in self.exceptional],
         }
-
-
-def mdeg(model: LocalModel) -> Mdeg:
-    return model.mdeg()
-
-
-def is_resolved(model: LocalModel) -> bool:
-    return model.is_resolved()
 
 
 def model_from_json_dict(data: dict) -> LocalModel:
@@ -398,20 +402,20 @@ class ResolutionTrace:
                 (parent_deg, child_deg), = s.descents
                 if not (parent_deg.deg_y == 0 and parent_deg.deg_z == 1
                         and child_deg == Mdeg(parent_deg.deg_x, 1, 0)):
-                    raise ResolutionError(f"step {s.step_id}: unexpected relabel shape")
+                    raise ResolutionCheckError(f"step {s.step_id}: unexpected relabel shape")
                 for child_id in s.children:
                     follow = children_steps.get(child_id)
                     if follow is None:
                         continue
                     for _, grandchild in follow.descents:
                         if not grandchild < parent_deg:
-                            raise ResolutionError(
+                            raise ResolutionCheckError(
                                 f"step {s.step_id}: relabel composite fails to descend"
                             )
                 continue
             for parent_deg, child_deg in s.descents:
                 if not child_deg < parent_deg:
-                    raise ResolutionError(
+                    raise ResolutionCheckError(
                         f"step {s.step_id} ({s.rule}): mdeg {child_deg} does not descend "
                         f"below {parent_deg}"
                     )
@@ -498,19 +502,6 @@ def replay(root: LocalModel, steps: Sequence[str]) -> LocalModel:
     return current
 
 
-def _closure(index_sets: Iterable[frozenset[int]]) -> frozenset:
-    """Downward closure: the abstract simplicial complex the sets generate."""
-    from itertools import combinations
-
-    out = set()
-    for s in index_sets:
-        items = sorted(s)
-        for size in range(1, len(items) + 1):
-            for sub in combinations(items, size):
-                out.add(frozenset(sub))
-    return frozenset(out)
-
-
 def resolve(
     roots: Sequence[LocalModel],
     policy: Policy = Policy(),
@@ -519,32 +510,22 @@ def resolve(
     """Worklist resolution with a termination certificate.
 
     Identical sibling charts are merged with multiplicities (the chart
-    count is preserved in the reported leaf count).  After every step the
-    nerve of the live leaves' x-index sets is recorded; it never changes,
-    and the engine verifies the two local facts that force that: every
-    child's index set is contained in the parent's, and some child keeps
-    the parent's index set.
+    count is preserved in the reported leaf count).  Every step verifies
+    the two local facts that keep the nerve of the live x-index sets
+    constant: every child's index set is contained in the parent's, and
+    some child keeps the parent's index set.  The nerve itself is recorded
+    twice, as the closure of the roots' and of the leaves' index sets.
     """
     if not roots:
         raise ResolutionError("no roots given")
     nodes: list[TraceNode] = []
     steps: list[TraceStep] = []
-    live_sets: dict[frozenset[int], int] = {}
-
-    def add_set(s, delta):
-        if not s:
-            return
-        live_sets[s] = live_sets.get(s, 0) + delta
-        if live_sets[s] == 0:
-            del live_sets[s]
-
     for r in roots:
         nodes.append(TraceNode(len(nodes), r, 1, None))
-        add_set(r.x_divisors, 1)
     fresh = max(
         (j for r in roots for j, _ in r.exceptional), default=0
     ) + 1
-    snapshots = [_closure(live_sets)]
+    leaf_sets = set()
     queue = deque(n.node_id for n in nodes)
     counter = 0
     while queue:
@@ -552,6 +533,7 @@ def resolve(
         model = nodes[node_id].model
         rule = select_rule(model, policy, counter)
         if rule is None:
+            leaf_sets.add(model.x_divisors)
             continue
         if max_steps is not None and len(steps) >= max_steps:
             raise ResolutionError(f"step budget {max_steps} exhausted")
@@ -566,36 +548,32 @@ def resolve(
         merged: dict[tuple, tuple[LocalModel, int]] = {}
         for c in charts:
             if not c.x_divisors <= parent_set:
-                raise ResolutionError("child x-index set escapes the parent's")
+                raise ResolutionCheckError("child x-index set escapes the parent's")
             key = c.state()
             if key in merged:
                 merged[key] = (merged[key][0], merged[key][1] + 1)
             else:
                 merged[key] = (c, 1)
         if not any(c.x_divisors == parent_set for c, _ in merged.values()):
-            raise ResolutionError("no child preserves the parent's x-index set")
+            raise ResolutionCheckError("no child preserves the parent's x-index set")
         child_ids = []
         descents = []
         parent_mult = nodes[node_id].multiplicity
         for c, mult in merged.values():
             node = TraceNode(len(nodes), c, mult * parent_mult, node_id)
             nodes.append(node)
-            add_set(c.x_divisors, 1)
             child_ids.append(node.node_id)
             descents.append((parent_deg, c.mdeg()))
             queue.append(node.node_id)
-        add_set(parent_set, -1)
         steps.append(TraceStep(
             len(steps), node_id, name,
             charts[0].genealogy[-1].split("/")[0] if charts and charts[0].genealogy else name,
             tuple(child_ids), tuple(descents), name == "normalize",
         ))
-        snapshots.append(_closure(live_sets))
-    trace = ResolutionTrace(
-        tuple(range(len(roots))), tuple(nodes), tuple(steps), tuple(snapshots)
-    )
+    snapshots = (closure(r.x_divisors for r in roots), closure(leaf_sets))
+    trace = ResolutionTrace(tuple(range(len(roots))), tuple(nodes), tuple(steps), snapshots)
     if not trace.all_resolved():
-        raise ResolutionError("worklist drained with unresolved leaves")
+        raise ResolutionCheckError("worklist drained with unresolved leaves")
     trace.verify_certificate()
     return trace
 

@@ -26,7 +26,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .complexes import DeltaComplex, build_complex, delta_isomorphic
+from .complexes import (
+    ComplexError,
+    DeltaComplex,
+    UnionFind,
+    build_complex,
+    delta_isomorphic,
+    nerve_cells,
+)
 from .voronoi import (
     CheckFailed,
     NotSimpleError,
@@ -43,35 +50,6 @@ class SncError(ValueError):
 
 class SncCheckError(CheckFailed, SncError):
     """A gluing self-check failed: ledgers or the dual-vs-Delaunay test."""
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # deterministic representative: the smaller key wins
-            lo, hi = sorted((ra, rb))
-            self.parent[hi] = lo
-
-    def classes(self) -> dict:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
 
 
 @dataclass(frozen=True)
@@ -263,7 +241,7 @@ def build_snc(
     for i, j in gluings:
         _verify_ledger_match(vc, ledgers[i], ledgers[j], frozenset((i, j)))
 
-    uf = _UnionFind()
+    uf = UnionFind()
     face_keys = set(vc.faces)
     glued_keys = face_keys if apply_ledgers else face_keys | set(vc.subspaces)
     for key in glued_keys:
@@ -318,32 +296,10 @@ def dual_complex(model: SncModel) -> DeltaComplex:
     The check is an honest graded isomorphism search, not a comparison of
     the shared index bookkeeping.
     """
-    by_dim: list[list[tuple[int, ...]]] = []
-    for s in model.strata:
-        j = tuple(sorted(s.key))
-        k = len(j) - 1
-        while len(by_dim) <= k:
-            by_dim.append([])
-        by_dim[k].append(j)
-    if not by_dim:
-        raise SncError("model has no strata")
-    for layer in by_dim:
-        layer.sort()
-    index = [{j: i for i, j in enumerate(layer)} for layer in by_dim]
-    spec: list[list[list[int]]] = [[[] for _ in by_dim[0]]]
-    for k in range(1, len(by_dim)):
-        layer = []
-        for j in by_dim[k]:
-            faces = []
-            for drop in range(len(j)):
-                sub = j[:drop] + j[drop + 1 :]
-                if sub not in index[k - 1]:
-                    raise SncError(f"stratum {list(j)} lacks boundary stratum {list(sub)}")
-                faces.append(index[k - 1][sub])
-            layer.append(faces)
-        spec.append(layer)
-    labels = [[str(j[0]) for j in by_dim[0]]] + [[None] * len(l) for l in by_dim[1:]]
-    out = build_complex(spec, labels)
+    try:
+        out = build_complex(*nerve_cells(s.key for s in model.strata))
+    except ComplexError as exc:
+        raise SncError(f"dual complex: {exc}") from exc
     reference = delaunay_dual(model.vc, model.selection)
     if not delta_isomorphic(out, reference):
         raise SncCheckError("dual complex is not isomorphic to the Delaunay dual")

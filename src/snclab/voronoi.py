@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .complexes import DeltaComplex, build_complex
+from .complexes import ComplexError, DeltaComplex, build_complex, nerve_cells
 from .qlinalg import (
     AffineSubspace,
     Constraint,
@@ -53,7 +53,9 @@ class VoronoiCheckError(CheckFailed, VoronoiError):
 
 
 class GenericityError(VoronoiError):
-    """Two distinct index sets produced the same equidistance subspace."""
+    """The sites are not in general position: two distinct index sets give
+    the same equidistance subspace, or one H(J) contains another whose index
+    set is disjoint from J."""
 
 
 class NotSimpleError(VoronoiError):
@@ -90,12 +92,20 @@ class SiteSet:
     def __len__(self) -> int:
         return len(self.sites)
 
+    @cached_property
+    def _bisectors(self) -> tuple[tuple[tuple[Vector, Fraction], ...], ...]:
+        norms = [dot(y, y) for y in self.sites]
+        return tuple(
+            tuple(
+                (tuple(2 * (cj - ci) for ci, cj in zip(yi, yj)), norms[j] - norms[i])
+                for j, yj in enumerate(self.sites)
+            )
+            for i, yi in enumerate(self.sites)
+        )
+
     def bisector(self, i: int, j: int) -> tuple[Vector, Fraction]:
         """(a, b) with a.x <= b exactly when x is at least as close to i as to j."""
-        yi, yj = self.sites[i], self.sites[j]
-        a = tuple(2 * (cj - ci) for ci, cj in zip(yi, yj))
-        b = dot(yj, yj) - dot(yi, yi)
-        return a, b
+        return self._bisectors[i][j]
 
     def cell_halfspaces(self, i: int) -> list[tuple[Vector, Fraction]]:
         return [self.bisector(i, j) for j in range(len(self.sites)) if j != i]
@@ -263,34 +273,10 @@ def delaunay_dual(vc: VoronoiComplex, selection: Optional[Sequence[int]] = None)
     if witness is not None:
         raise NotSimpleError(witness)
     chosen = set(cells)
-    js_by_dim: list[list[tuple[int, ...]]] = []
-    for key in vc.faces:
-        if key <= chosen:
-            k = len(key) - 1
-            while len(js_by_dim) <= k:
-                js_by_dim.append([])
-            js_by_dim[k].append(tuple(sorted(key)))
-    for layer in js_by_dim:
-        layer.sort()
-    index = [{j: i for i, j in enumerate(layer)} for layer in js_by_dim]
-    spec: list[list[list[int]]] = [[[] for _ in js_by_dim[0]]]
-    for k in range(1, len(js_by_dim)):
-        layer = []
-        for j in js_by_dim[k]:
-            faces = []
-            for drop in range(len(j)):
-                sub = j[:drop] + j[drop + 1 :]
-                if sub not in index[k - 1]:
-                    raise VoronoiError(
-                        f"face {list(j)} lacks subface {list(sub)}; complex is not simple"
-                    )
-                faces.append(index[k - 1][sub])
-            layer.append(faces)
-        spec.append(layer)
-    labels = [[str(j[0]) for j in js_by_dim[0]]] + [
-        [None] * len(layer) for layer in js_by_dim[1:]
-    ]
-    return build_complex(spec, labels)
+    try:
+        return build_complex(*nerve_cells(key for key in vc.faces if key <= chosen))
+    except ComplexError as exc:
+        raise VoronoiError(f"Delaunay dual: {exc}") from exc
 
 
 Region = tuple[tuple[Vector, ...], ...]
@@ -465,7 +451,14 @@ def _contains(
         # overlapping index sets: containment would force H(big | small) to
         # coincide with H(small), which genericity rules out
         return False
-    return arrangement.contains(big.sites, small.span)
+    if arrangement.contains(big.sites, small.span):
+        # disjoint index sets: containment puts a point of H(small) on the
+        # bisectors of big as well, a coincidence of non-generic sites
+        raise GenericityError(
+            f"H{sorted(big.sites)} contains H{sorted(small.sites)} although their "
+            f"index sets are disjoint"
+        )
+    return False
 
 
 def _check_intersection_closure(vc: VoronoiComplex, parasitic: Sequence[SubspaceRecord]) -> None:

@@ -32,6 +32,7 @@ from snclab.voronoi import (
     SubspaceRecord,
     VoronoiError,
     _check_intersection_closure,
+    classify_subspaces,
     voronoi_complex,
 )
 
@@ -278,3 +279,14 @@ def test_genericity_error_names_the_first_pair():
         rng.shuffle(table)
         with pytest.raises(GenericityError, match=message):
             SubspaceArrangement(dict(table))
+
+
+def test_genericity_error_names_a_vertex_on_another_bisector():
+    # the Voronoi vertex H{3,5,6} = (23/2, 7/2) lies on the bisector H{1,4};
+    # no two index sets share a subspace, so the arrangement accepts it
+    sites = [[0, 1], [4, 11], [5, 7], [7, 3], [10, 14], [11, 8], [12, 8]]
+    vc = voronoi_complex(SiteSet.build(2, sites))
+    vc.arrangement
+    message = r"H\[1, 4\] contains H\[3, 5, 6\] although their index sets are disjoint"
+    with pytest.raises(GenericityError, match=message):
+        classify_subspaces(vc, 3)

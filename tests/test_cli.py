@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from snclab import snc, voronoi
+from snclab import resolution, snc, voronoi
 from snclab.cli import main, run_pipeline
 from snclab.voronoi import VoronoiCheckError
 
@@ -195,10 +195,22 @@ def test_input_errors_exit_2(inputs, capsys):
     bad_json = inputs["tmp"] / "notjson.json"
     bad_json.write_text("{nope")
     assert run_cli("homology", str(bad_json), capsys=capsys)[0] == 2
+    # a Voronoi vertex on the bisector of two other sites
+    vertex_on_bisector = write(inputs["tmp"], "vob.json", {
+        "dim": 2, "sites": [[0, 1], [4, 11], [5, 7], [7, 3], [10, 14], [11, 8], [12, 8]],
+    })
+    assert run_cli("snc", "build", vertex_on_bisector, capsys=capsys)[0] == 2
+    no_simplices = write(inputs["tmp"], "empty-region.json", {"simplices": []})
+    assert run_cli("voronoi", "delaunay", inputs["triangle"], "--region", no_simplices,
+                   capsys=capsys)[0] == 2
 
 
 def _refuse_closure(vc, parasitic):
     raise VoronoiCheckError("intersection closure refused")
+
+
+def _escaping_mult2(model, i1=None):
+    return [model._with(x_divisors=model.x_divisors | {99}, det_size=0, step="binres(1)/y")]
 
 
 @pytest.mark.parametrize(
@@ -208,8 +220,10 @@ def _refuse_closure(vc, parasitic):
          "dual complex is not isomorphic"),
         (voronoi, "_check_intersection_closure", _refuse_closure,
          ("voronoi", "classify", "triangle"), "intersection closure refused"),
+        (resolution, "step_mult2", _escaping_mult2, ("resolve", "run", "node"),
+         "child x-index set escapes"),
     ],
-    ids=["dual_isomorphism", "intersection_closure"],
+    ids=["dual_isomorphism", "intersection_closure", "resolver_nerve"],
 )
 def test_failed_check_exits_1(inputs, capsys, monkeypatch, module, name, replacement, argv,
                               message):

@@ -2,17 +2,22 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from corpus import CIRCLE, FULL_2_SIMPLEX, NAMED_COMPLEXES, POINT, RP2, RP2_FACES, SPHERE_2, TORUS
 from snclab.complexes import (
     AbelianGroup,
     ComplexError,
     build_complex,
+    closure,
     complex_from_json_dict,
     delta_isomorphic,
     from_simplices,
+    nerve_cells,
 )
 from snclab.intlinalg import smith_normal_form
 
@@ -154,3 +159,24 @@ def test_homology_of_random_wedges_and_disjoint_pieces():
         assert k.is_connected()
         assert k.homology(0) == AbelianGroup(1)
         assert k.euler_characteristic() == 1 - k.betti(1)
+
+
+@given(st.lists(st.frozensets(st.integers(0, 6), max_size=5), max_size=6))
+def test_closure_matches_brute_force(family):
+    universe = sorted(set().union(*family))
+    expected = {
+        frozenset(sub)
+        for size in range(1, len(universe) + 1)
+        for sub in combinations(universe, size)
+        if any(set(sub) <= s for s in family)
+    }
+    assert closure(family) == expected
+
+
+def test_nerve_cells_layout_and_missing_face():
+    cells, labels = nerve_cells(closure([(2, 0, 1)]))
+    assert cells == [[[], [], []], [[1, 0], [2, 0], [2, 1]], [[2, 1, 0]]]
+    assert labels == [["0", "1", "2"], [None] * 3, [None]]
+    family = closure([(0, 1, 2)]) - {frozenset({1, 2})}
+    with pytest.raises(ComplexError, match=r"simplex \[0, 1, 2\] lacks face \[1, 2\]"):
+        nerve_cells(family)

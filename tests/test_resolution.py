@@ -1,8 +1,11 @@
 """The blow-up rewriting calculus: rules, descent, termination, nerves."""
 
+from collections import Counter
+
 import pytest
 
 from corpus import TRIANGLE_SITES, TWO_SITES_1D
+from snclab.complexes import closure
 from snclab.resolution import (
     LocalModel,
     Mdeg,
@@ -194,6 +197,21 @@ def test_resolve_terminates_on_box_with_invariants():
         assert trace.all_resolved()
         assert trace.nerve_constant()
         trace.verify_certificate()
+
+
+def test_nerve_matches_per_step_snapshots_on_box():
+    # the engine records the nerve at the roots and at the leaves only; the
+    # closure after every step, rebuilt from the trace, must equal both
+    for model in BOX[::7]:
+        trace = resolve([model])
+        live = Counter(trace.nodes[r].model.x_divisors for r in trace.roots)
+        per_step = [closure(+live)]
+        for step in trace.steps:
+            live[trace.nodes[step.node].model.x_divisors] -= 1
+            live.update(trace.nodes[c].model.x_divisors for c in step.children)
+            per_step.append(closure(+live))
+        assert all(s == trace.snapshots[0] for s in per_step)
+        assert trace.snapshots == (per_step[0], per_step[-1])
 
 
 def test_fresh_divisor_hygiene():
