@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Predicate subcommands speak through exit codes (0 = true/success,
-1 = predicate false or a check failed, 2 = input error) with JSON as the
-detailed channel; --format text renders the same report as stable lines.
+1 = predicate false or a check failed, 2 = input error, 3 = unexpected
+internal error, with its traceback on stderr) with JSON as the detailed
+channel; --format text renders the same report as stable lines.
 All JSON output is key-sorted and newline-terminated so identical inputs
 produce identical bytes.
 """
@@ -14,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from .complexes import AbelianGroup, ComplexError, complex_from_json_dict
@@ -476,6 +478,9 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

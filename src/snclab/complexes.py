@@ -2,9 +2,15 @@
 
 A complex stores, per dimension, one record per cell: the ordered list of
 its (k-1)-dimensional faces.  A k-cell has exactly k+1 faces and the
-boundary map is the usual alternating sum, so the composite boundary
-vanishes; build_complex checks this and names the offending cell when it
-does not.
+boundary map is the usual alternating sum, kept as one sparse column per
+cell (repeated faces add up, so they may cancel).  The composite boundary
+must vanish; build_complex checks this cell by cell on the sparse columns
+and names the first offending cell when it does not.
+
+Homology eliminates each boundary once per complex: the unit-pivot
+reduction of intlinalg splits every boundary into identity pivots and a
+small residual block, and ranks and torsion come from `rank` and
+`smith_normal_form` of that residual alone.
 
 Every nerve in the package (the simplicial complex of from_simplices, the
 Delaunay dual, the SNC dual complex, the resolver's nerve) is built here:
@@ -19,16 +25,26 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .intlinalg import IntMatrix, rank, smith_normal_form
+from .intlinalg import IntMatrix, rank, reduce_unit_pivots, smith_normal_form
 
 CellSpec = Sequence[Sequence[int]]
 
 
 class ComplexError(ValueError):
     pass
+
+
+def _col(faces: Sequence[int]) -> dict[int, int]:
+    """The boundary column of a cell: face -> summed sign (-1)^position,
+    with cancelled faces dropped."""
+    out: dict[int, int] = {}
+    for pos, f in enumerate(faces):
+        out[f] = out.get(f, 0) + (1 if pos % 2 == 0 else -1)
+    return {f: v for f, v in out.items() if v}
 
 
 @dataclass(frozen=True)
@@ -103,16 +119,34 @@ class DeltaComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * len(layer) for k, layer in enumerate(self.cells))
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[dict[int, int], ...], ...]:
+        """The sparse boundary columns, indexed by dimension (none in dimension 0)."""
+        return ((),) + tuple(tuple(_col(faces) for faces in layer) for layer in self.cells[1:])
+
+    @cached_property
+    def _reduced(self) -> tuple[tuple[int, IntMatrix], ...]:
+        """(unit pivots, residual block) of each boundary map, indexed by dimension."""
+        return tuple(
+            reduce_unit_pivots(self._columns[k], self.n_cells(k - 1)) for k in range(self.dim + 1)
+        )
+
+    @cached_property
+    def _ranks(self) -> tuple[int, ...]:
+        """Rank of each boundary map C_k -> C_{k-1} for k = 0 .. dim + 1."""
+        inner = tuple(units + rank(residual) for units, residual in self._reduced[1:])
+        return (0,) + inner + (0,)
+
     def boundary_matrix(self, k: int) -> IntMatrix:
-        """The map C_k -> C_{k-1}; for k = 0 a 0-row matrix."""
+        """The map C_k -> C_{k-1} as a dense matrix; for k = 0 a 0-row matrix."""
         if k <= 0 or k > self.dim:
             return IntMatrix.zero(0 if k <= 0 else self.n_cells(k - 1), self.n_cells(max(k, 0)))
         rows = self.n_cells(k - 1)
         cols = self.n_cells(k)
         grid = [[0] * cols for _ in range(rows)]
-        for j, faces in enumerate(self.cells[k]):
-            for pos, f in enumerate(faces):
-                grid[f][j] += (-1) ** pos
+        for j, col in enumerate(self._columns[k]):
+            for f, v in col.items():
+                grid[f][j] = v
         return IntMatrix.from_rows(grid, cols)
 
     def is_connected(self) -> bool:
@@ -128,19 +162,13 @@ class DeltaComplex:
         """H_k over the integers; out-of-range k gives the zero group."""
         if k < 0 or k > self.dim:
             return AbelianGroup(0)
-        n_k = self.n_cells(k)
-        rank_in = rank(self.boundary_matrix(k)) if k >= 1 else 0
-        if k + 1 <= self.dim:
-            snf_out = smith_normal_form(self.boundary_matrix(k + 1))
-            rank_out = snf_out.rank
-            torsion = tuple(d for d in snf_out.nonzero if d > 1)
-        else:
-            rank_out = 0
-            torsion = ()
-        return AbelianGroup.from_invariant_factors(n_k - rank_in - rank_out, torsion)
+        torsion = smith_normal_form(self._reduced[k + 1][1]).nonzero if k < self.dim else ()
+        return AbelianGroup.from_invariant_factors(self.betti(k), torsion)
 
     def betti(self, k: int) -> int:
-        return self.homology(k).rank
+        if k < 0 or k > self.dim:
+            return 0
+        return self.n_cells(k) - self._ranks[k] - self._ranks[k + 1]
 
     def all_betti(self) -> tuple[int, ...]:
         return tuple(self.betti(k) for k in range(self.dim + 1))
@@ -167,20 +195,30 @@ class DeltaComplex:
 def build_complex(cells: Sequence[CellSpec], labels=None) -> DeltaComplex:
     """Validate raw cell lists and return the complex.
 
-    The 0-dimensional layer may list anything (labels, nulls); only its
-    length matters.  Each k-cell for k >= 1 must list exactly k+1 existing
-    (k-1)-cells, and the composite boundary must vanish over the integers.
+    Layers and cells are lists.  The 0-dimensional layer may list anything
+    (labels, nulls); only its length matters.  Each k-cell for k >= 1 must
+    list exactly k+1 existing (k-1)-cells by int index (not bool), and
+    the composite boundary must vanish over the integers.
     """
+    if not isinstance(cells, (list, tuple)):
+        raise ComplexError("complex cells must be a list of layers")
     if not cells:
         raise ComplexError("a complex needs at least one dimension layer")
+    for k, layer in enumerate(cells):
+        if not isinstance(layer, (list, tuple)):
+            raise ComplexError(f"layer {k} of the complex must be a list")
     normalized: list[tuple[tuple[int, ...], ...]] = [tuple(() for _ in cells[0])]
     for k in range(1, len(cells)):
         layer = []
         for i, spec in enumerate(cells[k]):
-            faces = tuple(int(f) for f in spec)
+            if not isinstance(spec, (list, tuple)):
+                raise ComplexError(f"cell ({k},{i}) must be a list of face indices")
+            faces = tuple(spec)
             if len(faces) != k + 1:
                 raise ComplexError(f"cell ({k},{i}) must have exactly {k + 1} faces")
             for f in faces:
+                if type(f) is not int:
+                    raise ComplexError(f"face reference in cell ({k},{i}) is not an integer: {f!r}")
                 if not 0 <= f < len(cells[k - 1]):
                     raise ComplexError(f"dangling face reference in cell ({k},{i}): {f}")
             layer.append(faces)
@@ -189,6 +227,10 @@ def build_complex(cells: Sequence[CellSpec], labels=None) -> DeltaComplex:
     while len(normalized) > 1 and not normalized[-1]:
         normalized.pop()
     if labels is not None:
+        if not isinstance(labels, (list, tuple)) or not all(
+            isinstance(layer, (list, tuple)) for layer in labels
+        ):
+            raise ComplexError("labels must be a list of lists")
         norm_labels = tuple(
             tuple(None if x is None else str(x) for x in layer)
             for layer in list(labels)[: len(normalized)]
@@ -199,13 +241,14 @@ def build_complex(cells: Sequence[CellSpec], labels=None) -> DeltaComplex:
         norm_labels = None
     complex_ = DeltaComplex(tuple(normalized), norm_labels)
     for k in range(2, complex_.dim + 1):
-        composite = complex_.boundary_matrix(k - 1) * complex_.boundary_matrix(k)
-        if not composite.is_zero():
-            for j in range(composite.cols):
-                if any(composite[(i, j)] != 0 for i in range(composite.rows)):
-                    raise ComplexError(
-                        f"boundary composite is nonzero on cell ({k},{j})"
-                    )
+        lower = complex_._columns[k - 1]
+        for j, col in enumerate(complex_._columns[k]):
+            composite: dict[int, int] = {}
+            for f, v in col.items():
+                for g, w in lower[f].items():
+                    composite[g] = composite.get(g, 0) + v * w
+            if any(composite.values()):
+                raise ComplexError(f"boundary composite is nonzero on cell ({k},{j})")
     return complex_
 
 
@@ -293,7 +336,7 @@ class UnionFind:
 
 
 def complex_from_json_dict(data: dict) -> DeltaComplex:
-    if "cells" not in data:
+    if not isinstance(data, dict) or "cells" not in data:
         raise ComplexError("complex JSON needs a 'cells' field")
     return build_complex(data["cells"], data.get("labels"))
 

@@ -1,9 +1,14 @@
-"""Exact integer matrices and Smith normal form.
+"""Exact integer matrices, Smith normal form and unit-pivot reduction.
 
 Everything here is arbitrary-precision: entries are Python ints and the
 row/column transforms are kept unimodular.  The pivot policy is fixed
 (smallest absolute value, ties broken by row-major position) so repeated
 runs produce bit-identical transforms.
+
+Homology and abelianization first split the +-1 pivots off a sparse
+matrix with `reduce_unit_pivots`, once per matrix, and run
+`smith_normal_form` and `rank` only on the residual block, which for
+simplicial boundaries is usually empty or a few entries.
 """
 
 from __future__ import annotations
@@ -236,6 +241,59 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
 
     diag = tuple(a[i][i] if i < cols else 0 for i in range(limit))
     return SmithNormalForm(diag, IntMatrix.from_rows(left, rows), IntMatrix.from_rows(right, cols))
+
+
+def reduce_unit_pivots(columns: Sequence[dict[int, int]], rows: int) -> tuple[int, IntMatrix]:
+    """Split off the unit pivots: M is equivalent to diag(1, ..., 1) + residual.
+
+    `columns` lists the matrix's columns as sparse `row -> nonzero int`
+    dicts over `rows` rows.  Columns are taken in order; each pivots on a
+    +-1 entry, choosing the row with the fewest entries (ties: lowest row)
+    to limit fill-in, and integer column operations clear the rest of that
+    row, after which the pivot's row and column are dropped.  Every step is
+    unimodular, so rank and nonzero invariant factors of M are `units` ones
+    followed by those of the residual.  Columns left without a unit entry
+    are retried after a pass in which a pivot changed them, so the residual
+    has no +-1 entry.  It keeps the surviving nonzero columns in order, on
+    the rows they touch.
+    """
+    cols = [{i: v for i, v in c.items() if v} for c in columns]
+    where: list[set[int]] = [set() for _ in range(rows)]
+    for j, c in enumerate(cols):
+        for i in c:
+            where[i].add(j)
+    units = 0
+    pending = list(range(len(cols)))
+    while pending:
+        retry = set()
+        for j in pending:
+            col = cols[j]
+            candidates = [i for i, v in col.items() if v in (1, -1)]
+            if not candidates:
+                continue
+            pivot = min(candidates, key=lambda i: (len(where[i]), i))
+            u = col[pivot]
+            for other in sorted(where[pivot] - {j}):
+                target = cols[other]
+                q = target[pivot] * u
+                for i, v in col.items():
+                    new = target.get(i, 0) - q * v
+                    if new:
+                        target[i] = new
+                        where[i].add(other)
+                    else:
+                        del target[i]
+                        where[i].discard(other)
+                retry.add(other)
+            for i in col:
+                where[i].discard(j)
+            cols[j] = {}
+            units += 1
+        pending = sorted(retry)
+    rest = [c for c in cols if c]
+    used = sorted({i for c in rest for i in c})
+    grid = [[c.get(i, 0) for c in rest] for i in used]
+    return units, IntMatrix.from_rows(grid, len(rest))
 
 
 def invariant_factors_by_minors(m: IntMatrix) -> tuple[int, ...]:

@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .complexes import AbelianGroup, ComplexError, DeltaComplex
-from .intlinalg import IntMatrix, rank, smith_normal_form
+from .intlinalg import IntMatrix, rank, reduce_unit_pivots, smith_normal_form
 
 
 class PresentationError(ValueError):
@@ -46,20 +46,44 @@ class Presentation:
                     raise PresentationError(f"relator letter {letter} out of range")
 
     @classmethod
-    def build(cls, generators: int, relators: Iterable[Sequence[int]]) -> "Presentation":
-        return cls(generators, tuple(tuple(int(x) for x in w) for w in relators))
+    def build(cls, generators: int, relators: Sequence[Sequence[int]]) -> "Presentation":
+        """Relators are lists of integer letters (not bools); anything else
+        raises PresentationError."""
+        if not isinstance(relators, (list, tuple)):
+            raise PresentationError("relators must be a list of words")
+        words = []
+        for w in relators:
+            if not isinstance(w, (list, tuple)):
+                raise PresentationError(f"relator {w!r} is not a list of letters")
+            for x in w:
+                if type(x) is not int:
+                    raise PresentationError(f"relator letter {x!r} is not an integer")
+            words.append(tuple(w))
+        return cls(generators, tuple(words))
 
     def simplified(self) -> "Presentation":
         """Free reduction plus removal of empty relators; nothing else."""
         reduced = [free_reduce(w) for w in self.relators]
         return Presentation(self.generators, tuple(w for w in reduced if w))
 
+    def exponent_columns(self) -> list[dict[int, int]]:
+        """The exponent sums of each relator as a sparse column:
+        0-based generator -> nonzero exponent sum."""
+        out = []
+        for w in self.relators:
+            col: dict[int, int] = {}
+            for letter in w:
+                g = abs(letter) - 1
+                col[g] = col.get(g, 0) + (1 if letter > 0 else -1)
+            out.append({g: v for g, v in col.items() if v})
+        return out
+
     def exponent_matrix(self) -> IntMatrix:
         """Generators-by-relators matrix of exponent sums."""
         grid = [[0] * len(self.relators) for _ in range(self.generators)]
-        for j, w in enumerate(self.relators):
-            for letter in w:
-                grid[abs(letter) - 1][j] += 1 if letter > 0 else -1
+        for j, col in enumerate(self.exponent_columns()):
+            for g, v in col.items():
+                grid[g][j] = v
         return IntMatrix.from_rows(grid, len(self.relators))
 
     def to_json_dict(self) -> dict:
@@ -70,15 +94,22 @@ class Presentation:
 
 
 def presentation_from_json_dict(data: dict) -> Presentation:
-    return Presentation.build(int(data["generators"]), data.get("relators", []))
+    if not isinstance(data, dict) or "generators" not in data:
+        raise PresentationError("presentation JSON needs a 'generators' field")
+    generators = data["generators"]
+    if type(generators) is not int:
+        raise PresentationError(f"generator count {generators!r} is not an integer")
+    return Presentation.build(generators, data.get("relators", []))
 
 
 def abelianization(p: Presentation) -> AbelianGroup:
-    """H_1 of the presented group: cokernel of the exponent-sum matrix."""
+    """H_1 of the presented group: cokernel of the exponent-sum matrix,
+    after its unit pivots are split off."""
     if p.generators == 0:
         return AbelianGroup(0)
-    snf = smith_normal_form(p.exponent_matrix())
-    return AbelianGroup.from_invariant_factors(p.generators - snf.rank, snf.nonzero)
+    units, residual = reduce_unit_pivots(p.exponent_columns(), p.generators)
+    snf = smith_normal_form(residual)
+    return AbelianGroup.from_invariant_factors(p.generators - units - snf.rank, snf.nonzero)
 
 
 def is_q_perfect(p: Presentation) -> bool:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from snclab import resolution, snc, voronoi
+from snclab import cli, resolution, snc, voronoi
 from snclab.cli import main, run_pipeline
 from snclab.voronoi import VoronoiCheckError
 
@@ -203,6 +203,32 @@ def test_input_errors_exit_2(inputs, capsys):
     no_simplices = write(inputs["tmp"], "empty-region.json", {"simplices": []})
     assert run_cli("voronoi", "delaunay", inputs["triangle"], "--region", no_simplices,
                    capsys=capsys)[0] == 2
+    # malformed complexes and presentations: no truncation, no bool as int
+    malformed = [
+        ("homology", {"cells": [[None, None, None], [[0, 1.7], [1, 2], [2, 0]]]}),
+        ("homology", {"cells": [[None, None], [[0, True]]]}),
+        ("homology", {"cells": [3, [[0, 1]]]}),
+        ("check", {"generators": 2, "relators": [[1, 2.5]]}),
+        ("check", {"generators": 2, "relators": [[2, 1.5]]}),
+    ]
+    for i, (command, payload) in enumerate(malformed):
+        path = write(inputs["tmp"], f"malformed{i}.json", payload)
+        argv = (command, path) if command == "homology" else (command, "q-perfect", path)
+        code, out = run_cli(*argv, capsys=capsys)
+        assert (code, out) == (2, ""), payload
+
+
+def test_unexpected_exception_exits_3(inputs, capsys, monkeypatch):
+    def broken(p):
+        raise RuntimeError("internal failure")
+
+    monkeypatch.setattr(cli, "abelianization", broken)
+    code = main(["pi1", inputs["circle"]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert captured.err.rstrip().endswith("RuntimeError: internal failure")
 
 
 def _refuse_closure(vc, parasitic):

@@ -12,6 +12,7 @@ from corpus import CIRCLE, FULL_2_SIMPLEX, NAMED_COMPLEXES, POINT, RP2, RP2_FACE
 from snclab.complexes import (
     AbelianGroup,
     ComplexError,
+    DeltaComplex,
     build_complex,
     closure,
     complex_from_json_dict,
@@ -44,11 +45,52 @@ def test_wrong_arity():
         build_complex([[None, None], [[0, 1, 1]]])
 
 
+def _dense_verdict(cells):
+    """The first cell on which the dense product d_(k-1) d_k is nonzero,
+    as build_complex words it, or None."""
+    vertices = tuple(() for _ in cells[0])
+    k = DeltaComplex((vertices,) + tuple(tuple(map(tuple, layer)) for layer in cells[1:]))
+    for d in range(2, k.dim + 1):
+        composite = k.boundary_matrix(d - 1) * k.boundary_matrix(d)
+        for j in range(composite.cols):
+            if any(composite[(i, j)] for i in range(composite.rows)):
+                return f"boundary composite is nonzero on cell ({d},{j})"
+    return None
+
+
+def _verdict(cells):
+    try:
+        build_complex(cells)
+    except ComplexError as exc:
+        return str(exc)
+    return None
+
+
 def test_nonzero_boundary_composite_names_cell():
     # edges v0-v1 and v1-v2; the fake triangle (e0, e0, e1) has nonzero
     # composite boundary equal to the boundary of e1
     with pytest.raises(ComplexError, match=r"\(2,0\)"):
         build_complex([[None] * 3, [[0, 1], [1, 2]], [[0, 0, 1]]])
+    # the first triangle of the 2-simplex is fine, the second and third are not
+    late = [[None] * 3, [[1, 0], [2, 0], [2, 1]], [[2, 1, 0], [0, 0, 1], [0, 0, 2]]]
+    assert _verdict(late) == _dense_verdict(late) == "boundary composite is nonzero on cell (2,1)"
+    # (a, a, b): the non-loop edge a cancels out of the boundary, which is
+    # the loop b, so the composite vanishes
+    cancelling = [[None] * 2, [[1, 0], [0, 0]], [[0, 0, 1]]]
+    assert _verdict(cancelling) is _dense_verdict(cancelling) is None
+    assert build_complex(cancelling).all_betti() == (1, 0, 0)
+
+
+@given(
+    st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=1, max_size=4),
+    st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), max_size=3),
+)
+def test_sparse_composite_check_matches_dense_product(triangles, tetrahedra):
+    # two vertices, an edge each way and a loop at each vertex
+    cells = [[None] * 2, [[1, 0], [0, 0], [1, 1], [0, 1]], triangles]
+    if tetrahedra:
+        cells.append([[f % len(triangles) for f in t] for t in tetrahedra])
+    assert _verdict(cells) == _dense_verdict(cells)
 
 
 def test_boundary_composites_vanish_on_corpus():
@@ -95,6 +137,7 @@ def test_sphere_homology():
 def test_out_of_range_degrees_give_zero_group():
     assert CIRCLE.homology(-1) == AbelianGroup(0)
     assert CIRCLE.homology(5) == AbelianGroup(0)
+    assert CIRCLE.betti(-1) == CIRCLE.betti(2) == CIRCLE.betti(5) == 0
 
 
 def test_euler_characteristic_equals_alternating_betti_sum():
@@ -146,7 +189,7 @@ def test_delta_isomorphic():
     assert delta_isomorphic(RP2, from_simplices(RP2_FACES))
 
 
-def test_homology_of_random_wedges_and_disjoint_pieces():
+def _random_wedges():
     rng = random.Random(5)
     for _ in range(20):
         n = rng.randint(3, 6)
@@ -155,7 +198,11 @@ def test_homology_of_random_wedges_and_disjoint_pieces():
             tuple(sorted(rng.sample(range(n), 2)))
             for _ in range(rng.randint(0, 3))
         ]
-        k = from_simplices(edges + [e for e in extra if e[0] != e[1]])
+        yield from_simplices(edges + [e for e in extra if e[0] != e[1]])
+
+
+def test_homology_of_random_wedges_and_disjoint_pieces():
+    for k in _random_wedges():
         assert k.is_connected()
         assert k.homology(0) == AbelianGroup(1)
         assert k.euler_characteristic() == 1 - k.betti(1)
@@ -180,3 +227,28 @@ def test_nerve_cells_layout_and_missing_face():
     family = closure([(0, 1, 2)]) - {frozenset({1, 2})}
     with pytest.raises(ComplexError, match=r"simplex \[0, 1, 2\] lacks face \[1, 2\]"):
         nerve_cells(family)
+
+
+def _sympy_invariant_factors(m):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    if m.rows == 0 or m.cols == 0:
+        return []
+    snf = sympy_snf(Matrix([list(row) for row in m.entries]), domain=ZZ)
+    return [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i] != 0]
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [(f"boundary_delta_{n}", from_simplices(combinations(range(n + 1), n))) for n in range(2, 9)]
+    + list(NAMED_COMPLEXES.items())
+    + [(f"wedge_{i}", k) for i, k in enumerate(_random_wedges())],
+)
+def test_homology_matches_sympy_smith_form_of_dense_boundaries(name, k):
+    for d in range(k.dim + 1):
+        rank_in = len(_sympy_invariant_factors(k.boundary_matrix(d)))
+        out = _sympy_invariant_factors(k.boundary_matrix(d + 1))
+        expected = AbelianGroup.from_invariant_factors(k.n_cells(d) - rank_in - len(out), out)
+        assert k.homology(d) == expected, (name, d)
+        assert k.betti(d) == expected.rank, (name, d)

@@ -1,0 +1,54 @@
+"""Unit-pivot reduction against the determinantal-divisor oracle.
+
+M is equivalent to diag(1, ..., 1) + residual, so the nonzero invariant
+factors of M are `units` ones followed by the residual's, and its rank is
+`units` plus the residual's rank.
+"""
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from snclab.intlinalg import (
+    IntMatrix,
+    invariant_factors_by_minors,
+    rank,
+    reduce_unit_pivots,
+    smith_normal_form,
+)
+
+# mostly units, some zeros, a few larger entries
+ENTRY = st.sampled_from([1, -1, 1, -1, 1, -1, 0, 0, 0, 2, -2, 3, -3])
+
+
+@st.composite
+def sparse_matrices(draw):
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 5))
+    grid = [[draw(ENTRY) for _ in range(cols)] for _ in range(rows)]
+    return IntMatrix.from_rows(grid, cols)
+
+
+def columns_of(m: IntMatrix) -> list[dict[int, int]]:
+    return [{i: m[(i, j)] for i in range(m.rows) if m[(i, j)]} for j in range(m.cols)]
+
+
+@given(sparse_matrices())
+def test_units_and_residual_give_the_invariant_factors(m):
+    units, residual = reduce_unit_pivots(columns_of(m), m.rows)
+    factors = (1,) * units + smith_normal_form(residual).nonzero
+    assert factors == tuple(d for d in invariant_factors_by_minors(m) if d)
+    assert units + rank(residual) == rank(m)
+    # every unit entry was pivoted on, including those made by fill-in
+    assert all(abs(x) != 1 for row in residual.entries for x in row)
+
+
+def test_input_columns_are_left_alone_and_residual_is_what_is_left():
+    cols = [{0: 2, 1: 2}, {0: 1, 1: 1}, {1: 3}]
+    units, residual = reduce_unit_pivots(cols, 2)
+    assert cols == [{0: 2, 1: 2}, {0: 1, 1: 1}, {1: 3}]
+    # pivot on (0, 1) clears row 0; column 0 becomes zero, column 2 stays
+    assert units == 1
+    assert residual == IntMatrix.from_rows([[3]])
+    # (0, 1) pivots first and its fill-in turns column 0 into a unit column
+    assert reduce_unit_pivots([{0: 2, 1: 3}, {0: 1, 1: 1}], 2) == (2, IntMatrix.zero(0, 0))
+    assert reduce_unit_pivots([], 3) == (0, IntMatrix.zero(0, 0))
