@@ -110,7 +110,12 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _load_sites(path: str) -> SiteSet:
     data = _load(path)
-    return SiteSet.build(int(data["dim"]), data["sites"])
+    if not isinstance(data, dict):
+        raise VoronoiError("a sites file must hold a JSON object with 'dim' and 'sites'")
+    dim = data["dim"]
+    if type(dim) is not int:
+        raise VoronoiError(f"dimension {dim!r} is not an integer")
+    return SiteSet.build(dim, data["sites"])
 
 
 def _selection(args, vc) -> tuple[int, ...]:

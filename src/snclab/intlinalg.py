@@ -69,12 +69,6 @@ class IntMatrix:
         )
         return IntMatrix(self.rows, other.cols, data)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else ())
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 

@@ -109,7 +109,24 @@ class LocalModel:
 
 
 def model_from_json_dict(data: dict) -> LocalModel:
-    return LocalModel.build(data.get("I", []), data.get("m", 0), data.get("F", []))
+    if not isinstance(data, dict):
+        raise ResolutionError("a local model must be a JSON object with 'I', 'm' and 'F'")
+    x_divisors, det_size, exceptional = data.get("I", []), data.get("m", 0), data.get("F", [])
+    if (
+        not isinstance(x_divisors, list)
+        or any(type(i) is not int for i in x_divisors)
+        or type(det_size) is not int
+        or not isinstance(exceptional, list)
+        or any(
+            not isinstance(pair, list) or len(pair) != 2 or any(type(x) is not int for x in pair)
+            for pair in exceptional
+        )
+    ):
+        raise ResolutionError(
+            "a local model needs 'I' as a list of integers, 'm' as an integer and "
+            "'F' as a list of [label, exponent] integer pairs"
+        )
+    return LocalModel.build(x_divisors, det_size, exceptional)
 
 
 def _bump(exceptional, label: int, exponent: int):

@@ -97,7 +97,12 @@ class BaseCohomology:
 
 
 def base_from_json_dict(data: dict) -> BaseCohomology:
-    return BaseCohomology.build(data["d"], data["h"])
+    if not isinstance(data, dict) or "d" not in data or "h" not in data:
+        raise SeifertError("a base must be a JSON object with 'd' and 'h' fields")
+    d, h = data["d"], data["h"]
+    if type(d) is not int or not isinstance(h, list) or any(type(x) is not int for x in h):
+        raise SeifertError("a base needs 'd' as an integer and 'h' as a list of integers")
+    return BaseCohomology.build(d, h)
 
 
 def link_betti(base: BaseCohomology) -> tuple[int, ...]:

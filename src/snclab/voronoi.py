@@ -7,8 +7,9 @@ existence is a Fourier-Motzkin feasibility question.  Faces are keyed by
 the set J of sites attaining equality; the equidistance locus of J is the
 affine subspace H(J).
 
-Face enumeration brute-forces index subsets, which is fine for the
-intended scale (about ten sites, ambient dimension up to four).
+Face enumeration visits only the index sets with non-empty H(J): since
+H(J + k) lies in H(J), each such J is extended level by level by one site
+at a time and dropped as soon as the new bisector misses H(J).
 
 The subspace classification and the SNC gluing read the complex's
 `SubspaceArrangement`, built on first use: every H(J) under its canonical
@@ -211,18 +212,21 @@ class VoronoiComplex:
         }
 
 
-def _face_constraints(sites: SiteSet, indices: tuple[int, ...]) -> list[Constraint]:
-    base = indices[0]
-    others = [k for k in range(len(sites)) if k not in indices]
-    out = []
-    for k in others:
-        a, b = sites.bisector(base, k)
-        out.append(Constraint(a, b, strict=True))
-    return out
+def _meets(span: AffineSubspace, a: Vector, b: Fraction) -> bool:
+    """Whether span meets the hyperplane a.x = b (in span's parameters the
+    equation is consistent)."""
+    cut = Constraint(a, b).substitute(span)
+    return any(cut.coeffs) or cut.rhs == 0
 
 
 def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
-    """Build the full face lattice by subset enumeration.
+    """Build the full face lattice, visiting only the J with non-empty H(J).
+
+    H(J + k) is H(J) cut by the bisector of min(J) and k, so it is empty
+    whenever H(J) is.  Level by level, each sorted J with non-empty H(J) is
+    extended only by each k > max(J) whose bisector meets H(J), which visits
+    the index sets in `combinations` order.  The work is one solve and one
+    face test per non-empty H(J), plus one cut per extension tried.
 
     A face exists for J exactly when some point has nearest-site set J; the
     test substitutes the equidistance span into the strict inequalities
@@ -231,20 +235,28 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
     n = len(site_set)
     faces: dict[frozenset[int], VoronoiFace] = {}
     subspaces: dict[frozenset[int], AffineSubspace] = {}
-    for size in range(1, n + 1):
-        for indices in combinations(range(n), size):
-            span = equidistance_subspace(site_set, indices)
-            if span is None:
-                continue
+    level = [((i,), whole_space(site_set.dim)) for i in range(n)]
+    while level:
+        for indices, span in level:
             key = frozenset(indices)
-            if size >= 2:
+            if len(indices) >= 2:
                 subspaces[key] = span
-            constraints = [c.substitute(span) for c in _face_constraints(site_set, indices)]
+            constraints = [
+                Constraint(*site_set.bisector(indices[0], k), strict=True).substitute(span)
+                for k in range(n)
+                if k not in indices
+            ]
             witness_params = feasible_point(constraints, span.dim)
             if witness_params is None:
                 continue
             witness = span.parametrize(witness_params)
             faces[key] = VoronoiFace(key, span, witness, site_set.dim)
+        level = [
+            (indices + (k,), equidistance_subspace(site_set, indices + (k,)))
+            for indices, span in level
+            for k in range(indices[-1] + 1, n)
+            if _meets(span, *site_set.bisector(indices[0], k))
+        ]
     return VoronoiComplex(site_set, faces, subspaces)
 
 

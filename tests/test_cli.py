@@ -203,19 +203,32 @@ def test_input_errors_exit_2(inputs, capsys):
     no_simplices = write(inputs["tmp"], "empty-region.json", {"simplices": []})
     assert run_cli("voronoi", "delaunay", inputs["triangle"], "--region", no_simplices,
                    capsys=capsys)[0] == 2
-    # malformed complexes and presentations: no truncation, no bool as int
+    # malformed JSON inputs: no truncation, no bool as int, and an object
+    # wherever the reader expects one
     malformed = [
-        ("homology", {"cells": [[None, None, None], [[0, 1.7], [1, 2], [2, 0]]]}),
-        ("homology", {"cells": [[None, None], [[0, True]]]}),
-        ("homology", {"cells": [3, [[0, 1]]]}),
-        ("check", {"generators": 2, "relators": [[1, 2.5]]}),
-        ("check", {"generators": 2, "relators": [[2, 1.5]]}),
+        (("homology",), {"cells": [[None, None, None], [[0, 1.7], [1, 2], [2, 0]]]}),
+        (("homology",), {"cells": [[None, None], [[0, True]]]}),
+        (("homology",), {"cells": [3, [[0, 1]]]}),
+        (("check", "q-perfect"), {"generators": 2, "relators": [[1, 2.5]]}),
+        (("check", "q-perfect"), {"generators": 2, "relators": [[2, 1.5]]}),
+        (("resolve", "run"), {"I": [1, 2.9], "m": 1, "F": []}),
+        (("resolve", "run"), {"I": [1, 2], "m": True, "F": []}),
+        (("resolve", "run"), {"I": [1, 2], "m": 2, "F": [[3, 1.5]]}),
+        (("resolve", "run"), [{"I": [1, 2], "m": 1, "F": []}]),
+        (("seifert", "betti"), {"d": 2, "h": [1, 0, 1.9, 0, 1]}),
+        (("seifert", "betti"), [2, [1, 0, 1, 0, 1]]),
+        (("voronoi", "build"), {"dim": 2.9, "sites": [[0, 0], [1, 0]]}),
+        (("voronoi", "build"), {"dim": True, "sites": [[0], [1]]}),
+        (("voronoi", "build"), [[0, 0], [1, 0]]),
     ]
     for i, (command, payload) in enumerate(malformed):
         path = write(inputs["tmp"], f"malformed{i}.json", payload)
-        argv = (command, path) if command == "homology" else (command, "q-perfect", path)
-        code, out = run_cli(*argv, capsys=capsys)
-        assert (code, out) == (2, ""), payload
+        code = main([*command, path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), payload
+        assert captured.err.startswith("error: "), payload
+        if isinstance(payload, list):
+            assert "JSON object" in captured.err, payload
 
 
 def test_unexpected_exception_exits_3(inputs, capsys, monkeypatch):

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from corpus import (
     FOUR_SITES_1D,
@@ -20,11 +22,14 @@ from corpus import (
 from snclab.complexes import AbelianGroup
 from snclab.presentations import abelianization, pi1_presentation
 from snclab.qlinalg import Constraint, dot, feasible_point
+from snclab import voronoi
 from snclab.voronoi import (
     GenericityError,
     NotSimpleError,
     SiteSet,
+    VoronoiComplex,
     VoronoiError,
+    VoronoiFace,
     classify_subspaces,
     delaunay_dual,
     equidistance_subspace,
@@ -335,3 +340,89 @@ def test_genericity_density_fuzz():
             )
         vc = voronoi_complex(SiteSet.build(2, wiggled))
         assert vc.is_simple()
+
+
+def brute_force_voronoi(sites: SiteSet) -> VoronoiComplex:
+    """Reference enumeration: every index subset in `combinations` order,
+    each H(J) solved from scratch, each face tested by Fourier-Motzkin."""
+    n = len(sites)
+    faces, subspaces = {}, {}
+    for size in range(1, n + 1):
+        for indices in combinations(range(n), size):
+            span = equidistance_subspace(sites, indices)
+            if span is None:
+                continue
+            key = frozenset(indices)
+            if size >= 2:
+                subspaces[key] = span
+            constraints = [
+                Constraint(*sites.bisector(indices[0], k), strict=True).substitute(span)
+                for k in range(n)
+                if k not in indices
+            ]
+            params = feasible_point(constraints, span.dim)
+            if params is not None:
+                faces[key] = VoronoiFace(key, span, span.parametrize(params), sites.dim)
+    return VoronoiComplex(sites, faces, subspaces)
+
+
+def _lattice_fields(vc: VoronoiComplex):
+    witness = vc.simplicity_witness()
+    return (
+        [(k, f.witness, f.span.point, f.span.basis, f.ambient_dim) for k, f in vc.faces.items()],
+        [(k, s.point, s.basis) for k, s in vc.subspaces.items()],
+        None if witness is None else (witness.sites, witness.witness, witness.span.point),
+    )
+
+
+# points on the circle x^2 + y^2 = 25
+_CIRCLE = [(5, 0), (0, 5), (-5, 0), (0, -5), (3, 4), (-4, 3), (-3, -4), (4, -3), (4, 3)]
+
+
+@st.composite
+def degenerate_site_sets(draw):
+    dim = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["random", "grid", "collinear", "cocircular"]))
+    if shape == "grid":
+        # squares and cubes: cocircular and cospherical sites
+        pool = list(product(range(3), repeat=dim))
+    elif shape == "collinear":
+        base = draw(st.tuples(*[st.integers(-3, 3)] * dim))
+        step = draw(st.tuples(*[st.integers(-2, 2)] * dim).filter(any))
+        pool = [tuple(b + t * s for b, s in zip(base, step)) for t in range(-3, 4)]
+    elif shape == "cocircular" and dim >= 2:
+        # in 3D the circle's plane makes H(J) of three of its points a line
+        # that the bisector of a fourth one contains
+        height = draw(st.integers(-2, 2))
+        pool = [p + (height,) * (dim - 2) for p in _CIRCLE]
+    else:
+        pool = list(product(range(-3, 4), repeat=dim))
+    points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7, unique=True))
+    return SiteSet.build(dim, points)
+
+
+@given(degenerate_site_sets())
+@example(SQUARE_SITES)
+@example(SiteSet.build(2, [[0, 0], [1, 1], [2, 2], [0, 3], [3, 0]]))
+@example(SiteSet.build(3, [[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 0], [1, 1, 3]]))
+def test_pruned_enumeration_matches_brute_force(sites):
+    assert _lattice_fields(voronoi_complex(sites)) == _lattice_fields(brute_force_voronoi(sites))
+
+
+def test_enumeration_solves_only_nonempty_subspaces(monkeypatch):
+    # one solve per non-empty H(J) with |J| >= 2; the empty ones are
+    # recognised by the bisector cut without solving
+    solves = []
+    solve = voronoi.solve_affine
+
+    def counting_solve(rows, rhs):
+        solves.append(rows)
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(voronoi, "solve_affine", counting_solve)
+    rng = random.Random(11)
+    pts = set()
+    while len(pts) < 11:
+        pts.add((rng.randint(0, 97), rng.randint(0, 97)))
+    vc = voronoi_complex(SiteSet.build(2, sorted(pts)))
+    assert len(solves) == len(vc.subspaces)
