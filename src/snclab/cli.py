@@ -115,7 +115,10 @@ def _load_sites(path: str) -> SiteSet:
     dim = data["dim"]
     if type(dim) is not int:
         raise VoronoiError(f"dimension {dim!r} is not an integer")
-    return SiteSet.build(dim, data["sites"])
+    sites = data["sites"]
+    if not isinstance(sites, list) or any(not isinstance(s, list) for s in sites):
+        raise VoronoiError("'sites' must be a list of coordinate lists")
+    return SiteSet.build(dim, sites)
 
 
 def _selection(args, vc) -> tuple[int, ...]:
@@ -287,6 +290,8 @@ def cmd_resolve(args) -> int:
         raise ValueError("resolve run needs a local-models file")
     data = _load(args.file)
     raw = data["roots"] if isinstance(data, dict) and "roots" in data else [data]
+    if not isinstance(raw, list):
+        raise ResolutionError("'roots' must be a list of local models")
     roots = [model_from_json_dict(r) for r in raw]
     trace = resolve(roots, _policy(args), args.max_steps)
     report = trace.to_json_dict()

@@ -88,7 +88,7 @@ def solve_affine(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return tuple(point), tuple(basis)
 
 
-def _clear_denominators(row: Sequence[Fraction]) -> tuple[int, ...]:
+def clear_denominators(row: Sequence[Fraction]) -> tuple[int, ...]:
     """A rational row times the lcm of its denominators.  When some entry
     is 1, as a pivot entry of a reduced echelon row is, the result is
     already primitive: no prime divides all of its entries."""
@@ -153,7 +153,7 @@ class AffineSubspace:
         normals, rhs = self.implicit()
         work = [list(a) + [b] for a, b in zip(normals, rhs)]
         rank = len(_row_reduce(work, self.ambient_dim))
-        return tuple(_clear_denominators(row) for row in work[:rank])
+        return tuple(clear_denominators(row) for row in work[:rank])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineSubspace):

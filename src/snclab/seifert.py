@@ -207,13 +207,20 @@ class H2Decomposition:
 
 
 def decomposition_from_json_dict(data: dict) -> H2Decomposition:
-    raw = data.get("iM", 0)
-    barden = INFINITE if raw in ("inf", INFINITE, None) else int(raw)
-    return H2Decomposition.build(
-        int(data.get("k", 0)),
-        {int(q): int(mult) for q, mult in data.get("c", {}).items()},
-        barden,
-    )
+    if not isinstance(data, dict):
+        raise SeifertError("an H2 decomposition must be a JSON object with 'k', 'c' and 'iM'")
+    k, c, barden = data.get("k", 0), data.get("c", {}), data.get("iM", 0)
+    if (
+        type(k) is not int
+        or not isinstance(c, dict)
+        or any(type(m) is not int for m in c.values())
+        or (type(barden) is not int and barden not in (INFINITE, None))
+    ):
+        raise SeifertError(
+            "an H2 decomposition needs 'k' as an integer, 'c' as an object of integer "
+            "multiplicities and 'iM' as an integer or \"inf\""
+        )
+    return H2Decomposition.build(k, {int(q): mult for q, mult in c.items()}, barden)
 
 
 def _is_prime_power(q: int) -> bool:

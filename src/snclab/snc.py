@@ -13,9 +13,10 @@ what keeps spurious identifications from appearing: with them disabled
 face, reproducing the classical failure of the naive quotient.
 
 The ledger checks (stage disjointness, agreement across each gluing) run
-for every cell and every gluing, but read their meets and containments
-from the Voronoi complex's subspace arrangement, so each geometric fact is
-computed once per complex.
+for every cell and every gluing.  They read meets and containments from
+the Voronoi complex's subspace arrangement as set operations on index
+sets; only disjoint same-stage centers of dimension 1 or more are met by
+solving.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .complexes import (
@@ -83,24 +85,46 @@ def blowup_ledger(vc: VoronoiComplex, cell: int) -> BlowupLedger:
 
 
 def _verify_stage_disjointness(vc: VoronoiComplex, ledger: BlowupLedger) -> None:
+    """Same-stage centers meet only inside an earlier center.
+
+    Overlapping centers meet in H(a | b), and only disjoint centers of stage
+    d >= 1 are solved.  Distinct stage-0 centers are distinct points, as no
+    two index sets share a subspace, so there only a repeated center meets."""
     arrangement = vc.arrangement
+    earlier = {c.sites: c for c in ledger.centers}
     m = vc.dim
     for d in range(0, max(m - 1, 0)):
         stage = ledger.centers_of_dim(d)
-        for a_idx in range(len(stage)):
-            for b_idx in range(a_idx + 1, len(stage)):
-                a, b = stage[a_idx], stage[b_idx]
-                meet = arrangement.meet(a.sites, b.sites)
-                if meet is None:
-                    continue
+        if d == 0:
+            first: dict[frozenset[int], int] = {}
+            pairs = sorted(
+                (first[c.sites], i)
+                for i, c in enumerate(stage)
+                if first.setdefault(c.sites, i) != i
+            )
+        else:
+            pairs = combinations(range(len(stage)), 2)
+        for a_idx, b_idx in pairs:
+            a, b = stage[a_idx], stage[b_idx]
+            meet = arrangement.meet(a.sites, b.sites)
+            if meet is None:
+                continue
+            if a.sites & b.sites:
                 covered = any(
-                    c.dim < d and arrangement.contains(c.sites, meet) for c in ledger.centers
+                    earlier[j].dim < d
+                    for j in arrangement.containing(a.sites | b.sites)
+                    if j in earlier
                 )
-                if not covered:
-                    raise SncCheckError(
-                        f"stage-{d} centers H{sorted(a.sites)} and H{sorted(b.sites)} of cell "
-                        f"{ledger.cell} overlap outside every earlier center"
-                    )
+            else:
+                covered = any(
+                    c.dim < d and arrangement.spans[c.sites].contains(meet)
+                    for c in ledger.centers
+                )
+            if not covered:
+                raise SncCheckError(
+                    f"stage-{d} centers H{sorted(a.sites)} and H{sorted(b.sites)} of cell "
+                    f"{ledger.cell} overlap outside every earlier center"
+                )
 
 
 @dataclass(frozen=True)
@@ -279,7 +303,7 @@ def _verify_ledger_match(vc, ledger_a: BlowupLedger, ledger_b: BlowupLedger, glu
         for c in ledger.centers:
             if glue_key <= c.sites:
                 out.append(c.sites)
-            elif not (c.sites & glue_key) and arrangement.contains(glue_key, c.span):
+            elif not (c.sites & glue_key) and arrangement.within(c.sites, glue_key):
                 out.append(c.sites)
         return sorted(out, key=sorted)
 

@@ -12,9 +12,12 @@ H(J + k) lies in H(J), each such J is extended level by level by one site
 at a time and dropped as soon as the new bisector misses H(J).
 
 The subspace classification and the SNC gluing read the complex's
-`SubspaceArrangement`, built on first use: every H(J) under its canonical
-key (which is the genericity check), and the pairwise meets and
-containments, each computed once per complex.  The self-checks themselves
+`SubspaceArrangement`, built on first use, which answers incidence from
+the index sets: H(J1) and H(J2) meet in H(J1 | J2) when J1 and J2 share a
+site, and a genericity certificate (the sites grouped by distance on each
+H(Q)) gives containment, H(Q) in H(J) iff J <= Q outside the exceptional
+sets E.  Only the subspaces above E keep geometry: canonical keys, which
+finish the genericity check, and solved meets.  The self-checks themselves
 (parasitic parents, intersection closure) still run for every cell.
 """
 
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .complexes import ComplexError, DeltaComplex, build_complex, nerve_cells
@@ -31,6 +35,7 @@ from .qlinalg import (
     AffineSubspace,
     Constraint,
     Vector,
+    clear_denominators,
     dot,
     feasible_point,
     solve_affine,
@@ -103,6 +108,12 @@ class SiteSet:
             )
             for i, yi in enumerate(self.sites)
         )
+
+    @cached_property
+    def integer_sites(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(L, Y): every site i equals Y[i] / L, over one common denominator L."""
+        scale = lcm(*(c.denominator for s in self.sites for c in s))
+        return scale, tuple(tuple(int(c * scale) for c in s) for s in self.sites)
 
     def bisector(self, i: int, j: int) -> tuple[Vector, Fraction]:
         """(a, b) with a.x <= b exactly when x is at least as close to i as to j."""
@@ -179,7 +190,7 @@ class VoronoiComplex:
     @cached_property
     def arrangement(self) -> "SubspaceArrangement":
         """The arrangement of every H(J), built on first use."""
-        return SubspaceArrangement(self.subspaces)
+        return SubspaceArrangement(self.sites, self.subspaces)
 
     def face_list(self) -> list[VoronoiFace]:
         return [self.faces[k] for k in sorted(self.faces, key=_lattice_order)]
@@ -295,7 +306,14 @@ Region = tuple[tuple[Vector, ...], ...]
 
 
 def region_from_json_dict(data: dict) -> Region:
-    simplices = data.get("simplices", [])
+    simplices = data.get("simplices", []) if isinstance(data, dict) else None
+    if not isinstance(simplices, list) or any(
+        not isinstance(simplex, list) or any(not isinstance(p, list) for p in simplex)
+        for simplex in simplices
+    ):
+        raise VoronoiError(
+            "a region must be a JSON object with 'simplices' as a list of lists of points"
+        )
     return tuple(tuple(vec(p) for p in simplex) for simplex in simplices)
 
 
@@ -360,46 +378,107 @@ class SubspaceReport:
     minimal_parasitic_parent: dict[frozenset[int], frozenset[int]]
 
 
-class SubspaceArrangement:
-    """Every nonempty H(J) of one Voronoi complex with the geometric facts
-    the self-checks read: pairwise meets and containments, each computed
-    once and memoised.
+def _distance_classes(sites: SiteSet, span: AffineSubspace) -> tuple[frozenset[int], ...]:
+    """The sites grouped by their squared distance as a function on span.
 
-    Building it is the genericity check: the table from canonical key to
-    index set rejects two index sets with one subspace, naming the first
-    colliding pair in (size, sorted) order.  Only geometry is memoised;
-    the callers evaluate their checks on every call.
+    At x = p + B u, |x - y|^2 - |x|^2 = |y|^2 - 2 p.y - 2 (B^T y).u; with
+    y = Y / L and p = P / D these affine functions of u are compared as
+    (D |Y|^2 - 2 L P.Y, B'^T Y) for the integer rows B' of B."""
+    scale, points = sites.integer_sites
+    den = lcm(*(c.denominator for c in span.point))
+    anchor = [c.numerator * (den // c.denominator) for c in span.point]
+    basis = [clear_denominators(b) for b in span.basis]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, y in enumerate(points):
+        profile = (
+            den * sum(c * c for c in y) - 2 * scale * sum(a * c for a, c in zip(anchor, y)),
+            *(sum(b * c for b, c in zip(row, y)) for row in basis),
+        )
+        groups.setdefault(profile, []).append(k)
+    return tuple(frozenset(g) for g in groups.values())
+
+
+def _proper_subsets(j_set: frozenset[int]) -> list[frozenset[int]]:
+    """The subsets of j_set with at least two sites, j_set excluded, in
+    (size, sorted) order."""
+    members = sorted(j_set)
+    return [frozenset(c) for r in range(2, len(members)) for c in combinations(members, r)]
+
+
+class SubspaceArrangement:
+    """Every nonempty H(J) of one Voronoi complex, with incidence read off
+    the index sets.
+
+    By the lifting map (Edelsbrunner & Seidel, "Voronoi diagrams and
+    arrangements", 1986), H(J1) and H(J2) meet in H(J1 | J2) when J1 and J2
+    share a site.  Containment comes from a genericity certificate computed
+    here: H(Q) lies in H(J) exactly when the sites of J are equidistant
+    from every point of H(Q), that is fall in one of its distance classes.
+    Q is exceptional, in E, when those classes are not Q and singletons,
+    i.e. H(Q) lies on the bisector of two sites not both in Q; for Q outside
+    E, H(Q) lies in H(J) iff J <= Q.  Two index sets with one subspace both
+    lie above E (contain some H(Q), Q in E), so the canonical-key table that
+    finishes the genericity check, naming the first colliding pair in
+    (size, sorted) order, holds only those.  Meets of disjoint index sets
+    are solved and memoised.  The callers evaluate their checks every call.
     """
 
-    def __init__(self, subspaces: dict[frozenset[int], AffineSubspace]):
+    def __init__(self, sites: SiteSet, subspaces: dict[frozenset[int], AffineSubspace]):
         self.spans = subspaces
+        order = sorted(subspaces, key=_lattice_order)
+        self.records = tuple(SubspaceRecord(key, subspaces[key]) for key in order)
+        self._classes: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
+        for key in order:
+            classes = _distance_classes(sites, subspaces[key])
+            if len(classes) != len(sites) - len(key) + 1:
+                self._classes[key] = classes
+        self.exceptional = frozenset(self._classes)
+        self.above_exceptional = frozenset(
+            key for key in order if any(self.within(q, key) for q in self._classes)
+        )
         self._index: dict[AffineSubspace, frozenset[int]] = {}
-        for key in sorted(subspaces, key=_lattice_order):
-            first = self._index.setdefault(subspaces[key], key)
-            if first != key:
-                raise GenericityError(
-                    f"H{sorted(first)} and H{sorted(key)} span the same subspace"
-                )
+        for key in order:
+            if key in self.above_exceptional:
+                first = self._index.setdefault(subspaces[key], key)
+                if first != key:
+                    raise GenericityError(
+                        f"H{sorted(first)} and H{sorted(key)} span the same subspace"
+                    )
+        # the pairs of proper subsets that share a site and cover key: the
+        # overlapping pairs, key itself aside, that meet in H(key)
+        self.splits: dict[frozenset[int], list[tuple[frozenset[int], frozenset[int]]]] = {}
+        for key in order:
+            subsets = _proper_subsets(key)
+            pairs = [(a, b) for a, b in combinations(subsets, 2) if a & b and a | b == key]
+            if pairs:
+                self.splits[key] = pairs
         self._meets: dict[frozenset[frozenset[int]], Optional[AffineSubspace]] = {}
-        self._contains: dict[tuple[frozenset[int], AffineSubspace], bool] = {}
+
+    def within(self, q: frozenset[int], j: frozenset[int]) -> bool:
+        """Whether H(q) lies in H(j)."""
+        classes = self._classes.get(q)
+        return j <= q if classes is None else any(j <= c for c in classes)
+
+    def containing(self, q: frozenset[int]) -> list[frozenset[int]]:
+        """The index sets J with H(J) containing H(q), in (size, sorted) order."""
+        if q not in self._classes:
+            return [*_proper_subsets(q), q]
+        return [r.sites for r in self.records if self.within(q, r.sites)]
 
     def lookup(self, span: AffineSubspace) -> Optional[frozenset[int]]:
-        """The index set J with H(J) == span, or None."""
+        """The index set J above E with H(J) == span, or None.  A meet of
+        disjoint index sets that is some H(Q) has Q in E: otherwise Q holds
+        both sets and its bisectors are dependent, so a subset shares H(Q)."""
         return self._index.get(span)
 
     def meet(self, j1: frozenset[int], j2: frozenset[int]) -> Optional[AffineSubspace]:
         """H(j1) intersected with H(j2), or None when they are disjoint."""
+        if j1 & j2:
+            return self.spans.get(j1 | j2)
         pair = frozenset((j1, j2))
         if pair not in self._meets:
             self._meets[pair] = self.spans[j1].intersect(self.spans[j2])
         return self._meets[pair]
-
-    def contains(self, j_set: frozenset[int], span: AffineSubspace) -> bool:
-        """Whether H(j_set) contains span."""
-        memo = (j_set, span)
-        if memo not in self._contains:
-            self._contains[memo] = self.spans[j_set].contains(span)
-        return self._contains[memo]
 
 
 def classify_subspaces(vc: VoronoiComplex, cell: int) -> SubspaceReport:
@@ -418,25 +497,23 @@ def classify_subspaces(vc: VoronoiComplex, cell: int) -> SubspaceReport:
         raise NotSimpleError(witness)
     arrangement = vc.arrangement
     m = vc.dim
-    essential_keys = {
-        key for key in vc.faces if cell in key and len(key) >= 2
-    }
     essential = []
     parasitic = []
-    for key in sorted(vc.subspaces, key=_lattice_order):
-        record = SubspaceRecord(key, vc.subspaces[key])
-        if key in essential_keys:
+    for record in arrangement.records:
+        if cell in record.sites and record.sites in vc.faces:
             essential.append(record)
         else:
             parasitic.append(record)
+    by_key = {p.sites: p for p in parasitic}
     parent: dict[frozenset[int], frozenset[int]] = {}
     for record in essential:
         if record.dim > m - 2:
             continue
         supers = [
-            p
-            for p in parasitic
-            if p.dim > record.dim and _contains(arrangement, p, record)
+            by_key[j]
+            for j in arrangement.containing(record.sites)
+            if j in by_key and by_key[j].dim > record.dim
+            and _contains(arrangement, by_key[j], record)
         ]
         minimal = [
             p
@@ -456,30 +533,46 @@ def classify_subspaces(vc: VoronoiComplex, cell: int) -> SubspaceReport:
 def _contains(
     arrangement: SubspaceArrangement, big: SubspaceRecord, small: SubspaceRecord
 ) -> bool:
-    """big.span contains small.span, using index structure where possible."""
+    """big.span contains small.span, read off the index sets."""
     if big.sites <= small.sites:
         return True
-    if big.sites & small.sites:
+    if big.sites & small.sites or not arrangement.within(small.sites, big.sites):
         # overlapping index sets: containment would force H(big | small) to
-        # coincide with H(small), which genericity rules out
+        # coincide with H(small), which genericity rules out; disjoint ones
+        # are read off the certificate
         return False
-    if arrangement.contains(big.sites, small.span):
-        # disjoint index sets: containment puts a point of H(small) on the
-        # bisectors of big as well, a coincidence of non-generic sites
-        raise GenericityError(
-            f"H{sorted(big.sites)} contains H{sorted(small.sites)} although their "
-            f"index sets are disjoint"
-        )
-    return False
+    # disjoint index sets: containment puts a point of H(small) on the
+    # bisectors of big as well, a coincidence of non-generic sites
+    raise GenericityError(
+        f"H{sorted(big.sites)} contains H{sorted(small.sites)} although their "
+        f"index sets are disjoint"
+    )
 
 
 def _check_intersection_closure(vc: VoronoiComplex, parasitic: Sequence[SubspaceRecord]) -> None:
+    """A pairwise meet of parasitic subspaces that is some H(Q) is parasitic.
+
+    The first failing pair in `combinations` order is named.  Only pairs
+    that can meet in an unlisted H(Q) are examined: overlapping pairs whose
+    union is unlisted, and pairs above E (see `SubspaceArrangement.lookup`)."""
     arrangement = vc.arrangement
-    parasitic_keys = {p.sites for p in parasitic}
-    for p1, p2 in combinations(parasitic, 2):
+    position: dict[frozenset[int], int] = {}
+    for i, p in enumerate(parasitic):
+        position.setdefault(p.sites, i)
+    pairs = {
+        (min(position[a], position[b]), max(position[a], position[b]))
+        for union, splits in arrangement.splits.items()
+        if union not in position
+        for a, b in splits
+        if a in position and b in position
+    }
+    above = [i for i, p in enumerate(parasitic) if p.sites in arrangement.above_exceptional]
+    pairs.update(combinations(above, 2))
+    for i, j in sorted(pairs):
+        p1, p2 = parasitic[i], parasitic[j]
         if p1.sites & p2.sites:
             union = p1.sites | p2.sites
-            if union in arrangement.spans and union not in parasitic_keys:
+            if union in arrangement.spans and union not in position:
                 raise VoronoiCheckError(
                     f"intersection of parasitic H{sorted(p1.sites)} and H{sorted(p2.sites)} "
                     f"is essential H{sorted(union)}"
@@ -489,7 +582,7 @@ def _check_intersection_closure(vc: VoronoiComplex, parasitic: Sequence[Subspace
         if meet is None:
             continue
         key = arrangement.lookup(meet)
-        if key is not None and key not in parasitic_keys:
+        if key is not None and key not in position:
             raise VoronoiCheckError(
                 f"intersection of parasitic H{sorted(p1.sites)} and "
                 f"H{sorted(p2.sites)} equals essential H{sorted(key)}"

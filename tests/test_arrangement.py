@@ -1,8 +1,9 @@
 """Canonical subspace keys and the per-complex subspace arrangement.
 
-The memoised meets and containments are checked against a parametric
-oracle that solves point + basis systems directly and never touches the
-implicit equations, the canonical key or the arrangement.
+The arrangement's meets, containments and exceptional sets are checked
+against a parametric oracle that solves point + basis systems directly and
+never touches the implicit equations, the canonical key or the arrangement.
+Its self-checks are checked against the geometric versions they replace.
 """
 
 import functools
@@ -23,13 +24,23 @@ from corpus import (
     TRIANGLE_SITES,
     TWO_SITES_1D,
 )
+from snclab import qlinalg, voronoi
 from snclab.qlinalg import AffineSubspace, dot, solve_affine
-from snclab.snc import BlowupLedger, SncError, _verify_stage_disjointness, blowup_ledger, build_snc
+from snclab.snc import (
+    BlowupLedger,
+    SncCheckError,
+    SncError,
+    _verify_ledger_match,
+    _verify_stage_disjointness,
+    blowup_ledger,
+    build_snc,
+)
 from snclab.voronoi import (
     GenericityError,
     SiteSet,
     SubspaceArrangement,
     SubspaceRecord,
+    VoronoiCheckError,
     VoronoiError,
     _check_intersection_closure,
     classify_subspaces,
@@ -166,27 +177,39 @@ def test_lru_cache_around_contains_terminates(monkeypatch):
     assert cached.cache_info().hits == 2
 
 
-# --- memoised meets and containment against the oracle ------------------
+# --- index-algebra incidence against the oracle --------------------------
 
 
 def check_arrangement(vc):
     arrangement = vc.arrangement
     spans = vc.subspaces
-    meets = []
-    for j1, j2 in combinations(sorted(spans, key=sorted), 2):
+    ordered = lattice(spans)
+    pairs = [frozenset(p) for p in combinations(range(len(vc.sites)), 2)]
+    for q in spans:
+        hidden = any(not p <= q and param_contains(spans[p], spans[q]) for p in pairs)
+        assert (q in arrangement.exceptional) == hidden
+    for j1, j2 in combinations(ordered, 2):
         meet = arrangement.meet(j1, j2)
         expected = param_meet(spans[j1], spans[j2])
         assert (meet is None) == (expected is None)
-        assert meet == spans[j1].intersect(spans[j2])
         if meet is not None:
             assert same_set(meet, expected)
-            meets.append(meet)
-            key = arrangement.lookup(meet)
-            assert key == next((j for j, s in spans.items() if same_set(s, meet)), None)
-    for j in spans:
-        for other in list(spans.values()) + meets:
-            assert arrangement.contains(j, other) == param_contains(spans[j], other)
-            assert arrangement.contains(j, other) == spans[j].contains(other)
+            if not j1 & j2:
+                key = arrangement.lookup(meet)
+                assert key == next((j for j, s in spans.items() if same_set(s, meet)), None)
+    above = set()
+    for q in spans:
+        containers = [j for j in ordered if param_contains(spans[j], spans[q])]
+        assert arrangement.containing(q) == containers
+        for j in spans:
+            assert arrangement.within(q, j) == (j in containers)
+        if q in arrangement.exceptional:
+            above.update(containers)
+    assert arrangement.above_exceptional == above
+    for q in spans:
+        expected = [(a, b) for a, b in combinations(ordered, 2)
+                    if a & b and a | b == q and q not in (a, b)]
+        assert arrangement.splits.get(q, []) == expected
 
 
 @pytest.mark.parametrize(
@@ -278,7 +301,7 @@ def test_genericity_error_names_the_first_pair():
     for _ in range(5):
         rng.shuffle(table)
         with pytest.raises(GenericityError, match=message):
-            SubspaceArrangement(dict(table))
+            SubspaceArrangement(vc.sites, dict(table))
 
 
 def test_genericity_error_names_a_vertex_on_another_bisector():
@@ -290,3 +313,261 @@ def test_genericity_error_names_a_vertex_on_another_bisector():
     message = r"H\[1, 4\] contains H\[3, 5, 6\] although their index sets are disjoint"
     with pytest.raises(GenericityError, match=message):
         classify_subspaces(vc, 3)
+
+
+# --- the geometric self-checks as the reference ---------------------------
+#
+# The checks as they read geometry before incidence came from the index
+# sets: a canonical-key table over every H(J), solved meets and solved
+# containment, every pair examined.  The index-algebra checks must reach
+# the same verdicts and name the same first failure.
+
+
+def lattice(spans):
+    return sorted(spans, key=lambda j: (len(j), sorted(j)))
+
+
+class GeometricArrangement:
+    def __init__(self, spans):
+        self.spans = spans
+        self.index = {}
+        for key in lattice(spans):
+            first = self.index.setdefault(spans[key], key)
+            if first != key:
+                raise GenericityError(f"H{sorted(first)} and H{sorted(key)} span the same subspace")
+        self.meets = {}
+
+    def meet(self, j1, j2):
+        if (j1, j2) not in self.meets:
+            self.meets[j1, j2] = self.spans[j1].intersect(self.spans[j2])
+        return self.meets[j1, j2]
+
+    def contains(self, j, span):
+        return self.spans[j].contains(span)
+
+
+def geometric_contains(reference, big, small):
+    if big.sites <= small.sites:
+        return True
+    if big.sites & small.sites:
+        return False
+    if reference.contains(big.sites, small.span):
+        raise GenericityError(
+            f"H{sorted(big.sites)} contains H{sorted(small.sites)} although their "
+            f"index sets are disjoint"
+        )
+    return False
+
+
+def geometric_classify(vc, reference, cell):
+    essential_keys = {key for key in vc.faces if cell in key and len(key) >= 2}
+    records = [SubspaceRecord(key, vc.subspaces[key]) for key in lattice(vc.subspaces)]
+    essential = [r for r in records if r.sites in essential_keys]
+    parasitic = [r for r in records if r.sites not in essential_keys]
+    parent = {}
+    for record in essential:
+        if record.dim > vc.dim - 2:
+            continue
+        supers = [p for p in parasitic
+                  if p.dim > record.dim and geometric_contains(reference, p, record)]
+        minimal = [p for p in supers
+                   if not any(q is not p and geometric_contains(reference, p, q) for q in supers)]
+        if len(minimal) != 1 or minimal[0].dim != record.dim + 1:
+            raise VoronoiCheckError(
+                f"essential H{sorted(record.sites)} of cell {cell} has no unique "
+                f"minimal parasitic parent of dimension {record.dim + 1}"
+            )
+        parent[record.sites] = minimal[0].sites
+    geometric_closure(reference, parasitic)
+    return [r.sites for r in essential], [r.sites for r in parasitic], parent
+
+
+def geometric_closure(reference, parasitic):
+    keys = {p.sites for p in parasitic}
+    for p1, p2 in combinations(parasitic, 2):
+        if p1.sites & p2.sites:
+            union = p1.sites | p2.sites
+            if union in reference.spans and union not in keys:
+                raise VoronoiCheckError(
+                    f"intersection of parasitic H{sorted(p1.sites)} and H{sorted(p2.sites)} "
+                    f"is essential H{sorted(union)}"
+                )
+            continue
+        meet = reference.meet(p1.sites, p2.sites)
+        if meet is None:
+            continue
+        key = reference.index.get(meet)
+        if key is not None and key not in keys:
+            raise VoronoiCheckError(
+                f"intersection of parasitic H{sorted(p1.sites)} and "
+                f"H{sorted(p2.sites)} equals essential H{sorted(key)}"
+            )
+
+
+def geometric_stage(vc, reference, ledger):
+    for d in range(0, max(vc.dim - 1, 0)):
+        for a, b in combinations(ledger.centers_of_dim(d), 2):
+            meet = reference.meet(a.sites, b.sites)
+            if meet is None:
+                continue
+            if not any(c.dim < d and reference.contains(c.sites, meet) for c in ledger.centers):
+                raise SncCheckError(
+                    f"stage-{d} centers H{sorted(a.sites)} and H{sorted(b.sites)} of cell "
+                    f"{ledger.cell} overlap outside every earlier center"
+                )
+
+
+def geometric_ledger_match(reference, ledger_a, ledger_b, glue_key):
+    def restriction(ledger):
+        return sorted(
+            (c.sites for c in ledger.centers
+             if glue_key <= c.sites
+             or (not c.sites & glue_key and reference.contains(glue_key, c.span))),
+            key=sorted,
+        )
+
+    if restriction(ledger_a) != restriction(ledger_b):
+        raise SncCheckError(
+            f"ledgers of cells {ledger_a.cell} and {ledger_b.cell} disagree on their "
+            f"shared face {sorted(glue_key)}"
+        )
+
+
+def outcome(check, *args):
+    try:
+        return "ok", check(*args)
+    except (VoronoiError, SncError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def ledger_of(cell, records):
+    return BlowupLedger(cell, tuple(sorted(records, key=lambda r: (r.dim, sorted(r.sites)))))
+
+
+def compare_with_geometry(sites, rng, rounds=6):
+    """Every parent, closure, stage and ledger verdict of the index-algebra
+    checks equals the geometric one, first-failure message included, on the
+    true per-cell inputs, on them with one record dropped or added, and on
+    random record lists."""
+    vc = voronoi_complex(sites)
+    table = outcome(lambda: vc.arrangement and None)
+    assert table == outcome(lambda: GeometricArrangement(vc.subspaces) and None)
+    if table[0] != "ok":
+        return
+    reference = GeometricArrangement(vc.subspaces)
+    records = list(vc.arrangement.records)
+    cells = list(vc.cell_indices())
+    reports = {}
+    for cell in cells:
+        verdict = outcome(classify_subspaces, vc, cell)
+        if verdict[0] == "ok":
+            reports[cell] = verdict[1]
+            rep = verdict[1]
+            verdict = ("ok", ([r.sites for r in rep.essential], [r.sites for r in rep.parasitic],
+                              rep.minimal_parasitic_parent))
+        assert verdict == outcome(geometric_classify, vc, reference, cell)
+    if len(records) < 2:
+        return
+    for _ in range(rounds):
+        cell = rng.choice(cells)
+        base = list(reports[cell].parasitic) if cell in reports else rng.sample(records, 2)
+        dropped = rng.sample(base, len(base) - 1)
+        added = base + [rng.choice(records)]
+        shuffled = rng.sample(records, rng.randint(2, len(records)))
+        for chosen in (base, sorted(dropped, key=records.index), added, shuffled):
+            assert (outcome(_check_intersection_closure, vc, chosen)
+                    == outcome(geometric_closure, reference, chosen))
+        for chosen in (base, dropped, added, shuffled, shuffled + shuffled[:1]):
+            ledger = ledger_of(cell, chosen)
+            assert (outcome(_verify_stage_disjointness, vc, ledger)
+                    == outcome(geometric_stage, vc, reference, ledger))
+            other = rng.choice(cells)
+            other_base = list(reports[other].parasitic) if other in reports else shuffled
+            glue = frozenset(rng.sample(cells, 2))
+            for other_ledger in (ledger_of(other, other_base), ledger_of(other, shuffled)):
+                assert (outcome(_verify_ledger_match, vc, ledger, other_ledger, glue)
+                        == outcome(geometric_ledger_match, reference, ledger, other_ledger, glue))
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_index_algebra_checks_match_geometry_on_random_sites(data):
+    dim = data.draw(st.sampled_from([2, 2, 3]))
+    n = data.draw(st.integers(3, 7) if dim == 2 else st.integers(4, 6))
+    points = data.draw(
+        st.lists(st.tuples(*[st.integers(0, 10)] * dim), min_size=n, max_size=n, unique=True)
+    )
+    compare_with_geometry(SiteSet.build(dim, points), random.Random(data.draw(st.integers(0, 99))))
+
+
+# sets with hidden containments (an H(Q) on the bisector of two sites not
+# both in Q) or with two index sets sharing a subspace
+HIDDEN_CONTAINMENTS = {
+    # the third planar set drawn from random.Random(5) for n = 6, 8, 10:
+    # the non-face H{1,4,8} lies on the bisector H{0,5}
+    "random5_n10": SiteSet.build(2, [[0, 26], [9, 17], [16, 0], [20, 97], [21, 37],
+                                     [23, 49], [27, 21], [40, 25], [56, 16], [79, 79]]),
+    # the Voronoi vertex H{3,5,6} lies on the bisector H{1,4}
+    "vertex_on_bisector": SiteSet.build(
+        2, [[0, 1], [4, 11], [5, 7], [7, 3], [10, 14], [11, 8], [12, 8]]
+    ),
+    # the circumcentre of sites 0, 1, 4 lies on the bisector H{2,3}
+    "circumcentre_on_bisector": SiteSet.build(2, [[0, 0], [2, 0], [4, 2], [0, 4], [0, 2]]),
+    "grid": SiteSet.build(2, [[x, y] for x in range(3) for y in range(3)]),
+    "cocircular": SiteSet.build(2, [[0, 5], [3, 4], [4, 3], [5, 0], [0, -5], [-3, -4], [7, 7]]),
+    "cube": SiteSet.build(3, [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)]),
+    # H{0,1,2} and H{3,4,5} are lines through (1, 2, 3), which is 3 from
+    # sites 0-2 and sqrt(26) from sites 3-5: disjoint stage-1 centers meet
+    "crossing_axes": SiteSet.build(
+        3, [[3, 4, 4], [-1, 3, 5], [2, 0, 5], [6, 3, 3], [0, 2, 8], [4, -2, 2]]
+    ),
+    # a seventh site 3 from (1, 2, 3) makes that point H{0,1,2,6}
+    "crossing_axes_vertex": SiteSet.build(
+        3, [[3, 4, 4], [-1, 3, 5], [2, 0, 5], [6, 3, 3], [0, 2, 8], [4, -2, 2], [3, 3, 1]]
+    ),
+    "circle_in_3d": SiteSet.build(3, [[0, 5, 0], [3, 4, 0], [5, 0, 0], [0, -5, 0], [1, 1, 4]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIDDEN_CONTAINMENTS))
+def test_index_algebra_checks_match_geometry_on_hidden_containments(name):
+    compare_with_geometry(HIDDEN_CONTAINMENTS[name], random.Random(name), rounds=10)
+
+
+def test_exceptional_sets_of_hidden_containments():
+    arrangement = voronoi_complex(HIDDEN_CONTAINMENTS["random5_n10"]).arrangement
+    assert arrangement.exceptional == {frozenset({1, 4, 8})}
+    assert arrangement.within(frozenset({1, 4, 8}), frozenset({0, 5}))
+    assert arrangement.above_exceptional == {
+        frozenset(j) for j in ({0, 5}, {1, 4}, {1, 8}, {4, 8}, {1, 4, 8})
+    }
+    model = build_snc(voronoi_complex(HIDDEN_CONTAINMENTS["random5_n10"]), range(10))
+    assert len(model.strata) == len(model.vc.faces)
+
+
+def test_planar_gluing_solves_nothing(monkeypatch):
+    # with no exceptional set every incidence comes from the index sets:
+    # no elimination and no geometric meet in any cell or gluing
+    rng = random.Random(11)
+    pts = set()
+    while len(pts) < 11:
+        pts.add((rng.randint(0, 97), rng.randint(0, 97)))
+    vc = voronoi_complex(SiteSet.build(2, sorted(pts)))
+    calls = []
+    solve, intersect = qlinalg.solve_affine, AffineSubspace.intersect
+
+    def counting_solve(rows, rhs):
+        calls.append("solve_affine")
+        return solve(rows, rhs)
+
+    def counting_intersect(self, other):
+        calls.append("intersect")
+        return intersect(self, other)
+
+    monkeypatch.setattr(qlinalg, "solve_affine", counting_solve)
+    monkeypatch.setattr(voronoi, "solve_affine", counting_solve)
+    monkeypatch.setattr(AffineSubspace, "intersect", counting_intersect)
+    model = build_snc(vc, vc.cell_indices())
+    assert vc.arrangement.exceptional == frozenset()
+    assert len(model.charts) == 11 and model.gluings
+    assert calls == []

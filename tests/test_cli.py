@@ -220,6 +220,14 @@ def test_input_errors_exit_2(inputs, capsys):
         (("voronoi", "build"), {"dim": 2.9, "sites": [[0, 0], [1, 0]]}),
         (("voronoi", "build"), {"dim": True, "sites": [[0], [1]]}),
         (("voronoi", "build"), [[0, 0], [1, 0]]),
+        (("voronoi", "build"), {"dim": 2, "sites": [[0, 0], 5]}),
+        (("resolve", "run"), {"roots": 3}),
+        (("seifert", "circle-action"), {"k": 2.9, "c": {"3": 5}, "iM": 0}),
+        (("seifert", "circle-action"), {"k": 1, "c": {"3": 1.5}, "iM": 0}),
+        (("seifert", "circle-action"), {"k": 1, "c": {"3": 1}, "iM": 2.9}),
+        (("seifert", "circle-action"), [1, {"3": 5}, 0]),
+        (("voronoi", "select", inputs["triangle"], "--region"), [[[0, 0], [1, 0], [0, 1]]]),
+        (("voronoi", "select", inputs["triangle"], "--region"), {"simplices": [[0, 0]]}),
     ]
     for i, (command, payload) in enumerate(malformed):
         path = write(inputs["tmp"], f"malformed{i}.json", payload)
