@@ -16,9 +16,9 @@ import json
 import os
 import sys
 import traceback
-from fractions import Fraction
 
 from .complexes import AbelianGroup, ComplexError, complex_from_json_dict
+from .jsonread import expect_int, expect_list, expect_object, expect_rational
 from .presentations import (
     PresentationError,
     SuperperfectVerdict,
@@ -70,16 +70,20 @@ INPUT_ERRORS = (
     SncError,
     ResolutionError,
     SeifertError,
-    ValueError,
-    KeyError,
     OSError,
     json.JSONDecodeError,
+    UnicodeDecodeError,
 )
 
 
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError as exc:  # an integer literal longer than int() reads
+            raise json.JSONDecodeError(str(exc), "", 0) from None
 
 
 def _group_dict(g: AbelianGroup) -> dict:
@@ -109,21 +113,18 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def _load_sites(path: str) -> SiteSet:
-    data = _load(path)
-    if not isinstance(data, dict):
-        raise VoronoiError("a sites file must hold a JSON object with 'dim' and 'sites'")
-    dim = data["dim"]
-    if type(dim) is not int:
-        raise VoronoiError(f"dimension {dim!r} is not an integer")
-    sites = data["sites"]
-    if not isinstance(sites, list) or any(not isinstance(s, list) for s in sites):
-        raise VoronoiError("'sites' must be a list of coordinate lists")
-    return SiteSet.build(dim, sites)
+    data = expect_object(_load(path), VoronoiError, "a sites file", "dim", "sites")
+    sites = [expect_list(s, VoronoiError, "a site", expect_rational)
+             for s in expect_list(data["sites"], VoronoiError, "'sites'")]
+    return SiteSet.build(expect_int(data["dim"], VoronoiError, "'dim'"), sites)
 
 
 def _selection(args, vc) -> tuple[int, ...]:
     if getattr(args, "select", None):
-        return tuple(int(x) for x in args.select.split(","))
+        try:
+            return tuple(int(x) for x in args.select.split(","))
+        except ValueError:
+            raise VoronoiError(f"--select {args.select!r} is not a list of cell indices") from None
     if getattr(args, "region", None):
         region = region_from_json_dict(_load(args.region))
         return select_subcomplex(vc, region)
@@ -132,14 +133,18 @@ def _selection(args, vc) -> tuple[int, ...]:
 
 def _parse_pillow(text: str) -> PillowConstant:
     modulus, _, turns = text.partition(",")
-    return PillowConstant.build(Fraction(modulus), Fraction(turns or "0"))
+    parts = (expect_rational(x, SncError, "a pillow constant") for x in (modulus, turns or "0"))
+    return PillowConstant.build(*parts)
 
 
 def _policy(args) -> Policy:
     seed = getattr(args, "seed", None)
     if seed is None:
         env = os.environ.get("SNCLAB_SEED")
-        seed = int(env) if env else None
+        try:
+            seed = int(env) if env else None
+        except ValueError:
+            raise ResolutionError(f"SNCLAB_SEED {env!r} is not an integer") from None
     return Policy(seed=seed)
 
 
@@ -247,7 +252,7 @@ def cmd_voronoi(args) -> int:
 def cmd_snc(args) -> int:
     if args.action == "pillow":
         if not (args.cx and args.cy and args.cz):
-            raise ValueError("pillow needs --cx, --cy and --cz as modulus,turns")
+            raise SncError("pillow needs --cx, --cy and --cz as modulus,turns")
         result, order = pillow_projectivity(
             _parse_pillow(args.cx), _parse_pillow(args.cy), _parse_pillow(args.cz)
         )
@@ -257,7 +262,7 @@ def cmd_snc(args) -> int:
         _emit(report, args.format)
         return 0 if result else 1
     if not args.sites:
-        raise ValueError(f"snc {args.action} needs a sites file")
+        raise SncError(f"snc {args.action} needs a sites file")
     sites = _load_sites(args.sites)
     vc = voronoi_complex(sites)
     selection = _selection(args, vc)
@@ -279,7 +284,7 @@ def cmd_snc(args) -> int:
 def cmd_resolve(args) -> int:
     if args.action == "embed":
         if not args.sites:
-            raise ValueError("resolve embed needs --sites")
+            raise ResolutionError("resolve embed needs --sites")
         sites = _load_sites(args.sites)
         vc = voronoi_complex(sites)
         model = build_snc(vc, _selection(args, vc))
@@ -287,13 +292,10 @@ def cmd_resolve(args) -> int:
         _emit({"roots": [r.to_json_dict() for r in roots]}, args.format)
         return 0
     if not args.file:
-        raise ValueError("resolve run needs a local-models file")
-    data = _load(args.file)
-    raw = data["roots"] if isinstance(data, dict) and "roots" in data else [data]
-    if not isinstance(raw, list):
-        raise ResolutionError("'roots' must be a list of local models")
-    roots = [model_from_json_dict(r) for r in raw]
-    trace = resolve(roots, _policy(args), args.max_steps)
+        raise ResolutionError("resolve run needs a local-models file")
+    data = expect_object(_load(args.file), ResolutionError, "a local-models file")
+    roots = expect_list(data.get("roots", [data]), ResolutionError, "'roots'")
+    trace = resolve([model_from_json_dict(r) for r in roots], _policy(args), args.max_steps)
     report = trace.to_json_dict()
     report["resolved"] = trace.all_resolved()
     _emit(report, args.format)

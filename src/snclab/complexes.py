@@ -30,6 +30,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .intlinalg import IntMatrix, rank, reduce_unit_pivots, smith_normal_form
+from .jsonread import expect_object
 
 CellSpec = Sequence[Sequence[int]]
 
@@ -336,8 +337,7 @@ class UnionFind:
 
 
 def complex_from_json_dict(data: dict) -> DeltaComplex:
-    if not isinstance(data, dict) or "cells" not in data:
-        raise ComplexError("complex JSON needs a 'cells' field")
+    data = expect_object(data, ComplexError, "complex JSON", "cells")
     return build_complex(data["cells"], data.get("labels"))
 
 

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .complexes import AbelianGroup, ComplexError, DeltaComplex
 from .intlinalg import IntMatrix, rank, reduce_unit_pivots, smith_normal_form
+from .jsonread import expect_int, expect_object
 
 
 class PresentationError(ValueError):
@@ -94,11 +95,8 @@ class Presentation:
 
 
 def presentation_from_json_dict(data: dict) -> Presentation:
-    if not isinstance(data, dict) or "generators" not in data:
-        raise PresentationError("presentation JSON needs a 'generators' field")
-    generators = data["generators"]
-    if type(generators) is not int:
-        raise PresentationError(f"generator count {generators!r} is not an integer")
+    data = expect_object(data, PresentationError, "presentation JSON", "generators")
+    generators = expect_int(data["generators"], PresentationError, "the generator count")
     return Presentation.build(generators, data.get("relators", []))
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .complexes import DeltaComplex, closure, from_simplices
+from .jsonread import expect_int, expect_list, expect_object
 from .snc import SncModel
 from .voronoi import CheckFailed
 
@@ -109,24 +110,13 @@ class LocalModel:
 
 
 def model_from_json_dict(data: dict) -> LocalModel:
-    if not isinstance(data, dict):
-        raise ResolutionError("a local model must be a JSON object with 'I', 'm' and 'F'")
-    x_divisors, det_size, exceptional = data.get("I", []), data.get("m", 0), data.get("F", [])
-    if (
-        not isinstance(x_divisors, list)
-        or any(type(i) is not int for i in x_divisors)
-        or type(det_size) is not int
-        or not isinstance(exceptional, list)
-        or any(
-            not isinstance(pair, list) or len(pair) != 2 or any(type(x) is not int for x in pair)
-            for pair in exceptional
-        )
-    ):
-        raise ResolutionError(
-            "a local model needs 'I' as a list of integers, 'm' as an integer and "
-            "'F' as a list of [label, exponent] integer pairs"
-        )
-    return LocalModel.build(x_divisors, det_size, exceptional)
+    data = expect_object(data, ResolutionError, "a local model")
+    exceptional = [expect_list(pair, ResolutionError, "an 'F' pair", expect_int)
+                   for pair in expect_list(data.get("F", []), ResolutionError, "'F'")]
+    if any(len(pair) != 2 for pair in exceptional):
+        raise ResolutionError("each 'F' entry must be a [label, exponent] pair")
+    return LocalModel.build(expect_list(data.get("I", []), ResolutionError, "'I'", expect_int),
+                            expect_int(data.get("m", 0), ResolutionError, "'m'"), exceptional)
 
 
 def _bump(exceptional, label: int, exponent: int):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .complexes import AbelianGroup
+from .jsonread import expect_int, expect_list, expect_object, expect_rational
 
 
 class SeifertError(ValueError):
@@ -97,12 +98,9 @@ class BaseCohomology:
 
 
 def base_from_json_dict(data: dict) -> BaseCohomology:
-    if not isinstance(data, dict) or "d" not in data or "h" not in data:
-        raise SeifertError("a base must be a JSON object with 'd' and 'h' fields")
-    d, h = data["d"], data["h"]
-    if type(d) is not int or not isinstance(h, list) or any(type(x) is not int for x in h):
-        raise SeifertError("a base needs 'd' as an integer and 'h' as a list of integers")
-    return BaseCohomology.build(d, h)
+    data = expect_object(data, SeifertError, "a base", "d", "h")
+    return BaseCohomology.build(expect_int(data["d"], SeifertError, "'d'"),
+                                expect_list(data["h"], SeifertError, "'h'", expect_int))
 
 
 def link_betti(base: BaseCohomology) -> tuple[int, ...]:
@@ -170,10 +168,8 @@ class H2Decomposition:
             n = self.barden
             if not isinstance(n, int) or n < 0:
                 raise SeifertError("barden invariant must be a nonnegative integer or 'inf'")
-            if n > 0 and self.multiplicity(2 ** n) == 0:
-                raise SeifertError(
-                    f"barden invariant {n} needs a Z/{2 ** n} summand in H_2"
-                )
+            if n > 0 and (2, n) not in {_prime_power_split(q) for q, _ in self.c}:
+                raise SeifertError(f"barden invariant {n} needs a Z/2^{n} summand in H_2")
 
     @classmethod
     def build(cls, k: int, c: dict, barden=0) -> "H2Decomposition":
@@ -207,20 +203,16 @@ class H2Decomposition:
 
 
 def decomposition_from_json_dict(data: dict) -> H2Decomposition:
-    if not isinstance(data, dict):
-        raise SeifertError("an H2 decomposition must be a JSON object with 'k', 'c' and 'iM'")
-    k, c, barden = data.get("k", 0), data.get("c", {}), data.get("iM", 0)
-    if (
-        type(k) is not int
-        or not isinstance(c, dict)
-        or any(type(m) is not int for m in c.values())
-        or (type(barden) is not int and barden not in (INFINITE, None))
-    ):
-        raise SeifertError(
-            "an H2 decomposition needs 'k' as an integer, 'c' as an object of integer "
-            "multiplicities and 'iM' as an integer or \"inf\""
-        )
-    return H2Decomposition.build(k, {int(q): mult for q, mult in c.items()}, barden)
+    data = expect_object(data, SeifertError, "an H2 decomposition")
+    c, barden = expect_object(data.get("c", {}), SeifertError, "'c'"), data.get("iM", 0)
+    if not all(q.isdecimal() for q in c):
+        raise SeifertError(f"the keys of 'c' must be decimal integers, not {list(c)!r}")
+    return H2Decomposition.build(
+        expect_int(data.get("k", 0), SeifertError, "'k'"),
+        {expect_rational(q, SeifertError, "a 'c' key"): expect_int(m, SeifertError, "a 'c' value")
+         for q, m in c.items()},
+        barden if barden == INFINITE else expect_int(barden, SeifertError, "'iM' (or \"inf\")"),
+    )
 
 
 def _is_prime_power(q: int) -> bool:

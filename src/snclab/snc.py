@@ -38,6 +38,7 @@ from .complexes import (
 )
 from .voronoi import (
     CheckFailed,
+    GenericityError,
     NotSimpleError,
     SubspaceRecord,
     VoronoiComplex,
@@ -89,7 +90,10 @@ def _verify_stage_disjointness(vc: VoronoiComplex, ledger: BlowupLedger) -> None
 
     Overlapping centers meet in H(a | b), and only disjoint centers of stage
     d >= 1 are solved.  Distinct stage-0 centers are distinct points, as no
-    two index sets share a subspace, so there only a repeated center meets."""
+    two index sets share a subspace, so there only a repeated center meets.
+    Disjoint centers that meet outside every earlier center in more than the
+    generic dimension dim a + dim b - m (crossing lines in 3D) are an input
+    property, a GenericityError, not a failed check."""
     arrangement = vc.arrangement
     earlier = {c.sites: c for c in ledger.centers}
     m = vc.dim
@@ -120,6 +124,11 @@ def _verify_stage_disjointness(vc: VoronoiComplex, ledger: BlowupLedger) -> None
                     c.dim < d and arrangement.spans[c.sites].contains(meet)
                     for c in ledger.centers
                 )
+                if not covered and meet.dim > a.dim + b.dim - m:
+                    raise GenericityError(
+                        f"H{sorted(a.sites)} and H{sorted(b.sites)} meet in dimension "
+                        f"{meet.dim}, above the generic {a.dim + b.dim - m}"
+                    )
             if not covered:
                 raise SncCheckError(
                     f"stage-{d} centers H{sorted(a.sites)} and H{sorted(b.sites)} of cell "

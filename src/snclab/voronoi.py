@@ -31,6 +31,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .complexes import ComplexError, DeltaComplex, build_complex, nerve_cells
+from .jsonread import expect_list, expect_object, expect_rational
 from .qlinalg import (
     AffineSubspace,
     Constraint,
@@ -60,8 +61,9 @@ class VoronoiCheckError(CheckFailed, VoronoiError):
 
 class GenericityError(VoronoiError):
     """The sites are not in general position: two distinct index sets give
-    the same equidistance subspace, or one H(J) contains another whose index
-    set is disjoint from J."""
+    the same equidistance subspace, one H(J) contains another whose index
+    set is disjoint from J, or two blow-up centers with disjoint index sets
+    meet in more than the generic dimension."""
 
 
 class NotSimpleError(VoronoiError):
@@ -306,15 +308,12 @@ Region = tuple[tuple[Vector, ...], ...]
 
 
 def region_from_json_dict(data: dict) -> Region:
-    simplices = data.get("simplices", []) if isinstance(data, dict) else None
-    if not isinstance(simplices, list) or any(
-        not isinstance(simplex, list) or any(not isinstance(p, list) for p in simplex)
-        for simplex in simplices
-    ):
-        raise VoronoiError(
-            "a region must be a JSON object with 'simplices' as a list of lists of points"
-        )
-    return tuple(tuple(vec(p) for p in simplex) for simplex in simplices)
+    simplices = expect_object(data, VoronoiError, "a region").get("simplices", [])
+    return tuple(
+        tuple(tuple(expect_list(p, VoronoiError, "a region point", expect_rational))
+              for p in expect_list(simplex, VoronoiError, "a region simplex"))
+        for simplex in expect_list(simplices, VoronoiError, "'simplices'")
+    )
 
 
 def select_subcomplex(vc: VoronoiComplex, region: Region) -> tuple[int, ...]:

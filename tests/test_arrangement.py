@@ -411,6 +411,12 @@ def geometric_stage(vc, reference, ledger):
             if meet is None:
                 continue
             if not any(c.dim < d and reference.contains(c.sites, meet) for c in ledger.centers):
+                generic = a.dim + b.dim - vc.dim
+                if not a.sites & b.sites and meet.dim > generic:
+                    raise GenericityError(
+                        f"H{sorted(a.sites)} and H{sorted(b.sites)} meet in dimension "
+                        f"{meet.dim}, above the generic {generic}"
+                    )
                 raise SncCheckError(
                     f"stage-{d} centers H{sorted(a.sites)} and H{sorted(b.sites)} of cell "
                     f"{ledger.cell} overlap outside every earlier center"

@@ -188,7 +188,7 @@ def test_snc_cli(inputs, capsys):
     assert code == 1
 
 
-def test_input_errors_exit_2(inputs, capsys):
+def test_input_errors_exit_2(inputs, capsys, monkeypatch):
     assert run_cli("homology", "/nonexistent.json", capsys=capsys)[0] == 2
     assert run_cli("voronoi", "build", inputs["bad"], capsys=capsys)[0] == 2
     assert run_cli("resolve", "run", capsys=capsys)[0] == 2
@@ -238,10 +238,117 @@ def test_input_errors_exit_2(inputs, capsys):
         if isinstance(payload, list):
             assert "JSON object" in captured.err, payload
 
+    def refused(argv, fragment):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err.startswith("error: ") and fragment in captured.err, (argv, captured.err)
 
-def test_unexpected_exception_exits_3(inputs, capsys, monkeypatch):
+    # non-generic 3D sites: the equidistance lines H{0,1,2} and H{3,4,5}
+    # cross at (1,2,3), where two disjoint lines meet only by accident
+    crossing = write(inputs["tmp"], "crossing.json", {
+        "dim": 3, "sites": [[3, 4, 4], [-1, 3, 5], [2, 0, 5], [6, 3, 3], [0, 2, 8], [4, -2, 2]],
+    })
+    refused(["snc", "build", crossing], "H[0, 1, 2] and H[3, 4, 5] meet")
+    # files that cannot be read as JSON
+    refused(["homology", str(inputs["tmp"])], "directory")
+    not_utf8 = inputs["tmp"] / "latin1.json"
+    not_utf8.write_bytes(b'{"cells": [["\xe9"]]}')
+    refused(["homology", str(not_utf8)], "utf-8")
+    too_long = inputs["tmp"] / "digits.json"
+    too_long.write_text('{"generators": ' + "7" * 5000 + "}")
+    refused(["check", "q-perfect", str(too_long)], "digits")
+    # command-line strings
+    refused(["snc", "pillow", "--cx", "1/0,0", "--cy", "1", "--cz", "1"], "'1/0'")
+    refused(["snc", "pillow", "--cx", "x", "--cy", "1", "--cz", "1"], "'x'")
+    refused(["snc", "pillow", "--cx", "1,0"], "needs --cx, --cy and --cz")
+    refused(["snc", "build", inputs["strip"], "--select", "0,a"], "'0,a'")
+    refused(["snc", "build"], "needs a sites file")
+    refused(["resolve", "embed"], "needs --sites")
+    monkeypatch.setenv("SNCLAB_SEED", "abc")
+    refused(["resolve", "run", inputs["node"]], "'abc'")
+    monkeypatch.delenv("SNCLAB_SEED")
+
+    # the reader table: for each reader a float, a bool, a null, a missing
+    # required key (where the reader has one), a wrong container and a
+    # string that is not an integer or a rational
+    triangle = ("voronoi", "select", inputs["triangle"], "--region")
+    table = [
+        # sites
+        (("voronoi", "build"), {"dim": 2, "sites": [[0.1, 0], [1, 0], [0, 1]]}, "not 0.1"),
+        (("voronoi", "build"), {"dim": 2, "sites": [[True, 5], [1, 0], [0, 1]]}, "not True"),
+        (("voronoi", "build"), {"dim": 2, "sites": [[None, 0], [1, 0], [0, 1]]}, "not None"),
+        (("voronoi", "build"), {"dim": 2}, "needs a 'sites' field"),
+        (("voronoi", "build"), {"sites": [[0], [1]]}, "needs a 'dim' field"),
+        (("voronoi", "build"), {"dim": 2, "sites": {"0": [0, 0]}}, "'sites' must be a list"),
+        (("voronoi", "build"), {"dim": 2, "sites": [["1/0", 0], [1, 0]]}, "not '1/0'"),
+        (("voronoi", "build"), {"dim": 2, "sites": [["x", 0], [1, 0]]}, "not 'x'"),
+        (("voronoi", "build"), {"dim": "2", "sites": [[0, 0], [1, 0]]}, "not '2'"),
+        # roots (no required key: a file without "roots" is one local model)
+        (("resolve", "run"), {"roots": 1.5}, "'roots' must be a list"),
+        (("resolve", "run"), {"roots": True}, "'roots' must be a list"),
+        (("resolve", "run"), {"roots": None}, "'roots' must be a list"),
+        (("resolve", "run"), {"roots": {"I": [1, 2]}}, "'roots' must be a list"),
+        (("resolve", "run"), {"roots": "1/0"}, "'roots' must be a list"),
+        # region (no required key: "simplices" defaults to none)
+        (triangle, {"simplices": [[[0.5, 0]]]}, "not 0.5"),
+        (triangle, {"simplices": [[[True, 0]]]}, "not True"),
+        (triangle, {"simplices": [[[None, 0]]]}, "not None"),
+        (triangle, {"simplices": [[None]]}, "a region point must be a list"),
+        (triangle, {"simplices": {"0": [[0, 0]]}}, "'simplices' must be a list"),
+        (triangle, {"simplices": [[["1/0", "0"]]]}, "not '1/0'"),
+        # local model (no required key: "I", "m" and "F" have defaults)
+        (("resolve", "run"), {"I": [1, 2], "m": 1.0, "F": []}, "not 1.0"),
+        (("resolve", "run"), {"I": [1, True], "m": 1, "F": []}, "not True"),
+        (("resolve", "run"), {"I": [1, 2], "m": None, "F": []}, "not None"),
+        (("resolve", "run"), {"I": {"1": 1}, "m": 1, "F": []}, "'I' must be a list"),
+        (("resolve", "run"), {"I": [1, 2], "m": 2, "F": [[3]]}, "[label, exponent] pair"),
+        (("resolve", "run"), {"I": [1, 2], "m": "1", "F": []}, "not '1'"),
+        # base
+        (("seifert", "betti"), {"d": 1.0, "h": [1, 2, 1]}, "not 1.0"),
+        (("seifert", "betti"), {"d": 1, "h": [1, False, 1]}, "not False"),
+        (("seifert", "betti"), {"d": 1, "h": None}, "'h' must be a list"),
+        (("seifert", "betti"), {"d": 1}, "needs a 'h' field"),
+        (("seifert", "betti"), {"d": 1, "h": {"0": 1}}, "'h' must be a list"),
+        (("seifert", "betti"), {"d": "1", "h": [1, 2, 1]}, "not '1'"),
+        # H2 decomposition (no required key: "k", "c" and "iM" have defaults)
+        (("seifert", "circle-action"), {"k": 0, "c": {"3": 5.0}, "iM": 0}, "not 5.0"),
+        (("seifert", "circle-action"), {"k": False, "c": {"3": 5}, "iM": 0}, "not False"),
+        (("seifert", "circle-action"), {"k": 0, "c": {"3": 5}, "iM": None}, "not None"),
+        (("seifert", "circle-action"), {"k": 0, "c": [[3, 5]], "iM": 0}, "JSON object"),
+        (("seifert", "circle-action"), {"k": 0, "c": {"x3": 5}, "iM": 0}, "'x3'"),
+        (("seifert", "circle-action"), {"k": 0, "c": {"3": "5"}, "iM": 0}, "not '5'"),
+        (("seifert", "circle-action"), {"k": 0, "c": {"3": 5}, "iM": "1/0"}, "not '1/0'"),
+        # complex
+        (("homology",), {"cells": [[None, None], [[0, 1.0]]]}, "1.0"),
+        (("homology",), {"cells": None}, "list of layers"),
+        (("homology",), {"dim": 1}, "needs a 'cells' field"),
+        (("homology",), {"cells": {"0": [None]}}, "list of layers"),
+        (("homology",), {"cells": [[None, None], [["0", 1]]]}, "'0'"),
+        # presentation
+        (("check", "q-perfect"), {"generators": 2.0, "relators": []}, "not 2.0"),
+        (("check", "q-perfect"), {"generators": True, "relators": []}, "not True"),
+        (("check", "q-perfect"), {"generators": None}, "not None"),
+        (("check", "q-perfect"), {"relators": [[1]]}, "needs a 'generators' field"),
+        (("check", "q-perfect"), {"generators": 1, "relators": {"0": [1]}}, "list of words"),
+        (("check", "q-perfect"), {"generators": "1/0", "relators": []}, "not '1/0'"),
+    ]
+    for i, (command, payload, fragment) in enumerate(table):
+        refused([*command, write(inputs["tmp"], f"table{i}.json", payload)], fragment)
+
+
+@pytest.mark.parametrize(
+    "exc, last_line",
+    [
+        (RuntimeError("internal failure"), "RuntimeError: internal failure"),
+        (ValueError("internal failure"), "ValueError: internal failure"),
+        (KeyError("internal failure"), "KeyError: 'internal failure'"),
+    ],
+    ids=["RuntimeError", "ValueError", "KeyError"],
+)
+def test_unexpected_exception_exits_3(inputs, capsys, monkeypatch, exc, last_line):
     def broken(p):
-        raise RuntimeError("internal failure")
+        raise exc
 
     monkeypatch.setattr(cli, "abelianization", broken)
     code = main(["pi1", inputs["circle"]])
@@ -249,7 +356,7 @@ def test_unexpected_exception_exits_3(inputs, capsys, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert "Traceback" in captured.err
-    assert captured.err.rstrip().endswith("RuntimeError: internal failure")
+    assert captured.err.rstrip().endswith(last_line)
 
 
 def _refuse_closure(vc, parasitic):
