@@ -18,6 +18,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
+from .qlinalg import row_reduce
+
 
 @dataclass(frozen=True)
 class IntMatrix:
@@ -100,28 +102,8 @@ def determinant(m: IntMatrix) -> int:
 
 
 def rank(m: IntMatrix) -> int:
-    """Rank over the rationals (Gaussian elimination on Fractions)."""
-    work = [[Fraction(x) for x in row] for row in m.entries]
-    r = 0
-    for col in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if work[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][col]
-        for i in range(r + 1, m.rows):
-            if work[i][col] != 0:
-                f = work[i][col] / pv
-                for j in range(col, m.cols):
-                    work[i][j] -= f * work[r][j]
-        r += 1
-        if r == m.rows:
-            break
-    return r
+    """Rank over the rationals, by `qlinalg.row_reduce`."""
+    return len(row_reduce([[Fraction(x) for x in row] for row in m.entries], m.cols))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,14 @@
 
 All coordinates are Fractions; no predicate ever touches floating point.
 An affine subspace compares and hashes by a canonical key (the primitive
-integer reduced row-echelon form of its equations), computed once per
-object.  The feasibility engine is Fourier-Motzkin elimination over mixed
-strict and non-strict inequalities, with rational witness extraction.
-That is enough for the desk scales targeted here (a handful of variables,
-tens of constraints).
+integer reduced row-echelon form of its equations, by `row_reduce`, the
+one elimination routine), computed once per object.  It meets a
+hyperplane by `cut`, one substitution and no solve: the Voronoi
+enumeration makes one per (J, k), and `intersect` folds them.  The
+feasibility engine is Fourier-Motzkin elimination over mixed strict and
+non-strict inequalities, with rational witness extraction.  That is
+enough for the desk scales targeted here (a handful of variables, tens
+of constraints).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def _row_reduce(work: list[list[Fraction]], ncols: int) -> list[int]:
+def row_reduce(work: list[list[Fraction]], ncols: int) -> list[int]:
     """Bring work to reduced row-echelon form over its first ncols columns,
     in place, and return the pivot columns; the rows below the last pivot
     row are zero in those columns."""
@@ -70,7 +73,7 @@ def solve_affine(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
         raise ValueError("empty system; caller should special-case it")
     n = len(rows[0])
     work = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = _row_reduce(work, n)
+    pivots = row_reduce(work, n)
     for i in range(len(pivots), m):
         if work[i][n] != 0:
             return None
@@ -152,7 +155,7 @@ class AffineSubspace:
         has the empty key."""
         normals, rhs = self.implicit()
         work = [list(a) + [b] for a, b in zip(normals, rhs)]
-        rank = len(_row_reduce(work, self.ambient_dim))
+        rank = len(row_reduce(work, self.ambient_dim))
         return tuple(clear_denominators(row) for row in work[:rank])
 
     def __eq__(self, other) -> bool:
@@ -172,36 +175,42 @@ class AffineSubspace:
         n = self.ambient_dim
         if self.dim == n:
             return (), ()
-        if self.basis:
-            normals = nullspace([list(b) for b in self.basis], n)
-        else:
-            normals = tuple(
-                tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-            )
+        normals = nullspace([list(b) for b in self.basis], n)
         return normals, tuple(dot(nrm, self.point) for nrm in normals)
 
+    def cut(self, c: "Constraint") -> Optional["AffineSubspace"]:
+        """The meet with the hyperplane a.x = b, or None; c is its equation
+        in this subspace's parameters, Constraint(a, b).substitute(self).
+        It pivots on c's first nonzero coefficient.  In `solve_affine`'s
+        echelon form the parameters are the free coordinates, and the cut
+        keeps that form: it is `solve_affine` on the stacked equations."""
+        t = next((i for i, x in enumerate(c.coeffs) if x != 0), None)
+        if t is None:
+            return self if c.rhs == 0 else None
+        pivot, lead = self.basis[t], c.coeffs[t]
+        step = c.rhs / lead
+        return AffineSubspace(
+            tuple(x + step * y for x, y in zip(self.point, pivot)),
+            tuple(
+                tuple(x - f / lead * y for x, y in zip(b, pivot))
+                for i, (f, b) in enumerate(zip(c.coeffs, self.basis))
+                if i != t
+            ),
+        )
+
     def intersect(self, other: "AffineSubspace") -> Optional["AffineSubspace"]:
-        if not self.basis:
-            return self if other.contains(self) else None
-        if not other.basis:
-            return other if self.contains(other) else None
-        a1, b1 = self.implicit()
-        a2, b2 = other.implicit()
-        rows = list(a1) + list(a2)
-        rhs = list(b1) + list(b2)
-        if not rows:
-            return AffineSubspace(self.point, self.basis)
-        solved = solve_affine(rows, rhs)
-        if solved is None:
-            return None
-        return AffineSubspace(solved[0], solved[1])
+        """The meet with other, or None: this subspace cut by each implicit
+        equation of other in turn."""
+        meet: Optional[AffineSubspace] = self
+        for a, b in zip(*other.implicit()):
+            meet = meet.cut(Constraint(a, b).substitute(meet))
+            if meet is None:
+                break
+        return meet
 
 
 def whole_space(n: int) -> AffineSubspace:
-    return AffineSubspace(
-        tuple(Fraction(0) for _ in range(n)),
-        tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)),
-    )
+    return AffineSubspace(tuple(Fraction(0) for _ in range(n)), nullspace([], n))
 
 
 @dataclass(frozen=True)

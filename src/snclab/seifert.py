@@ -15,6 +15,7 @@ Barden invariant live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .complexes import AbelianGroup
@@ -157,7 +158,7 @@ class H2Decomposition:
             raise SeifertError("negative rank")
         seen = set()
         for q, mult in self.c:
-            if q < 2 or not _is_prime_power(q):
+            if self._splits[q] is None:
                 raise SeifertError(f"{q} is not a prime power")
             if mult < 1:
                 raise SeifertError("multiplicities must be positive")
@@ -168,8 +169,13 @@ class H2Decomposition:
             n = self.barden
             if not isinstance(n, int) or n < 0:
                 raise SeifertError("barden invariant must be a nonnegative integer or 'inf'")
-            if n > 0 and (2, n) not in {_prime_power_split(q) for q, _ in self.c}:
+            if n > 0 and (2, n) not in self._splits.values():
                 raise SeifertError(f"barden invariant {n} needs a Z/2^{n} summand in H_2")
+
+    @cached_property
+    def _splits(self) -> dict[int, Optional[tuple[int, int]]]:
+        """q -> (p, e) with q = p^e, or None; each key is factored once."""
+        return {q: _prime_power_split(q) for q, _ in self.c}
 
     @classmethod
     def build(cls, k: int, c: dict, barden=0) -> "H2Decomposition":
@@ -184,15 +190,10 @@ class H2Decomposition:
         return 0
 
     def powers_of(self, p: int) -> list[tuple[int, int]]:
-        out = []
-        for q, mult in self.c:
-            base, _ = _prime_power_split(q)
-            if base == p:
-                out.append((q, mult))
-        return out
+        return [(q, mult) for q, mult in self.c if self._splits[q][0] == p]
 
     def primes(self) -> list[int]:
-        return sorted({_prime_power_split(q)[0] for q, _ in self.c})
+        return sorted({p for p, _ in self._splits.values()})
 
     def to_json_dict(self) -> dict:
         return {
@@ -215,23 +216,16 @@ def decomposition_from_json_dict(data: dict) -> H2Decomposition:
     )
 
 
-def _is_prime_power(q: int) -> bool:
-    return _prime_power_split(q) is not None
+PRIME_POWER_BOUND = 10 ** 12
 
 
 def _prime_power_split(q: int) -> Optional[tuple[int, int]]:
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            return (p, e) if q == 1 else None
-        p += 1
-    return (q, 1)
+    """(p, e) with q = p^e for a prime p, else None.  Trial division reads
+    q up to PRIME_POWER_BOUND, where it takes about a tenth of a second."""
+    if q > PRIME_POWER_BOUND:
+        raise SeifertError(f"{q} is above the bound 10^12 on prime powers")
+    factors = _factorize(q)
+    return next(iter(factors.items())) if len(factors) == 1 else None
 
 
 def circle_action_feasible(h: H2Decomposition) -> tuple[bool, Optional[str]]:

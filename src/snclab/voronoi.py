@@ -8,8 +8,10 @@ the set J of sites attaining equality; the equidistance locus of J is the
 affine subspace H(J).
 
 Face enumeration visits only the index sets with non-empty H(J): since
-H(J + k) lies in H(J), each such J is extended level by level by one site
-at a time and dropped as soon as the new bisector misses H(J).
+H(J + k) is H(J) cut by the bisector of min(J) and k, each such J is
+extended level by level by one site at a time and dropped as soon as that
+bisector misses H(J).  The work is one substitution per (J, k), no solve:
+the substituted bisector is both the face test's inequality and the cut.
 
 The subspace classification and the SNC gluing read the complex's
 `SubspaceArrangement`, built on first use, which answers incidence from
@@ -17,8 +19,9 @@ the index sets: H(J1) and H(J2) meet in H(J1 | J2) when J1 and J2 share a
 site, and a genericity certificate (the sites grouped by distance on each
 H(Q)) gives containment, H(Q) in H(J) iff J <= Q outside the exceptional
 sets E.  Only the subspaces above E keep geometry: canonical keys, which
-finish the genericity check, and solved meets.  The self-checks themselves
-(parasitic parents, intersection closure) still run for every cell.
+finish the genericity check, and meets, each a fold of cuts.  The
+self-checks themselves (parasitic parents, intersection closure) still
+run for every cell.
 """
 
 from __future__ import annotations
@@ -194,17 +197,19 @@ class VoronoiComplex:
         """The arrangement of every H(J), built on first use."""
         return SubspaceArrangement(self.sites, self.subspaces)
 
-    def face_list(self) -> list[VoronoiFace]:
-        return [self.faces[k] for k in sorted(self.faces, key=_lattice_order)]
+    @cached_property
+    def _sorted_faces(self) -> tuple[VoronoiFace, ...]:
+        return tuple(self.faces[k] for k in sorted(self.faces, key=_lattice_order))
+
+    def face_list(self) -> tuple[VoronoiFace, ...]:
+        """The faces in (size, sorted) order of their index sets, sorted once."""
+        return self._sorted_faces
 
     def faces_of_cell(self, i: int) -> list[VoronoiFace]:
         return [f for f in self.face_list() if i in f.sites]
 
     def simplicity_witness(self) -> Optional[VoronoiFace]:
-        for face in self.face_list():
-            if len(face.sites) != face.codim + 1:
-                return face
-        return None
+        return restricted_simplicity_witness(self, self.cell_indices())
 
     def is_simple(self) -> bool:
         return self.simplicity_witness() is None
@@ -225,51 +230,46 @@ class VoronoiComplex:
         }
 
 
-def _meets(span: AffineSubspace, a: Vector, b: Fraction) -> bool:
-    """Whether span meets the hyperplane a.x = b (in span's parameters the
-    equation is consistent)."""
-    cut = Constraint(a, b).substitute(span)
-    return any(cut.coeffs) or cut.rhs == 0
-
-
 def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
     """Build the full face lattice, visiting only the J with non-empty H(J).
 
-    H(J + k) is H(J) cut by the bisector of min(J) and k, so it is empty
-    whenever H(J) is.  Level by level, each sorted J with non-empty H(J) is
-    extended only by each k > max(J) whose bisector meets H(J), which visits
-    the index sets in `combinations` order.  The work is one solve and one
-    face test per non-empty H(J), plus one cut per extension tried.
+    Level by level, each sorted J with non-empty H(J) substitutes the
+    bisector of min(J) and each k outside J into H(J)'s parameters, once
+    per (J, k).  Made strict, these are the face test; for k > max(J) the
+    same substitution cuts out H(J + k) (`AffineSubspace.cut`), which
+    visits the index sets in `combinations` order.  Nothing is solved, and
+    since each cut keeps `solve_affine`'s echelon form, H(J) equals
+    `equidistance_subspace` point for point.
 
-    A face exists for J exactly when some point has nearest-site set J; the
-    test substitutes the equidistance span into the strict inequalities
-    against the remaining sites and runs Fourier-Motzkin.
+    A face exists for J exactly when some point has nearest-site set J: the
+    test runs Fourier-Motzkin on the strict inequalities.
     """
     n = len(site_set)
     faces: dict[frozenset[int], VoronoiFace] = {}
     subspaces: dict[frozenset[int], AffineSubspace] = {}
     level = [((i,), whole_space(site_set.dim)) for i in range(n)]
     while level:
+        extended = []
         for indices, span in level:
             key = frozenset(indices)
             if len(indices) >= 2:
                 subspaces[key] = span
-            constraints = [
-                Constraint(*site_set.bisector(indices[0], k), strict=True).substitute(span)
+            cuts = {
+                k: Constraint(*site_set.bisector(indices[0], k)).substitute(span)
                 for k in range(n)
                 if k not in indices
-            ]
-            witness_params = feasible_point(constraints, span.dim)
-            if witness_params is None:
-                continue
-            witness = span.parametrize(witness_params)
-            faces[key] = VoronoiFace(key, span, witness, site_set.dim)
-        level = [
-            (indices + (k,), equidistance_subspace(site_set, indices + (k,)))
-            for indices, span in level
-            for k in range(indices[-1] + 1, n)
-            if _meets(span, *site_set.bisector(indices[0], k))
-        ]
+            }
+            witness_params = feasible_point(
+                [Constraint(c.coeffs, c.rhs, strict=True) for c in cuts.values()], span.dim
+            )
+            if witness_params is not None:
+                witness = span.parametrize(witness_params)
+                faces[key] = VoronoiFace(key, span, witness, site_set.dim)
+            for k in range(indices[-1] + 1, n):
+                child = span.cut(cuts[k])
+                if child is not None:
+                    extended.append((indices + (k,), child))
+        level = extended
     return VoronoiComplex(site_set, faces, subspaces)
 
 
@@ -336,12 +336,11 @@ def select_subcomplex(vc: VoronoiComplex, region: Region) -> tuple[int, ...]:
                     raise VoronoiError("region vertex dimension mismatch")
             k = len(simplex)
             # barycentric lambdas 1..k-1 free, lambda_0 = 1 - sum
-            constraints = []
             p0 = simplex[0]
-            for a, b in halfspaces:
-                base = dot(a, p0)
-                coeffs = tuple(dot(a, simplex[v]) - base for v in range(1, k))
-                constraints.append(Constraint(coeffs, b - base, strict=False))
+            hull = AffineSubspace(
+                p0, tuple(tuple(x - y for x, y in zip(v, p0)) for v in simplex[1:])
+            )
+            constraints = [Constraint(a, b).substitute(hull) for a, b in halfspaces]
             for v in range(1, k):
                 coeffs = tuple(Fraction(-1) if u == v else Fraction(0) for u in range(1, k))
                 constraints.append(Constraint(coeffs, Fraction(0), strict=False))
@@ -419,7 +418,7 @@ class SubspaceArrangement:
     lie above E (contain some H(Q), Q in E), so the canonical-key table that
     finishes the genericity check, naming the first colliding pair in
     (size, sorted) order, holds only those.  Meets of disjoint index sets
-    are solved and memoised.  The callers evaluate their checks every call.
+    are cut out and memoised.  The callers evaluate their checks every call.
     """
 
     def __init__(self, sites: SiteSet, subspaces: dict[frozenset[int], AffineSubspace]):

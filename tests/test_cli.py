@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -188,6 +189,32 @@ def test_snc_cli(inputs, capsys):
     assert code == 1
 
 
+def test_coordinate_digit_bound(inputs, capsys):
+    # exponents are refused before they are expanded
+    for coordinate in ["1e5000", "1e10000000", "1e-10000000", "1e100", "1/" + "1" + "0" * 100]:
+        path = write(inputs["tmp"], "long.json", {"dim": 1, "sites": [["0"], [coordinate]]})
+        start = time.perf_counter()
+        code = main(["voronoi", "build", path])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1, coordinate
+        assert (code, captured.out) == (2, ""), coordinate
+        assert "more than 100 digits" in captured.err, coordinate
+    # 3D sites at the bound: 100-digit numerators and denominators print
+    # without a traceback
+    n = 10 ** 100 - 1
+    at_bound = write(inputs["tmp"], "at-bound.json", {"dim": 3, "sites": [
+        [str(n), "0", "0"], ["0", str(-n), "0"], ["0", "0", f"1/{n}"], ["1e99", "1e99", "1e99"],
+        [f"-{n}/{n - 1}", "-1", "0"],
+    ]})
+    for argv in (["voronoi", "build", at_bound], ["voronoi", "classify", at_bound],
+                 ["snc", "build", at_bound, "--select", "0,1,2,3,4"],
+                 ["snc", "dual", at_bound, "--select", "0,1,2,3,4"],
+                 ["resolve", "embed", "--sites", at_bound, "--select", "0,1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0 and "Traceback" not in captured.err, (argv, captured.err)
+
+
 def test_input_errors_exit_2(inputs, capsys, monkeypatch):
     assert run_cli("homology", "/nonexistent.json", capsys=capsys)[0] == 2
     assert run_cli("voronoi", "build", inputs["bad"], capsys=capsys)[0] == 2
@@ -250,6 +277,10 @@ def test_input_errors_exit_2(inputs, capsys, monkeypatch):
         "dim": 3, "sites": [[3, 4, 4], [-1, 3, 5], [2, 0, 5], [6, 3, 3], [0, 2, 8], [4, -2, 2]],
     })
     refused(["snc", "build", crossing], "H[0, 1, 2] and H[3, 4, 5] meet")
+    # a 20-digit prime key: trial division would run for hours
+    big_prime = write(inputs["tmp"], "bigprime.json",
+                      {"k": 0, "c": {"10000000000000000051": 1}, "iM": 0})
+    refused(["seifert", "circle-action", big_prime], "bound 10^12")
     # files that cannot be read as JSON
     refused(["homology", str(inputs["tmp"])], "directory")
     not_utf8 = inputs["tmp"] / "latin1.json"

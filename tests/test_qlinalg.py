@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction as F
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from snclab.qlinalg import (
     AffineSubspace,
     Constraint,
@@ -147,3 +150,62 @@ def test_randomized_witness_soundness():
                 value = dot(c.coeffs, w)
                 assert value < c.rhs if c.strict else value <= c.rhs
     assert agree > 50
+
+
+@st.composite
+def integer_systems(draw, count=1):
+    """count systems of 1 to 3 integer rows over one space of 1 to 3 variables."""
+    n = draw(st.integers(1, 3))
+    row = st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n), st.integers(-4, 4))
+    return n, [draw(st.lists(row, min_size=1, max_size=3)) for _ in range(count)]
+
+
+def fold_cuts(n, system):
+    """The whole space cut by each row of system in turn, or None."""
+    sub = whole_space(n)
+    for a, b in system:
+        sub = sub.cut(Constraint(vec(a), F(b)).substitute(sub))
+        if sub is None:
+            return None
+    return sub
+
+
+def stacked_intersect(s1, s2):
+    """The meet by one solve of both implicit systems stacked (the former
+    body of AffineSubspace.intersect)."""
+    if not s1.basis:
+        return s1 if s2.contains(s1) else None
+    if not s2.basis:
+        return s2 if s1.contains(s2) else None
+    a1, b1 = s1.implicit()
+    a2, b2 = s2.implicit()
+    rows = list(a1) + list(a2)
+    rhs = list(b1) + list(b2)
+    if not rows:
+        return AffineSubspace(s1.point, s1.basis)
+    solved = solve_affine(rows, rhs)
+    return None if solved is None else AffineSubspace(solved[0], solved[1])
+
+
+@given(integer_systems())
+def test_cut_fold_is_solve_affine(drawn):
+    n, (system,) = drawn
+    folded = fold_cuts(n, system)
+    solved = solve_affine([vec(a) for a, _ in system], vec([b for _, b in system]))
+    if solved is None:
+        assert folded is None
+    else:
+        assert folded is not None and (folded.point, folded.basis) == solved
+
+
+@given(integer_systems(count=2))
+def test_intersect_is_stacked_solve(drawn):
+    n, systems = drawn
+    s1, s2 = (fold_cuts(n, system) for system in systems)
+    if s1 is None or s2 is None:
+        return
+    meet, expected = s1.intersect(s2), stacked_intersect(s1, s2)
+    if expected is None:
+        assert meet is None
+    else:
+        assert meet is not None and (meet.point, meet.basis) == (expected.point, expected.basis)
