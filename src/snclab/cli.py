@@ -18,7 +18,7 @@ import sys
 import traceback
 
 from .complexes import AbelianGroup, ComplexError, complex_from_json_dict
-from .jsonread import expect_int, expect_list, expect_object, expect_rational
+from .jsonread import MAX_DIGITS, expect_int, expect_list, expect_object, expect_rational
 from .presentations import (
     PresentationError,
     SuperperfectVerdict,
@@ -116,7 +116,12 @@ def _load_sites(path: str) -> SiteSet:
     data = expect_object(_load(path), VoronoiError, "a sites file", "dim", "sites")
     sites = [expect_list(s, VoronoiError, "a site", expect_rational)
              for s in expect_list(data["sites"], VoronoiError, "'sites'")]
-    return SiteSet.build(expect_int(data["dim"], VoronoiError, "'dim'"), sites)
+    site_set = SiteSet.build(expect_int(data["dim"], VoronoiError, "'dim'"), sites)
+    if site_set.integer_sites[0] >= 10 ** MAX_DIGITS:
+        raise VoronoiError(
+            f"the sites' common denominator has more than {MAX_DIGITS} digits"
+        )
+    return site_set
 
 
 def _selection(args, vc) -> tuple[int, ...]:

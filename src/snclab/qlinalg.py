@@ -1,15 +1,18 @@
 """Exact rational linear algebra: solvers, affine subspaces, feasibility.
 
-All coordinates are Fractions; no predicate ever touches floating point.
-An affine subspace compares and hashes by a canonical key (the primitive
-integer reduced row-echelon form of its equations, by `row_reduce`, the
-one elimination routine), computed once per object.  It meets a
-hyperplane by `cut`, one substitution and no solve: the Voronoi
-enumeration makes one per (J, k), and `intersect` folds them.  The
-feasibility engine is Fourier-Motzkin elimination over mixed strict and
-non-strict inequalities, with rational witness extraction.  That is
-enough for the desk scales targeted here (a handful of variables, tens
-of constraints).
+No predicate ever touches floating point.  An affine subspace stores its
+point and basis as Fractions, and compares and hashes by a canonical key
+(the primitive integer reduced row-echelon form of its equations, by
+`row_reduce`, the one elimination routine), computed once per object.
+Substituting an integer row into its parameters is integer arithmetic,
+through one cached integer form (a common denominator, an integer point
+and integer basis rows); it meets a hyperplane by `cut`, one such substitution and no
+solve: the Voronoi enumeration makes one per (J, k), and `intersect`
+folds them.  The feasibility engine is Fourier-Motzkin elimination over
+mixed strict and non-strict inequalities on primitive integer rows;
+Fractions appear only in its back-substituted witness.  That is enough
+for the desk scales targeted here (a handful of variables, tens of
+constraints).
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -91,12 +95,14 @@ def solve_affine(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return tuple(point), tuple(basis)
 
 
-def clear_denominators(row: Sequence[Fraction]) -> tuple[int, ...]:
-    """A rational row times the lcm of its denominators.  When some entry
-    is 1, as a pivot entry of a reduced echelon row is, the result is
-    already primitive: no prime divides all of its entries."""
+def primitive(row: Sequence) -> tuple[int, ...]:
+    """The primitive integer row that is a positive multiple of a rational
+    (or integer) row: denominators cleared, then the gcd divided out.  The
+    zero row stays zero."""
     den = lcm(*(x.denominator for x in row))
-    return tuple(x.numerator * (den // x.denominator) for x in row)
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], n: int) -> tuple[Vector, ...]:
@@ -156,7 +162,18 @@ class AffineSubspace:
         normals, rhs = self.implicit()
         work = [list(a) + [b] for a, b in zip(normals, rhs)]
         rank = len(row_reduce(work, self.ambient_dim))
-        return tuple(clear_denominators(row) for row in work[:rank])
+        return tuple(primitive(row) for row in work[:rank])
+
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(D, P, B): the point is P / D and basis vector t is B[t] / D, over
+        the least common denominator D of all their coordinates."""
+        den = lcm(*(x.denominator for v in (self.point, *self.basis) for x in v))
+
+        def scaled(v: Vector) -> tuple[int, ...]:
+            return tuple(x.numerator * (den // x.denominator) for x in v)
+
+        return den, scaled(self.point), tuple(scaled(b) for b in self.basis)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineSubspace):
@@ -180,20 +197,26 @@ class AffineSubspace:
 
     def cut(self, c: "Constraint") -> Optional["AffineSubspace"]:
         """The meet with the hyperplane a.x = b, or None; c is its equation
-        in this subspace's parameters, Constraint(a, b).substitute(self).
-        It pivots on c's first nonzero coefficient.  In `solve_affine`'s
+        in this subspace's parameters, Constraint(a, b).substitute(self),
+        integer when a and b are.  It pivots on c's first nonzero
+        coefficient and reads c only through ratios, so any positive or
+        negative multiple of c gives the same cut.  In `solve_affine`'s
         echelon form the parameters are the free coordinates, and the cut
-        keeps that form: it is `solve_affine` on the stacked equations."""
+        keeps that form: it is `solve_affine` on the stacked equations.
+        Over the integer form (D, P, B) the new point is
+        (lead P + rhs B_t) / (lead D) and each other basis vector
+        (lead B_i - f_i B_t) / (lead D), one Fraction per coordinate."""
         t = next((i for i, x in enumerate(c.coeffs) if x != 0), None)
         if t is None:
             return self if c.rhs == 0 else None
-        pivot, lead = self.basis[t], c.coeffs[t]
-        step = c.rhs / lead
+        den, point, basis = self.integer_form
+        pivot, lead, rhs = basis[t], c.coeffs[t], c.rhs
+        den *= lead
         return AffineSubspace(
-            tuple(x + step * y for x, y in zip(self.point, pivot)),
+            tuple(Fraction(lead * x + rhs * y, den) for x, y in zip(point, pivot)),
             tuple(
-                tuple(x - f / lead * y for x, y in zip(b, pivot))
-                for i, (f, b) in enumerate(zip(c.coeffs, self.basis))
+                tuple(Fraction(lead * x - f * y, den) for x, y in zip(b, pivot))
+                for i, (f, b) in enumerate(zip(c.coeffs, basis))
                 if i != t
             ),
         )
@@ -215,99 +238,82 @@ def whole_space(n: int) -> AffineSubspace:
 
 @dataclass(frozen=True)
 class Constraint:
-    """coeffs . x <= rhs, or < rhs when strict."""
+    """coeffs . x <= rhs, or < rhs when strict; the entries are integers or
+    Fractions."""
 
-    coeffs: Vector
-    rhs: Fraction
+    coeffs: Sequence[int | Fraction]
+    rhs: int | Fraction
     strict: bool = False
 
     def substitute(self, subspace: AffineSubspace) -> "Constraint":
-        """Rewrite in the parameters of the subspace (x = p + B u)."""
-        base = dot(self.coeffs, subspace.point)
-        new_coeffs = tuple(dot(self.coeffs, b) for b in subspace.basis)
-        return Constraint(new_coeffs, self.rhs - base, self.strict)
-
-
-def _normalized(c: Constraint) -> Constraint:
-    scale = None
-    for x in c.coeffs:
-        if x != 0:
-            scale = abs(x)
-            break
-    if scale is None:
-        scale = abs(c.rhs) if c.rhs != 0 else Fraction(1)
-    if scale in (0, 1):
-        return c
-    return Constraint(tuple(x / scale for x in c.coeffs), c.rhs / scale, c.strict)
+        """Rewrite in the parameters of the subspace.  With x = (P + B u) / D
+        (its `integer_form`), a.x <= b becomes (a.B) u <= D b - a.P: the row
+        in u times D > 0, by integer dot products when a and b are integers."""
+        den, point, basis = subspace.integer_form
+        a = self.coeffs
+        return Constraint(
+            tuple(sum(map(mul, a, b)) for b in basis),
+            den * self.rhs - sum(map(mul, a, point)),
+            self.strict,
+        )
 
 
 def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[Vector]:
     """A rational point satisfying every constraint, or None.
 
-    Fourier-Motzkin elimination; strictness propagates through combined
-    constraints.  Witnesses are reconstructed by back-substitution,
-    picking midpoints (or unit offsets for one-sided bounds).
+    Fourier-Motzkin elimination (Schrijver, Theory of Linear and Integer
+    Programming, 1986, section 12.2); strictness propagates through
+    combined constraints.  Each row [a | b] is kept as the primitive integer
+    row of its class up to positive scale (`primitive`), so the elimination
+    runs on integers and combined rows are deduplicated on that row.
+    Witnesses are reconstructed in Fractions by back-substitution, last
+    variable first, picking midpoints (or unit offsets for one-sided
+    bounds); each bound b / a is unchanged by the scale of its row.
     """
-    levels: list[list[Constraint]] = [list(constraints)]
+    levels = [[(primitive((*c.coeffs, c.rhs)), c.strict) for c in constraints]]
     for k in range(nvars):
-        current = levels[-1]
-        uppers, lowers, rest = [], [], []
-        for c in current:
-            a = c.coeffs[k] if k < len(c.coeffs) else Fraction(0)
-            if a > 0:
-                uppers.append(c)
-            elif a < 0:
-                lowers.append(c)
+        uppers, lowers = [], []
+        new: dict[tuple[int, ...], bool] = {}
+        for row, strict in levels[-1]:
+            if row[k] > 0:
+                uppers.append((row, strict))
+            elif row[k] < 0:
+                lowers.append((row, strict))
             else:
-                rest.append(c)
-        new: dict[tuple, Constraint] = {}
-        for c in rest:
-            nc = _normalized(c)
-            key = (nc.coeffs, nc.rhs)
-            if key not in new or (nc.strict and not new[key].strict):
-                new[key] = nc
-        for lo in lowers:
-            for up in uppers:
-                al, au = lo.coeffs[k], up.coeffs[k]
-                # combine to eliminate variable k: au*lo - al*up (al<0<au)
-                coeffs = tuple(
-                    au * lo.coeffs[j] - al * up.coeffs[j] for j in range(len(lo.coeffs))
-                )
-                rhs = au * lo.rhs - al * up.rhs
-                nc = _normalized(Constraint(coeffs, rhs, lo.strict or up.strict))
-                key = (nc.coeffs, nc.rhs)
-                if key not in new or (nc.strict and not new[key].strict):
-                    new[key] = nc
-        levels.append(list(new.values()))
-    for c in levels[-1]:
-        zero = Fraction(0)
-        if c.strict:
-            if not zero < c.rhs:
-                return None
-        else:
-            if not zero <= c.rhs:
-                return None
-    # back-substitute a witness, last variable first
+                new[row] = new.get(row, False) or strict
+        for lo, lo_strict in lowers:
+            al = lo[k]
+            for up, up_strict in uppers:
+                au = up[k]
+                # au*lo - al*up eliminates variable k (al < 0 < au)
+                combined = [au * x - al * y for x, y in zip(lo, up)]
+                g = gcd(*combined)
+                row = tuple(x // g for x in combined) if g > 1 else tuple(combined)
+                new[row] = new.get(row, False) or lo_strict or up_strict
+        levels.append(list(new.items()))
+    for row, strict in levels[-1]:
+        if row[-1] < 0 or (strict and row[-1] == 0):
+            return None
     values: list[Fraction] = [Fraction(0)] * nvars
     for k in range(nvars - 1, -1, -1):
         lo_bound = None
         lo_strict = False
         up_bound = None
         up_strict = False
-        for c in levels[k]:
-            a = c.coeffs[k] if k < len(c.coeffs) else Fraction(0)
+        for row, strict in levels[k]:
+            a = row[k]
             if a == 0:
                 continue
-            residual = c.rhs - sum(
-                c.coeffs[j] * values[j] for j in range(k + 1, len(c.coeffs))
+            residual = row[-1] - sum(
+                (row[j] * values[j] for j in range(k + 1, nvars)), Fraction(0)
             )
             bound = residual / a
             if a > 0:
-                if up_bound is None or bound < up_bound or (bound == up_bound and c.strict):
-                    up_bound, up_strict = bound, c.strict
+                if up_bound is None or bound < up_bound or (bound == up_bound and strict):
+                    up_bound, up_strict = bound, strict
             else:
-                if lo_bound is None or bound > lo_bound or (bound == lo_bound and c.strict):
-                    lo_bound, lo_strict = bound, c.strict
+                if lo_bound is None or bound > lo_bound or (bound == lo_bound and strict):
+                    lo_bound, lo_strict = bound, strict
         if lo_bound is None and up_bound is None:
             values[k] = Fraction(0)
         elif lo_bound is None:

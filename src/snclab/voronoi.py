@@ -3,9 +3,13 @@
 Sites live in Q^m.  The nearness predicate is linearized exactly:
 d(x, y_i) <= d(x, y_j) iff 2(y_j - y_i) . x <= |y_j|^2 - |y_i|^2, so every
 face is cut out by rational equalities and strict inequalities and its
-existence is a Fourier-Motzkin feasibility question.  Faces are keyed by
-the set J of sites attaining equality; the equidistance locus of J is the
-affine subspace H(J).
+existence is a Fourier-Motzkin feasibility question.  Over the sites'
+common denominator L (y = Y / L) that row times L^2 is the integer row
+2L(Y_j - Y_i) . x <= |Y_j|^2 - |Y_i|^2, the one bisector table a site set
+keeps, so substitution and elimination run on integers; Fractions are
+made only for the sites, each H(J)'s stored point and basis, and the
+face witnesses.  Faces are keyed by the set J of sites attaining
+equality; the equidistance locus of J is the affine subspace H(J).
 
 Face enumeration visits only the index sets with non-empty H(J): since
 H(J + k) is H(J) cut by the bisector of min(J) and k, each such J is
@@ -27,7 +31,6 @@ run for every cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
@@ -39,7 +42,6 @@ from .qlinalg import (
     AffineSubspace,
     Constraint,
     Vector,
-    clear_denominators,
     dot,
     feasible_point,
     solve_affine,
@@ -104,27 +106,31 @@ class SiteSet:
         return len(self.sites)
 
     @cached_property
-    def _bisectors(self) -> tuple[tuple[tuple[Vector, Fraction], ...], ...]:
-        norms = [dot(y, y) for y in self.sites]
-        return tuple(
-            tuple(
-                (tuple(2 * (cj - ci) for ci, cj in zip(yi, yj)), norms[j] - norms[i])
-                for j, yj in enumerate(self.sites)
-            )
-            for i, yi in enumerate(self.sites)
-        )
-
-    @cached_property
     def integer_sites(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(L, Y): every site i equals Y[i] / L, over one common denominator L."""
         scale = lcm(*(c.denominator for s in self.sites for c in s))
         return scale, tuple(tuple(int(c * scale) for c in s) for s in self.sites)
 
-    def bisector(self, i: int, j: int) -> tuple[Vector, Fraction]:
-        """(a, b) with a.x <= b exactly when x is at least as close to i as to j."""
+    @cached_property
+    def _bisectors(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+        scale, points = self.integer_sites
+        norms = [sum(c * c for c in y) for y in points]
+        return tuple(
+            tuple(
+                (tuple(2 * scale * (cj - ci) for ci, cj in zip(yi, yj)), norms[j] - norms[i])
+                for j, yj in enumerate(points)
+            )
+            for i, yi in enumerate(points)
+        )
+
+    def bisector(self, i: int, j: int) -> tuple[tuple[int, ...], int]:
+        """The integer row (a, b) = (2L(Y_j - Y_i), |Y_j|^2 - |Y_i|^2) over
+        `integer_sites`: a.x <= b exactly when x is at least as close to i
+        as to j (the rational row 2(y_j - y_i).x <= |y_j|^2 - |y_i|^2 times
+        L^2)."""
         return self._bisectors[i][j]
 
-    def cell_halfspaces(self, i: int) -> list[tuple[Vector, Fraction]]:
+    def cell_halfspaces(self, i: int) -> list[tuple[tuple[int, ...], int]]:
         return [self.bisector(i, j) for j in range(len(self.sites)) if j != i]
 
     def nearest_set(self, x: Sequence) -> frozenset[int]:
@@ -188,7 +194,7 @@ class VoronoiComplex:
     def cell_indices(self) -> tuple[int, ...]:
         return tuple(range(len(self.sites)))
 
-    def cell_halfspaces(self, i: int) -> list[tuple[Vector, Fraction]]:
+    def cell_halfspaces(self, i: int) -> list[tuple[tuple[int, ...], int]]:
         """The cell as an exact half-space system (one bisector per rival)."""
         return self.sites.cell_halfspaces(i)
 
@@ -234,12 +240,14 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
     """Build the full face lattice, visiting only the J with non-empty H(J).
 
     Level by level, each sorted J with non-empty H(J) substitutes the
-    bisector of min(J) and each k outside J into H(J)'s parameters, once
-    per (J, k).  Made strict, these are the face test; for k > max(J) the
-    same substitution cuts out H(J + k) (`AffineSubspace.cut`), which
-    visits the index sets in `combinations` order.  Nothing is solved, and
-    since each cut keeps `solve_affine`'s echelon form, H(J) equals
-    `equidistance_subspace` point for point.
+    integer bisector of min(J) and each k outside J into H(J)'s parameters,
+    once per (J, k), by integer dot products against H(J)'s integer form.
+    Made strict, these are the face test; for k > max(J) the same
+    substitution cuts out H(J + k) (`AffineSubspace.cut`), which visits the
+    index sets in `combinations` order.  Nothing is solved, and since each
+    cut keeps `solve_affine`'s echelon form, H(J) equals
+    `equidistance_subspace` point for point.  Fractions are made only for
+    each H(J)'s stored point and basis and for the face witnesses.
 
     A face exists for J exactly when some point has nearest-site set J: the
     test runs Fourier-Motzkin on the strict inequalities.
@@ -255,13 +263,11 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
             if len(indices) >= 2:
                 subspaces[key] = span
             cuts = {
-                k: Constraint(*site_set.bisector(indices[0], k)).substitute(span)
+                k: Constraint(*site_set.bisector(indices[0], k), strict=True).substitute(span)
                 for k in range(n)
                 if k not in indices
             }
-            witness_params = feasible_point(
-                [Constraint(c.coeffs, c.rhs, strict=True) for c in cuts.values()], span.dim
-            )
+            witness_params = feasible_point(list(cuts.values()), span.dim)
             if witness_params is not None:
                 witness = span.parametrize(witness_params)
                 faces[key] = VoronoiFace(key, span, witness, site_set.dim)
@@ -321,37 +327,33 @@ def select_subcomplex(vc: VoronoiComplex, region: Region) -> tuple[int, ...]:
 
     The region is a finite union of closed rational simplices; emptiness
     of cell-meets-simplex is decided exactly via feasibility in barycentric
-    coordinates.  An empty selection is a valid result.
+    coordinates.  Every region vertex is checked against the ambient
+    dimension first, and each simplex's hull is built once.  An empty
+    selection is a valid result.
     """
     m = vc.dim
+    if any(len(p) != m for simplex in region for p in simplex):
+        raise VoronoiError("region vertex dimension mismatch")
+    hulls = []
+    for simplex in region:
+        if not simplex:
+            continue
+        # barycentric lambdas 1..k-1 free, lambda_0 = 1 - sum
+        p0, k = simplex[0], len(simplex)
+        hull = AffineSubspace(
+            p0, tuple(tuple(x - y for x, y in zip(v, p0)) for v in simplex[1:])
+        )
+        barycentric = [Constraint(tuple(-int(u == v) for u in range(1, k)), 0)
+                       for v in range(1, k)]
+        hulls.append((hull, [*barycentric, Constraint((1,) * (k - 1), 1)]))
     selected = []
     for i in vc.cell_indices():
         halfspaces = vc.sites.cell_halfspaces(i)
-        hit = False
-        for simplex in region:
-            if not simplex:
-                continue
-            for p in simplex:
-                if len(p) != m:
-                    raise VoronoiError("region vertex dimension mismatch")
-            k = len(simplex)
-            # barycentric lambdas 1..k-1 free, lambda_0 = 1 - sum
-            p0 = simplex[0]
-            hull = AffineSubspace(
-                p0, tuple(tuple(x - y for x, y in zip(v, p0)) for v in simplex[1:])
-            )
+        for hull, barycentric in hulls:
             constraints = [Constraint(a, b).substitute(hull) for a, b in halfspaces]
-            for v in range(1, k):
-                coeffs = tuple(Fraction(-1) if u == v else Fraction(0) for u in range(1, k))
-                constraints.append(Constraint(coeffs, Fraction(0), strict=False))
-            constraints.append(
-                Constraint(tuple(Fraction(1) for _ in range(1, k)), Fraction(1), strict=False)
-            )
-            if feasible_point(constraints, k - 1) is not None:
-                hit = True
+            if feasible_point(constraints + barycentric, hull.dim) is not None:
+                selected.append(i)
                 break
-        if hit:
-            selected.append(i)
     return tuple(selected)
 
 
@@ -380,12 +382,10 @@ def _distance_classes(sites: SiteSet, span: AffineSubspace) -> tuple[frozenset[i
     """The sites grouped by their squared distance as a function on span.
 
     At x = p + B u, |x - y|^2 - |x|^2 = |y|^2 - 2 p.y - 2 (B^T y).u; with
-    y = Y / L and p = P / D these affine functions of u are compared as
-    (D |Y|^2 - 2 L P.Y, B'^T Y) for the integer rows B' of B."""
+    y = Y / L and (p, B) = (P, B') / D (`integer_form`) these affine
+    functions of u are compared as (D |Y|^2 - 2 L P.Y, B'^T Y)."""
     scale, points = sites.integer_sites
-    den = lcm(*(c.denominator for c in span.point))
-    anchor = [c.numerator * (den // c.denominator) for c in span.point]
-    basis = [clear_denominators(b) for b in span.basis]
+    den, anchor, basis = span.integer_form
     groups: dict[tuple[int, ...], list[int]] = {}
     for k, y in enumerate(points):
         profile = (

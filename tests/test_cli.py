@@ -1,6 +1,7 @@
 """Exit-code contract, JSON formats, and byte-stable reports."""
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -199,12 +200,29 @@ def test_coordinate_digit_bound(inputs, capsys):
         assert time.perf_counter() - start < 1, coordinate
         assert (code, captured.out) == (2, ""), coordinate
         assert "more than 100 digits" in captured.err, coordinate
-    # 3D sites at the bound: 100-digit numerators and denominators print
-    # without a traceback
+    # sites whose common denominator has more than 100 digits are refused:
+    # coordinates over the 100-digit denominators n and n - 1, and five 3D
+    # sites with random 100-digit numerators and denominators, whose
+    # witnesses would pass str(int)'s 4,300-digit limit
     n = 10 ** 100 - 1
+    rng = random.Random(3)
+    for name, sites in (
+        ("two-denominators", [[str(n), "0", "0"], ["0", str(-n), "0"], ["0", "0", f"1/{n}"],
+                              ["1e99", "1e99", "1e99"], [f"-{n}/{n - 1}", "-1", "0"]]),
+        ("random-denominators", [[f"{rng.randint(-n, n)}/{rng.randint(1, n)}" for _ in range(3)]
+                                 for _ in range(5)]),
+    ):
+        path = write(inputs["tmp"], f"{name}.json", {"dim": 3, "sites": sites})
+        code = main(["voronoi", "build", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), name
+        assert "common denominator has more than 100 digits" in captured.err, name
+    # 3D sites at the bound, 100-digit numerators over one 100-digit
+    # denominator, print without a traceback
+    rng = random.Random(0)
+    den = rng.randint(10 ** 99, n)
     at_bound = write(inputs["tmp"], "at-bound.json", {"dim": 3, "sites": [
-        [str(n), "0", "0"], ["0", str(-n), "0"], ["0", "0", f"1/{n}"], ["1e99", "1e99", "1e99"],
-        [f"-{n}/{n - 1}", "-1", "0"],
+        [f"{rng.randint(-n, n)}/{den}" for _ in range(3)] for _ in range(5)
     ]})
     for argv in (["voronoi", "build", at_bound], ["voronoi", "classify", at_bound],
                  ["snc", "build", at_bound, "--select", "0,1,2,3,4"],
@@ -255,6 +273,12 @@ def test_input_errors_exit_2(inputs, capsys, monkeypatch):
         (("seifert", "circle-action"), [1, {"3": 5}, 0]),
         (("voronoi", "select", inputs["triangle"], "--region"), [[[0, 0], [1, 0], [0, 1]]]),
         (("voronoi", "select", inputs["triangle"], "--region"), {"simplices": [[0, 0]]}),
+        # a 3D region vertex is refused whether or not a simplex before it
+        # already meets every cell
+        (("voronoi", "select", inputs["triangle"], "--region"),
+         {"simplices": [[["0", "0"], ["1", "0"], ["0", "1"]], [["0", "0", "0"]]]}),
+        (("voronoi", "select", inputs["triangle"], "--region"),
+         {"simplices": [[["0", "0", "0"]], [["0", "0"], ["1", "0"], ["0", "1"]]]}),
     ]
     for i, (command, payload) in enumerate(malformed):
         path = write(inputs["tmp"], f"malformed{i}.json", payload)

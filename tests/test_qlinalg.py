@@ -3,9 +3,10 @@
 import random
 from fractions import Fraction as F
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_kernel
 from snclab.qlinalg import (
     AffineSubspace,
     Constraint,
@@ -150,6 +151,34 @@ def test_randomized_witness_soundness():
                 value = dot(c.coeffs, w)
                 assert value < c.rhs if c.strict else value <= c.rhs
     assert agree > 50
+
+
+@st.composite
+def rational_systems(draw):
+    """1 to 3 variables and up to 8 rows of rational entries, strict and
+    non-strict, among them all-zero rows and rows repeated up to a positive
+    scale."""
+    n = draw(st.integers(1, 3))
+    entry = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(st.tuples(*[entry] * n), entry, st.booleans()), max_size=6))
+    for _ in range(draw(st.integers(0, 8 - len(rows)))):
+        if rows and draw(st.booleans()):
+            coeffs, rhs, _ = draw(st.sampled_from(rows))
+            scale = draw(st.builds(F, st.integers(1, 5), st.integers(1, 5)))
+            rows.append((tuple(scale * x for x in coeffs), scale * rhs, draw(st.booleans())))
+        else:
+            rows.append(((F(0),) * n, draw(entry), draw(st.booleans())))
+    rows = draw(st.permutations(rows))
+    return n, [Constraint(a, b, strict) for a, b, strict in rows]
+
+
+@settings(max_examples=400)
+@given(rational_systems())
+def test_integer_feasible_point_is_the_fraction_oracle(drawn):
+    n, system = drawn
+    witness = feasible_point(system, n)
+    assert witness == fraction_kernel.feasible_point(system, n)
+    assert witness is None or all(type(x) is F for x in witness)
 
 
 @st.composite

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import fraction_kernel
 from corpus import (
     FOUR_SITES_1D,
     RING_OUTER,
@@ -21,7 +22,7 @@ from corpus import (
 )
 from snclab.complexes import AbelianGroup
 from snclab.presentations import abelianization, pi1_presentation
-from snclab.qlinalg import Constraint, dot, feasible_point
+from snclab.qlinalg import Constraint, dot, feasible_point, whole_space
 from snclab import voronoi
 from snclab.voronoi import (
     GenericityError,
@@ -111,6 +112,33 @@ def test_bisector_linearization_is_exact():
         coeffs, rhs = sites.bisector(0, 1)
         x = random_rational_point(rng, dim)
         assert (d2(x, a) <= d2(x, b)) == (dot(coeffs, x) <= rhs)
+
+
+def test_integer_substitution_is_the_fraction_substitution_scaled():
+    # the integer bisector 2L(Y_k - Y_i).x <= |Y_k|^2 - |Y_i|^2 substituted
+    # into H(J) by integer dot products is the rational bisector substituted
+    # by Fractions, times L^2 D (D the common denominator of H(J))
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(30):
+        dim = rng.randint(1, 3)
+        pts = {random_rational_point(rng, dim) for _ in range(rng.randint(2, 6))}
+        sites = SiteSet(dim, tuple(sorted(pts)))
+        scale = sites.integer_sites[0]
+        spans = [whole_space(dim), *voronoi_complex(sites).subspaces.values()]
+        for span, (i, k) in product(spans, product(range(len(pts)), repeat=2)):
+            if i == k:
+                continue
+            yi, yk = sites.sites[i], sites.sites[k]
+            rational = Constraint(tuple(2 * (b - a) for a, b in zip(yi, yk)), dot(yk, yk) - dot(yi, yi))
+            want = fraction_kernel.substitute(rational, span)
+            got = Constraint(*sites.bisector(i, k)).substitute(span)
+            factor = scale * scale * span.integer_form[0]
+            assert got.coeffs == tuple(factor * x for x in want.coeffs)
+            assert got.rhs == factor * want.rhs
+            assert all(type(x) is int for x in (*got.coeffs, got.rhs))
+            checked += 1
+    assert checked > 1000
 
 
 def test_partition_property_random_sites():
