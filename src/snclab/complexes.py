@@ -254,10 +254,16 @@ def build_complex(cells: Sequence[CellSpec], labels=None) -> DeltaComplex:
 
 
 def closure(sets: Iterable[Iterable]) -> frozenset:
-    """The downward closure: every nonempty subset of every given set."""
+    """The downward closure: every nonempty subset of every given set.
+
+    A set already in the closure adds nothing, so listing the larger sets
+    first saves work."""
     out = set()
     for s in sets:
-        items = sorted(set(s))
+        items = frozenset(s)
+        if items in out:
+            continue
+        items = sorted(items)
         for size in range(1, len(items) + 1):
             out.update(frozenset(sub) for sub in combinations(items, size))
     return frozenset(out)

@@ -326,7 +326,3 @@ def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[Ve
             else:
                 values[k] = (lo_bound + up_bound) / 2
     return tuple(values)
-
-
-def feasible(constraints: Sequence[Constraint], nvars: int) -> bool:
-    return feasible_point(constraints, nvars) is not None

@@ -15,11 +15,20 @@ Rule names follow the chart families: "detres" (determinantal center),
 "monres-1/2/3" (monomial order reduction), "binres" (the multiplicity-2
 case), "normalize" (the relabeling).
 
+The rules see the exceptional divisors only through their order and
+exponents, and a fresh divisor is always larger than every label in use.
+So a model's charts depend only on its canonical state (x-index set,
+det size, exponents in label order), and the resolver expands each
+distinct canonical state once per call: a hash-consed DAG with chart
+multiplicities on its edges (Filliatre & Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006).  The tree trace is stamped out of that
+DAG by relabelling.
+
 The nerve of the x-index sets is an invariant of resolution.  The engine
-checks, on every step, the two local facts that force it (each child's
-x-index set lies inside the parent's, and some child keeps it), and
-compares the nerve itself once, at the roots and at the leaves.  A failed
-check raises ResolutionCheckError.
+checks, once per distinct state, the two local facts that force it (each
+child's x-index set lies inside the parent's, and some child keeps it)
+and the descent certificate, and compares the nerve itself once, at the
+roots and at the leaves.  A failed check raises ResolutionCheckError.
 """
 
 from __future__ import annotations
@@ -27,13 +36,16 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .complexes import DeltaComplex, closure, from_simplices
 from .jsonread import expect_int, expect_list, expect_object
 from .snc import SncModel
 from .voronoi import CheckFailed
+
+# the largest tree a resolve call builds; the box's largest root has 132,911 nodes
+MAX_TREE_NODES = 10 ** 6
 
 
 class ResolutionError(ValueError):
@@ -51,14 +63,19 @@ class Mdeg(NamedTuple):
     deg_z: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalModel:
-    """One germ: x-divisor index set, determinant size, exceptional multiset."""
+    """One germ: x-divisor index set, determinant size, exceptional multiset.
+
+    mdeg is computed once, when the model is made; it takes no part in
+    equality, hashing or repr.
+    """
 
     x_divisors: frozenset[int]
     det_size: int
     exceptional: tuple[tuple[int, int], ...] = ()
     genealogy: tuple[str, ...] = ()
+    _mdeg: Mdeg = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.det_size < 0:
@@ -69,7 +86,10 @@ class LocalModel:
         for _, a in self.exceptional:
             if a < 1:
                 raise ResolutionError("exceptional exponents must be at least 1")
-        object.__setattr__(self, "exceptional", tuple(sorted(self.exceptional)))
+        exceptional = tuple(sorted(self.exceptional))
+        object.__setattr__(self, "exceptional", exceptional)
+        object.__setattr__(self, "_mdeg", Mdeg(len(self.x_divisors), self.det_size,
+                                               sum(a for _, a in exceptional)))
 
     @classmethod
     def build(cls, x_divisors: Iterable[int], det_size: int, exceptional=()) -> "LocalModel":
@@ -77,11 +97,10 @@ class LocalModel:
                    tuple((int(j), int(a)) for j, a in exceptional))
 
     def mdeg(self) -> Mdeg:
-        return Mdeg(len(self.x_divisors), self.det_size,
-                    sum(a for _, a in self.exceptional))
+        return self._mdeg
 
     def is_resolved(self) -> bool:
-        d = self.mdeg()
+        d = self._mdeg
         return d.deg_x <= 1 or (d.deg_y == 0 and d.deg_z == 0)
 
     def exponent_of(self, label: int) -> int:
@@ -90,13 +109,11 @@ class LocalModel:
                 return a
         return 0
 
-    def _with(self, x_divisors=None, det_size=None, exceptional=None, step=None) -> "LocalModel":
-        return LocalModel(
-            self.x_divisors if x_divisors is None else frozenset(x_divisors),
-            self.det_size if det_size is None else det_size,
-            self.exceptional if exceptional is None else tuple(exceptional),
-            self.genealogy + (step,) if step else self.genealogy,
-        )
+    def _charts(self, charts) -> list["LocalModel"]:
+        """LocalModels for a rule's charts (x_divisors, det_size, exceptional,
+        token), each with the token appended to this model's genealogy."""
+        return [_model(x, m, f, self.genealogy + (token,), Mdeg(len(x), m, sum(a for _, a in f)))
+                for x, m, f, token in charts]
 
     def state(self) -> tuple:
         return (self.x_divisors, self.det_size, self.exceptional)
@@ -107,6 +124,30 @@ class LocalModel:
             "m": self.det_size,
             "F": [[j, a] for j, a in self.exceptional],
         }
+
+
+_new = object.__new__
+
+
+def _setters(cls) -> tuple:
+    """The slot setters of a frozen slotted dataclass, in field order; the
+    trusted constructors below fill the slots without __init__."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+_MODEL_SLOTS = _setters(LocalModel)
+
+
+def _model(x_divisors, det_size, exceptional, genealogy, mdeg) -> LocalModel:
+    """A LocalModel from parts already known to be valid, with its mdeg."""
+    model = _new(LocalModel)
+    set_x, set_m, set_f, set_g, set_d = _MODEL_SLOTS
+    set_x(model, x_divisors)
+    set_m(model, det_size)
+    set_f(model, exceptional)
+    set_g(model, genealogy)
+    set_d(model, mdeg)
+    return model
 
 
 def model_from_json_dict(data: dict) -> LocalModel:
@@ -120,10 +161,108 @@ def model_from_json_dict(data: dict) -> LocalModel:
 
 
 def _bump(exceptional, label: int, exponent: int):
-    """Add a divisor with the given exponent; exponent 0 entries are dropped."""
+    """Add the fresh divisor with the given exponent; exponent 0 adds nothing."""
     if exponent <= 0:
-        return tuple(exceptional)
-    return tuple(exceptional) + ((label, exponent),)
+        return exceptional
+    return exceptional + ((label, exponent),)
+
+
+def _fresh(model: LocalModel, fresh_label: Optional[int]) -> int:
+    if fresh_label is None:
+        return max((j for j, _ in model.exceptional), default=0) + 1
+    if model.exceptional and fresh_label <= model.exceptional[-1][0]:
+        raise ResolutionError(f"fresh label {fresh_label} must exceed every exceptional label")
+    return fresh_label
+
+
+def _without(exceptional, label: int):
+    return tuple((j, a) for j, a in exceptional if j != label)
+
+
+# The chart functions check a rule's preconditions and return its charts as
+# (x_divisors, det_size, exceptional, token): labels sorted and distinct,
+# exponents positive.  The step functions wrap them into LocalModels.
+
+def _determinantal(model: LocalModel, pair: tuple[int, int], fresh_label: Optional[int]):
+    i1, i2 = pair
+    m = model.det_size
+    if m < 2:
+        raise ResolutionError("determinantal rule needs det size at least 2")
+    xs = model.x_divisors
+    if i1 == i2 or i1 not in xs or i2 not in xs:
+        raise ResolutionError(f"pair {pair} is not a pair of distinct x-divisors")
+    w = _fresh(model, fresh_label)
+    bumped = _bump(model.exceptional, w, m * m - 2)
+    tag = f"detres({i1},{i2})w{w}"
+    charts = [(xs - {drop}, m, bumped, f"{tag}/x{drop}") for drop in (i1, i2)]
+    charts += [(xs, m - 1, bumped, f"{tag}/y{r}{s}") for r in range(m) for s in range(m)]
+    return charts
+
+
+def _monomial(model: LocalModel, variant: tuple, pair: Optional[tuple[int, int]],
+              fresh_label: Optional[int]):
+    xs = model.x_divisors
+    if len(xs) < 2:
+        raise ResolutionError("monomial rules need at least two x-divisors")
+    i1, i2 = pair if pair is not None else sorted(xs)[:2]
+    if i1 not in xs or i2 not in xs or i1 == i2:
+        raise ResolutionError(f"invalid x-pair {(i1, i2)}")
+    m, exceptional = model.det_size, model.exceptional
+    kind = variant[0]
+    if kind == "exp>=2":
+        j = variant[1]
+        a = model.exponent_of(j)
+        if a < 2:
+            raise ResolutionError(f"divisor {j} has exponent {a} < 2")
+        w = _fresh(model, fresh_label)
+        tag = f"monres-1({j};{i1},{i2})w{w}"
+        bumped = _bump(exceptional, w, a - 2)
+        lowered = tuple((lbl, a - 2 if lbl == j else e) for lbl, e in exceptional
+                        if lbl != j or a > 2)
+        return [(xs - {i1}, m, bumped, f"{tag}/x{i1}"), (xs - {i2}, m, bumped, f"{tag}/x{i2}"),
+                (xs, m, lowered, f"{tag}/z{j}")]
+    if kind == "pair":
+        j1, j2 = variant[1], variant[2]
+        if model.exponent_of(j1) != 1 or model.exponent_of(j2) != 1 or j1 == j2:
+            raise ResolutionError(f"divisors {(j1, j2)} must be distinct with exponent 1")
+        tag = f"monres-2({j1},{j2};{i1},{i2})"
+        return [(xs - {i1}, m, exceptional, f"{tag}/x{i1}"),
+                (xs - {i2}, m, exceptional, f"{tag}/x{i2}"),
+                (xs, m, _without(exceptional, j1), f"{tag}/z{j1}"),
+                (xs, m, _without(exceptional, j2), f"{tag}/z{j2}")]
+    if kind == "y_z_pair":
+        j = variant[1]
+        if m != 1:
+            raise ResolutionError("y_z_pair needs det size exactly 1")
+        if model.exponent_of(j) != 1:
+            raise ResolutionError(f"divisor {j} must have exponent 1")
+        tag = f"monres-3({j};{i1},{i2})"
+        return [(xs - {i1}, m, exceptional, f"{tag}/x{i1}"),
+                (xs - {i2}, m, exceptional, f"{tag}/x{i2}"),
+                (xs, 0, exceptional, f"{tag}/y"),
+                (xs, m, _without(exceptional, j), f"{tag}/z{j}")]
+    raise ResolutionError(f"unknown monomial variant {variant!r}")
+
+
+def _mult2(model: LocalModel, i1: Optional[int]):
+    d = model.mdeg()
+    if d.deg_y != 1 or d.deg_z != 0:
+        raise ResolutionError("mult-2 rule needs exactly prod x = t*y form")
+    if d.deg_x < 2:
+        raise ResolutionError("mult-2 rule needs at least two x-divisors")
+    xs = model.x_divisors
+    if i1 is None:
+        i1 = min(xs)
+    if i1 not in xs:
+        raise ResolutionError(f"unknown x-divisor {i1}")
+    return [(xs - {i1}, 1, (), f"binres({i1})/x{i1}"), (xs, 0, (), f"binres({i1})/y")]
+
+
+def _normalize(model: LocalModel):
+    d = model.mdeg()
+    if d.deg_y == 0 and d.deg_z == 1:
+        return [(model.x_divisors, 1, (), "normalize")]
+    return []
 
 
 def step_determinantal(
@@ -136,30 +275,7 @@ def step_determinantal(
     determinant by one.  All charts share a single fresh divisor of
     exponent m^2 - 2.
     """
-    i1, i2 = pair
-    m = model.det_size
-    if m < 2:
-        raise ResolutionError("determinantal rule needs det size at least 2")
-    if i1 == i2 or i1 not in model.x_divisors or i2 not in model.x_divisors:
-        raise ResolutionError(f"pair {pair} is not a pair of distinct x-divisors")
-    w = _next_label(model) if fresh_label is None else fresh_label
-    exp = m * m - 2
-    tag = f"detres({i1},{i2})w{w}"
-    charts = []
-    for drop in (i1, i2):
-        charts.append(model._with(
-            x_divisors=model.x_divisors - {drop},
-            exceptional=_bump(model.exceptional, w, exp),
-            step=f"{tag}/x{drop}",
-        ))
-    for r in range(m):
-        for s in range(m):
-            charts.append(model._with(
-                det_size=m - 1,
-                exceptional=_bump(model.exceptional, w, exp),
-                step=f"{tag}/y{r}{s}",
-            ))
-    return charts
+    return model._charts(_determinantal(model, pair, fresh_label))
 
 
 def step_monomial(
@@ -173,127 +289,45 @@ def step_monomial(
     variant is ("exp>=2", j), ("pair", j1, j2) or ("y_z_pair", j); the
     x-pair in the center defaults to the two lowest x-divisors.
     """
-    xs = sorted(model.x_divisors)
-    if len(xs) < 2:
-        raise ResolutionError("monomial rules need at least two x-divisors")
-    i1, i2 = pair if pair is not None else (xs[0], xs[1])
-    if i1 not in model.x_divisors or i2 not in model.x_divisors or i1 == i2:
-        raise ResolutionError(f"invalid x-pair {(i1, i2)}")
-    kind = variant[0]
-    if kind == "exp>=2":
-        j = variant[1]
-        a = model.exponent_of(j)
-        if a < 2:
-            raise ResolutionError(f"divisor {j} has exponent {a} < 2")
-        w = _next_label(model) if fresh_label is None else fresh_label
-        tag = f"monres-1({j};{i1},{i2})w{w}"
-        charts = []
-        for drop in (i1, i2):
-            charts.append(model._with(
-                x_divisors=model.x_divisors - {drop},
-                exceptional=_bump(model.exceptional, w, a - 2),
-                step=f"{tag}/x{drop}",
-            ))
-        rest = tuple((lbl, e) for lbl, e in model.exceptional if lbl != j)
-        charts.append(model._with(
-            exceptional=_bump(rest, j, a - 2),
-            step=f"{tag}/z{j}",
-        ))
-        return charts
-    if kind == "pair":
-        j1, j2 = variant[1], variant[2]
-        if model.exponent_of(j1) != 1 or model.exponent_of(j2) != 1 or j1 == j2:
-            raise ResolutionError(f"divisors {(j1, j2)} must be distinct with exponent 1")
-        tag = f"monres-2({j1},{j2};{i1},{i2})"
-        charts = []
-        for drop in (i1, i2):
-            charts.append(model._with(
-                x_divisors=model.x_divisors - {drop},
-                step=f"{tag}/x{drop}",
-            ))
-        for gone in (j1, j2):
-            rest = tuple((lbl, e) for lbl, e in model.exceptional if lbl != gone)
-            charts.append(model._with(
-                exceptional=rest,
-                step=f"{tag}/z{gone}",
-            ))
-        return charts
-    if kind == "y_z_pair":
-        j = variant[1]
-        if model.det_size != 1:
-            raise ResolutionError("y_z_pair needs det size exactly 1")
-        if model.exponent_of(j) != 1:
-            raise ResolutionError(f"divisor {j} must have exponent 1")
-        tag = f"monres-3({j};{i1},{i2})"
-        charts = []
-        for drop in (i1, i2):
-            charts.append(model._with(
-                x_divisors=model.x_divisors - {drop},
-                step=f"{tag}/x{drop}",
-            ))
-        rest = tuple((lbl, e) for lbl, e in model.exceptional if lbl != j)
-        charts.append(model._with(
-            det_size=0,
-            step=f"{tag}/y",
-        ))
-        charts.append(model._with(
-            exceptional=rest,
-            step=f"{tag}/z{j}",
-        ))
-        return charts
-    raise ResolutionError(f"unknown monomial variant {variant!r}")
+    return model._charts(_monomial(model, variant, pair, fresh_label))
 
 
 def step_mult2(model: LocalModel, i1: Optional[int] = None) -> list[LocalModel]:
     """The multiplicity-2 case prod x = t*y: two charts, both one step closer."""
-    d = model.mdeg()
-    if d.deg_y != 1 or d.deg_z != 0:
-        raise ResolutionError("mult-2 rule needs exactly prod x = t*y form")
-    if d.deg_x < 2:
-        raise ResolutionError("mult-2 rule needs at least two x-divisors")
-    xs = sorted(model.x_divisors)
-    if i1 is None:
-        i1 = xs[0]
-    if i1 not in model.x_divisors:
-        raise ResolutionError(f"unknown x-divisor {i1}")
-    return [
-        model._with(x_divisors=model.x_divisors - {i1}, step=f"binres({i1})/x{i1}"),
-        model._with(det_size=0, step=f"binres({i1})/y"),
-    ]
+    return model._charts(_mult2(model, i1))
 
 
 def normalize(model: LocalModel) -> LocalModel:
     """Rename a lone exponent-1 z-divisor into the y slot; otherwise identity."""
-    d = model.mdeg()
-    if d.deg_y == 0 and d.deg_z == 1:
-        return model._with(det_size=1, exceptional=(), step="normalize")
-    return model
+    charts = model._charts(_normalize(model))
+    return charts[0] if charts else model
 
 
 @dataclass(frozen=True)
 class Policy:
-    """Deterministic center choices; a seed permutes them for fuzzing."""
+    """Deterministic center choices; a seed permutes them for fuzzing.
+
+    A seeded choice is drawn from the seed and the model's canonical state,
+    so it does not depend on the labels of the exceptional divisors nor on
+    where the model sits in the trace.
+    """
 
     seed: Optional[int] = None
 
-    def _rng(self, counter: int) -> Optional[random.Random]:
-        if self.seed is None:
-            return None
-        return random.Random(self.seed * 1000003 + counter)
-
-    def choose_pair(self, candidates: Sequence, counter: int):
+    def choose_pair(self, candidates: Sequence, model: LocalModel):
         """The first candidate, or a seeded pick among them (pairs or labels)."""
-        rng = self._rng(counter)
-        if rng is None:
+        if self.seed is None:
             return candidates[0]
+        state = (sorted(model.x_divisors), model.det_size, [a for _, a in model.exceptional])
+        rng = random.Random(f"{self.seed}:{state}")
         return candidates[rng.randrange(len(candidates))]
 
 
-def _next_label(model: LocalModel) -> int:
-    return max((j for j, _ in model.exceptional), default=0) + 1
+def _pairs(xs: Sequence[int]) -> list[tuple[int, int]]:
+    return [(a, b) for idx, a in enumerate(xs) for b in xs[idx + 1:]]
 
 
-def select_rule(model: LocalModel, policy: Policy = Policy(), counter: int = 0):
+def select_rule(model: LocalModel, policy: Policy = Policy()):
     """The unique applicable rule under the engine's priority, or None.
 
     Priority: determinantal while m >= 2, then the three monomial steps,
@@ -302,20 +336,16 @@ def select_rule(model: LocalModel, policy: Policy = Policy(), counter: int = 0):
     if model.is_resolved():
         return None
     d = model.mdeg()
-    xs = sorted(model.x_divisors)
     if d.deg_y >= 2:
-        pairs = [(a, b) for idx, a in enumerate(xs) for b in xs[idx + 1:]]
-        return ("detres", policy.choose_pair(pairs, counter))
+        return ("detres", policy.choose_pair(_pairs(sorted(model.x_divisors)), model))
     heavy = [j for j, a in model.exceptional if a >= 2]
     if heavy:
-        return ("monres-1", ("exp>=2", policy.choose_pair(sorted(heavy), counter)))
-    singles = sorted(j for j, a in model.exceptional if a == 1)
+        return ("monres-1", ("exp>=2", policy.choose_pair(heavy, model)))
+    singles = [j for j, a in model.exceptional if a == 1]
     if len(singles) >= 2:
         j1, j2 = singles[0], singles[1]
         if policy.seed is not None:
-            j1, j2 = policy.choose_pair(
-                [(a, b) for idx, a in enumerate(singles) for b in singles[idx + 1:]], counter
-            )
+            j1, j2 = policy.choose_pair(_pairs(singles), model)
         return ("monres-2", ("pair", j1, j2))
     if d.deg_y == 1 and d.deg_z == 1:
         return ("monres-3", ("y_z_pair", singles[0]))
@@ -326,26 +356,26 @@ def select_rule(model: LocalModel, policy: Policy = Policy(), counter: int = 0):
     raise ResolutionError(f"no rule applies to unresolved model {model.state()}")
 
 
-def apply_rule(model: LocalModel, rule, policy: Policy = Policy(), counter: int = 0,
-               fresh_label: Optional[int] = None) -> list[LocalModel]:
+def _rule_charts(model: LocalModel, rule, policy: Policy, fresh_label: Optional[int]):
     name, detail = rule
     if name == "detres":
-        return step_determinantal(model, detail, fresh_label)
+        return _determinantal(model, detail, fresh_label)
     if name in ("monres-1", "monres-2", "monres-3"):
-        xs = sorted(model.x_divisors)
-        pairs = [(a, b) for idx, a in enumerate(xs) for b in xs[idx + 1:]]
-        pair = policy.choose_pair(pairs, counter)
-        return step_monomial(model, detail, pair, fresh_label)
+        pair = policy.choose_pair(_pairs(sorted(model.x_divisors)), model)
+        return _monomial(model, detail, pair, fresh_label)
     if name == "binres":
-        xs = sorted(model.x_divisors)
-        i1 = policy.choose_pair(xs, counter)
-        return step_mult2(model, i1)
+        return _mult2(model, policy.choose_pair(sorted(model.x_divisors), model))
     if name == "normalize":
-        return [normalize(model)]
+        return _normalize(model)
     raise ResolutionError(f"unknown rule {name!r}")
 
 
-@dataclass(frozen=True)
+def apply_rule(model: LocalModel, rule, policy: Policy = Policy(),
+               fresh_label: Optional[int] = None) -> list[LocalModel]:
+    return model._charts(_rule_charts(model, rule, policy, fresh_label))
+
+
+@dataclass(frozen=True, slots=True)
 class TraceNode:
     node_id: int
     model: LocalModel
@@ -353,7 +383,7 @@ class TraceNode:
     parent: Optional[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     step_id: int
     node: int
@@ -407,8 +437,7 @@ class ResolutionTrace:
         for s in self.steps:
             if s.relabel:
                 (parent_deg, child_deg), = s.descents
-                if not (parent_deg.deg_y == 0 and parent_deg.deg_z == 1
-                        and child_deg == Mdeg(parent_deg.deg_x, 1, 0)):
+                if not _relabel_shape(parent_deg, child_deg):
                     raise ResolutionCheckError(f"step {s.step_id}: unexpected relabel shape")
                 for child_id in s.children:
                     follow = children_steps.get(child_id)
@@ -474,6 +503,39 @@ class ResolutionTrace:
         return json.dumps(self.to_json_dict(), sort_keys=True) + "\n"
 
 
+_NODE_SLOTS = _setters(TraceNode)
+_STEP_SLOTS = _setters(TraceStep)
+
+
+def _node(node_id, model, multiplicity, parent) -> TraceNode:
+    node = _new(TraceNode)
+    set_id, set_model, set_mult, set_parent = _NODE_SLOTS
+    set_id(node, node_id)
+    set_model(node, model)
+    set_mult(node, multiplicity)
+    set_parent(node, parent)
+    return node
+
+
+def _step(step_id, node, rule, detail, children, descents, relabel) -> TraceStep:
+    step = _new(TraceStep)
+    set_id, set_node, set_rule, set_detail, set_children, set_descents, set_relabel = _STEP_SLOTS
+    set_id(step, step_id)
+    set_node(step, node)
+    set_rule(step, rule)
+    set_detail(step, detail)
+    set_children(step, children)
+    set_descents(step, descents)
+    set_relabel(step, relabel)
+    return step
+
+
+def _relabel_shape(parent_deg: Mdeg, child_deg: Mdeg) -> bool:
+    """normalize turns mdeg (d, 0, 1) into (d, 1, 0)."""
+    return (parent_deg.deg_y == 0 and parent_deg.deg_z == 1
+            and child_deg == Mdeg(parent_deg.deg_x, 1, 0))
+
+
 def replay(root: LocalModel, steps: Sequence[str]) -> LocalModel:
     """Re-apply recorded chart choices; used to audit genealogies."""
     current = root
@@ -509,80 +571,201 @@ def replay(root: LocalModel, steps: Sequence[str]) -> LocalModel:
     return current
 
 
+class _Slot(int):
+    """An exceptional label that stands for its position in label order.
+
+    It formats as a str.format field, so the tokens that the chart functions
+    write for a model labelled by slots are templates over the labels.
+    """
+
+    def __format__(self, spec):
+        return "{%d}" % self
+
+
+class _State:
+    """One distinct canonical state of a resolve call, expanded once.
+
+    charts holds the merged charts as (child _State, x_divisors, det_size,
+    label positions, exponents, multiplicity, token template); position k,
+    one past the parent's k labels, is the fresh label.  nodes and steps
+    count the tree below the state, itself included.
+    """
+
+    __slots__ = ("key", "mdeg", "rule", "relabel", "tag", "fresh", "charts", "descents",
+                 "pending", "nodes", "steps")
+
+    def __init__(self, key: tuple, mdeg: Mdeg):
+        self.key = key
+        self.mdeg = mdeg
+        if mdeg.deg_x <= 1 or (mdeg.deg_y == 0 and mdeg.deg_z == 0):  # resolved: a leaf
+            self.rule = None
+            self.charts = ()
+            self.nodes, self.steps = 1, 0
+        else:
+            self.charts = None  # not expanded yet
+            self.nodes = None  # subtree not counted yet
+
+
+def _expand(node: _State, policy: Policy, memo: dict) -> None:
+    """Select and apply the rule of one unresolved state, merge its charts
+    and check the nerve facts and the descent of every chart."""
+    xs, m, exps = node.key
+    slots = tuple(map(_Slot, range(len(exps) + 1)))
+    fresh = slots[-1]
+    model = _model(xs, m, tuple(zip(slots, exps)), (), node.mdeg)
+    name, _ = rule = select_rule(model, policy)
+    charts = _rule_charts(model, rule, policy, fresh)
+    parent_deg = node.mdeg
+    merged: dict[tuple, list] = {}
+    descents, pending = [], []
+    kept = uses_fresh = False
+    for x, cm, f, token in charts:
+        key = (x, cm, f)
+        if key in merged:  # an identical chart: one more multiplicity
+            merged[key][5] += 1
+            continue
+        if not x <= xs:
+            raise ResolutionCheckError("child x-index set escapes the parent's")
+        kept = kept or x == xs
+        positions, exps_c = tuple(zip(*f)) or ((), ())
+        uses_fresh = uses_fresh or fresh in positions
+        state = (x, cm, exps_c)
+        child = memo.get(state)
+        if child is None:
+            child = memo[state] = _State(state, Mdeg(len(x), cm, sum(exps_c)))
+        if child.nodes is None:
+            pending.append(child)
+        merged[key] = [child, x, cm, positions, exps_c, 1, token]
+        descents.append((parent_deg, child.mdeg))
+    if not kept:
+        raise ResolutionCheckError("no child preserves the parent's x-index set")
+    if name == "normalize":
+        if len(descents) != 1 or not _relabel_shape(*descents[0]):
+            raise ResolutionCheckError(f"normalize on {node.key}: unexpected relabel shape")
+    else:
+        for _, child_deg in descents:
+            if not child_deg < parent_deg:
+                raise ResolutionCheckError(
+                    f"{name} on {node.key}: mdeg {child_deg} does not descend below {parent_deg}"
+                )
+    node.rule = name
+    node.relabel = name == "normalize"
+    node.tag = charts[0][3].split("/")[0]
+    node.fresh = uses_fresh
+    node.descents = tuple(descents)
+    node.charts = tuple(merged.values())
+    node.pending = pending
+
+
+def _count(node: _State) -> None:
+    """The tree size below an expanded state whose children are counted;
+    a relabel step must be followed by a step below the relabelled degree."""
+    if node.relabel:
+        (child, *_), = node.charts
+        if child.rule is not None and not all(g < node.mdeg for _, g in child.descents):
+            raise ResolutionCheckError("relabel composite fails to descend")
+    nodes = steps = 1
+    for c in node.charts:
+        nodes += c[0].nodes
+        steps += c[0].steps
+    node.nodes, node.steps = nodes, steps
+
+
+def _expand_all(states: Sequence[tuple], policy: Policy, max_steps: Optional[int]) -> dict:
+    """The memo of every state below the given ones, each expanded and
+    counted once, depth first."""
+    memo: dict[tuple, _State] = {}
+    expanded = 0
+    for state in states:
+        if state in memo:
+            continue  # counted below an earlier root
+        memo[state] = top = _State(state, Mdeg(len(state[0]), state[1], sum(state[2])))
+        stack = [top] if top.nodes is None else []
+        while stack:
+            node = stack[-1]
+            if node.charts is None:
+                _expand(node, policy, memo)
+                expanded += 1
+                # every expanded state is at least one step of the tree
+                if max_steps is not None and expanded > max_steps:
+                    raise ResolutionError(f"step budget {max_steps} exhausted")
+            pending = node.pending
+            while pending and pending[-1].nodes is not None:
+                pending.pop()
+            if not pending:
+                _count(node)
+                stack.pop()
+            elif pending[-1].charts is None:
+                stack.append(pending[-1])
+            else:  # expanded but not counted: on the stack
+                raise ResolutionCheckError("the rules return to a state they left")
+    return memo
+
+
 def resolve(
     roots: Sequence[LocalModel],
     policy: Policy = Policy(),
     max_steps: Optional[int] = None,
 ) -> ResolutionTrace:
-    """Worklist resolution with a termination certificate.
+    """Breadth-first resolution with a termination certificate.
 
     Identical sibling charts are merged with multiplicities (the chart
-    count is preserved in the reported leaf count).  Every step verifies
-    the two local facts that keep the nerve of the live x-index sets
-    constant: every child's index set is contained in the parent's, and
-    some child keeps the parent's index set.  The nerve itself is recorded
-    twice, as the closure of the roots' and of the leaves' index sets.
+    count is preserved in the reported leaf count).  Each distinct
+    canonical state is expanded and checked once: every child's index set
+    is contained in the parent's, some child keeps the parent's index set,
+    and every chart descends (a relabel, compositely with the next step).
+    Those facts keep the nerve of the live x-index sets constant; the nerve
+    itself is recorded twice, as the closure of the roots' and of the
+    leaves' index sets.
+
+    The tree is then built breadth first by relabelling the memo.  A fresh
+    label is one past every label used so far in the call, so nodes,
+    labels and genealogies are those of the worklist that expands every
+    node.  The step budget and MAX_TREE_NODES are checked against the
+    exact tree size before any node is built.
     """
     if not roots:
         raise ResolutionError("no roots given")
-    nodes: list[TraceNode] = []
+    states = [(r.x_divisors, r.det_size, tuple(a for _, a in r.exceptional)) for r in roots]
+    memo = _expand_all(states, policy, max_steps)
+    tops = [memo[s] for s in states]
+    total_steps = sum(t.steps for t in tops)
+    if max_steps is not None and total_steps > max(max_steps, 0):
+        raise ResolutionError(f"step budget {max_steps} exhausted")
+    total_nodes = sum(t.nodes for t in tops)
+    if total_nodes > MAX_TREE_NODES:
+        raise ResolutionError(
+            f"the resolution tree has {total_nodes} nodes, more than the bound of "
+            f"{MAX_TREE_NODES}"
+        )
+    nodes = [TraceNode(i, r, 1, None) for i, r in enumerate(roots)]
+    # only unresolved nodes are queued: leaves take no step and fresh no label
+    queue = deque((i, t, tuple(j for j, _ in r.exceptional))
+                  for i, (r, t) in enumerate(zip(roots, tops)) if t.rule is not None)
+    fresh = max((j for r in roots for j, _ in r.exceptional), default=0) + 1
     steps: list[TraceStep] = []
-    for r in roots:
-        nodes.append(TraceNode(len(nodes), r, 1, None))
-    fresh = max(
-        (j for r in roots for j, _ in r.exceptional), default=0
-    ) + 1
-    leaf_sets = set()
-    queue = deque(n.node_id for n in nodes)
-    counter = 0
     while queue:
-        node_id = queue.popleft()
-        model = nodes[node_id].model
-        rule = select_rule(model, policy, counter)
-        if rule is None:
-            leaf_sets.add(model.x_divisors)
-            continue
-        if max_steps is not None and len(steps) >= max_steps:
-            raise ResolutionError(f"step budget {max_steps} exhausted")
-        name, detail = rule
-        charts = apply_rule(model, rule, policy, counter, fresh_label=fresh)
-        if name in ("detres", "monres-1"):
-            if any(j == fresh for c in charts for j, _ in c.exceptional):
-                fresh += 1
-        counter += 1
-        parent_deg = model.mdeg()
-        parent_set = model.x_divisors
-        merged: dict[tuple, tuple[LocalModel, int]] = {}
-        for c in charts:
-            if not c.x_divisors <= parent_set:
-                raise ResolutionCheckError("child x-index set escapes the parent's")
-            key = c.state()
-            if key in merged:
-                merged[key] = (merged[key][0], merged[key][1] + 1)
-            else:
-                merged[key] = (c, 1)
-        if not any(c.x_divisors == parent_set for c, _ in merged.values()):
-            raise ResolutionCheckError("no child preserves the parent's x-index set")
-        child_ids = []
-        descents = []
-        parent_mult = nodes[node_id].multiplicity
-        for c, mult in merged.values():
-            node = TraceNode(len(nodes), c, mult * parent_mult, node_id)
-            nodes.append(node)
-            child_ids.append(node.node_id)
-            descents.append((parent_deg, c.mdeg()))
-            queue.append(node.node_id)
-        steps.append(TraceStep(
-            len(steps), node_id, name,
-            charts[0].genealogy[-1].split("/")[0] if charts and charts[0].genealogy else name,
-            tuple(child_ids), tuple(descents), name == "normalize",
-        ))
-    snapshots = (closure(r.x_divisors for r in roots), closure(leaf_sets))
-    trace = ResolutionTrace(tuple(range(len(roots))), tuple(nodes), tuple(steps), snapshots)
-    if not trace.all_resolved():
-        raise ResolutionCheckError("worklist drained with unresolved leaves")
-    trace.verify_certificate()
-    return trace
+        node_id, state, labels = queue.popleft()
+        names = labels + (fresh,)
+        if state.fresh:
+            fresh += 1
+        name_at = names.__getitem__
+        parent = nodes[node_id]
+        genealogy, multiplicity = parent.model.genealogy, parent.multiplicity
+        first = len(nodes)
+        for child, x, m, positions, exps, mult, token in state.charts:
+            child_labels = tuple(map(name_at, positions))
+            model = _model(x, m, tuple(zip(child_labels, exps)),
+                           genealogy + (token.format(*names),), child.mdeg)
+            if child.rule is not None:
+                queue.append((len(nodes), child, child_labels))
+            nodes.append(_node(len(nodes), model, mult * multiplicity, node_id))
+        steps.append(_step(len(steps), node_id, state.rule, state.tag.format(*names),
+                           tuple(range(first, len(nodes))), state.descents, state.relabel))
+    leaf_sets = {s[0] for s, e in memo.items() if e.rule is None}
+    snapshots = (closure(r.x_divisors for r in roots),
+                 closure(sorted(leaf_sets, key=len, reverse=True)))
+    return ResolutionTrace(tuple(range(len(roots))), tuple(nodes), tuple(steps), snapshots)
 
 
 def embed_snc(model: SncModel) -> list[LocalModel]:

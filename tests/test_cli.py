@@ -233,6 +233,18 @@ def test_coordinate_digit_bound(inputs, capsys):
         assert code == 0 and "Traceback" not in captured.err, (argv, captured.err)
 
 
+def test_resolution_tree_bound_exits_2(inputs, capsys):
+    # the tree of I = 1..6, m = 3 has 1,857,222 nodes: the memo of its 7,892
+    # distinct states counts them, and the tree is refused before it is built
+    path = write(inputs["tmp"], "six.json", {"I": [1, 2, 3, 4, 5, 6], "m": 3})
+    start = time.perf_counter()
+    code = main(["resolve", "run", path])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 5
+    assert (code, captured.out) == (2, "")
+    assert "1857222 nodes, more than the bound of 1000000" in captured.err
+
+
 def test_input_errors_exit_2(inputs, capsys, monkeypatch):
     assert run_cli("homology", "/nonexistent.json", capsys=capsys)[0] == 2
     assert run_cli("voronoi", "build", inputs["bad"], capsys=capsys)[0] == 2
@@ -419,7 +431,8 @@ def _refuse_closure(vc, parasitic):
 
 
 def _escaping_mult2(model, i1=None):
-    return [model._with(x_divisors=model.x_divisors | {99}, det_size=0, step="binres(1)/y")]
+    # a multiplicity-2 chart function whose chart adds an x-divisor
+    return [(model.x_divisors | {99}, 0, model.exceptional, "binres(1)/y")]
 
 
 @pytest.mark.parametrize(
@@ -429,7 +442,7 @@ def _escaping_mult2(model, i1=None):
          "dual complex is not isomorphic"),
         (voronoi, "_check_intersection_closure", _refuse_closure,
          ("voronoi", "classify", "triangle"), "intersection closure refused"),
-        (resolution, "step_mult2", _escaping_mult2, ("resolve", "run", "node"),
+        (resolution, "_mult2", _escaping_mult2, ("resolve", "run", "node"),
          "child x-index set escapes"),
     ],
     ids=["dual_isomorphism", "intersection_closure", "resolver_nerve"],

@@ -3,7 +3,10 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tree_resolver
 from corpus import TRIANGLE_SITES, TWO_SITES_1D
 from snclab.complexes import closure
 from snclab.resolution import (
@@ -64,6 +67,15 @@ def test_is_resolved_examples():
     assert not LocalModel.build([1, 2], 1).is_resolved()
 
 
+def test_mdeg_is_computed_once_and_left_out_of_equality():
+    model = LocalModel.build([2, 1], 1, [(7, 3), (4, 1)])
+    assert model.mdeg() is model.mdeg()
+    assert model.mdeg() == Mdeg(2, 1, 4)
+    twin = LocalModel.build([1, 2], 1, [(4, 1), (7, 3)])
+    assert model == twin and hash(model) == hash(twin)
+    assert "mdeg" not in repr(model)
+
+
 def test_model_validation():
     with pytest.raises(ResolutionError):
         LocalModel.build([1], -1)
@@ -88,6 +100,9 @@ def test_determinantal_errors():
         step_determinantal(LocalModel.build([1, 2], 1), (1, 2))
     with pytest.raises(ResolutionError):
         step_determinantal(LocalModel.build([1, 2], 2), (1, 3))
+    # a fresh divisor is larger than every label in use
+    with pytest.raises(ResolutionError, match="fresh label"):
+        step_determinantal(LocalModel.build([1, 2], 2, [(5, 1)]), (1, 2), fresh_label=3)
 
 
 def test_monomial_step1_drops_zero_exponents():
@@ -317,6 +332,48 @@ def test_embed_snc_double_curves_get_the_node():
     assert set(trace.final_nerve()) == {
         frozenset(s) for s in ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2})
     }
+
+
+# the most exceptional divisors drawn for an (|I|, m) whose trees grow
+# large, so that one example stays under about 20,000 nodes
+MAX_DIVISORS = {(3, 3): 3, (4, 0): 3, (4, 1): 2, (4, 2): 2, (4, 3): 0}
+
+
+@st.composite
+def root_lists(draw):
+    roots = []
+    for _ in range(draw(st.integers(1, 3))):
+        xs = draw(st.sets(st.integers(1, 99), max_size=4))
+        m = draw(st.integers(0, 3))
+        k = draw(st.integers(0, MAX_DIVISORS.get((len(xs), m), 4)))
+        labels = draw(st.lists(st.integers(1, 999), min_size=k, max_size=k, unique=True))
+        exponents = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+        roots.append(LocalModel.build(xs, m, zip(labels, exponents)))
+    return roots
+
+
+def _assert_matches_tree_oracle(roots, policy=Policy()):
+    trace = resolve(roots, policy)
+    expected = tree_resolver.resolve(roots, policy)
+    assert trace == expected
+    assert trace.to_json() == expected.to_json()
+    return trace
+
+
+@settings(max_examples=80)
+@given(root_lists(), st.one_of(st.none(), st.integers(0, 50)))
+def test_memoised_resolver_matches_tree_oracle(roots, seed):
+    trace = _assert_matches_tree_oracle(roots, Policy(seed))
+    # the budget is compared with the exact step count
+    assert resolve(roots, Policy(seed), max_steps=len(trace.steps)) == trace
+    if trace.steps:
+        with pytest.raises(ResolutionError, match="budget"):
+            resolve(roots, Policy(seed), max_steps=len(trace.steps) - 1)
+
+
+def test_memoised_resolver_matches_tree_oracle_on_box():
+    for model in BOX[::7]:
+        _assert_matches_tree_oracle([model])
 
 
 def test_validate_determinantal_profile():
