@@ -6,13 +6,16 @@ point and basis as Fractions, and compares and hashes by a canonical key
 `row_reduce`, the one elimination routine), computed once per object.
 Substituting an integer row into its parameters is integer arithmetic,
 through one cached integer form (a common denominator, an integer point
-and integer basis rows); it meets a hyperplane by `cut`, one such substitution and no
-solve: the Voronoi enumeration makes one per (J, k), and `intersect`
-folds them.  The feasibility engine is Fourier-Motzkin elimination over
-mixed strict and non-strict inequalities on primitive integer rows;
-Fractions appear only in its back-substituted witness.  That is enough
-for the desk scales targeted here (a handful of variables, tens of
-constraints).
+and integer basis rows); it meets a hyperplane by `cut`, given the
+hyperplane's row in its parameters, with no solve: the Voronoi
+enumeration cuts out each H(J + k) so, and `intersect` folds cuts.  The
+feasibility engine is Fourier-Motzkin elimination over mixed strict and
+non-strict inequalities on primitive integer rows, one routine for both
+entry points: `feasible` answers in integers alone, deciding the last
+variable by comparing its tightest bounds as integer pairs, and
+`feasible_point` goes on to back-substitute a witness, the only place it
+makes Fractions.  That is enough for the desk scales targeted here (a
+handful of variables, tens of constraints).
 """
 
 from __future__ import annotations
@@ -258,20 +261,21 @@ class Constraint:
         )
 
 
-def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[Vector]:
-    """A rational point satisfying every constraint, or None.
-
-    Fourier-Motzkin elimination (Schrijver, Theory of Linear and Integer
-    Programming, 1986, section 12.2); strictness propagates through
-    combined constraints.  Each row [a | b] is kept as the primitive integer
-    row of its class up to positive scale (`primitive`), so the elimination
-    runs on integers and combined rows are deduplicated on that row.
-    Witnesses are reconstructed in Fractions by back-substitution, last
-    variable first, picking midpoints (or unit offsets for one-sided
-    bounds); each bound b / a is unchanged by the scale of its row.
-    """
+def _eliminate(
+    constraints: Sequence[Constraint], nvars: int
+) -> Optional[list[list[tuple[tuple[int, ...], bool]]]]:
+    """Fourier-Motzkin elimination (Schrijver, Theory of Linear and Integer
+    Programming, 1986, section 12.2) of variables 0..nvars-2: levels[k]
+    holds the rows over variables k.., or None when the system is
+    infeasible.  Each row [a | b] is kept as the primitive integer row of
+    its class up to positive scale (`primitive`), so the elimination runs
+    on integers and combined rows are deduplicated on that row; strictness
+    propagates through combined rows.  The last level bounds the last
+    variable alone, and the system is feasible when its other rows hold and
+    its tightest lower bound lies below its tightest upper bound, or on it
+    when neither is strict; a bound is an integer pair (p, q), q > 0."""
     levels = [[(primitive((*c.coeffs, c.rhs)), c.strict) for c in constraints]]
-    for k in range(nvars):
+    for k in range(nvars - 1):
         uppers, lowers = [], []
         new: dict[tuple[int, ...], bool] = {}
         for row, strict in levels[-1]:
@@ -291,9 +295,47 @@ def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[Ve
                 row = tuple(x // g for x in combined) if g > 1 else tuple(combined)
                 new[row] = new.get(row, False) or lo_strict or up_strict
         levels.append(list(new.items()))
+    lower = upper = None  # (p, q, strict): the bound p / q, q > 0
     for row, strict in levels[-1]:
-        if row[-1] < 0 or (strict and row[-1] == 0):
+        a, b = row[nvars - 1] if nvars else 0, row[-1]
+        if a == 0:
+            if b < 0 or (strict and b == 0):
+                return None
+        elif a > 0:  # x <= b / a
+            if upper is None or b * upper[1] < upper[0] * a or (
+                strict and b * upper[1] == upper[0] * a
+            ):
+                upper = (b, a, strict)
+        else:  # x >= -b / -a
+            p, q = -b, -a
+            if lower is None or p * lower[1] > lower[0] * q or (
+                strict and p * lower[1] == lower[0] * q
+            ):
+                lower = (p, q, strict)
+    if lower is not None and upper is not None:
+        gap = upper[0] * lower[1] - lower[0] * upper[1]
+        if gap < 0 or (gap == 0 and (lower[2] or upper[2])):
             return None
+    return levels
+
+
+def feasible(constraints: Sequence[Constraint], nvars: int) -> bool:
+    """Whether some rational point satisfies every constraint: the
+    elimination of `feasible_point` without its witness."""
+    return _eliminate(constraints, nvars) is not None
+
+
+def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[Vector]:
+    """A rational point satisfying every constraint, or None.
+
+    The witness is reconstructed from `_eliminate`'s levels in Fractions by
+    back-substitution, last variable first, picking midpoints (or unit
+    offsets for one-sided bounds); each bound b / a is unchanged by the
+    scale of its row.
+    """
+    levels = _eliminate(constraints, nvars)
+    if levels is None:
+        return None
     values: list[Fraction] = [Fraction(0)] * nvars
     for k in range(nvars - 1, -1, -1):
         lo_bound = None

@@ -37,6 +37,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .complexes import DeltaComplex, closure, from_simplices
@@ -402,6 +403,11 @@ class ResolutionTrace:
     snapshots: tuple[frozenset, ...]
 
     def leaves(self) -> tuple[TraceNode, ...]:
+        return self._leaves
+
+    @cached_property
+    def _leaves(self) -> tuple[TraceNode, ...]:
+        """The nodes that take no step, found once per trace."""
         stepped = {s.node for s in self.steps}
         return tuple(n for n in self.nodes if n.node_id not in stepped)
 

@@ -5,17 +5,26 @@ d(x, y_i) <= d(x, y_j) iff 2(y_j - y_i) . x <= |y_j|^2 - |y_i|^2, so every
 face is cut out by rational equalities and strict inequalities and its
 existence is a Fourier-Motzkin feasibility question.  Over the sites'
 common denominator L (y = Y / L) that row times L^2 is the integer row
-2L(Y_j - Y_i) . x <= |Y_j|^2 - |Y_i|^2, the one bisector table a site set
-keeps, so substitution and elimination run on integers; Fractions are
-made only for the sites, each H(J)'s stored point and basis, and the
-face witnesses.  Faces are keyed by the set J of sites attaining
-equality; the equidistance locus of J is the affine subspace H(J).
+2L(Y_j - Y_i) . x <= |Y_j|^2 - |Y_i|^2, read off the site set's lifted
+sites (|Y|^2, 2L Y).  Faces are keyed by the set J of sites attaining equality; the
+equidistance locus of J is the affine subspace H(J).
+
+On a subspace, by the lifting map (Edelsbrunner & Seidel, "Voronoi
+diagrams and arrangements", 1986), each site's squared distance is an
+affine function of the subspace's parameters, its integer profile
+(`SiteSet.profiles`), and the bisector of sites i and k is profile k
+minus profile i.  The face test, the cuts and the arrangement's distance
+classes all read the profiles, computed once per H(J), so the face
+lattice is decided in integers: on a point H(J) by comparing profiles,
+elsewhere by integer Fourier-Motzkin (`feasible`).  Fractions are made
+only for the sites and each H(J)'s stored point and basis, and for a
+face's witness, which is computed when first read.
 
 Face enumeration visits only the index sets with non-empty H(J): since
 H(J + k) is H(J) cut by the bisector of min(J) and k, each such J is
 extended level by level by one site at a time and dropped as soon as that
-bisector misses H(J).  The work is one substitution per (J, k), no solve:
-the substituted bisector is both the face test's inequality and the cut.
+bisector misses H(J).  No solve is needed: the bisector row read off the
+profiles is both the face test's inequality and the cut.
 
 The subspace classification and the SNC gluing read the complex's
 `SubspaceArrangement`, built on first use, which answers incidence from
@@ -30,10 +39,11 @@ run for every cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 from math import lcm
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from .complexes import ComplexError, DeltaComplex, build_complex, nerve_cells
@@ -43,6 +53,7 @@ from .qlinalg import (
     Constraint,
     Vector,
     dot,
+    feasible,
     feasible_point,
     solve_affine,
     vec,
@@ -112,15 +123,13 @@ class SiteSet:
         return scale, tuple(tuple(int(c * scale) for c in s) for s in self.sites)
 
     @cached_property
-    def _bisectors(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    def _lifted(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """For the sites Y / L of `integer_sites`: every |Y|^2, and the
+        vectors 2L Y as one column per coordinate."""
         scale, points = self.integer_sites
-        norms = [sum(c * c for c in y) for y in points]
-        return tuple(
-            tuple(
-                (tuple(2 * scale * (cj - ci) for ci, cj in zip(yi, yj)), norms[j] - norms[i])
-                for j, yj in enumerate(points)
-            )
-            for i, yi in enumerate(points)
+        return (
+            tuple(sum(c * c for c in y) for y in points),
+            tuple(tuple(2 * scale * c for c in column) for column in zip(*points)),
         )
 
     def bisector(self, i: int, j: int) -> tuple[tuple[int, ...], int]:
@@ -128,10 +137,32 @@ class SiteSet:
         `integer_sites`: a.x <= b exactly when x is at least as close to i
         as to j (the rational row 2(y_j - y_i).x <= |y_j|^2 - |y_i|^2 times
         L^2)."""
-        return self._bisectors[i][j]
+        norms, columns = self._lifted
+        return tuple(c[j] - c[i] for c in columns), norms[j] - norms[i]
 
     def cell_halfspaces(self, i: int) -> list[tuple[tuple[int, ...], int]]:
         return [self.bisector(i, j) for j in range(len(self.sites)) if j != i]
+
+    def profiles(self, span: AffineSubspace) -> list[tuple[int, ...]]:
+        """Each site's squared distance as an affine function on span, in
+        integers.  At x = (P + B u) / D (`integer_form`) and y = Y / L,
+        D L^2 (|x - y|^2 - |x|^2) = c - l.u with c = D |Y|^2 - 2L P.Y and
+        l = 2L B^T Y; a site's profile is (c, *l).  Two sites are
+        equidistant on all of span iff their profiles agree, and x is at
+        least as close to site i as to site k iff (l_k - l_i).u <= c_k - c_i,
+        which is `Constraint(*bisector(i, k)).substitute(span)`, integer for
+        integer."""
+        den, anchor, basis = span.integer_form
+        norms, columns = self._lifted
+
+        def dots(v: tuple[int, ...]) -> Iterable[int]:
+            # v . 2L Y for every site, a coordinate column at a time
+            total: Iterable[int] = repeat(0)
+            for x, column in zip(v, columns):
+                total = map(add, total, map(x.__mul__, column))
+            return total
+
+        return list(zip(map(sub, map(den.__mul__, norms), dots(anchor)), *map(dots, basis)))
 
     def nearest_set(self, x: Sequence) -> frozenset[int]:
         p = vec(x)
@@ -163,14 +194,31 @@ def _lattice_order(j_set: frozenset[int]) -> tuple[int, list[int]]:
     return len(j_set), sorted(j_set)
 
 
+def _face_rows(
+    profiles: Sequence[tuple[int, ...]], indices: Sequence[int]
+) -> dict[int, Constraint]:
+    """The face test of H(J), J = indices sorted: for each site k outside J
+    in ascending order, the strict row (l_k - l_i).u < c_k - c_i with i =
+    min(J), i.e. the bisector of i and k substituted into H(J)."""
+    c_i, *l_i = profiles[indices[0]]
+    return {
+        k: Constraint(tuple(map(sub, l_k, l_i)), c_k - c_i, strict=True)
+        for k, (c_k, *l_k) in enumerate(profiles)
+        if k not in indices
+    }
+
+
 @dataclass(frozen=True)
 class VoronoiFace:
-    """A face of the complex: sites J attaining the minimum, span, witness."""
+    """A face of the complex: sites J attaining the minimum and their span.
+
+    Equality and hashing read J, the span and the ambient dimension, not the
+    site set or the witness, which is computed when first read."""
 
     sites: frozenset[int]
     span: AffineSubspace
-    witness: Vector
     ambient_dim: int
+    site_set: SiteSet = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -179,6 +227,15 @@ class VoronoiFace:
     @property
     def codim(self) -> int:
         return self.ambient_dim - self.span.dim
+
+    @cached_property
+    def witness(self) -> Vector:
+        """A point whose nearest-site set is J: the span's point, or the
+        span at Fourier-Motzkin's witness of the face test's rows."""
+        if not self.span.basis:
+            return self.span.point
+        rows = _face_rows(self.site_set.profiles(self.span), sorted(self.sites))
+        return self.span.parametrize(feasible_point(list(rows.values()), self.span.dim))
 
 
 @dataclass(frozen=True)
@@ -239,18 +296,21 @@ class VoronoiComplex:
 def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
     """Build the full face lattice, visiting only the J with non-empty H(J).
 
-    Level by level, each sorted J with non-empty H(J) substitutes the
-    integer bisector of min(J) and each k outside J into H(J)'s parameters,
-    once per (J, k), by integer dot products against H(J)'s integer form.
-    Made strict, these are the face test; for k > max(J) the same
-    substitution cuts out H(J + k) (`AffineSubspace.cut`), which visits the
-    index sets in `combinations` order.  Nothing is solved, and since each
-    cut keeps `solve_affine`'s echelon form, H(J) equals
-    `equidistance_subspace` point for point.  Fractions are made only for
-    each H(J)'s stored point and basis and for the face witnesses.
+    Level by level, each sorted J with non-empty H(J) computes its sites'
+    integer profiles once (`SiteSet.profiles`); row k of the face test and
+    the cut for H(J + k) are profile k minus profile min(J), so nothing is
+    solved and nothing is substituted.  For k > max(J) that row cuts out
+    H(J + k) (`AffineSubspace.cut`), which visits the index sets in
+    `combinations` order; since each cut keeps `solve_affine`'s echelon
+    form, H(J) equals `equidistance_subspace` point for point.  Fractions
+    are made only for each H(J)'s stored point and basis.
 
-    A face exists for J exactly when some point has nearest-site set J: the
-    test runs Fourier-Motzkin on the strict inequalities.
+    A face exists for J exactly when some point has nearest-site set J.  On
+    a point H(J) that is read off the profiles: the sites of J share one
+    profile, and every other site's must be larger; a child H(J + k) is the
+    same point when site k shares it.  On a larger H(J) the strict rows go
+    to `feasible`, integer Fourier-Motzkin without a witness; each face's
+    witness is computed only when read (`VoronoiFace.witness`).
     """
     n = len(site_set)
     faces: dict[frozenset[int], VoronoiFace] = {}
@@ -262,19 +322,21 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
             key = frozenset(indices)
             if len(indices) >= 2:
                 subspaces[key] = span
-            cuts = {
-                k: Constraint(*site_set.bisector(indices[0], k), strict=True).substitute(span)
-                for k in range(n)
-                if k not in indices
-            }
-            witness_params = feasible_point(list(cuts.values()), span.dim)
-            if witness_params is not None:
-                witness = span.parametrize(witness_params)
-                faces[key] = VoronoiFace(key, span, witness, site_set.dim)
-            for k in range(indices[-1] + 1, n):
-                child = span.cut(cuts[k])
-                if child is not None:
-                    extended.append((indices + (k,), child))
+            profiles = site_set.profiles(span)
+            later = range(indices[-1] + 1, n)
+            if span.basis:
+                rows = _face_rows(profiles, indices)
+                is_face = feasible(list(rows.values()), span.dim)
+                children = [(k, span.cut(rows[k])) for k in later]
+            else:
+                # the sites of J share a profile: a face when no other site
+                # has it and none has a smaller one
+                least = profiles[indices[0]]
+                is_face = profiles.count(least) == len(indices) and min(profiles) == least
+                children = [(k, span) for k in later if profiles[k] == least]
+            if is_face:
+                faces[key] = VoronoiFace(key, span, site_set.dim, site_set)
+            extended.extend((indices + (k,), child) for k, child in children if child is not None)
         level = extended
     return VoronoiComplex(site_set, faces, subspaces)
 
@@ -379,19 +441,10 @@ class SubspaceReport:
 
 
 def _distance_classes(sites: SiteSet, span: AffineSubspace) -> tuple[frozenset[int], ...]:
-    """The sites grouped by their squared distance as a function on span.
-
-    At x = p + B u, |x - y|^2 - |x|^2 = |y|^2 - 2 p.y - 2 (B^T y).u; with
-    y = Y / L and (p, B) = (P, B') / D (`integer_form`) these affine
-    functions of u are compared as (D |Y|^2 - 2 L P.Y, B'^T Y)."""
-    scale, points = sites.integer_sites
-    den, anchor, basis = span.integer_form
+    """The sites grouped by their squared distance as a function on span,
+    that is by their profile (`SiteSet.profiles`)."""
     groups: dict[tuple[int, ...], list[int]] = {}
-    for k, y in enumerate(points):
-        profile = (
-            den * sum(c * c for c in y) - 2 * scale * sum(a * c for a, c in zip(anchor, y)),
-            *(sum(b * c for b, c in zip(row, y)) for row in basis),
-        )
+    for k, profile in enumerate(sites.profiles(span)):
         groups.setdefault(profile, []).append(k)
     return tuple(frozenset(g) for g in groups.values())
 

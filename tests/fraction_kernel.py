@@ -1,16 +1,24 @@
-"""The Fraction-only geometry kernel, kept as a test oracle.
+"""Earlier versions of the geometry kernel, kept as test oracles.
 
 `feasible_point` is Fourier-Motzkin elimination with every row normalized
 by the absolute value of its leading coefficient, and `substitute` writes
 a constraint in a subspace's parameters x = p + B u by Fraction dot
 products.  The integer kernel in `snclab.qlinalg` must return exactly the
 same witnesses, and rows equal to these up to a positive scale.
+
+`voronoi_complex` is the enumeration with eager witnesses: every H(J)
+substitutes each bisector of min(J) into its parameters and runs
+Fourier-Motzkin for a witness, point or not.  `snclab.voronoi` must find
+the same faces, spans, subspaces and witnesses.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from snclab.qlinalg import AffineSubspace, Constraint, Vector, dot
+from snclab import qlinalg
+from snclab.qlinalg import AffineSubspace, Constraint, Vector, dot, whole_space
+from snclab.voronoi import SiteSet, VoronoiComplex
 
 
 def substitute(c: Constraint, subspace: AffineSubspace) -> Constraint:
@@ -92,3 +100,51 @@ def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[Ve
         else:
             values[k] = (lo_bound + up_bound) / 2
     return tuple(values)
+
+
+@dataclass(frozen=True)
+class VoronoiFace:
+    """A face with its witness computed when it was built."""
+
+    sites: frozenset[int]
+    span: AffineSubspace
+    witness: Vector
+    ambient_dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.span.dim
+
+    @property
+    def codim(self) -> int:
+        return self.ambient_dim - self.span.dim
+
+
+def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
+    """The face lattice over the J with non-empty H(J), each face's witness
+    found by Fourier-Motzkin as the face is tested."""
+    n = len(site_set)
+    faces: dict[frozenset[int], VoronoiFace] = {}
+    subspaces: dict[frozenset[int], AffineSubspace] = {}
+    level = [((i,), whole_space(site_set.dim)) for i in range(n)]
+    while level:
+        extended = []
+        for indices, span in level:
+            key = frozenset(indices)
+            if len(indices) >= 2:
+                subspaces[key] = span
+            cuts = {
+                k: Constraint(*site_set.bisector(indices[0], k), strict=True).substitute(span)
+                for k in range(n)
+                if k not in indices
+            }
+            witness_params = qlinalg.feasible_point(list(cuts.values()), span.dim)
+            if witness_params is not None:
+                witness = span.parametrize(witness_params)
+                faces[key] = VoronoiFace(key, span, witness, site_set.dim)
+            for k in range(indices[-1] + 1, n):
+                child = span.cut(cuts[k])
+                if child is not None:
+                    extended.append((indices + (k,), child))
+        level = extended
+    return VoronoiComplex(site_set, faces, subspaces)

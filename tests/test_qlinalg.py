@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_kernel
@@ -11,6 +11,7 @@ from snclab.qlinalg import (
     AffineSubspace,
     Constraint,
     dot,
+    feasible,
     feasible_point,
     nullspace,
     solve_affine,
@@ -155,10 +156,10 @@ def test_randomized_witness_soundness():
 
 @st.composite
 def rational_systems(draw):
-    """1 to 3 variables and up to 8 rows of rational entries, strict and
+    """0 to 3 variables and up to 8 rows of rational entries, strict and
     non-strict, among them all-zero rows and rows repeated up to a positive
     scale."""
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 3))
     entry = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
     rows = draw(st.lists(st.tuples(st.tuples(*[entry] * n), entry, st.booleans()), max_size=6))
     for _ in range(draw(st.integers(0, 8 - len(rows)))):
@@ -179,6 +180,17 @@ def test_integer_feasible_point_is_the_fraction_oracle(drawn):
     witness = feasible_point(system, n)
     assert witness == fraction_kernel.feasible_point(system, n)
     assert witness is None or all(type(x) is F for x in witness)
+
+
+@settings(max_examples=400)
+@given(rational_systems())
+# a lower and an upper bound that meet, one of them strict; a strict 0 < 0
+@example((1, [Constraint((F(-1),), F(0)), Constraint((F(2),), F(0), strict=True)]))
+@example((1, [Constraint((F(-2),), F(-1), strict=True), Constraint((F(1),), F(1, 2))]))
+@example((0, [Constraint((), F(0), strict=True)]))
+def test_feasible_decides_as_the_fraction_oracle(drawn):
+    n, system = drawn
+    assert feasible(system, n) == (fraction_kernel.feasible_point(system, n) is not None)
 
 
 @st.composite

@@ -133,6 +133,10 @@ def test_integer_substitution_is_the_fraction_substitution_scaled():
             rational = Constraint(tuple(2 * (b - a) for a, b in zip(yi, yk)), dot(yk, yk) - dot(yi, yi))
             want = fraction_kernel.substitute(rational, span)
             got = Constraint(*sites.bisector(i, k)).substitute(span)
+            # the same row is profile k minus profile i
+            (c_i, *l_i), (c_k, *l_k) = (sites.profiles(span)[j] for j in (i, k))
+            assert got.coeffs == tuple(b - a for a, b in zip(l_i, l_k))
+            assert got.rhs == c_k - c_i
             factor = scale * scale * span.integer_form[0]
             assert got.coeffs == tuple(factor * x for x in want.coeffs)
             assert got.rhs == factor * want.rhs
@@ -390,7 +394,9 @@ def brute_force_voronoi(sites: SiteSet) -> VoronoiComplex:
             ]
             params = feasible_point(constraints, span.dim)
             if params is not None:
-                faces[key] = VoronoiFace(key, span, span.parametrize(params), sites.dim)
+                faces[key] = fraction_kernel.VoronoiFace(
+                    key, span, span.parametrize(params), sites.dim
+                )
     return VoronoiComplex(sites, faces, subspaces)
 
 
@@ -405,12 +411,15 @@ def _lattice_fields(vc: VoronoiComplex):
 
 # points on the circle x^2 + y^2 = 25
 _CIRCLE = [(5, 0), (0, 5), (-5, 0), (0, -5), (3, 4), (-4, 3), (-3, -4), (4, -3), (4, 3)]
+# points on the sphere x^2 + y^2 + z^2 = 9
+_SPHERE = [(3, 0, 0), (0, 3, 0), (0, 0, -3), (-3, 0, 0), (2, 2, 1), (-2, 1, 2), (1, -2, -2),
+           (2, -1, 2)]
 
 
 @st.composite
 def degenerate_site_sets(draw):
     dim = draw(st.integers(1, 3))
-    shape = draw(st.sampled_from(["random", "grid", "collinear", "cocircular"]))
+    shape = draw(st.sampled_from(["random", "grid", "collinear", "cocircular", "cospherical"]))
     if shape == "grid":
         # squares and cubes: cocircular and cospherical sites
         pool = list(product(range(3), repeat=dim))
@@ -423,6 +432,8 @@ def degenerate_site_sets(draw):
         # that the bisector of a fourth one contains
         height = draw(st.integers(-2, 2))
         pool = [p + (height,) * (dim - 2) for p in _CIRCLE]
+    elif shape == "cospherical" and dim == 3:
+        pool = _SPHERE
     else:
         pool = list(product(range(-3, 4), repeat=dim))
     points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7, unique=True))
@@ -455,3 +466,29 @@ def test_enumeration_solves_only_nonempty_subspaces(monkeypatch):
     vc = voronoi_complex(SiteSet.build(2, sorted(pts)))
     assert vc.subspaces
     assert solves == []
+
+
+@given(degenerate_site_sets())
+@example(SiteSet.build(2, _CIRCLE))
+@example(SiteSet.build(2, list(product(range(3), repeat=2))))
+@example(SiteSet.build(3, list(product(range(2), repeat=3))))
+@example(SiteSet.build(3, _SPHERE))
+def test_lazy_witnesses_match_the_eager_enumeration(sites):
+    # cocircular, grid, cube and cospherical sets above
+    vc = voronoi_complex(sites)
+    assert _lattice_fields(vc) == _lattice_fields(fraction_kernel.voronoi_complex(sites))
+
+
+def test_equal_faces_hash_equal():
+    first = voronoi_complex(STRIP_SITES)
+    again = voronoi_complex(SiteSet.build(2, STRIP_SITES.sites))
+    # a witness read on one side only must not enter equality or hashing
+    for face in first.face_list()[::2]:
+        assert face.witness is face.witness
+    for key, face in first.faces.items():
+        other = again.faces[key]
+        assert face is not other and face.site_set is not other.site_set
+        assert face == other and hash(face) == hash(other)
+    assert set(first.faces.values()) == set(again.faces.values())
+    faces = list(first.faces.values())
+    assert len(set(faces)) == len(faces)
