@@ -102,9 +102,12 @@ def primitive(row: Sequence) -> tuple[int, ...]:
     """The primitive integer row that is a positive multiple of a rational
     (or integer) row: denominators cleared, then the gcd divided out.  The
     zero row stays zero."""
-    den = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*ints)
+    try:  # an integer row, the common case, has nothing to clear
+        g, ints = gcd(*row), row
+    except TypeError:  # a Fraction entry
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
     return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 

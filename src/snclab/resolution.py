@@ -75,7 +75,6 @@ class LocalModel:
     x_divisors: frozenset[int]
     det_size: int
     exceptional: tuple[tuple[int, int], ...] = ()
-    genealogy: tuple[str, ...] = ()
     _mdeg: Mdeg = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -110,11 +109,10 @@ class LocalModel:
                 return a
         return 0
 
-    def _charts(self, charts) -> list["LocalModel"]:
-        """LocalModels for a rule's charts (x_divisors, det_size, exceptional,
-        token), each with the token appended to this model's genealogy."""
-        return [_model(x, m, f, self.genealogy + (token,), Mdeg(len(x), m, sum(a for _, a in f)))
-                for x, m, f, token in charts]
+    def _charts(self, tagged) -> list["LocalModel"]:
+        """LocalModels for the charts of a chart function's (tag, charts)."""
+        _, charts = tagged
+        return [_model(x, m, f, Mdeg(len(x), m, sum(a for _, a in f))) for x, m, f in charts]
 
     def state(self) -> tuple:
         return (self.x_divisors, self.det_size, self.exceptional)
@@ -139,14 +137,13 @@ def _setters(cls) -> tuple:
 _MODEL_SLOTS = _setters(LocalModel)
 
 
-def _model(x_divisors, det_size, exceptional, genealogy, mdeg) -> LocalModel:
+def _model(x_divisors, det_size, exceptional, mdeg) -> LocalModel:
     """A LocalModel from parts already known to be valid, with its mdeg."""
     model = _new(LocalModel)
-    set_x, set_m, set_f, set_g, set_d = _MODEL_SLOTS
+    set_x, set_m, set_f, set_d = _MODEL_SLOTS
     set_x(model, x_divisors)
     set_m(model, det_size)
     set_f(model, exceptional)
-    set_g(model, genealogy)
     set_d(model, mdeg)
     return model
 
@@ -180,9 +177,10 @@ def _without(exceptional, label: int):
     return tuple((j, a) for j, a in exceptional if j != label)
 
 
-# The chart functions check a rule's preconditions and return its charts as
-# (x_divisors, det_size, exceptional, token): labels sorted and distinct,
-# exponents positive.  The step functions wrap them into LocalModels.
+# The chart functions check a rule's preconditions and return (tag, charts):
+# the tag names the rule and its center, the step's detail in a trace, and
+# each chart is (x_divisors, det_size, exceptional), labels sorted and
+# distinct, exponents positive.  The step functions wrap them into LocalModels.
 
 def _determinantal(model: LocalModel, pair: tuple[int, int], fresh_label: Optional[int]):
     i1, i2 = pair
@@ -194,10 +192,8 @@ def _determinantal(model: LocalModel, pair: tuple[int, int], fresh_label: Option
         raise ResolutionError(f"pair {pair} is not a pair of distinct x-divisors")
     w = _fresh(model, fresh_label)
     bumped = _bump(model.exceptional, w, m * m - 2)
-    tag = f"detres({i1},{i2})w{w}"
-    charts = [(xs - {drop}, m, bumped, f"{tag}/x{drop}") for drop in (i1, i2)]
-    charts += [(xs, m - 1, bumped, f"{tag}/y{r}{s}") for r in range(m) for s in range(m)]
-    return charts
+    charts = [(xs - {drop}, m, bumped) for drop in (i1, i2)]
+    return f"detres({i1},{i2})w{w}", charts + [(xs, m - 1, bumped)] * (m * m)
 
 
 def _monomial(model: LocalModel, variant: tuple, pair: Optional[tuple[int, int]],
@@ -216,32 +212,27 @@ def _monomial(model: LocalModel, variant: tuple, pair: Optional[tuple[int, int]]
         if a < 2:
             raise ResolutionError(f"divisor {j} has exponent {a} < 2")
         w = _fresh(model, fresh_label)
-        tag = f"monres-1({j};{i1},{i2})w{w}"
         bumped = _bump(exceptional, w, a - 2)
         lowered = tuple((lbl, a - 2 if lbl == j else e) for lbl, e in exceptional
                         if lbl != j or a > 2)
-        return [(xs - {i1}, m, bumped, f"{tag}/x{i1}"), (xs - {i2}, m, bumped, f"{tag}/x{i2}"),
-                (xs, m, lowered, f"{tag}/z{j}")]
+        return f"monres-1({j};{i1},{i2})w{w}", [(xs - {i1}, m, bumped), (xs - {i2}, m, bumped),
+                                                (xs, m, lowered)]
     if kind == "pair":
         j1, j2 = variant[1], variant[2]
         if model.exponent_of(j1) != 1 or model.exponent_of(j2) != 1 or j1 == j2:
             raise ResolutionError(f"divisors {(j1, j2)} must be distinct with exponent 1")
-        tag = f"monres-2({j1},{j2};{i1},{i2})"
-        return [(xs - {i1}, m, exceptional, f"{tag}/x{i1}"),
-                (xs - {i2}, m, exceptional, f"{tag}/x{i2}"),
-                (xs, m, _without(exceptional, j1), f"{tag}/z{j1}"),
-                (xs, m, _without(exceptional, j2), f"{tag}/z{j2}")]
+        return f"monres-2({j1},{j2};{i1},{i2})", [
+            (xs - {i1}, m, exceptional), (xs - {i2}, m, exceptional),
+            (xs, m, _without(exceptional, j1)), (xs, m, _without(exceptional, j2))]
     if kind == "y_z_pair":
         j = variant[1]
         if m != 1:
             raise ResolutionError("y_z_pair needs det size exactly 1")
         if model.exponent_of(j) != 1:
             raise ResolutionError(f"divisor {j} must have exponent 1")
-        tag = f"monres-3({j};{i1},{i2})"
-        return [(xs - {i1}, m, exceptional, f"{tag}/x{i1}"),
-                (xs - {i2}, m, exceptional, f"{tag}/x{i2}"),
-                (xs, 0, exceptional, f"{tag}/y"),
-                (xs, m, _without(exceptional, j), f"{tag}/z{j}")]
+        return f"monres-3({j};{i1},{i2})", [
+            (xs - {i1}, m, exceptional), (xs - {i2}, m, exceptional),
+            (xs, 0, exceptional), (xs, m, _without(exceptional, j))]
     raise ResolutionError(f"unknown monomial variant {variant!r}")
 
 
@@ -256,14 +247,14 @@ def _mult2(model: LocalModel, i1: Optional[int]):
         i1 = min(xs)
     if i1 not in xs:
         raise ResolutionError(f"unknown x-divisor {i1}")
-    return [(xs - {i1}, 1, (), f"binres({i1})/x{i1}"), (xs, 0, (), f"binres({i1})/y")]
+    return f"binres({i1})", [(xs - {i1}, 1, ()), (xs, 0, ())]
 
 
 def _normalize(model: LocalModel):
     d = model.mdeg()
     if d.deg_y == 0 and d.deg_z == 1:
-        return [(model.x_divisors, 1, (), "normalize")]
-    return []
+        return "normalize", [(model.x_divisors, 1, ())]
+    return "normalize", []
 
 
 def step_determinantal(
@@ -462,20 +453,6 @@ class ResolutionTrace:
                         f"below {parent_deg}"
                     )
 
-    def verify_genealogies(self) -> None:
-        by_id = {n.node_id: n for n in self.nodes}
-        child_of = {}
-        for s in self.steps:
-            for c in s.children:
-                child_of[c] = s.node
-        for n in self.nodes:
-            root = n.node_id
-            while root in child_of:
-                root = child_of[root]
-            replayed = replay(by_id[root].model, n.model.genealogy[len(by_id[root].model.genealogy):])
-            if replayed.state() != n.model.state():
-                raise ResolutionError(f"node {n.node_id} genealogy does not replay")
-
     def to_json_dict(self) -> dict:
         return {
             "roots": list(self.roots),
@@ -542,46 +519,11 @@ def _relabel_shape(parent_deg: Mdeg, child_deg: Mdeg) -> bool:
             and child_deg == Mdeg(parent_deg.deg_x, 1, 0))
 
 
-def replay(root: LocalModel, steps: Sequence[str]) -> LocalModel:
-    """Re-apply recorded chart choices; used to audit genealogies."""
-    current = root
-    for token in steps:
-        rule, _, chart = token.partition("/")
-        name, _, rest = rule.partition("(")
-        args, _, fresh_part = rest.partition(")")
-        fresh = int(fresh_part[1:]) if fresh_part.startswith("w") else None
-        if name == "normalize":
-            current = normalize(current)
-            continue
-        if name == "detres":
-            i1, i2 = (int(x) for x in args.split(","))
-            charts = step_determinantal(current, (i1, i2), fresh)
-        elif name in ("monres-1", "monres-2", "monres-3"):
-            center, _, xpair = args.partition(";")
-            pair = tuple(int(x) for x in xpair.split(",")) if xpair else None
-            if name == "monres-1":
-                charts = step_monomial(current, ("exp>=2", int(center)), pair, fresh)
-            elif name == "monres-2":
-                j1, j2 = (int(x) for x in center.split(","))
-                charts = step_monomial(current, ("pair", j1, j2), pair)
-            else:
-                charts = step_monomial(current, ("y_z_pair", int(center)), pair)
-        elif name == "binres":
-            charts = step_mult2(current, int(args))
-        else:
-            raise ResolutionError(f"cannot replay step {token!r}")
-        matches = [c for c in charts if c.genealogy and c.genealogy[-1] == token]
-        if not matches:
-            raise ResolutionError(f"no chart matches replay token {token!r}")
-        current = matches[0]
-    return current
-
-
 class _Slot(int):
     """An exceptional label that stands for its position in label order.
 
-    It formats as a str.format field, so the tokens that the chart functions
-    write for a model labelled by slots are templates over the labels.
+    It formats as a str.format field, so the tag that a chart function
+    writes for a model labelled by slots is a template over the labels.
     """
 
     def __format__(self, spec):
@@ -592,9 +534,10 @@ class _State:
     """One distinct canonical state of a resolve call, expanded once.
 
     charts holds the merged charts as (child _State, x_divisors, det_size,
-    label positions, exponents, multiplicity, token template); position k,
-    one past the parent's k labels, is the fresh label.  nodes and steps
-    count the tree below the state, itself included.
+    label positions, exponents, multiplicity), and tag the step's detail as
+    a template over the labels; position k, one past the parent's k labels,
+    is the fresh label.  nodes and steps count the tree below the state,
+    itself included.
     """
 
     __slots__ = ("key", "mdeg", "rule", "relabel", "tag", "fresh", "charts", "descents",
@@ -618,14 +561,14 @@ def _expand(node: _State, policy: Policy, memo: dict) -> None:
     xs, m, exps = node.key
     slots = tuple(map(_Slot, range(len(exps) + 1)))
     fresh = slots[-1]
-    model = _model(xs, m, tuple(zip(slots, exps)), (), node.mdeg)
+    model = _model(xs, m, tuple(zip(slots, exps)), node.mdeg)
     name, _ = rule = select_rule(model, policy)
-    charts = _rule_charts(model, rule, policy, fresh)
+    tag, charts = _rule_charts(model, rule, policy, fresh)
     parent_deg = node.mdeg
     merged: dict[tuple, list] = {}
     descents, pending = [], []
     kept = uses_fresh = False
-    for x, cm, f, token in charts:
+    for x, cm, f in charts:
         key = (x, cm, f)
         if key in merged:  # an identical chart: one more multiplicity
             merged[key][5] += 1
@@ -641,7 +584,7 @@ def _expand(node: _State, policy: Policy, memo: dict) -> None:
             child = memo[state] = _State(state, Mdeg(len(x), cm, sum(exps_c)))
         if child.nodes is None:
             pending.append(child)
-        merged[key] = [child, x, cm, positions, exps_c, 1, token]
+        merged[key] = [child, x, cm, positions, exps_c, 1]
         descents.append((parent_deg, child.mdeg))
     if not kept:
         raise ResolutionCheckError("no child preserves the parent's x-index set")
@@ -656,7 +599,7 @@ def _expand(node: _State, policy: Policy, memo: dict) -> None:
                 )
     node.rule = name
     node.relabel = name == "normalize"
-    node.tag = charts[0][3].split("/")[0]
+    node.tag = tag
     node.fresh = uses_fresh
     node.descents = tuple(descents)
     node.charts = tuple(merged.values())
@@ -665,7 +608,9 @@ def _expand(node: _State, policy: Policy, memo: dict) -> None:
 
 def _count(node: _State) -> None:
     """The tree size below an expanded state whose children are counted;
-    a relabel step must be followed by a step below the relabelled degree."""
+    a relabel step must be followed by a step below the relabelled degree.
+    A subtree above MAX_TREE_NODES is refused at once: every tree that
+    holds the state is at least as large."""
     if node.relabel:
         (child, *_), = node.charts
         if child.rule is not None and not all(g < node.mdeg for _, g in child.descents):
@@ -674,7 +619,15 @@ def _count(node: _State) -> None:
     for c in node.charts:
         nodes += c[0].nodes
         steps += c[0].steps
+    _check_tree_bound(nodes)
     node.nodes, node.steps = nodes, steps
+
+
+def _check_tree_bound(nodes: int) -> None:
+    """Refuse a tree known to have at least this many nodes above the bound."""
+    if nodes > MAX_TREE_NODES:
+        raise ResolutionError(f"the resolution tree has at least {nodes} nodes, more than "
+                              f"the bound of {MAX_TREE_NODES}")
 
 
 def _expand_all(states: Sequence[tuple], policy: Policy, max_steps: Optional[int]) -> dict:
@@ -726,9 +679,10 @@ def resolve(
 
     The tree is then built breadth first by relabelling the memo.  A fresh
     label is one past every label used so far in the call, so nodes,
-    labels and genealogies are those of the worklist that expands every
+    labels and step details are those of the worklist that expands every
     node.  The step budget and MAX_TREE_NODES are checked against the
-    exact tree size before any node is built.
+    exact tree size before any node is built, and a subtree above
+    MAX_TREE_NODES stops the call as soon as the memo has counted it.
     """
     if not roots:
         raise ResolutionError("no roots given")
@@ -738,12 +692,7 @@ def resolve(
     total_steps = sum(t.steps for t in tops)
     if max_steps is not None and total_steps > max(max_steps, 0):
         raise ResolutionError(f"step budget {max_steps} exhausted")
-    total_nodes = sum(t.nodes for t in tops)
-    if total_nodes > MAX_TREE_NODES:
-        raise ResolutionError(
-            f"the resolution tree has {total_nodes} nodes, more than the bound of "
-            f"{MAX_TREE_NODES}"
-        )
+    _check_tree_bound(sum(t.nodes for t in tops))
     nodes = [TraceNode(i, r, 1, None) for i, r in enumerate(roots)]
     # only unresolved nodes are queued: leaves take no step and fresh no label
     queue = deque((i, t, tuple(j for j, _ in r.exceptional))
@@ -756,13 +705,11 @@ def resolve(
         if state.fresh:
             fresh += 1
         name_at = names.__getitem__
-        parent = nodes[node_id]
-        genealogy, multiplicity = parent.model.genealogy, parent.multiplicity
+        multiplicity = nodes[node_id].multiplicity
         first = len(nodes)
-        for child, x, m, positions, exps, mult, token in state.charts:
+        for child, x, m, positions, exps, mult in state.charts:
             child_labels = tuple(map(name_at, positions))
-            model = _model(x, m, tuple(zip(child_labels, exps)),
-                           genealogy + (token.format(*names),), child.mdeg)
+            model = _model(x, m, tuple(zip(child_labels, exps)), child.mdeg)
             if child.rule is not None:
                 queue.append((len(nodes), child, child_labels))
             nodes.append(_node(len(nodes), model, mult * multiplicity, node_id))

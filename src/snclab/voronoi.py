@@ -140,9 +140,6 @@ class SiteSet:
         norms, columns = self._lifted
         return tuple(c[j] - c[i] for c in columns), norms[j] - norms[i]
 
-    def cell_halfspaces(self, i: int) -> list[tuple[tuple[int, ...], int]]:
-        return [self.bisector(i, j) for j in range(len(self.sites)) if j != i]
-
     def profiles(self, span: AffineSubspace) -> list[tuple[int, ...]]:
         """Each site's squared distance as an affine function on span, in
         integers.  At x = (P + B u) / D (`integer_form`) and y = Y / L,
@@ -195,14 +192,15 @@ def _lattice_order(j_set: frozenset[int]) -> tuple[int, list[int]]:
 
 
 def _face_rows(
-    profiles: Sequence[tuple[int, ...]], indices: Sequence[int]
+    profiles: Sequence[tuple[int, ...]], indices: Sequence[int], strict: bool = True
 ) -> dict[int, Constraint]:
     """The face test of H(J), J = indices sorted: for each site k outside J
     in ascending order, the strict row (l_k - l_i).u < c_k - c_i with i =
-    min(J), i.e. the bisector of i and k substituted into H(J)."""
+    min(J), i.e. the bisector of i and k substituted into H(J).  With
+    strict=False and J = (i,) the rows cut out the closed cell of i."""
     c_i, *l_i = profiles[indices[0]]
     return {
-        k: Constraint(tuple(map(sub, l_k, l_i)), c_k - c_i, strict=True)
+        k: Constraint(tuple(map(sub, l_k, l_i)), c_k - c_i, strict)
         for k, (c_k, *l_k) in enumerate(profiles)
         if k not in indices
     }
@@ -251,10 +249,6 @@ class VoronoiComplex:
     def cell_indices(self) -> tuple[int, ...]:
         return tuple(range(len(self.sites)))
 
-    def cell_halfspaces(self, i: int) -> list[tuple[tuple[int, ...], int]]:
-        """The cell as an exact half-space system (one bisector per rival)."""
-        return self.sites.cell_halfspaces(i)
-
     @cached_property
     def arrangement(self) -> "SubspaceArrangement":
         """The arrangement of every H(J), built on first use."""
@@ -272,6 +266,11 @@ class VoronoiComplex:
         return [f for f in self.face_list() if i in f.sites]
 
     def simplicity_witness(self) -> Optional[VoronoiFace]:
+        return self._simplicity_witness
+
+    @cached_property
+    def _simplicity_witness(self) -> Optional[VoronoiFace]:
+        """The first face that breaks simplicity, found once per complex."""
         return restricted_simplicity_witness(self, self.cell_indices())
 
     def is_simple(self) -> bool:
@@ -390,8 +389,9 @@ def select_subcomplex(vc: VoronoiComplex, region: Region) -> tuple[int, ...]:
     The region is a finite union of closed rational simplices; emptiness
     of cell-meets-simplex is decided exactly via feasibility in barycentric
     coordinates.  Every region vertex is checked against the ambient
-    dimension first, and each simplex's hull is built once.  An empty
-    selection is a valid result.
+    dimension first, and each simplex's hull and its sites' profiles on it
+    are computed once; a cell's closed rows are read off the profiles
+    (`_face_rows`).  An empty selection is a valid result.
     """
     m = vc.dim
     if any(len(p) != m for simplex in region for p in simplex):
@@ -407,13 +407,13 @@ def select_subcomplex(vc: VoronoiComplex, region: Region) -> tuple[int, ...]:
         )
         barycentric = [Constraint(tuple(-int(u == v) for u in range(1, k)), 0)
                        for v in range(1, k)]
-        hulls.append((hull, [*barycentric, Constraint((1,) * (k - 1), 1)]))
+        hulls.append((hull.dim, vc.sites.profiles(hull),
+                      [*barycentric, Constraint((1,) * (k - 1), 1)]))
     selected = []
     for i in vc.cell_indices():
-        halfspaces = vc.sites.cell_halfspaces(i)
-        for hull, barycentric in hulls:
-            constraints = [Constraint(a, b).substitute(hull) for a, b in halfspaces]
-            if feasible_point(constraints + barycentric, hull.dim) is not None:
+        for nvars, profiles, barycentric in hulls:
+            rows = _face_rows(profiles, (i,), strict=False)
+            if feasible_point([*rows.values(), *barycentric], nvars) is not None:
                 selected.append(i)
                 break
     return tuple(selected)

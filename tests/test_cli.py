@@ -245,6 +245,18 @@ def test_resolution_tree_bound_exits_2(inputs, capsys):
     assert "1857222 nodes, more than the bound of 1000000" in captured.err
 
 
+def test_resolution_subtree_bound_exits_2_fast(inputs, capsys):
+    # I = 1..6, m = 4 holds a subtree above the bound: it is refused as soon
+    # as that subtree is counted, long before its memo is complete
+    path = write(inputs["tmp"], "six_m4.json", {"I": [1, 2, 3, 4, 5, 6], "m": 4})
+    start = time.perf_counter()
+    code = main(["resolve", "run", path])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 2
+    assert (code, captured.out) == (2, "")
+    assert "more than the bound of 1000000" in captured.err
+
+
 def test_input_errors_exit_2(inputs, capsys, monkeypatch):
     assert run_cli("homology", "/nonexistent.json", capsys=capsys)[0] == 2
     assert run_cli("voronoi", "build", inputs["bad"], capsys=capsys)[0] == 2
@@ -432,7 +444,7 @@ def _refuse_closure(vc, parasitic):
 
 def _escaping_mult2(model, i1=None):
     # a multiplicity-2 chart function whose chart adds an x-divisor
-    return [(model.x_divisors | {99}, 0, model.exceptional, "binres(1)/y")]
+    return "binres(1)", [(model.x_divisors | {99}, 0, model.exceptional)]
 
 
 @pytest.mark.parametrize(

@@ -161,7 +161,8 @@ def test_partition_property_random_sites():
             # membership in each cell's half-space system agrees with the
             # distance semantics
             for i in range(n):
-                in_cell = all(dot(a, x) <= b for a, b in sites.cell_halfspaces(i))
+                in_cell = all(dot(a, x) <= b for a, b in
+                              (sites.bisector(i, j) for j in range(n) if j != i))
                 assert in_cell == (i in nearest)
             if len(nearest) >= 2:
                 i, j = sorted(nearest)[:2]

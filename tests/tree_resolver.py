@@ -17,7 +17,7 @@ from snclab.resolution import (
     ResolutionTrace,
     TraceNode,
     TraceStep,
-    apply_rule,
+    _rule_charts,
     select_rule,
 )
 
@@ -49,7 +49,8 @@ def resolve(
         if max_steps is not None and len(steps) >= max_steps:
             raise ResolutionError(f"step budget {max_steps} exhausted")
         name, detail = rule
-        charts = apply_rule(model, rule, policy, fresh_label=fresh)
+        tag, _ = tagged = _rule_charts(model, rule, policy, fresh)
+        charts = model._charts(tagged)
         if name in ("detres", "monres-1"):
             if any(j == fresh for c in charts for j, _ in c.exceptional):
                 fresh += 1
@@ -76,7 +77,7 @@ def resolve(
             descents.append((parent_deg, c.mdeg()))
             queue.append(node.node_id)
         steps.append(TraceStep(
-            len(steps), node_id, name, charts[0].genealogy[-1].split("/")[0],
+            len(steps), node_id, name, tag,
             tuple(child_ids), tuple(descents), name == "normalize",
         ))
     snapshots = (closure(r.x_divisors for r in roots), closure(leaf_sets))
