@@ -1,5 +1,7 @@
 """Command-line front end.
 
+Each subcommand maps its parsed arguments to a (report, exit code) pair;
+`main` alone renders the report to stdout and turns errors into exit codes.
 Predicate subcommands speak through exit codes (0 = true/success,
 1 = predicate false or a check failed, 2 = input error, 3 = unexpected
 internal error, with its traceback on stderr) with JSON as the detailed
@@ -108,10 +110,6 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(sorted(lines)) + "\n"
 
 
-def _emit(report: dict, fmt: str) -> None:
-    sys.stdout.write(_render(report, fmt))
-
-
 def _load_sites(path: str) -> SiteSet:
     data = expect_object(_load(path), VoronoiError, "a sites file", "dim", "sites")
     sites = [expect_list(s, VoronoiError, "a site", expect_rational)
@@ -153,7 +151,7 @@ def _policy(args) -> Policy:
     return Policy(seed=seed)
 
 
-def cmd_homology(args) -> int:
+def cmd_homology(args) -> tuple[dict, int]:
     k = complex_from_json_dict(_load(args.file))
     report = {
         "betti": list(k.all_betti()),
@@ -165,22 +163,19 @@ def cmd_homology(args) -> int:
     }
     if args.dim is not None:
         report["requested"] = {str(args.dim): _group_dict(k.homology(args.dim))}
-    _emit(report, args.format)
-    return 0
+    return report, 0
 
 
-def cmd_pi1(args) -> int:
+def cmd_pi1(args) -> tuple[dict, int]:
     k = complex_from_json_dict(_load(args.file))
     p = pi1_presentation(k, args.basepoint).simplified()
-    report = {
+    return {
         "presentation": p.to_json_dict(),
         "abelianization": _group_dict(abelianization(p)),
-    }
-    _emit(report, args.format)
-    return 0
+    }, 0
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, int]:
     if args.predicate == "q-acyclic":
         k = complex_from_json_dict(_load(args.file))
         verdict = k.is_q_acyclic()
@@ -199,16 +194,13 @@ def cmd_check(args) -> int:
         state = is_q_superperfect_sufficient(p)
         verdict = state is SuperperfectVerdict.CONFIRMED
         report = {"predicate": "q-superperfect", "state": state.value, "verdict": verdict}
-    _emit(report, args.format)
-    return 0 if verdict else 1
+    return report, 0 if verdict else 1
 
 
-def cmd_voronoi(args) -> int:
-    sites = _load_sites(args.sites)
-    vc = voronoi_complex(sites)
+def cmd_voronoi(args) -> tuple[dict, int]:
+    vc = voronoi_complex(_load_sites(args.sites))
     if args.action == "build":
-        _emit(vc.to_json_dict(), args.format)
-        return 0
+        return vc.to_json_dict(), 0
     if args.action == "simple":
         witness = vc.simplicity_witness()
         report = {"simple": witness is None}
@@ -218,21 +210,18 @@ def cmd_voronoi(args) -> int:
                 "cell_count": len(witness.sites),
                 "codim": witness.codim,
             }
-        _emit(report, args.format)
-        return 0 if witness is None else 1
+        return report, 0 if witness is None else 1
     if args.action == "delaunay":
         selection = _selection(args, vc)
         dual = delaunay_dual(vc, selection)
-        report = {
+        return {
             "selection": list(selection),
             "complex": dual.to_json_dict(),
             "betti": list(dual.all_betti()),
-        }
-        _emit(report, args.format)
-        return 0
+        }, 0
     if args.action == "classify":
         rep = classify_subspaces(vc, args.cell)
-        report = {
+        return {
             "cell": rep.cell,
             "essential": [
                 {"sites": sorted(r.sites), "dim": r.dim} for r in rep.essential
@@ -244,17 +233,21 @@ def cmd_voronoi(args) -> int:
                 json.dumps(sorted(k)): sorted(v)
                 for k, v in rep.minimal_parasitic_parent.items()
             },
-        }
-        _emit(report, args.format)
-        return 0
-    # select
+        }, 0
+    # select reports the cells a region meets, so it reads --region alone
+    if not args.region:
+        raise VoronoiError("voronoi select needs --region")
     region = region_from_json_dict(_load(args.region))
-    cells = select_subcomplex(vc, region)
-    _emit({"cells": list(cells)}, args.format)
-    return 0
+    return {"cells": list(select_subcomplex(vc, region))}, 0
 
 
-def cmd_snc(args) -> int:
+def _glued_model(args):
+    """The glued model over the selected cells of the sites file's Voronoi complex."""
+    vc = voronoi_complex(_load_sites(args.sites))
+    return build_snc(vc, _selection(args, vc))
+
+
+def cmd_snc(args) -> tuple[dict, int]:
     if args.action == "pillow":
         if not (args.cx and args.cy and args.cz):
             raise SncError("pillow needs --cx, --cy and --cz as modulus,turns")
@@ -264,38 +257,26 @@ def cmd_snc(args) -> int:
         report = {"projective": result}
         if order is not None:
             report["order"] = order
-        _emit(report, args.format)
-        return 0 if result else 1
+        return report, 0 if result else 1
     if not args.sites:
         raise SncError(f"snc {args.action} needs a sites file")
-    sites = _load_sites(args.sites)
-    vc = voronoi_complex(sites)
-    selection = _selection(args, vc)
-    model = build_snc(vc, selection)
+    model = _glued_model(args)
     if args.action == "build":
-        _emit(model.to_json_dict(), args.format)
-        return 0
+        return model.to_json_dict(), 0
     dual = dual_complex(model)
-    report = {
+    return {
         "complex": dual.to_json_dict(),
         "betti": list(dual.all_betti()),
         "sheaf_cohomology": list(sheaf_cohomology_dims(model)),
         "pi1_link": pi1_link_criterion(model).value,
-    }
-    _emit(report, args.format)
-    return 0
+    }, 0
 
 
-def cmd_resolve(args) -> int:
+def cmd_resolve(args) -> tuple[dict, int]:
     if args.action == "embed":
         if not args.sites:
             raise ResolutionError("resolve embed needs --sites")
-        sites = _load_sites(args.sites)
-        vc = voronoi_complex(sites)
-        model = build_snc(vc, _selection(args, vc))
-        roots = embed_snc(model)
-        _emit({"roots": [r.to_json_dict() for r in roots]}, args.format)
-        return 0
+        return {"roots": [r.to_json_dict() for r in embed_snc(_glued_model(args))]}, 0
     if not args.file:
         raise ResolutionError("resolve run needs a local-models file")
     data = expect_object(_load(args.file), ResolutionError, "a local-models file")
@@ -303,27 +284,22 @@ def cmd_resolve(args) -> int:
     trace = resolve([model_from_json_dict(r) for r in roots], _policy(args), args.max_steps)
     report = trace.to_json_dict()
     report["resolved"] = trace.all_resolved()
-    _emit(report, args.format)
-    return 0
+    return report, 0
 
 
-def cmd_seifert(args) -> int:
+def cmd_seifert(args) -> tuple[dict, int]:
+    if args.action == "circle-action":
+        h = decomposition_from_json_dict(_load(args.file))
+        ok, failed = circle_action_feasible(h)
+        report = {"feasible": ok}
+        if failed:
+            report["failed_condition"] = failed
+        return report, 0 if ok else 1
+    base = base_from_json_dict(_load(args.file))
     if args.action == "betti":
-        base = base_from_json_dict(_load(args.file))
-        _emit({"link_betti": list(link_betti(base))}, args.format)
-        return 0
-    if args.action == "qhs":
-        base = base_from_json_dict(_load(args.file))
-        verdict = is_rational_homology_sphere(base)
-        _emit({"rational_homology_sphere": verdict}, args.format)
-        return 0 if verdict else 1
-    h = decomposition_from_json_dict(_load(args.file))
-    ok, failed = circle_action_feasible(h)
-    report = {"feasible": ok}
-    if failed:
-        report["failed_condition"] = failed
-    _emit(report, args.format)
-    return 0 if ok else 1
+        return {"link_betti": list(link_betti(base))}, 0
+    verdict = is_rational_homology_sphere(base)
+    return {"rational_homology_sphere": verdict}, 0 if verdict else 1
 
 
 def run_pipeline(complex_path: str, sites_path: str, region_path: str,
@@ -409,12 +385,8 @@ def run_pipeline(complex_path: str, sites_path: str, region_path: str,
     return report, exit_code
 
 
-def cmd_pipeline(args) -> int:
-    report, code = run_pipeline(
-        args.complex, args.sites, args.region, _policy(args), args.max_steps
-    )
-    _emit(report, args.format)
-    return code
+def cmd_pipeline(args) -> tuple[dict, int]:
+    return run_pipeline(args.complex, args.sites, args.region, _policy(args), args.max_steps)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,7 +460,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        sys.stdout.write(_render(report, args.format))
+        return code
     except CheckFailed as exc:
         sys.stderr.write(f"error: check failed: {exc}\n")
         return 1

@@ -75,18 +75,6 @@ class AbelianGroup:
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
 
-    @property
-    def is_finite(self) -> bool:
-        return self.rank == 0
-
-    def order(self) -> Optional[int]:
-        if self.rank > 0:
-            return None
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
-
     def __str__(self) -> str:
         parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion]
         return " + ".join(parts) if parts else "0"
@@ -179,9 +167,6 @@ class DeltaComplex:
         if not self.is_connected():
             raise ComplexError("Q-acyclicity is only defined for connected complexes")
         return all(self.betti(k) == 0 for k in range(1, self.dim + 1))
-
-    def label(self, k: int, i: int) -> Optional[str]:
-        return self.labels[k][i]
 
     def to_json_dict(self) -> dict:
         out = {"dim": self.dim, "cells": [[list(c) for c in layer] for layer in self.cells]}
@@ -347,22 +332,37 @@ def complex_from_json_dict(data: dict) -> DeltaComplex:
     return build_complex(data["cells"], data.get("labels"))
 
 
+def _adjacency(k: DeltaComplex) -> list[dict[int, int]]:
+    """Per vertex, the number of edges to each vertex (a loop counts once)."""
+    adj: list[dict[int, int]] = [{} for _ in range(k.n_cells(0))]
+    for u, v in k.cells[1] if k.dim >= 1 else ():
+        adj[u][v] = adj[u].get(v, 0) + 1
+        if u != v:
+            adj[v][u] = adj[v].get(u, 0) + 1
+    return adj
+
+
 def delta_isomorphic(a: DeltaComplex, b: DeltaComplex) -> bool:
     """Graded isomorphism search over face-preserving bijections.
 
     Backtracks dimension by dimension; face lists must correspond as
-    multisets under the already-chosen lower mapping.  Intended for the
+    multisets under the already-chosen lower mapping.  Vertex i goes only
+    where its edge counts to vertices 0..i match those of their images:
+    every isomorphism passes that test, and it cuts a failed search off
+    long before every vertex bijection is tried.  Intended for the
     desk-size complexes this package produces.
     """
     if a.cell_counts() != b.cell_counts():
         return False
+    back_a = [{p: c for p, c in row.items() if p <= i} for i, row in enumerate(_adjacency(a))]
+    adj_b = _adjacency(b)
 
-    def extend(k: int, lower_map: dict[int, int]) -> bool:
+    def extend(k: int, lower_map: Sequence[int]) -> bool:
         if k > a.dim:
             return True
         na = a.n_cells(k)
         imaged = [None] * na
-        used = [False] * b.n_cells(k)
+        source = [None] * b.n_cells(k)  # the cell of a placed on each cell of b
 
         def key_a(i):
             if k == 0:
@@ -374,19 +374,23 @@ def delta_isomorphic(a: DeltaComplex, b: DeltaComplex) -> bool:
             kb = tuple(sorted(b.cells[k][j])) if k > 0 else ()
             keys_b.setdefault(kb, []).append(j)
 
+        def fits(i: int, j: int) -> bool:
+            back_b = {i if q == j else source[q]: c for q, c in adj_b[j].items()
+                      if q == j or source[q] is not None}
+            return back_b == back_a[i]
+
         def place(i: int) -> bool:
             if i == na:
-                next_map = {idx: imaged[idx] for idx in range(na)}
-                return extend(k + 1, next_map)
+                return extend(k + 1, imaged)
             for j in keys_b.get(key_a(i), []):
-                if not used[j]:
-                    used[j] = True
+                if source[j] is None and (k > 0 or fits(i, j)):
+                    source[j] = i
                     imaged[i] = j
                     if place(i + 1):
                         return True
-                    used[j] = False
+                    source[j] = None
             return False
 
         return place(0)
 
-    return extend(0, {})
+    return extend(0, [])

@@ -335,10 +335,7 @@ def select_rule(model: LocalModel, policy: Policy = Policy()):
         return ("monres-1", ("exp>=2", policy.choose_pair(heavy, model)))
     singles = [j for j, a in model.exceptional if a == 1]
     if len(singles) >= 2:
-        j1, j2 = singles[0], singles[1]
-        if policy.seed is not None:
-            j1, j2 = policy.choose_pair(_pairs(singles), model)
-        return ("monres-2", ("pair", j1, j2))
+        return ("monres-2", ("pair", *policy.choose_pair(_pairs(singles), model)))
     if d.deg_y == 1 and d.deg_z == 1:
         return ("monres-3", ("y_z_pair", singles[0]))
     if d.deg_y == 0 and d.deg_z == 1:
@@ -421,11 +418,6 @@ class ResolutionTrace:
         if not maximal:
             raise ResolutionError("empty nerve: no leaf has x-divisors")
         return from_simplices(maximal)
-
-    def certificate(self) -> tuple:
-        return tuple(
-            (s.rule, s.descents, s.relabel) for s in self.steps
-        )
 
     def verify_certificate(self) -> None:
         """Strict lexicographic descent on every blow-up; relabel steps must

@@ -344,6 +344,8 @@ def test_input_errors_exit_2(inputs, capsys, monkeypatch):
     refused(["snc", "build", inputs["strip"], "--select", "0,a"], "'0,a'")
     refused(["snc", "build"], "needs a sites file")
     refused(["resolve", "embed"], "needs --sites")
+    refused(["voronoi", "select", inputs["triangle"]], "needs --region")
+    refused(["voronoi", "select", inputs["triangle"], "--select", "0"], "needs --region")
     monkeypatch.setenv("SNCLAB_SEED", "abc")
     refused(["resolve", "run", inputs["node"]], "'abc'")
     monkeypatch.delenv("SNCLAB_SEED")
@@ -467,6 +469,42 @@ def test_failed_check_exits_1(inputs, capsys, monkeypatch, module, name, replace
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith(f"error: check failed: {message}")
+
+
+# every subcommand on the fixtures above; a token naming a fixture stands for its path
+SUBCOMMANDS = [
+    ("homology", "circle", "--dim", "1"),
+    ("pi1", "circle"),
+    ("check", "q-acyclic", "circle"),
+    ("check", "q-perfect", "higman"),
+    ("check", "q-superperfect", "sl2z"),
+    ("voronoi", "build", "triangle"),
+    ("voronoi", "simple", "square"),
+    ("voronoi", "delaunay", "strip", "--select", "0,1,2"),
+    ("voronoi", "classify", "triangle"),
+    ("voronoi", "select", "triangle", "--region", "region"),
+    ("snc", "build", "strip", "--select", "0,1,2"),
+    ("snc", "dual", "strip", "--select", "0,1,2"),
+    ("snc", "pillow", "--cx", "2,0", "--cy", "1,0", "--cz", "1,0"),
+    ("resolve", "run", "node"),
+    ("resolve", "embed", "--sites", "strip", "--select", "0,1,2"),
+    ("seifert", "betti", "cp2"),
+    ("seifert", "qhs", "elliptic"),
+    ("seifert", "circle-action", "infeasible"),
+    ("pipeline", "simplex2", "triangle", "region"),
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=" ".join)
+def test_subcommand_returns_report_and_main_alone_prints(inputs, capsys, argv):
+    argv = [inputs.get(token, token) for token in argv]
+    for fmt in ("json", "text"):
+        args = cli.build_parser().parse_args(["--format", fmt, *argv])
+        report, code = args.func(args)
+        assert type(report) is dict and type(code) is int
+        assert capsys.readouterr() == ("", "")
+        assert main(["--format", fmt, *argv]) == code
+        assert capsys.readouterr() == (cli._render(report, fmt), "")
 
 
 def test_unknown_subcommand_exits_2():

@@ -2,7 +2,9 @@
 
 import json
 import random
-from itertools import combinations
+import time
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -187,6 +189,78 @@ def test_delta_isomorphic():
     path = from_simplices([(0, 1), (1, 2)])
     assert not delta_isomorphic(CIRCLE, path)
     assert delta_isomorphic(RP2, from_simplices(RP2_FACES))
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_delta_isomorphic_refuses_cycle_against_triangle_and_cycle_fast(n):
+    # every vertex has degree 2 on both sides, so only the edges between
+    # placed vertices tell the two apart; trying every vertex bijection
+    # took 5 s at n = 9
+    cycle = from_simplices([(i, (i + 1) % n) for i in range(n)])
+    split = from_simplices([(0, 1), (1, 2), (0, 2)]
+                           + [(3 + i, 3 + (i + 1) % (n - 3)) for i in range(n - 3)])
+    start = time.perf_counter()
+    assert not delta_isomorphic(cycle, split)
+    assert time.perf_counter() - start < 0.5
+
+
+def _brute_isomorphic(fa, fb) -> bool:
+    """Whether some vertex bijection carries the simplices of fa onto fb's."""
+    va, vb = sorted(set().union(*fa)), sorted(set().union(*fb))
+    if len(va) != len(vb):
+        return False
+    return any({frozenset(image[v] for v in s) for s in fa} == fb
+               for image in (dict(zip(va, p)) for p in permutations(vb)))
+
+
+def _random_family(rng, n):
+    tops = [rng.sample(range(n), rng.randint(1, 3)) for _ in range(rng.randint(2, 5))]
+    return closure(tops + [[v] for v in range(n)])
+
+
+def test_delta_isomorphic_agrees_with_vertex_permutations():
+    rng = random.Random(13)
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randint(3, 6)
+        fa = _random_family(rng, n)
+        if rng.random() < 0.5:
+            keys = rng.sample(range(10, 10 + n), n)
+            fb = frozenset(frozenset(keys[v] for v in s) for s in fa)
+        else:  # a random family with the same face counts, where one turns up
+            shape = Counter(map(len, fa))
+            for _ in range(50):
+                fb = _random_family(rng, n)
+                if Counter(map(len, fb)) == shape:
+                    break
+        a, b = from_simplices(fa), from_simplices(fb)
+        expected = _brute_isomorphic(fa, fb)
+        assert delta_isomorphic(a, b) == expected, (sorted(map(sorted, fa)), sorted(map(sorted, fb)))
+        seen[expected, a.cell_counts() == b.cell_counts()] += 1
+    # both verdicts occur where the cell counts do not already decide
+    assert seen[True, True] >= 100 and seen[False, True] >= 10, seen
+
+
+def _shuffled(k, rng):
+    """k with the cells of each dimension in a random order, face lists renumbered."""
+    orders = [rng.sample(range(n), n) for n in k.cell_counts()]
+    position = [{old: new for new, old in enumerate(order)} for order in orders]
+    cells = [[None] * len(orders[0])] + [
+        [[position[d - 1][f] for f in k.cells[d][old]] for old in orders[d]]
+        for d in range(1, len(orders))
+    ]
+    return build_complex(cells)
+
+
+def test_delta_isomorphic_with_loops_and_multiple_edges():
+    rng = random.Random(2)
+    two_loops_at_0 = build_complex([[None, None], [[0, 0], [0, 0], [1, 0]]])
+    loop_at_each = build_complex([[None, None], [[0, 0], [1, 1], [1, 0]]])
+    theta = build_complex([[None, None], [[1, 0], [1, 0], [0, 1]]])
+    for k in (*NAMED_COMPLEXES.values(), two_loops_at_0, loop_at_each, theta):
+        assert delta_isomorphic(k, _shuffled(k, rng))
+    assert not delta_isomorphic(two_loops_at_0, loop_at_each)
+    assert not delta_isomorphic(loop_at_each, theta)
 
 
 def _random_wedges():
