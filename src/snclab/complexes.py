@@ -7,15 +7,19 @@ cell (repeated faces add up, so they may cancel).  The composite boundary
 must vanish; build_complex checks this cell by cell on the sparse columns
 and names the first offending cell when it does not.
 
-Homology eliminates each boundary once per complex: the unit-pivot
-reduction of intlinalg splits every boundary into identity pivots and a
-small residual block, and ranks and torsion come from `rank` and
-`smith_normal_form` of that residual alone.
+Homology reduces the boundaries from the top dimension down: the
+unit-pivot reduction of intlinalg splits each boundary into identity
+pivots and a small residual block, and a k-cell that was a pivot row of
+the boundary above is cleared from the boundary below, whose remaining
+columns span the same lattice.  Ranks and torsion come from `rank` and
+`smith_normal_form` of the residuals alone.
 
 Every nerve in the package (the simplicial complex of from_simplices, the
-Delaunay dual, the SNC dual complex, the resolver's nerve) is built here:
-`closure` takes the downward closure of a family of index sets, and
-`nerve_cells` turns a downward-closed family into cells for build_complex.
+Delaunay dual, the SNC dual complex, the resolver's nerve) is built here
+from one face builder, which lists the downward closure of a family of
+index sets as sorted tuples: `closure` returns that family as sets,
+`nerve_cells` turns a downward-closed family into cells for build_complex,
+and from_simplices hands the builder's tuples to it directly.
 `UnionFind` is the package's one union-find.
 
 Values are immutable after construction and safe to share across threads.
@@ -26,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, cycle, groupby
 from typing import Iterable, Optional, Sequence
 
 from .intlinalg import IntMatrix, rank, reduce_unit_pivots, smith_normal_form
@@ -42,7 +46,10 @@ class ComplexError(ValueError):
 def _col(faces: Sequence[int]) -> dict[int, int]:
     """The boundary column of a cell: face -> summed sign (-1)^position,
     with cancelled faces dropped."""
-    out: dict[int, int] = {}
+    out = dict(zip(faces, cycle((1, -1))))
+    if len(out) == len(faces):
+        return out
+    out = {}
     for pos, f in enumerate(faces):
         out[f] = out.get(f, 0) + (1 if pos % 2 == 0 else -1)
     return {f: v for f, v in out.items() if v}
@@ -114,29 +121,34 @@ class DeltaComplex:
         return ((),) + tuple(tuple(_col(faces) for faces in layer) for layer in self.cells[1:])
 
     @cached_property
-    def _reduced(self) -> tuple[tuple[int, IntMatrix], ...]:
-        """(unit pivots, residual block) of each boundary map, indexed by dimension."""
-        return tuple(
-            reduce_unit_pivots(self._columns[k], self.n_cells(k - 1)) for k in range(self.dim + 1)
-        )
+    def _reduced(self) -> tuple[tuple[tuple[int, ...], IntMatrix], ...]:
+        """(unit pivot rows, residual block) of each boundary map, indexed by
+        dimension, reduced from the top dimension down with clearing.
+
+        Before the boundary d_k is reduced, the columns of the k-cells that
+        were pivot rows of d_(k+1) are dropped.  This keeps the lattice the
+        columns span, so ranks and torsion are those of the full d_k.  When
+        a column of d_(k+1) pivots on row p, it is d_(k+1) of an integer
+        chain, is zero in every earlier pivot row and is +-1 at p.  Since
+        d_k d_(k+1) = 0, the column of p in d_k is then an integer
+        combination of other columns of d_k, none of them p or an earlier
+        pivot.  Backward induction from the last pivot puts every dropped
+        column in the lattice of the kept ones.  The only assumption is d d = 0,
+        which build_complex checks on every complex.
+        """
+        reduced = []
+        cleared: frozenset[int] = frozenset()
+        for k in range(self.dim, -1, -1):
+            columns = [c for j, c in enumerate(self._columns[k]) if j not in cleared]
+            reduced.append(reduce_unit_pivots(columns, self.n_cells(k - 1)))
+            cleared = frozenset(reduced[-1][0])
+        return tuple(reversed(reduced))
 
     @cached_property
     def _ranks(self) -> tuple[int, ...]:
         """Rank of each boundary map C_k -> C_{k-1} for k = 0 .. dim + 1."""
-        inner = tuple(units + rank(residual) for units, residual in self._reduced[1:])
+        inner = tuple(len(pivots) + rank(residual) for pivots, residual in self._reduced[1:])
         return (0,) + inner + (0,)
-
-    def boundary_matrix(self, k: int) -> IntMatrix:
-        """The map C_k -> C_{k-1} as a dense matrix; for k = 0 a 0-row matrix."""
-        if k <= 0 or k > self.dim:
-            return IntMatrix.zero(0 if k <= 0 else self.n_cells(k - 1), self.n_cells(max(k, 0)))
-        rows = self.n_cells(k - 1)
-        cols = self.n_cells(k)
-        grid = [[0] * cols for _ in range(rows)]
-        for j, col in enumerate(self._columns[k]):
-            for f, v in col.items():
-                grid[f][j] = v
-        return IntMatrix.from_rows(grid, cols)
 
     def is_connected(self) -> bool:
         n = self.n_cells(0)
@@ -238,20 +250,25 @@ def build_complex(cells: Sequence[CellSpec], labels=None) -> DeltaComplex:
     return complex_
 
 
-def closure(sets: Iterable[Iterable]) -> frozenset:
-    """The downward closure: every nonempty subset of every given set.
+def _faces(sets: Iterable[Iterable]) -> set[tuple]:
+    """The downward closure as sorted tuples: every nonempty subset of
+    every given set.
 
     A set already in the closure adds nothing, so listing the larger sets
     first saves work."""
-    out = set()
+    out: set[tuple] = set()
     for s in sets:
-        items = frozenset(s)
+        items = tuple(sorted(set(s)))
         if items in out:
             continue
-        items = sorted(items)
         for size in range(1, len(items) + 1):
-            out.update(frozenset(sub) for sub in combinations(items, size))
-    return frozenset(out)
+            out.update(combinations(items, size))
+    return out
+
+
+def closure(sets: Iterable[Iterable]) -> frozenset:
+    """The downward closure as a frozenset of frozensets (see _faces)."""
+    return frozenset(map(frozenset, _faces(sets)))
 
 
 def nerve_cells(family: Iterable[Iterable]) -> tuple[list, list]:
@@ -263,27 +280,26 @@ def nerve_cells(family: Iterable[Iterable]) -> tuple[list, list]:
     identity automatic), and vertices are labelled by their keys.  A
     simplex whose face is not in the family raises ComplexError.
     """
-    by_dim: list[list[tuple]] = []
-    for s in family:
-        vs = tuple(sorted(s))
-        while len(by_dim) < len(vs):
-            by_dim.append([])
-        by_dim[len(vs) - 1].append(vs)
-    if not by_dim:
+    simplices = sorted(map(tuple, map(sorted, family)), key=len)
+    if not simplices:
         raise ComplexError("no simplices given")
-    for layer in by_dim:
-        layer.sort()
-    index = [{s: i for i, s in enumerate(layer)} for layer in by_dim]
+    by_dim: list[list[tuple]] = [[] for _ in simplices[-1]]
+    for size, layer in groupby(simplices, len):
+        by_dim[size - 1] = sorted(layer)
     cells: list[list[list[int]]] = [[[] for _ in by_dim[0]]]
     for k in range(1, len(by_dim)):
+        index = dict(zip(by_dim[k - 1], range(len(by_dim[k - 1]))))
         layer = []
         for s in by_dim[k]:
-            faces = []
-            for i in range(len(s)):
-                sub = s[:i] + s[i + 1 :]
-                if sub not in index[k - 1]:
-                    raise ComplexError(f"simplex {list(s)} lacks face {list(sub)}")
-                faces.append(index[k - 1][sub])
+            try:
+                # combinations drop the last vertex first
+                faces = list(map(index.__getitem__, combinations(s, k)))
+            except KeyError:
+                for i in range(len(s)):
+                    sub = s[:i] + s[i + 1 :]
+                    if sub not in index:
+                        raise ComplexError(f"simplex {list(s)} lacks face {list(sub)}") from None
+            faces.reverse()
             layer.append(faces)
         cells.append(layer)
     labels = [[str(v[0]) for v in by_dim[0]]] + [[None] * len(l) for l in cells[1:]]
@@ -293,7 +309,7 @@ def nerve_cells(family: Iterable[Iterable]) -> tuple[list, list]:
 def from_simplices(simplices: Iterable[Sequence[int]]) -> DeltaComplex:
     """The simplicial Delta-complex generated by the given simplices, with
     vertices (arbitrary sortable keys) labelled by their keys."""
-    return build_complex(*nerve_cells(closure(simplices)))
+    return build_complex(*nerve_cells(_faces(simplices)))
 
 
 class UnionFind:

@@ -6,9 +6,11 @@ row/column transforms are kept unimodular.  The pivot policy is fixed
 runs produce bit-identical transforms.
 
 Homology and abelianization first split the +-1 pivots off a sparse
-matrix with `reduce_unit_pivots`, once per matrix, and run
-`smith_normal_form` and `rank` only on the residual block, which for
-simplicial boundaries is usually empty or a few entries.
+matrix with `reduce_unit_pivots` and run `smith_normal_form` and `rank`
+only on the residual block, which for simplicial boundaries is usually
+empty or a few entries.  The reduction reports its pivot rows, so homology
+can walk the boundaries from the top dimension down and hand each one
+only the columns the boundary above left uncleared.
 """
 
 from __future__ import annotations
@@ -219,7 +221,9 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
     return SmithNormalForm(diag, IntMatrix.from_rows(left, rows), IntMatrix.from_rows(right, cols))
 
 
-def reduce_unit_pivots(columns: Sequence[dict[int, int]], rows: int) -> tuple[int, IntMatrix]:
+def reduce_unit_pivots(
+    columns: Sequence[dict[int, int]], rows: int
+) -> tuple[tuple[int, ...], IntMatrix]:
     """Split off the unit pivots: M is equivalent to diag(1, ..., 1) + residual.
 
     `columns` lists the matrix's columns as sparse `row -> nonzero int`
@@ -227,18 +231,19 @@ def reduce_unit_pivots(columns: Sequence[dict[int, int]], rows: int) -> tuple[in
     +-1 entry, choosing the row with the fewest entries (ties: lowest row)
     to limit fill-in, and integer column operations clear the rest of that
     row, after which the pivot's row and column are dropped.  Every step is
-    unimodular, so rank and nonzero invariant factors of M are `units` ones
-    followed by those of the residual.  Columns left without a unit entry
-    are retried after a pass in which a pivot changed them, so the residual
-    has no +-1 entry.  It keeps the surviving nonzero columns in order, on
-    the rows they touch.
+    unimodular, so rank and nonzero invariant factors of M are
+    `len(pivots)` ones followed by those of the residual; `pivots` lists
+    the pivot rows in the order they were taken.  Columns left without a
+    unit entry are retried after a pass in which a pivot changed them, so
+    the residual has no +-1 entry.  It keeps the surviving nonzero columns
+    in order, on the rows they touch.
     """
     cols = [{i: v for i, v in c.items() if v} for c in columns]
     where: list[set[int]] = [set() for _ in range(rows)]
     for j, c in enumerate(cols):
         for i in c:
             where[i].add(j)
-    units = 0
+    pivots: list[int] = []
     pending = list(range(len(cols)))
     while pending:
         retry = set()
@@ -264,12 +269,12 @@ def reduce_unit_pivots(columns: Sequence[dict[int, int]], rows: int) -> tuple[in
             for i in col:
                 where[i].discard(j)
             cols[j] = {}
-            units += 1
+            pivots.append(pivot)
         pending = sorted(retry)
     rest = [c for c in cols if c]
     used = sorted({i for c in rest for i in c})
     grid = [[c.get(i, 0) for c in rest] for i in used]
-    return units, IntMatrix.from_rows(grid, len(rest))
+    return tuple(pivots), IntMatrix.from_rows(grid, len(rest))
 
 
 def invariant_factors_by_minors(m: IntMatrix) -> tuple[int, ...]:

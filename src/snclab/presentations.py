@@ -8,6 +8,7 @@ relators, which keeps presentations reproducible across runs.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -105,9 +106,9 @@ def abelianization(p: Presentation) -> AbelianGroup:
     after its unit pivots are split off."""
     if p.generators == 0:
         return AbelianGroup(0)
-    units, residual = reduce_unit_pivots(p.exponent_columns(), p.generators)
+    pivots, residual = reduce_unit_pivots(p.exponent_columns(), p.generators)
     snf = smith_normal_form(residual)
-    return AbelianGroup.from_invariant_factors(p.generators - units - snf.rank, snf.nonzero)
+    return AbelianGroup.from_invariant_factors(p.generators - len(pivots) - snf.rank, snf.nonzero)
 
 
 def is_q_perfect(p: Presentation) -> bool:
@@ -170,10 +171,10 @@ def pi1_presentation(k: DeltaComplex, basepoint: int = 0) -> Presentation:
         incident.setdefault(tail, []).append(e)
     visited = {basepoint}
     tree: set[int] = set()
-    queue = [basepoint]
+    queue = deque([basepoint])
     while queue:
-        v = queue.pop(0)
-        for e in sorted(incident.get(v, [])):
+        v = queue.popleft()
+        for e in incident.get(v, []):  # appended in increasing edge order
             head, tail = edges[e]
             other = tail if head == v else head
             if other not in visited:

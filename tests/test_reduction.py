@@ -1,8 +1,8 @@
 """Unit-pivot reduction against the determinantal-divisor oracle.
 
 M is equivalent to diag(1, ..., 1) + residual, so the nonzero invariant
-factors of M are `units` ones followed by the residual's, and its rank is
-`units` plus the residual's rank.
+factors of M are one 1 per pivot row followed by the residual's, and its
+rank is the number of pivot rows plus the residual's rank.
 """
 
 from hypothesis import given
@@ -34,21 +34,24 @@ def columns_of(m: IntMatrix) -> list[dict[int, int]]:
 
 @given(sparse_matrices())
 def test_units_and_residual_give_the_invariant_factors(m):
-    units, residual = reduce_unit_pivots(columns_of(m), m.rows)
-    factors = (1,) * units + smith_normal_form(residual).nonzero
+    pivots, residual = reduce_unit_pivots(columns_of(m), m.rows)
+    factors = (1,) * len(pivots) + smith_normal_form(residual).nonzero
     assert factors == tuple(d for d in invariant_factors_by_minors(m) if d)
-    assert units + rank(residual) == rank(m)
+    assert len(pivots) + rank(residual) == rank(m)
+    # each pivot is a distinct row of M
+    assert len(set(pivots)) == len(pivots) and all(0 <= i < m.rows for i in pivots)
     # every unit entry was pivoted on, including those made by fill-in
     assert all(abs(x) != 1 for row in residual.entries for x in row)
 
 
 def test_input_columns_are_left_alone_and_residual_is_what_is_left():
     cols = [{0: 2, 1: 2}, {0: 1, 1: 1}, {1: 3}]
-    units, residual = reduce_unit_pivots(cols, 2)
+    pivots, residual = reduce_unit_pivots(cols, 2)
     assert cols == [{0: 2, 1: 2}, {0: 1, 1: 1}, {1: 3}]
     # pivot on (0, 1) clears row 0; column 0 becomes zero, column 2 stays
-    assert units == 1
+    assert pivots == (0,)
     assert residual == IntMatrix.from_rows([[3]])
     # (0, 1) pivots first and its fill-in turns column 0 into a unit column
-    assert reduce_unit_pivots([{0: 2, 1: 3}, {0: 1, 1: 1}], 2) == (2, IntMatrix.zero(0, 0))
-    assert reduce_unit_pivots([], 3) == (0, IntMatrix.zero(0, 0))
+    # that pivots on row 1
+    assert reduce_unit_pivots([{0: 2, 1: 3}, {0: 1, 1: 1}], 2) == ((0, 1), IntMatrix.zero(0, 0))
+    assert reduce_unit_pivots([], 3) == ((), IntMatrix.zero(0, 0))
