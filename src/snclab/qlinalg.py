@@ -11,11 +11,13 @@ hyperplane's row in its parameters, with no solve: the Voronoi
 enumeration cuts out each H(J + k) so, and `intersect` folds cuts.  The
 feasibility engine is Fourier-Motzkin elimination over mixed strict and
 non-strict inequalities on primitive integer rows, one routine for both
-entry points: `feasible` answers in integers alone, deciding the last
-variable by comparing its tightest bounds as integer pairs, and
-`feasible_point` goes on to back-substitute a witness, the only place it
-makes Fractions.  That is enough for the desk scales targeted here (a
-handful of variables, tens of constraints).
+entry points, and it runs in integers throughout.  `feasible` decides the
+last variable by comparing its tightest bounds as integer pairs;
+`feasible_point` goes on to back-substitute a witness, fixing each
+variable as a numerator over one common denominator from the same
+tightest-bounds routine, and makes one Fraction per returned coordinate.
+That is enough for the desk scales targeted here (a handful of
+variables, tens of constraints).
 """
 
 from __future__ import annotations
@@ -264,19 +266,54 @@ class Constraint:
         )
 
 
-def _eliminate(
-    constraints: Sequence[Constraint], nvars: int
-) -> Optional[list[list[tuple[tuple[int, ...], bool]]]]:
+def _tightest(rows, k: int, fixed: Sequence[int] = (), den: int = 1):
+    """The tightest bounds that rows put on variable k once the later
+    variables are fixed at fixed[j] / den, den > 0 (fixed[j] = 0 for
+    j <= k; with fixed empty nothing is fixed, and k = -1 means the rows
+    have no variables).  Row a . x <= b leaves x_k the bound
+    (b den - a . fixed) / (a_k den), kept as the integer pair (p, q),
+    q = |a_k| > 0: the bound p / (q den).  Pairs are compared by
+    cross-multiplication, and of two equal bounds a strict one wins.
+
+    Returns (lower, upper), each (p, q, strict) or None when no row bounds
+    that side; or None when the rows contradict: a row without x_k fails,
+    or the lower bound lies above the upper one, or on it when either is
+    strict."""
+    lower = upper = None
+    for row, strict in rows:
+        a = row[k] if k >= 0 else 0
+        b = row[-1] * den - sum(map(mul, row, fixed)) if fixed else row[-1]
+        if a > 0:  # x_k <= b / a
+            if upper is None or b * upper[1] < upper[0] * a or (
+                strict and b * upper[1] == upper[0] * a
+            ):
+                upper = (b, a, strict)
+        elif a < 0:  # x_k >= -b / -a
+            b, a = -b, -a
+            if lower is None or b * lower[1] > lower[0] * a or (
+                strict and b * lower[1] == lower[0] * a
+            ):
+                lower = (b, a, strict)
+        elif b < 0 or (strict and b == 0):
+            return None
+    if lower is not None and upper is not None:
+        gap = upper[0] * lower[1] - lower[0] * upper[1]
+        if gap < 0 or (gap == 0 and (lower[2] or upper[2])):
+            return None
+    return lower, upper
+
+
+def _eliminate(constraints: Sequence[Constraint], nvars: int):
     """Fourier-Motzkin elimination (Schrijver, Theory of Linear and Integer
-    Programming, 1986, section 12.2) of variables 0..nvars-2: levels[k]
-    holds the rows over variables k.., or None when the system is
-    infeasible.  Each row [a | b] is kept as the primitive integer row of
-    its class up to positive scale (`primitive`), so the elimination runs
-    on integers and combined rows are deduplicated on that row; strictness
-    propagates through combined rows.  The last level bounds the last
-    variable alone, and the system is feasible when its other rows hold and
-    its tightest lower bound lies below its tightest upper bound, or on it
-    when neither is strict; a bound is an integer pair (p, q), q > 0."""
+    Programming, 1986, section 12.2) of variables 0..nvars-2.  Returns
+    (levels, bounds), or None when the system is infeasible: levels[k]
+    holds the rows over variables k.., and bounds are the last variable's
+    tightest lower and upper bounds.  Each row [a | b] is kept as the
+    primitive integer row of its class up to positive scale (`primitive`),
+    so the elimination runs on integers and combined rows are deduplicated
+    on that row; strictness propagates through combined rows.  The last
+    level bounds the last variable alone, and the system is feasible when
+    `_tightest` finds those bounds consistent."""
     levels = [[(primitive((*c.coeffs, c.rhs)), c.strict) for c in constraints]]
     for k in range(nvars - 1):
         uppers, lowers = [], []
@@ -298,28 +335,8 @@ def _eliminate(
                 row = tuple(x // g for x in combined) if g > 1 else tuple(combined)
                 new[row] = new.get(row, False) or lo_strict or up_strict
         levels.append(list(new.items()))
-    lower = upper = None  # (p, q, strict): the bound p / q, q > 0
-    for row, strict in levels[-1]:
-        a, b = row[nvars - 1] if nvars else 0, row[-1]
-        if a == 0:
-            if b < 0 or (strict and b == 0):
-                return None
-        elif a > 0:  # x <= b / a
-            if upper is None or b * upper[1] < upper[0] * a or (
-                strict and b * upper[1] == upper[0] * a
-            ):
-                upper = (b, a, strict)
-        else:  # x >= -b / -a
-            p, q = -b, -a
-            if lower is None or p * lower[1] > lower[0] * q or (
-                strict and p * lower[1] == lower[0] * q
-            ):
-                lower = (p, q, strict)
-    if lower is not None and upper is not None:
-        gap = upper[0] * lower[1] - lower[0] * upper[1]
-        if gap < 0 or (gap == 0 and (lower[2] or upper[2])):
-            return None
-    return levels
+    bounds = _tightest(levels[-1], nvars - 1)
+    return None if bounds is None else (levels, bounds)
 
 
 def feasible(constraints: Sequence[Constraint], nvars: int) -> bool:
@@ -331,43 +348,39 @@ def feasible(constraints: Sequence[Constraint], nvars: int) -> bool:
 def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[Vector]:
     """A rational point satisfying every constraint, or None.
 
-    The witness is reconstructed from `_eliminate`'s levels in Fractions by
-    back-substitution, last variable first, picking midpoints (or unit
-    offsets for one-sided bounds); each bound b / a is unchanged by the
-    scale of its row.
+    The witness is back-substituted through `_eliminate`'s levels, last
+    variable first, in integers: the variables already fixed are numerators
+    over one common denominator, each level's tightest bounds come from
+    `_tightest`, and the variable takes the midpoint of two bounds, their
+    common value when they meet, a one-sided bound (or one step inside it
+    when strict), or 0 when unbounded.  These are the values of the earlier
+    Fraction back-substitution, kept as the tests' oracle, computed without
+    its Fractions: only the returned coordinates are Fractions, one each.
     """
-    levels = _eliminate(constraints, nvars)
-    if levels is None:
+    eliminated = _eliminate(constraints, nvars)
+    if eliminated is None:
         return None
-    values: list[Fraction] = [Fraction(0)] * nvars
+    levels, (lower, upper) = eliminated
+    fixed, den = [0] * nvars, 1
     for k in range(nvars - 1, -1, -1):
-        lo_bound = None
-        lo_strict = False
-        up_bound = None
-        up_strict = False
-        for row, strict in levels[k]:
-            a = row[k]
-            if a == 0:
-                continue
-            residual = row[-1] - sum(
-                (row[j] * values[j] for j in range(k + 1, nvars)), Fraction(0)
-            )
-            bound = residual / a
-            if a > 0:
-                if up_bound is None or bound < up_bound or (bound == up_bound and strict):
-                    up_bound, up_strict = bound, strict
-            else:
-                if lo_bound is None or bound > lo_bound or (bound == lo_bound and strict):
-                    lo_bound, lo_strict = bound, strict
-        if lo_bound is None and up_bound is None:
-            values[k] = Fraction(0)
-        elif lo_bound is None:
-            values[k] = up_bound - 1 if up_strict else up_bound
-        elif up_bound is None:
-            values[k] = lo_bound + 1 if lo_strict else lo_bound
+        if lower is None and upper is None:
+            num, q = 0, 1
+        elif upper is None:
+            p, q, strict = lower
+            num = p + q * den if strict else p
+        elif lower is None:
+            p, q, strict = upper
+            num = p - q * den if strict else p
+        elif upper[0] * lower[1] == lower[0] * upper[1]:
+            num, q = lower[0], lower[1]
         else:
-            if lo_bound == up_bound:
-                values[k] = lo_bound
-            else:
-                values[k] = (lo_bound + up_bound) / 2
-    return tuple(values)
+            (p, ql, _), (pu, qu, _) = lower, upper
+            num, q = p * qu + pu * ql, 2 * ql * qu
+        # the value is num / (q den): rescale the fixed numerators to it
+        if q != 1:
+            den *= q
+            fixed = [x * q for x in fixed]
+        fixed[k] = num
+        if k:
+            lower, upper = _tightest(levels[k - 1], k - 1, fixed, den)
+    return tuple(Fraction(x, den) for x in fixed)

@@ -391,7 +391,9 @@ def select_subcomplex(vc: VoronoiComplex, region: Region) -> tuple[int, ...]:
     coordinates.  Every region vertex is checked against the ambient
     dimension first, and each simplex's hull and its sites' profiles on it
     are computed once; a cell's closed rows are read off the profiles
-    (`_face_rows`).  An empty selection is a valid result.
+    (`_face_rows`).  Each (cell, simplex) test is one `feasible_point`
+    call, integer Fourier-Motzkin whose witness is back-substituted in
+    integers and then discarded.  An empty selection is a valid result.
     """
     m = vc.dim
     if any(len(p) != m for simplex in region for p in simplex):

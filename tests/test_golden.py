@@ -1,0 +1,174 @@
+"""Golden digests of CLI stdout: the rule that output stays byte-identical.
+
+Each case runs `snclab.cli.main` in process on fixed inputs and compares
+the sha256 of its stdout, and its exit code, with the value recorded when
+the case was added.  The inputs are the CLI test fixtures' site sets and
+region, and seeded planar and 3D site sets, each with a region that covers
+every cell and a degenerate one: a simplex with a repeated vertex, a single
+point, a segment, a 4-point hull in the plane and the midpoint of a site
+and its nearest neighbour, which lies on both closed cells.
+
+A change that alters any of these outputs on purpose records the new
+digest here and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from snclab.cli import main
+from snclab.complexes import from_simplices
+
+
+def _seeded_sites(seed, n, dim, hi):
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(rng.randint(0, hi) for _ in range(dim)))
+    return sorted(pts)
+
+
+def _sites_json(dim, pts):
+    return {"dim": dim, "sites": [[str(c) for c in p] for p in pts]}
+
+
+def _region_json(simplices):
+    return {"simplices": [[[str(c) for c in p] for p in s] for s in simplices]}
+
+
+def _cover(dim, hi):
+    """One simplex containing [0, hi]^dim, so every cell is selected."""
+    big = dim * (hi + 1) + 1
+    return _region_json([[[-1] * dim] + [[big if i == j else -1 for i in range(dim)]
+                                         for j in range(dim)]])
+
+
+def _degenerate(pts):
+    """Lower-dimensional and repeated simplices around the first sites."""
+    dim = len(pts[0])
+    a, b, c = (tuple(map(F, p)) for p in pts[:3])
+    nearest = min(pts[1:], key=lambda p: sum((x - y) ** 2 for x, y in zip(p, pts[0])))
+    midpoint = tuple(F(x + y, 2) for x, y in zip(pts[0], nearest))
+    centroid = tuple((x + y + z) / 3 for x, y, z in zip(a, b, c))
+    simplices = [[a, a, b], [c], [b, c], [midpoint]]
+    if dim == 2:
+        simplices.append([a, b, c, centroid])
+    return _region_json(simplices)
+
+
+PLANAR = _seeded_sites(16101, 6, 2, 97)
+PLANAR_WIDE = _seeded_sites(16102, 5, 2, 10**6)
+SPATIAL = _seeded_sites(16103, 5, 3, 31)
+
+FILES = {
+    "triangle": _sites_json(2, [[0, 0], [1, 0], [0, 1]]),
+    "square": _sites_json(2, [[0, 0], [1, 0], [0, 1], [1, 1]]),
+    "strip": _sites_json(2, [[0, 0], [2, 1], [4, 0], [2, -2]]),
+    "ring": _sites_json(2, [[0, 0], [2, 0], [0, 3], [F(-5, 2), 0], [0, F(-7, 4)]]),
+    "region": _region_json([[[0, 0], [1, 0], [0, 1]]]),
+    "planar": _sites_json(2, PLANAR),
+    "planar_cover": _cover(2, 97),
+    "planar_degenerate": _degenerate(PLANAR),
+    "wide": _sites_json(2, PLANAR_WIDE),
+    "wide_cover": _cover(2, 10**6),
+    "wide_degenerate": _degenerate(PLANAR_WIDE),
+    "spatial": _sites_json(3, SPATIAL),
+    "spatial_cover": _cover(3, 31),
+    "spatial_degenerate": _degenerate(SPATIAL),
+    "simplex2": from_simplices([(0, 1, 2)]).to_json_dict(),
+    "simplex3": from_simplices([(0, 1, 2, 3)]).to_json_dict(),
+}
+
+
+def _commands():
+    """(case id, argv) with input names standing for their files."""
+    fixtures = [(s, "region") for s in ("triangle", "square", "strip", "ring")]
+    seeded = [(s, f"{s}_{r}") for s in ("planar", "wide", "spatial")
+              for r in ("cover", "degenerate")]
+    out = []
+    for sites in ("triangle", "square", "strip", "ring", "planar", "wide", "spatial"):
+        out.append((f"build-json-{sites}", ["voronoi", "build", sites]))
+        out.append((f"build-text-{sites}", ["--format", "text", "voronoi", "build", sites]))
+    for sites, region in fixtures + seeded:
+        complex_ = "simplex3" if sites == "spatial" else "simplex2"
+        out.append((f"select-{sites}-{region}",
+                    ["voronoi", "select", sites, "--region", region]))
+        out.append((f"snc-{sites}-{region}", ["snc", "build", sites, "--region", region]))
+        out.append((f"pipeline-{sites}-{region}", ["pipeline", complex_, sites, region]))
+    return out
+
+
+COMMANDS = _commands()
+
+# (sha256 of stdout, exit code)
+GOLDEN = {
+    "build-json-triangle": ("2d370209240766ec28268e213fd5dcf74b9a7871d6b4201a445df06cf7f43e34", 0),
+    "build-text-triangle": ("c9d9e00d6f914e87d18b3eeaeb79fc509bc60d95120f8251d43520b2901532da", 0),
+    "build-json-square": ("cb85156629f3238c2777f5344e0ed9655abfca8062d3c3782443198ba0e7577f", 0),
+    "build-text-square": ("6026ef1b062564227b823dc77da522accd3f0714fa84306409b4da72b0b27f12", 0),
+    "build-json-strip": ("e3ad0c432d38e2f63b81f984abc8413177ba3ab603e7ef3cc3901f8db9749e00", 0),
+    "build-text-strip": ("9d594560d3524641a91cd558980507a5d0580c91ecb0d11469e0769a989c57c2", 0),
+    "build-json-ring": ("bfb3fa6f059b4acde564fbb440ea0a918720af4a7a6975633ee1f3c895def483", 0),
+    "build-text-ring": ("a6f152248140438507bf67a4e2cfce257e218e61cbe011f47ab7ebbefb767172", 0),
+    "build-json-planar": ("4fe90eb0cbe664c4a73a0c6ce209a498a26c7321bf3c854d45ccf19605138edd", 0),
+    "build-text-planar": ("99347b3e63cb53c47fe5a146abe3ae7139f3962d8015f6d2cb39d08b42eed7a7", 0),
+    "build-json-wide": ("7e74eb155274a750a2a82d5af115974e7501c66e1df412f5b2f1cc0dde60ead7", 0),
+    "build-text-wide": ("e8f6d34cb0d568cfe99ac975751a6854c92e4a988fd9652e258dfdf718738111", 0),
+    "build-json-spatial": ("3ba7f376f7af7f6aa37e82814ac17d458fea55b70422c7b13f0851632b6eb5f5", 0),
+    "build-text-spatial": ("c11308eff2de438414880837d42ed01f77b34b07cb6d3b73a83111fc767b539c", 0),
+    "select-triangle-region": ("7b35a5a42f11be2ea281946143ed502d4b1eda6c16052e4edefddb2da62db8ee", 0),
+    "snc-triangle-region": ("25e72c4bf51277afbe5bfffc48c239a594a266735c930619858916f0ff390239", 0),
+    "pipeline-triangle-region": ("9f882f02c04c3e8cbf3d87831f8b1c6d5de092978624270b393e7324291c28ff", 0),
+    "select-square-region": ("1ed0d4515013d903715894be609319297e79ab80d1c494a646943e341761d3f8", 0),
+    "snc-square-region": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "pipeline-square-region": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "select-strip-region": ("1ce320e4892f9554fdb52ea074047f6696fcf669b8ff78092d86a059c278370f", 0),
+    "snc-strip-region": ("6635b55bbf2eabb046cc90acff8a8f6642b45043567ea28b67ef9205080dcbd9", 0),
+    "pipeline-strip-region": ("9b8fab5598aedd94c6b03567ae82d9f2c242db24a36f53c3076cff443802a5c8", 1),
+    "select-ring-region": ("1876fcd628413483f7a0bc7265e2fce4450f552879ffa6aff1d6d4428395a49f", 0),
+    "snc-ring-region": ("a404410fcca67baf046aeeb0f167966447be54986ccdc9c47cd895e749ed361d", 0),
+    "pipeline-ring-region": ("251323df28992971b86d868f10e78c8f04574e164bdd913bee8ccac29935825e", 1),
+    "select-planar-planar_cover": ("50a050f68889e2fd00967698559ae70a246ddfda814ec20da5fcd42e21b55f23", 0),
+    "snc-planar-planar_cover": ("7e1ccb5caa500724ddd2e64ebf8d7487aa9469e0bd55d2fe462311c62bd2ffdb", 0),
+    "pipeline-planar-planar_cover": ("206b56704573a1c2797c60a118b984864cc9de442b6649b965b0e230dfa80043", 0),
+    "select-planar-planar_degenerate": ("1ed0d4515013d903715894be609319297e79ab80d1c494a646943e341761d3f8", 0),
+    "snc-planar-planar_degenerate": ("ce96c9bd15c7a7ced39b68a64fda2856e66cf073b50549b808cd3839302ad813", 0),
+    "pipeline-planar-planar_degenerate": ("a5d2c82dfee3ef43824da17ad571167d5993a0342b3219338d498f50efe36cdb", 0),
+    "select-wide-wide_cover": ("a37dcda6cf95d0c4726da1cb3bf446272dbbf69a658924974d6fd4e4294d784e", 0),
+    "snc-wide-wide_cover": ("4874b87729751ff11453eea6bb5314c70be643e5ba1dd64e9830658f62ee0321", 0),
+    "pipeline-wide-wide_cover": ("41b45ba960306032016a0447395260aff17f128a5a75c7aca87c6035fcb64ac2", 0),
+    "select-wide-wide_degenerate": ("7c39ac79eaf6c748936cc589afbf5372a9d8d23d7b9b9d2ad221dcdc3df30a27", 0),
+    "snc-wide-wide_degenerate": ("afca45beabea4c3e22b2fc9c116db4907fa93e388ba8c65311bd0ad3190a1519", 0),
+    "pipeline-wide-wide_degenerate": ("335d00c642d17c3d7774430151307d434ecfd176f6c0dc4bf717c96d337bf86f", 0),
+    "select-spatial-spatial_cover": ("a37dcda6cf95d0c4726da1cb3bf446272dbbf69a658924974d6fd4e4294d784e", 0),
+    "snc-spatial-spatial_cover": ("e0ea07d86b7fe24bbde59f98f93f460ce95d28bc0786cf224dace930bb076530", 0),
+    "pipeline-spatial-spatial_cover": ("6e3b1f3a7a9fdbe15b79bf5f3db6a65a2d30230429f28f9c6db6b053f3e47a42", 0),
+    "select-spatial-spatial_degenerate": ("7b35a5a42f11be2ea281946143ed502d4b1eda6c16052e4edefddb2da62db8ee", 0),
+    "snc-spatial-spatial_degenerate": ("337b44847ecf81e1f0e34d8522ddc7bb22e46899756af67aece527c4e14783ef", 0),
+    "pipeline-spatial-spatial_degenerate": ("6a90860dc5702a44f813b0becb54e6d8f60c9a6c098552839864bfb1f1493412", 1),
+}
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    out = {}
+    for name, payload in FILES.items():
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        out[name] = str(path)
+    return out
+
+
+def run_digest(argv, paths, capsys):
+    code = main([paths.get(token, token) for token in argv])
+    stdout = capsys.readouterr().out
+    return hashlib.sha256(stdout.encode()).hexdigest(), code
+
+
+@pytest.mark.parametrize("case, argv", COMMANDS, ids=[c for c, _ in COMMANDS])
+def test_cli_stdout_matches_golden_digest(case, argv, paths, capsys):
+    assert run_digest(argv, paths, capsys) == GOLDEN[case]

@@ -175,6 +175,18 @@ def rational_systems(draw):
 
 @settings(max_examples=400)
 @given(rational_systems())
+# one per value the back-substitution picks: unbounded (0), a strict and a
+# non-strict upper bound alone, the same for a lower bound, bounds that meet,
+# a midpoint, and a last variable bounded only through the level below it
+@example((1, []))
+@example((1, [Constraint((F(2),), F(3), strict=True)]))
+@example((1, [Constraint((F(2),), F(3))]))
+@example((1, [Constraint((F(-3),), F(1), strict=True)]))
+@example((1, [Constraint((F(-3),), F(1))]))
+@example((1, [Constraint((F(2),), F(1)), Constraint((F(-4),), F(-2))]))
+@example((1, [Constraint((F(3),), F(2)), Constraint((F(-5),), F(1))]))
+@example((2, [Constraint((F(1), F(-1, 2)), F(1, 3)),
+              Constraint((F(-2), F(0)), F(-5, 7), strict=True)]))
 def test_integer_feasible_point_is_the_fraction_oracle(drawn):
     n, system = drawn
     witness = feasible_point(system, n)

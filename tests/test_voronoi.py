@@ -268,6 +268,54 @@ def test_select_subcomplex_closed_cells_share_boundary_points():
     assert select_subcomplex(vc, (midpoint,)) == (0, 1)
 
 
+@pytest.mark.parametrize("dim, n, seed", [(2, 6, 31), (2, 7, 32), (3, 5, 33), (3, 6, 34)])
+def test_select_systems_match_the_fraction_oracle(dim, n, seed, monkeypatch):
+    """Every system select_subcomplex solves, on sites with coordinates up to
+    10^6, gets the Fraction kernel's witness.  The region simplices are
+    degenerate ones, a full one, and two through the midpoint m of site 0
+    and its nearest site j, which lies on both closed cells: on the segment
+    from m to j, cell 0's barycentric bounds meet (lo == up) at m."""
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(rng.randint(0, 10**6) for _ in range(dim)))
+    sites = SiteSet.build(dim, sorted(pts))
+    vc = voronoi_complex(sites)
+    a, b, c, d = sites.sites[:4]
+    j = min(range(1, n), key=lambda k: d2(sites.sites[k], a))
+    m = tuple((x + y) / 2 for x, y in zip(a, sites.sites[j]))
+    simplices = {
+        "repeated vertex": (a, a, b),
+        "point": (c,),
+        "segment": (b, c),
+        "4-point hull": (a, b, c, d),
+        "boundary point": (m,),
+        "boundary segment": (m, sites.sites[j]),
+    }
+    witnesses = []
+
+    def checked(constraints, nvars):
+        witness = feasible_point(constraints, nvars)
+        # the oracle divides its rows, so it takes them in Fractions
+        rational = [Constraint(tuple(map(F, c.coeffs)), F(c.rhs), c.strict)
+                    for c in constraints]
+        assert witness == fraction_kernel.feasible_point(rational, nvars)
+        witnesses.append(witness)
+        return witness
+
+    monkeypatch.setattr(voronoi, "feasible_point", checked)
+    selected = {}
+    for name, simplex in simplices.items():
+        witnesses.clear()
+        selected[name] = select_subcomplex(vc, (simplex,))
+        # one test per cell, in cell order, the simplex's own barycentrics
+        assert len(witnesses) == n
+        assert all(w is None or len(w) == len(simplex) - 1 for w in witnesses)
+    assert {0, j} <= set(selected["boundary point"])
+    assert {0, j} <= set(selected["boundary segment"])
+    assert witnesses[0] == (F(0),)  # cell 0 meets the boundary segment at m alone
+
+
 def test_classify_triangle_cell0():
     vc = voronoi_complex(TRIANGLE_SITES)
     rep = classify_subspaces(vc, 0)
