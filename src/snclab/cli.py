@@ -123,12 +123,14 @@ def _load_sites(path: str) -> SiteSet:
 
 
 def _selection(args, vc) -> tuple[int, ...]:
-    if getattr(args, "select", None):
+    """The cells named by --select, sorted and deduplicated, or those a
+    --region meets, or every cell."""
+    if getattr(args, "select", None) is not None:
         try:
-            return tuple(int(x) for x in args.select.split(","))
+            return tuple(sorted({int(x) for x in args.select.split(",")}))
         except ValueError:
             raise VoronoiError(f"--select {args.select!r} is not a list of cell indices") from None
-    if getattr(args, "region", None):
+    if getattr(args, "region", None) is not None:
         region = region_from_json_dict(_load(args.region))
         return select_subcomplex(vc, region)
     return tuple(vc.cell_indices())

@@ -78,10 +78,6 @@ class AbelianGroup:
         torsion = tuple(sorted(d for d in factors if d > 1))
         return cls(rank, torsion)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
     def __str__(self) -> str:
         parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion]
         return " + ".join(parts) if parts else "0"

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 from .qlinalg import row_reduce
@@ -72,35 +71,6 @@ class IntMatrix:
             for i in range(self.rows)
         )
         return IntMatrix(self.rows, other.cols, data)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def rank(m: IntMatrix) -> int:
@@ -275,38 +245,3 @@ def reduce_unit_pivots(
     used = sorted({i for c in rest for i in c})
     grid = [[c.get(i, 0) for c in rest] for i in used]
     return tuple(pivots), IntMatrix.from_rows(grid, len(rest))
-
-
-def invariant_factors_by_minors(m: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors via gcds of k-by-k minors.
-
-    Independent of any reduction path, so it serves as an oracle for
-    smith_normal_form on small matrices.
-    """
-    from itertools import combinations
-
-    limit = min(m.rows, m.cols)
-    factors = []
-    prev = 1
-    for k in range(1, limit + 1):
-        g = 0
-        for rows_sel in combinations(range(m.rows), k):
-            for cols_sel in combinations(range(m.cols), k):
-                sub = IntMatrix.from_rows(
-                    [[m.entries[i][j] for j in cols_sel] for i in rows_sel]
-                )
-                g = gcd(g, determinant(sub))
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        if g == 0:
-            break
-        factors.append(g // prev)
-        prev = g
-    factors += [0] * (limit - len(factors))
-    return tuple(factors)
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    return m.rows == m.cols and abs(determinant(m)) == 1

@@ -359,11 +359,6 @@ def _rule_charts(model: LocalModel, rule, policy: Policy, fresh_label: Optional[
     raise ResolutionError(f"unknown rule {name!r}")
 
 
-def apply_rule(model: LocalModel, rule, policy: Policy = Policy(),
-               fresh_label: Optional[int] = None) -> list[LocalModel]:
-    return model._charts(_rule_charts(model, rule, policy, fresh_label))
-
-
 @dataclass(frozen=True, slots=True)
 class TraceNode:
     node_id: int
@@ -418,32 +413,6 @@ class ResolutionTrace:
         if not maximal:
             raise ResolutionError("empty nerve: no leaf has x-divisors")
         return from_simplices(maximal)
-
-    def verify_certificate(self) -> None:
-        """Strict lexicographic descent on every blow-up; relabel steps must
-        be the documented mdeg transposition and descend compositely."""
-        children_steps = {s.node: s for s in self.steps}
-        for s in self.steps:
-            if s.relabel:
-                (parent_deg, child_deg), = s.descents
-                if not _relabel_shape(parent_deg, child_deg):
-                    raise ResolutionCheckError(f"step {s.step_id}: unexpected relabel shape")
-                for child_id in s.children:
-                    follow = children_steps.get(child_id)
-                    if follow is None:
-                        continue
-                    for _, grandchild in follow.descents:
-                        if not grandchild < parent_deg:
-                            raise ResolutionCheckError(
-                                f"step {s.step_id}: relabel composite fails to descend"
-                            )
-                continue
-            for parent_deg, child_deg in s.descents:
-                if not child_deg < parent_deg:
-                    raise ResolutionCheckError(
-                        f"step {s.step_id} ({s.rule}): mdeg {child_deg} does not descend "
-                        f"below {parent_deg}"
-                    )
 
     def to_json_dict(self) -> dict:
         return {

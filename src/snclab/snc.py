@@ -72,9 +72,6 @@ class BlowupLedger:
     def centers_of_dim(self, d: int) -> tuple[SubspaceRecord, ...]:
         return tuple(c for c in self.centers if c.dim == d)
 
-    def keys(self) -> tuple[frozenset[int], ...]:
-        return tuple(c.sites for c in self.centers)
-
 
 def blowup_ledger(vc: VoronoiComplex, cell: int) -> BlowupLedger:
     """All parasitic subspaces for the cell, sorted by (dimension, index set)."""
@@ -169,27 +166,6 @@ class SncModel:
 
     def components(self) -> tuple[Stratum, ...]:
         return tuple(s for s in self.strata if len(s.key) == 1)
-
-    def stratum_by_key(self, key) -> Optional[Stratum]:
-        target = frozenset(key)
-        for s in self.strata:
-            if s.key == target:
-                return s
-        return None
-
-    def with_flags(self, rational=None, sphere_class=None) -> "SncModel":
-        new_rational = dict(self.rational)
-        new_sphere = dict(self.sphere_class)
-        if rational:
-            for key, value in rational.items():
-                new_rational[frozenset(key)] = bool(value)
-        if sphere_class:
-            for key, value in sphere_class.items():
-                new_sphere[frozenset(key)] = bool(value)
-        return SncModel(
-            self.vc, self.selection, self.charts, self.gluings, self.strata,
-            self.all_classes, self.ledgers_applied, new_rational, new_sphere,
-        )
 
     def to_json_dict(self) -> dict:
         return {

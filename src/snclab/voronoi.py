@@ -52,7 +52,6 @@ from .qlinalg import (
     AffineSubspace,
     Constraint,
     Vector,
-    dot,
     feasible,
     feasible_point,
     solve_affine,
@@ -160,13 +159,6 @@ class SiteSet:
             return total
 
         return list(zip(map(sub, map(den.__mul__, norms), dots(anchor)), *map(dots, basis)))
-
-    def nearest_set(self, x: Sequence) -> frozenset[int]:
-        p = vec(x)
-        d2 = [dot(tuple(a - b for a, b in zip(p, s)), tuple(a - b for a, b in zip(p, s)))
-              for s in self.sites]
-        best = min(d2)
-        return frozenset(i for i, d in enumerate(d2) if d == best)
 
 
 def equidistance_subspace(sites: SiteSet, j_set: Sequence[int]) -> Optional[AffineSubspace]:

@@ -42,8 +42,12 @@ def _normalized(c: Constraint) -> Constraint:
 
 
 def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[Vector]:
-    """A rational point satisfying every constraint, or None."""
-    levels: list[list[Constraint]] = [list(constraints)]
+    """A rational point satisfying every constraint, or None.  Rows of
+    Python ints are read as Fractions, so every division is exact."""
+    levels: list[list[Constraint]] = [
+        [Constraint(tuple(map(Fraction, c.coeffs)), Fraction(c.rhs), c.strict)
+         for c in constraints]
+    ]
     for k in range(nvars):
         uppers, lowers, rest = [], [], []
         for c in levels[-1]:

@@ -26,8 +26,8 @@ from corpus import (
     TRIANGLE_SITES,
     TWO_SITES_1D,
 )
+from minors_oracle import invariant_factors_by_minors
 from snclab.complexes import AbelianGroup, build_complex, delta_isomorphic, from_simplices
-from snclab.intlinalg import invariant_factors_by_minors
 from snclab.presentations import (
     Presentation,
     SuperperfectVerdict,
@@ -41,7 +41,6 @@ from snclab.presentations import (
 from snclab.resolution import (
     LocalModel,
     Mdeg,
-    apply_rule,
     resolve,
     select_rule,
     step_determinantal,
@@ -70,6 +69,7 @@ from snclab.voronoi import (
 )
 
 from test_resolution import BOX
+from tree_resolver import apply_rule, verify_certificate
 from test_seifert import gysin_circle_bundle_over_curve, random_valid_base
 from test_seifert import random_decomposition
 
@@ -238,7 +238,7 @@ def test_criterion_4_resolution_calculus():
             trace = resolve([model])
             assert trace.all_resolved()
             assert trace.nerve_constant()
-            trace.verify_certificate()
+            verify_certificate(trace)
         # (d) the ordinary node resolves in one step with two leaves
         trace = resolve([LocalModel.build([1, 2], 1)])
         assert len(trace.steps) == 1

@@ -342,6 +342,11 @@ def test_input_errors_exit_2(inputs, capsys, monkeypatch):
     refused(["snc", "pillow", "--cx", "x", "--cy", "1", "--cz", "1"], "'x'")
     refused(["snc", "pillow", "--cx", "1,0"], "needs --cx, --cy and --cz")
     refused(["snc", "build", inputs["strip"], "--select", "0,a"], "'0,a'")
+    # an empty --select or --region names no cells; it is not read as "every cell"
+    for command in (["voronoi", "delaunay", inputs["strip"]], ["snc", "build", inputs["strip"]],
+                    ["snc", "dual", inputs["strip"]], ["resolve", "embed", "--sites", inputs["strip"]]):
+        refused([*command, "--select="], "--select '' is not a list of cell indices")
+        refused([*command, "--region="], "No such file or directory: ''")
     refused(["snc", "build"], "needs a sites file")
     refused(["resolve", "embed"], "needs --sites")
     refused(["voronoi", "select", inputs["triangle"]], "needs --region")
@@ -469,6 +474,20 @@ def test_failed_check_exits_1(inputs, capsys, monkeypatch, module, name, replace
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith(f"error: check failed: {message}")
+
+
+def test_delaunay_reports_the_selection_it_used(inputs, capsys):
+    # the dual's vertices are the distinct selected cells in order, and the
+    # report lists them as `snc build` does
+    code, out = run_cli("voronoi", "delaunay", inputs["strip"], "--select", "2,0,0",
+                        capsys=capsys)
+    report = json.loads(out)
+    assert code == 0 and report["selection"] == [0, 2]
+    assert report["complex"]["labels"][0] == ["0", "2"]
+    assert out == run_cli("voronoi", "delaunay", inputs["strip"], "--select", "0,2",
+                          capsys=capsys)[1]
+    _, model = run_cli("snc", "build", inputs["strip"], "--select", "2,0,0", capsys=capsys)
+    assert json.loads(model)["selection"] == [0, 2]
 
 
 # every subcommand on the fixtures above; a token naming a fixture stands for its path

@@ -111,7 +111,8 @@ def test_sparse_composite_check_matches_dense_product(triangles, tetrahedra):
 def test_boundary_composites_vanish_on_corpus():
     for k in NAMED_COMPLEXES.values():
         for d in range(2, k.dim + 1):
-            assert (boundary_matrix(k, d - 1) * boundary_matrix(k, d)).is_zero()
+            composite = boundary_matrix(k, d - 1) * boundary_matrix(k, d)
+            assert composite == IntMatrix.zero(composite.rows, composite.cols)
 
 
 def test_circle_homology():
@@ -192,7 +193,7 @@ def test_abelian_group_validation():
     g = AbelianGroup.from_invariant_factors(1, [1, 2, 4])
     assert g.rank == 1 and g.torsion == (2, 4)
     assert str(AbelianGroup(2, (2,))) == "Z + Z + Z/2"
-    assert AbelianGroup(0).is_trivial
+    assert str(AbelianGroup(0)) == "0"
 
 
 def test_delta_isomorphic():

@@ -6,7 +6,10 @@ the case was added.  The inputs are the CLI test fixtures' site sets and
 region, and seeded planar and 3D site sets, each with a region that covers
 every cell and a degenerate one: a simplex with a repeated vertex, a single
 point, a segment, a 4-point hull in the plane and the midpoint of a site
-and its nearest neighbour, which lies on both closed cells.
+and its nearest neighbour, which lies on both closed cells.  Further cases
+pin `voronoi classify --cell`, `voronoi delaunay --select` with sorted
+selections, and `resolve run` on roots of the resolver's degree box, with
+and without a seed.
 
 A change that alters any of these outputs on purpose records the new
 digest here and says so in CHANGES.md.
@@ -80,6 +83,14 @@ FILES = {
     "spatial_degenerate": _degenerate(SPATIAL),
     "simplex2": from_simplices([(0, 1, 2)]).to_json_dict(),
     "simplex3": from_simplices([(0, 1, 2, 3)]).to_json_dict(),
+    "node": {"I": [1, 2], "m": 1, "F": []},
+    "cascade": {"I": [1, 2], "m": 2, "F": []},
+    "heavy": {"I": [1, 2, 3], "m": 1, "F": [[10, 2], [11, 1]]},
+    "deep": {"I": [1, 2, 3], "m": 3, "F": []},
+    "box_roots": {"roots": [{"I": [1, 2, 3], "m": 2, "F": []},
+                            {"I": [1, 2], "m": 0, "F": [[10, 1], [11, 1]]},
+                            {"I": [1, 2, 3, 4], "m": 1, "F": [[10, 3]]},
+                            {"I": [1, 2, 3, 4], "m": 2, "F": []}]},
 }
 
 
@@ -98,6 +109,20 @@ def _commands():
                     ["voronoi", "select", sites, "--region", region]))
         out.append((f"snc-{sites}-{region}", ["snc", "build", sites, "--region", region]))
         out.append((f"pipeline-{sites}-{region}", ["pipeline", complex_, sites, region]))
+    for sites, cell in (("triangle", 0), ("strip", 1), ("ring", 0), ("planar", 2),
+                        ("spatial", 4)):
+        out.append((f"classify-json-{sites}-{cell}",
+                    ["voronoi", "classify", sites, "--cell", str(cell)]))
+        out.append((f"classify-text-{sites}-{cell}",
+                    ["--format", "text", "voronoi", "classify", sites, "--cell", str(cell)]))
+    for sites, select in (("triangle", "0,1,2"), ("strip", "0,1,2"), ("ring", "1,2,3,4"),
+                          ("planar", "0,2,3,5"), ("spatial", "1,3"), ("square", "0,1")):
+        out.append((f"delaunay-{sites}-{select}",
+                    ["voronoi", "delaunay", sites, "--select", select]))
+    for roots in ("node", "cascade", "heavy", "deep", "box_roots"):
+        out.append((f"resolve-{roots}", ["resolve", "run", roots]))
+    out.append(("resolve-box_roots-seed", ["resolve", "run", "box_roots", "--seed", "7"]))
+    out.append(("resolve-text-heavy", ["--format", "text", "resolve", "run", "heavy"]))
     return out
 
 
@@ -149,6 +174,29 @@ GOLDEN = {
     "select-spatial-spatial_degenerate": ("7b35a5a42f11be2ea281946143ed502d4b1eda6c16052e4edefddb2da62db8ee", 0),
     "snc-spatial-spatial_degenerate": ("337b44847ecf81e1f0e34d8522ddc7bb22e46899756af67aece527c4e14783ef", 0),
     "pipeline-spatial-spatial_degenerate": ("6a90860dc5702a44f813b0becb54e6d8f60c9a6c098552839864bfb1f1493412", 1),
+    "classify-json-triangle-0": ("392667024e58603d747279765b2542cf769a37321c5841e4a79b8f2d21fcec0d", 0),
+    "classify-text-triangle-0": ("411e3ea5e010583db17c0b8b57fdf83d10bfd377a9759056ed8fb52532c846e7", 0),
+    "classify-json-strip-1": ("0fa457789d7cca0ee78a3f08a156ae9f10346a9c9e137611007a14b626558bcc", 0),
+    "classify-text-strip-1": ("fa1408dbbe0c7b754a6713067ff24cc2b20e38b678ad717f07dbf514f6bfc340", 0),
+    "classify-json-ring-0": ("d9d17f097db9664d4ff245b3b383ae549986c5095bf67cb9f037b4476a3751ea", 0),
+    "classify-text-ring-0": ("28cf5aaa17035a69b4059dc242f8b11d2e7785ff3e91d4329ca0bb2b7f973ba0", 0),
+    "classify-json-planar-2": ("ed1dc7365d22d37051a5ebca0782c270f088ff94e2260149ee642e0ce45a2be6", 0),
+    "classify-text-planar-2": ("f1a7532e4ef1c96becdcb6d4496e92848efdf56756d41d2842d5d7e31a120944", 0),
+    "classify-json-spatial-4": ("707fba4534960c2f36f28863305416069bae93cf9cf42d2bfa41d63d049ae8fa", 0),
+    "classify-text-spatial-4": ("e2023ef74ebefd8065dba49a5f82f7836bc5cd13b956377acdc3909e6891b8ca", 0),
+    "delaunay-triangle-0,1,2": ("5a75a18bd9115a58dbd31546a97a05b5f8d09cb2138ac04b65172daf42221c02", 0),
+    "delaunay-strip-0,1,2": ("8162e9e4e57601cf5dffb1b032603449463986c54a7fcb65da271d0d23425fa0", 0),
+    "delaunay-ring-1,2,3,4": ("753ae56bedca5921eb6a027043938fc197d2fab5aa2e73d64820c96e92c123be", 0),
+    "delaunay-planar-0,2,3,5": ("b1e5ddbfb04403fc0dc2fdc2ffee9319cd1d4fa1ad926ed0e5e292f6c06b6b8b", 0),
+    "delaunay-spatial-1,3": ("05255b984ee062754ab299c8f396fc3078b697c77d4a299ca694c44ff4246b39", 0),
+    "delaunay-square-0,1": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "resolve-node": ("40f8567504cc4eeba90ae7123a6ab0575ad5234f3a8f02d056b864bda28e4249", 0),
+    "resolve-cascade": ("dd81c5b271ba2ab2bd41482b8e562b9eb8f7add46941daf14cbc81b40d544c23", 0),
+    "resolve-heavy": ("9d6156c6ce158f970f754ca0153232796fe8700d7a8de54dca66caeea1306daa", 0),
+    "resolve-deep": ("1c983fc1f778087de125eb90531b089e3462998984b59084d4af8bb4d409632e", 0),
+    "resolve-box_roots": ("142403571526bfb2591360dfbecaeb564f136d990107bab144ac737c22e5b9b1", 0),
+    "resolve-box_roots-seed": ("821bd6c6d52bc5ff96db108f114c095b29ca481fac947f4aff9d282a277aa4b7", 0),
+    "resolve-text-heavy": ("7f4523d01b44beb4a966731f90e5af98a65a7f8f79fe08942b12674ee75e76b1", 0),
 }
 
 

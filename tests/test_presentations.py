@@ -5,8 +5,8 @@ import random
 import pytest
 
 from corpus import CIRCLE, FULL_2_SIMPLEX, NAMED_COMPLEXES, RP2, TORUS
+from minors_oracle import invariant_factors_by_minors
 from snclab.complexes import AbelianGroup, ComplexError, from_simplices
-from snclab.intlinalg import invariant_factors_by_minors
 from snclab.presentations import (
     Presentation,
     PresentationError,

@@ -156,19 +156,23 @@ def test_randomized_witness_soundness():
 
 @st.composite
 def rational_systems(draw):
-    """0 to 3 variables and up to 8 rows of rational entries, strict and
-    non-strict, among them all-zero rows and rows repeated up to a positive
-    scale."""
+    """0 to 3 variables and up to 8 rows, strict and non-strict, among them
+    all-zero rows and rows repeated up to a positive scale.  The entries
+    are Fractions, or Python ints as the kernel's callers pass them."""
     n = draw(st.integers(0, 3))
-    entry = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    if draw(st.booleans()):
+        zero, entry, scales = 0, st.integers(-4, 4), st.integers(1, 5)
+    else:
+        zero, entry = F(0), st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+        scales = st.builds(F, st.integers(1, 5), st.integers(1, 5))
     rows = draw(st.lists(st.tuples(st.tuples(*[entry] * n), entry, st.booleans()), max_size=6))
     for _ in range(draw(st.integers(0, 8 - len(rows)))):
         if rows and draw(st.booleans()):
             coeffs, rhs, _ = draw(st.sampled_from(rows))
-            scale = draw(st.builds(F, st.integers(1, 5), st.integers(1, 5)))
+            scale = draw(scales)
             rows.append((tuple(scale * x for x in coeffs), scale * rhs, draw(st.booleans())))
         else:
-            rows.append(((F(0),) * n, draw(entry), draw(st.booleans())))
+            rows.append(((zero,) * n, draw(entry), draw(st.booleans())))
     rows = draw(st.permutations(rows))
     return n, [Constraint(a, b, strict) for a, b, strict in rows]
 
@@ -187,11 +191,15 @@ def rational_systems(draw):
 @example((1, [Constraint((F(3),), F(2)), Constraint((F(-5),), F(1))]))
 @example((2, [Constraint((F(1), F(-1, 2)), F(1, 3)),
               Constraint((F(-2), F(0)), F(-5, 7), strict=True)]))
+# integer rows 2x + y <= 3, x >= 0, y >= 0: the witness (3/8, 3/2)
+@example((2, [Constraint((2, 1), 3), Constraint((-1, 0), 0), Constraint((0, -1), 0)]))
 def test_integer_feasible_point_is_the_fraction_oracle(drawn):
     n, system = drawn
     witness = feasible_point(system, n)
-    assert witness == fraction_kernel.feasible_point(system, n)
-    assert witness is None or all(type(x) is F for x in witness)
+    expected = fraction_kernel.feasible_point(system, n)
+    assert witness == expected
+    # a float would compare equal to a Fraction of the same value
+    assert witness is None or all(type(x) is F for x in witness + expected)
 
 
 @settings(max_examples=400)

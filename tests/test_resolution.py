@@ -1,5 +1,6 @@
 """The blow-up rewriting calculus: rules, descent, termination, nerves."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -8,13 +9,15 @@ from hypothesis import strategies as st
 
 import tree_resolver
 from corpus import TRIANGLE_SITES, TWO_SITES_1D
+from snclab import resolution
+from snclab.cli import main
 from snclab.complexes import closure
 from snclab.resolution import (
     LocalModel,
     Mdeg,
     Policy,
+    ResolutionCheckError,
     ResolutionError,
-    apply_rule,
     embed_snc,
     normalize,
     resolve,
@@ -191,14 +194,14 @@ def test_strict_lex_descent_on_box():
         rule = select_rule(model)
         if rule is None:
             continue
-        charts = apply_rule(model, rule)
+        charts = tree_resolver.apply_rule(model, rule)
         parent = model.mdeg()
         if rule[0] == "normalize":
             (child,) = charts
             assert child.mdeg() == Mdeg(parent.deg_x, 1, 0)
             follow = select_rule(child)
             assert follow == ("binres", None)
-            for grandchild in apply_rule(child, follow):
+            for grandchild in tree_resolver.apply_rule(child, follow):
                 assert grandchild.mdeg() < parent
         else:
             for c in charts:
@@ -210,7 +213,7 @@ def test_resolve_terminates_on_box_with_invariants():
         trace = resolve([model])
         assert trace.all_resolved()
         assert trace.nerve_constant()
-        trace.verify_certificate()
+        tree_resolver.verify_certificate(trace)
 
 
 def test_nerve_matches_per_step_snapshots_on_box():
@@ -277,6 +280,70 @@ def test_resolve_max_steps_valve():
         resolve([LocalModel.build([1, 2, 3, 4], 3, [(5, 4)])], max_steps=5)
 
 
+# resolve's self-checks, each made to fire by rule charts that break it;
+# NODE takes binres, SINGLE takes normalize and then binres
+NODE = LocalModel.build([1, 2], 1)
+SINGLE = LocalModel.build([1, 2], 0, [(9, 1)])
+
+
+def _binres_to(monkeypatch, charts):
+    """Let binres on x-index set {1, 2} return charts(x-index set, fresh label)."""
+    real = resolution._rule_charts
+
+    def rule_charts(model, rule, policy, fresh_label):
+        if rule[0] != "binres":
+            return real(model, rule, policy, fresh_label)
+        return "binres(1)", charts(model.x_divisors, fresh_label)
+
+    monkeypatch.setattr(resolution, "_rule_charts", rule_charts)
+
+
+def _refused(root, message):
+    with pytest.raises(ResolutionCheckError) as caught:
+        resolve([root])
+    assert str(caught.value) == message
+
+
+def test_resolve_refuses_a_chart_escaping_the_parent(monkeypatch, tmp_path, capsys):
+    _binres_to(monkeypatch, lambda xs, w: [(xs | {3}, 0, ())])
+    _refused(NODE, "child x-index set escapes the parent's")
+    path = tmp_path / "node.json"
+    path.write_text(json.dumps(NODE.to_json_dict()))
+    assert main(["resolve", "run", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: check failed: child x-index set escapes the parent's\n")
+
+
+def test_resolve_refuses_charts_that_drop_the_parent_set(monkeypatch):
+    _binres_to(monkeypatch, lambda xs, w: [(xs - {1}, 1, ()), (xs - {2}, 0, ())])
+    _refused(NODE, "no child preserves the parent's x-index set")
+
+
+def test_resolve_refuses_a_blowup_chart_that_does_not_descend(monkeypatch):
+    _binres_to(monkeypatch, lambda xs, w: [(xs - {1}, 1, ()), (xs, 1, ())])
+    _refused(NODE, "binres on (frozenset({1, 2}), 1, ()): mdeg Mdeg(deg_x=2, deg_y=1, "
+                   "deg_z=0) does not descend below Mdeg(deg_x=2, deg_y=1, deg_z=0)")
+
+
+def test_resolve_refuses_a_normalize_of_the_wrong_shape(monkeypatch):
+    monkeypatch.setattr(resolution, "_normalize",
+                        lambda model: ("normalize", [(model.x_divisors, 0, ())]))
+    _refused(SINGLE, "normalize on (frozenset({1, 2}), 0, (1,)): unexpected relabel shape")
+
+
+def test_resolve_refuses_a_relabel_composite_that_does_not_descend(monkeypatch):
+    # binres after normalize descends from (2, 1, 0) to (2, 0, 2), which is
+    # above the pre-normalize degree (2, 0, 1)
+    _binres_to(monkeypatch, lambda xs, w: [(xs - {1}, 1, ()), (xs, 0, ((w, 2),))])
+    _refused(SINGLE, "relabel composite fails to descend")
+
+
+def test_resolve_refuses_rules_that_return_to_a_state(monkeypatch):
+    # binres after normalize gives back the root's state (2, 0, (1,))
+    _binres_to(monkeypatch, lambda xs, w: [(xs - {1}, 1, ()), (xs, 0, ((w, 1),))])
+    _refused(SINGLE, "the rules return to a state they left")
+
+
 def test_nodes_with_equal_states_have_equal_models():
     # a model is its germ: nodes reached along different paths with one
     # state hold equal models, which hash equal
@@ -299,7 +366,7 @@ def test_policy_permutation_fuzz():
         trace = resolve([root], Policy(seed=seed))
         assert trace.all_resolved()
         assert trace.nerve_constant()
-        trace.verify_certificate()
+        tree_resolver.verify_certificate(trace)
         nerves.add(trace.final_nerve())
     # the nerve is an invariant of the root, not of the center choices
     assert len(nerves) == 1

@@ -1,6 +1,7 @@
 """Glued models: ledgers, strata, dual complexes, blow-ups, pillows."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -51,7 +52,7 @@ def test_ledger_two_sites_empty():
 
 def test_ledger_strip_middle_contains_q_point():
     led = blowup_ledger(VC_STRIP, 1)
-    keys = led.keys()
+    keys = [c.sites for c in led.centers]
     assert frozenset({0, 1, 2}) in keys
     q = next(c for c in led.centers if c.sites == frozenset({0, 1, 2}))
     assert q.dim == 0
@@ -71,7 +72,7 @@ def test_build_snc_two_cells_1d():
     keys = sorted(tuple(sorted(s.key)) for s in model.strata)
     assert keys == [(0,), (0, 1), (1,)]
     assert model.gluings == ((0, 1),)
-    point = model.stratum_by_key({0, 1})
+    point = next(s for s in model.strata if s.key == {0, 1})
     assert point.dim == 0
     assert point.members == ((0, frozenset({0, 1})), (1, frozenset({0, 1})))
 
@@ -196,7 +197,7 @@ def test_sheaf_cohomology_dims():
     assert sheaf_cohomology_dims(build_snc(VC_TRIANGLE, (0, 1, 2))) == (1, 0, 0)
     ring_model = build_snc(VC_RING, RING_OUTER)
     assert sheaf_cohomology_dims(ring_model) == (1, 1)
-    flagged = ring_model.with_flags(rational={(1,): False})
+    flagged = replace(ring_model, rational={**ring_model.rational, frozenset({1}): False})
     with pytest.raises(SncError, match="non-rational"):
         sheaf_cohomology_dims(flagged)
 
@@ -242,7 +243,7 @@ def test_pillow_inversion_invariance_and_product_dependence():
 def test_pi1_link_criterion():
     model = build_snc(VC_TRIANGLE, (0, 1, 2))
     assert pi1_link_criterion(model) is Pi1Verdict.ISOMORPHISM_CLAIMED
-    doubted = model.with_flags(sphere_class={(0,): False})
+    doubted = replace(model, sphere_class={**model.sphere_class, frozenset({0}): False})
     assert pi1_link_criterion(doubted) is Pi1Verdict.UNKNOWN
     empty = SncModel(
         model.vc, (), {}, (), (), (), True, {}, {}

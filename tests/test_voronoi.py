@@ -52,6 +52,13 @@ def d2(x, y):
     return sum((a - b) ** 2 for a, b in zip(x, y))
 
 
+def nearest_set(sites, x):
+    """The indices of the sites nearest to x, by exact squared distance."""
+    dists = [d2(x, s) for s in sites.sites]
+    best = min(dists)
+    return frozenset(i for i, d in enumerate(dists) if d == best)
+
+
 def random_rational_point(rng, dim, span=6, denom=7):
     return tuple(
         F(rng.randint(-4 * span, 4 * span), rng.randint(1, denom)) for _ in range(dim)
@@ -156,7 +163,7 @@ def test_partition_property_random_sites():
         sites = SiteSet(dim, tuple(sorted(pts)))
         for _ in range(20):
             x = random_rational_point(rng, dim)
-            nearest = sites.nearest_set(x)
+            nearest = nearest_set(sites, x)
             assert len(nearest) >= 1
             # membership in each cell's half-space system agrees with the
             # distance semantics
@@ -174,7 +181,7 @@ def test_face_witnesses_and_spans():
     for name, sites in SIMPLE_CORPUS.items():
         vc = voronoi_complex(sites)
         for face in vc.face_list():
-            assert sites.nearest_set(face.witness) == face.sites, name
+            assert nearest_set(sites, face.witness) == face.sites, name
             assert face.span.contains_point(face.witness)
             recomputed = equidistance_subspace(sites, sorted(face.sites))
             assert recomputed is not None
@@ -244,7 +251,7 @@ def test_closed_face_intersections_stay_in_lattice():
             witness = feasible_point(constraints, sites.dim)
             if witness is None:
                 continue
-            nearest = sites.nearest_set(witness)
+            nearest = nearest_set(sites, witness)
             assert union <= nearest
             assert frozenset(nearest) in vc.faces, name
 
@@ -296,10 +303,7 @@ def test_select_systems_match_the_fraction_oracle(dim, n, seed, monkeypatch):
 
     def checked(constraints, nvars):
         witness = feasible_point(constraints, nvars)
-        # the oracle divides its rows, so it takes them in Fractions
-        rational = [Constraint(tuple(map(F, c.coeffs)), F(c.rhs), c.strict)
-                    for c in constraints]
-        assert witness == fraction_kernel.feasible_point(rational, nvars)
+        assert witness == fraction_kernel.feasible_point(constraints, nvars)
         witnesses.append(witness)
         return witness
 
@@ -383,11 +387,11 @@ def test_face_lattice_is_complete_under_probing():
         vc = voronoi_complex(sites)
         for _ in range(30):
             x = random_rational_point(rng, dim, span=3)
-            assert sites.nearest_set(x) in vc.faces
+            assert nearest_set(sites, x) in vc.faces
         # midpoints of site pairs often land on lower faces
         for i, j in combinations(range(n), 2):
             mid = tuple((a + b) / 2 for a, b in zip(sites.sites[i], sites.sites[j]))
-            assert sites.nearest_set(mid) in vc.faces
+            assert nearest_set(sites, mid) in vc.faces
 
 
 def test_scale_guard_ten_sites_and_dim_four():
@@ -403,7 +407,7 @@ def test_scale_guard_ten_sites_and_dim_four():
         pts4.add(tuple(F(rng.randint(0, 8)) for _ in range(4)))
     vc4 = voronoi_complex(SiteSet(4, tuple(sorted(pts4))))
     for face in vc4.face_list():
-        assert vc4.sites.nearest_set(face.witness) == face.sites
+        assert nearest_set(vc4.sites, face.witness) == face.sites
 
 
 def test_genericity_density_fuzz():

@@ -3,6 +3,9 @@
 `snclab.resolution.resolve` expands each distinct canonical state once and
 stamps the tree out of that memo; on every input it must return exactly
 the trace this breadth-first worklist builds, node by node.
+
+`verify_certificate` re-checks a finished trace's termination certificate
+step by step, and `apply_rule` applies one selected rule to a model.
 """
 
 from collections import deque
@@ -17,9 +20,42 @@ from snclab.resolution import (
     ResolutionTrace,
     TraceNode,
     TraceStep,
+    _relabel_shape,
     _rule_charts,
     select_rule,
 )
+
+
+def apply_rule(model: LocalModel, rule) -> list[LocalModel]:
+    """The charts of a selected rule under the default policy."""
+    return model._charts(_rule_charts(model, rule, Policy(), None))
+
+
+def verify_certificate(trace: ResolutionTrace) -> None:
+    """Strict lexicographic descent on every blow-up; relabel steps must
+    be the documented mdeg transposition and descend compositely."""
+    children_steps = {s.node: s for s in trace.steps}
+    for s in trace.steps:
+        if s.relabel:
+            (parent_deg, child_deg), = s.descents
+            if not _relabel_shape(parent_deg, child_deg):
+                raise ResolutionCheckError(f"step {s.step_id}: unexpected relabel shape")
+            for child_id in s.children:
+                follow = children_steps.get(child_id)
+                if follow is None:
+                    continue
+                for _, grandchild in follow.descents:
+                    if not grandchild < parent_deg:
+                        raise ResolutionCheckError(
+                            f"step {s.step_id}: relabel composite fails to descend"
+                        )
+            continue
+        for parent_deg, child_deg in s.descents:
+            if not child_deg < parent_deg:
+                raise ResolutionCheckError(
+                    f"step {s.step_id} ({s.rule}): mdeg {child_deg} does not descend "
+                    f"below {parent_deg}"
+                )
 
 
 def resolve(
@@ -84,5 +120,5 @@ def resolve(
     trace = ResolutionTrace(tuple(range(len(roots))), tuple(nodes), tuple(steps), snapshots)
     if not trace.all_resolved():
         raise ResolutionCheckError("worklist drained with unresolved leaves")
-    trace.verify_certificate()
+    verify_certificate(trace)
     return trace
