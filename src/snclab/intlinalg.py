@@ -1,9 +1,10 @@
 """Exact integer matrices, Smith normal form and unit-pivot reduction.
 
-Everything here is arbitrary-precision: entries are Python ints and the
-row/column transforms are kept unimodular.  The pivot policy is fixed
-(smallest absolute value, ties broken by row-major position) so repeated
-runs produce bit-identical transforms.
+Everything here is arbitrary-precision: entries are Python ints, and
+every row and column operation is unimodular.  `smith_normal_form`
+computes the diagonal alone, since its callers read only the invariant
+factors and the rank; the transforms are not kept.  The pivot policy is
+fixed (smallest absolute value, ties broken by row-major position).
 
 Homology and abelianization first split the +-1 pivots off a sparse
 matrix with `reduce_unit_pivots` and run `smith_normal_form` and `rank`
@@ -48,30 +49,6 @@ class IntMatrix:
             width = 0
         return cls(len(data), width, data)
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def __getitem__(self, pos: tuple[int, int]) -> int:
-        i, j = pos
-        return self.entries[i][j]
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        data = tuple(
-            tuple(
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            )
-            for i in range(self.rows)
-        )
-        return IntMatrix(self.rows, other.cols, data)
-
 
 def rank(m: IntMatrix) -> int:
     """Rank over the rationals, by `qlinalg.row_reduce`."""
@@ -80,11 +57,9 @@ def rank(m: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class SmithNormalForm:
-    """diag with d1 | d2 | ..., and unimodular L, R with L*M*R = diag(diag)."""
+    """The diagonal d1 | d2 | ... of the Smith normal form, zeros last."""
 
     diagonal: tuple[int, ...]
-    left: IntMatrix
-    right: IntMatrix
 
     @property
     def nonzero(self) -> tuple[int, ...]:
@@ -108,87 +83,52 @@ def _find_pivot(a: list[list[int]], s: int, rows: int, cols: int) -> tuple[int, 
 
 
 def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
-    """Smith normal form with transforms.
+    """The Smith normal form's diagonal, by unimodular row and column
+    operations whose transforms are not kept.
 
     Pivots are chosen by smallest absolute value, ties by row-major
-    position, which pins down the (non-unique) transforms.
+    position.
     """
     rows, cols = m.rows, m.cols
     a = [list(row) for row in m.entries]
-    left = [list(row) for row in IntMatrix.identity(rows).entries]
-    right = [list(row) for row in IntMatrix.identity(cols).entries]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def row_add(dst, src, q):
-        # row dst += q * row src
-        arow, lsrc = a[src], left[src]
-        for k in range(cols):
-            a[dst][k] += q * arow[k]
-        for k in range(rows):
-            left[dst][k] += q * lsrc[k]
-
-    def col_add(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in right:
-            row[dst] += q * row[src]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
     s = 0
     limit = min(rows, cols)
     while s < limit:
         pos = _find_pivot(a, s, rows, cols)
         if pos is None:
             break
-        row_swap(s, pos[0])
-        col_swap(s, pos[1])
+        a[s], a[pos[0]] = a[pos[0]], a[s]
+        for row in a:
+            row[s], row[pos[1]] = row[pos[1]], row[s]
         if a[s][s] < 0:
-            row_negate(s)
-        d = a[s][s]
+            a[s] = [-x for x in a[s]]
+        pivot_row = a[s]
+        d = pivot_row[s]
         # one euclidean pass over column s and row s; leftover remainders
         # are strictly smaller pivots, so restart the stage on them
         # (re-pivoting only between passes keeps entry growth tame)
         touched = False
         for i in range(s + 1, rows):
             if a[i][s] != 0:
-                row_add(i, s, -(a[i][s] // d))
-                if a[i][s] != 0:
-                    touched = True
+                q = a[i][s] // d
+                a[i] = [x - q * y for x, y in zip(a[i], pivot_row)]
+                touched = touched or a[i][s] != 0
         for j in range(s + 1, cols):
-            if a[s][j] != 0:
-                col_add(j, s, -(a[s][j] // d))
-                if a[s][j] != 0:
-                    touched = True
+            if pivot_row[j] != 0:
+                q = pivot_row[j] // d
+                for row in a:
+                    row[j] -= q * row[s]
+                touched = touched or pivot_row[j] != 0
         if touched:
             continue
         # enforce divisibility of the remaining block by the pivot
-        offender = None
-        for i in range(s + 1, rows):
-            for j in range(s + 1, cols):
-                if a[i][j] % d != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((row for row in a[s + 1:] if any(x % d for x in row[s + 1:])), None)
         if offender is not None:
-            row_add(s, offender, 1)
+            a[s] = [x + y for x, y in zip(pivot_row, offender)]
             continue
         s += 1
 
-    diag = tuple(a[i][i] if i < cols else 0 for i in range(limit))
-    return SmithNormalForm(diag, IntMatrix.from_rows(left, rows), IntMatrix.from_rows(right, cols))
+    return SmithNormalForm(tuple(a[i][i] if i < cols else 0 for i in range(limit)))
 
 
 def reduce_unit_pivots(

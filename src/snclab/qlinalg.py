@@ -1,13 +1,14 @@
 """Exact rational linear algebra: solvers, affine subspaces, feasibility.
 
-No predicate ever touches floating point.  An affine subspace stores its
-point and basis as Fractions, and compares and hashes by a canonical key
-(the primitive integer reduced row-echelon form of its equations, by
+No predicate ever touches floating point.  An affine subspace holds one
+integer form (a common denominator, an integer point and integer basis
+rows, with no common factor), and makes its Fraction point and basis only
+when they are read.  It compares and hashes by a canonical key (the
+primitive integer reduced row-echelon form of its equations, by
 `row_reduce`, the one elimination routine), computed once per object.
-Substituting an integer row into its parameters is integer arithmetic,
-through one cached integer form (a common denominator, an integer point
-and integer basis rows); it meets a hyperplane by `cut`, given the
-hyperplane's row in its parameters, with no solve: the Voronoi
+Substituting an integer row into its parameters is integer arithmetic
+on that form; it meets a hyperplane by `cut`, given the hyperplane's row
+in its parameters, with no solve and no Fraction: the Voronoi
 enumeration cuts out each H(J + k) so, and `intersect` folds cuts.  The
 feasibility engine is Fourier-Motzkin elimination over mixed strict and
 non-strict inequalities on primitive integer rows, one routine for both
@@ -22,7 +23,7 @@ variables, tens of constraints).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -123,26 +124,54 @@ def nullspace(rows: Sequence[Sequence[Fraction]], n: int) -> tuple[Vector, ...]:
     return solved[1]
 
 
-@dataclass(frozen=True)
 class AffineSubspace:
-    """An affine subspace of Q^n as point + span(basis).
+    """An affine subspace of Q^n, held in integers: `integer_form` is
+    (D, P, B), the point P / D plus the span of the rows B[t] / D, with
+    D > 0 and gcd(D, every entry of P and B) = 1, so that for a rational
+    point and basis D is their least common denominator.  The rational
+    `point` and `basis`, the implicit equations and the canonical `key`
+    are derived from it when first read, once per object.
 
     Equality and hashing go through `key`, a canonical form of the subspace
     as a set, so two representations of one subspace are interchangeable
-    as dict keys.  The implicit equations and the key are computed once
-    per object.
+    as dict keys.  The object is frozen apart from its first-use caches.
     """
 
-    point: Vector
-    basis: tuple[Vector, ...]
+    def __init__(self, point: Sequence, basis: Sequence[Sequence]):
+        """point + span(basis), for rational (or integer) entries."""
+        den = lcm(*(x.denominator for v in (point, *basis) for x in v))
+
+        def scaled(v: Sequence) -> tuple[int, ...]:
+            return tuple(x.numerator * (den // x.denominator) for x in v)
+
+        object.__setattr__(self, "integer_form", (den, scaled(point), tuple(map(scaled, basis))))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"AffineSubspace(point={self.point!r}, basis={self.basis!r})"
 
     @property
     def ambient_dim(self) -> int:
-        return len(self.point)
+        return len(self.integer_form[1])
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.integer_form[2])
+
+    @cached_property
+    def point(self) -> Vector:
+        den, point, _ = self.integer_form
+        return tuple(Fraction(x, den) for x in point)
+
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        den, _, basis = self.integer_form
+        return tuple(tuple(Fraction(x, den) for x in b) for b in basis)
 
     def parametrize(self, params: Sequence[Fraction]) -> Vector:
         out = list(self.point)
@@ -172,17 +201,6 @@ class AffineSubspace:
         rank = len(row_reduce(work, self.ambient_dim))
         return tuple(primitive(row) for row in work[:rank])
 
-    @cached_property
-    def integer_form(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """(D, P, B): the point is P / D and basis vector t is B[t] / D, over
-        the least common denominator D of all their coordinates."""
-        den = lcm(*(x.denominator for v in (self.point, *self.basis) for x in v))
-
-        def scaled(v: Vector) -> tuple[int, ...]:
-            return tuple(x.numerator * (den // x.denominator) for x in v)
-
-        return den, scaled(self.point), tuple(scaled(b) for b in self.basis)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineSubspace):
             return NotImplemented
@@ -197,37 +215,51 @@ class AffineSubspace:
 
     @cached_property
     def _implicit(self) -> tuple[tuple[Vector, ...], tuple[Fraction, ...]]:
-        n = self.ambient_dim
-        if self.dim == n:
+        # the rows B span what the basis B / D spans
+        den, point, basis = self.integer_form
+        if len(basis) == len(point):
             return (), ()
-        normals = nullspace([list(b) for b in self.basis], n)
-        return normals, tuple(dot(nrm, self.point) for nrm in normals)
+        normals = nullspace(basis, len(point))
+        return normals, tuple(dot(nrm, point) / den for nrm in normals)
 
     def cut(self, c: "Constraint") -> Optional["AffineSubspace"]:
         """The meet with the hyperplane a.x = b, or None; c is its equation
         in this subspace's parameters, Constraint(a, b).substitute(self),
         integer when a and b are.  It pivots on c's first nonzero
         coefficient and reads c only through ratios, so any positive or
-        negative multiple of c gives the same cut.  In `solve_affine`'s
-        echelon form the parameters are the free coordinates, and the cut
-        keeps that form: it is `solve_affine` on the stacked equations.
-        Over the integer form (D, P, B) the new point is
+        negative multiple of c gives the same cut; a row with a Fraction
+        entry (an implicit equation, from `intersect`) is brought to its
+        primitive integer row first.  In `solve_affine`'s echelon form the
+        parameters are the free coordinates, and the cut keeps that form:
+        it is `solve_affine` on the stacked equations.  It runs in
+        integers: over the integer form (D, P, B) the new point is
         (lead P + rhs B_t) / (lead D) and each other basis vector
-        (lead B_i - f_i B_t) / (lead D), one Fraction per coordinate."""
-        t = next((i for i, x in enumerate(c.coeffs) if x != 0), None)
-        if t is None:
-            return self if c.rhs == 0 else None
+        (lead B_i - f_i B_t) / (lead D), with the gcd of all these
+        numerators and lead D divided out, signed so that the new D is
+        positive."""
+        coeffs, rhs = c.coeffs, c.rhs
+        if type(rhs) is Fraction or Fraction in map(type, coeffs):
+            *coeffs, rhs = primitive((*coeffs, rhs))
+        for t, lead in enumerate(coeffs):
+            if lead:
+                break
+        else:
+            return self if rhs == 0 else None
         den, point, basis = self.integer_form
-        pivot, lead, rhs = basis[t], c.coeffs[t], c.rhs
+        pivot = basis[t]
         den *= lead
-        return AffineSubspace(
-            tuple(Fraction(lead * x + rhs * y, den) for x, y in zip(point, pivot)),
-            tuple(
-                tuple(Fraction(lead * x - f * y, den) for x, y in zip(b, pivot))
-                for i, (f, b) in enumerate(zip(c.coeffs, basis))
-                if i != t
-            ),
-        )
+        point = [lead * x + rhs * y for x, y in zip(point, pivot)]
+        basis = [[lead * x - f * y for x, y in zip(b, pivot)]
+                 for i, (f, b) in enumerate(zip(coeffs, basis)) if i != t]
+        g = gcd(den, *point)
+        for b in basis:
+            if g == 1:
+                break
+            g = gcd(g, *b)
+        if den < 0:
+            g = -g
+        return _integral(den // g, tuple([x // g for x in point]),
+                         tuple([tuple([x // g for x in b]) for b in basis]))
 
     def intersect(self, other: "AffineSubspace") -> Optional["AffineSubspace"]:
         """The meet with other, or None: this subspace cut by each implicit
@@ -240,8 +272,15 @@ class AffineSubspace:
         return meet
 
 
+def _integral(den: int, point: tuple[int, ...], basis: tuple[tuple[int, ...], ...]):
+    """The subspace with integer form (den, point, basis), already canonical."""
+    span = object.__new__(AffineSubspace)
+    object.__setattr__(span, "integer_form", (den, point, basis))
+    return span
+
+
 def whole_space(n: int) -> AffineSubspace:
-    return AffineSubspace(tuple(Fraction(0) for _ in range(n)), nullspace([], n))
+    return _integral(1, (0,) * n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ affine function of the subspace's parameters, its integer profile
 minus profile i.  The face test, the cuts and the arrangement's distance
 classes all read the profiles, computed once per H(J), so the face
 lattice is decided in integers: on a point H(J) by comparing profiles,
-elsewhere by integer Fourier-Motzkin (`feasible`).  Fractions are made
-only for the sites and each H(J)'s stored point and basis, and for a
-face's witness, which is computed when first read.
+elsewhere by integer Fourier-Motzkin (`feasible`).  Each H(J) is held in
+its integer form, so Fractions are made only for the sites, for a
+span's point and basis when they are read, and for a face's witness,
+which is computed when first read.
 
 Face enumeration visits only the index sets with non-empty H(J): since
 H(J + k) is H(J) cut by the bisector of min(J) and k, each such J is
@@ -222,7 +223,7 @@ class VoronoiFace:
     def witness(self) -> Vector:
         """A point whose nearest-site set is J: the span's point, or the
         span at Fourier-Motzkin's witness of the face test's rows."""
-        if not self.span.basis:
+        if not self.span.dim:
             return self.span.point
         rows = _face_rows(self.site_set.profiles(self.span), sorted(self.sites))
         return self.span.parametrize(feasible_point(list(rows.values()), self.span.dim))
@@ -293,8 +294,9 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
     solved and nothing is substituted.  For k > max(J) that row cuts out
     H(J + k) (`AffineSubspace.cut`), which visits the index sets in
     `combinations` order; since each cut keeps `solve_affine`'s echelon
-    form, H(J) equals `equidistance_subspace` point for point.  Fractions
-    are made only for each H(J)'s stored point and basis.
+    form, H(J) equals `equidistance_subspace` point for point.  The cuts
+    run in integers, and no H(J) makes a Fraction until its point or basis
+    is read.
 
     A face exists for J exactly when some point has nearest-site set J.  On
     a point H(J) that is read off the profiles: the sites of J share one
@@ -315,7 +317,7 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
                 subspaces[key] = span
             profiles = site_set.profiles(span)
             later = range(indices[-1] + 1, n)
-            if span.basis:
+            if span.dim:
                 rows = _face_rows(profiles, indices)
                 is_face = feasible(list(rows.values()), span.dim)
                 children = [(k, span.cut(rows[k])) for k in later]

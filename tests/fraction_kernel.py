@@ -6,14 +6,21 @@ a constraint in a subspace's parameters x = p + B u by Fraction dot
 products.  The integer kernel in `snclab.qlinalg` must return exactly the
 same witnesses, and rows equal to these up to a positive scale.
 
+`cut` meets a subspace with a hyperplane given in its parameters, making
+one Fraction per coordinate of the result over the least common
+denominator of the subspace's point and basis.  `AffineSubspace.cut`,
+which stays in integers, must give the same point, basis and integer form.
+
 `voronoi_complex` is the enumeration with eager witnesses: every H(J)
 substitutes each bisector of min(J) into its parameters and runs
-Fourier-Motzkin for a witness, point or not.  `snclab.voronoi` must find
-the same faces, spans, subspaces and witnesses.
+Fourier-Motzkin for a witness, point or not, and each child is cut out by
+the Fraction `cut`.  `snclab.voronoi` must find the same faces, spans,
+subspaces and witnesses.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from snclab import qlinalg
@@ -26,6 +33,30 @@ def substitute(c: Constraint, subspace: AffineSubspace) -> Constraint:
     base = dot(c.coeffs, subspace.point)
     new_coeffs = tuple(dot(c.coeffs, b) for b in subspace.basis)
     return Constraint(new_coeffs, c.rhs - base, c.strict)
+
+
+def cut(span: AffineSubspace, c: Constraint) -> Optional[AffineSubspace]:
+    """The meet of span with the hyperplane whose equation in span's
+    parameters is c, or None; span itself when c is the zero row with
+    rhs 0.  Over (D, P, B), the point and basis scaled by their least
+    common denominator D, the new point is (lead P + rhs B_t) / (lead D)
+    and each other basis vector (lead B_i - f_i B_t) / (lead D)."""
+    t = next((i for i, x in enumerate(c.coeffs) if x != 0), None)
+    if t is None:
+        return span if c.rhs == 0 else None
+    den = lcm(*(x.denominator for v in (span.point, *span.basis) for x in v))
+    point, *basis = ([x.numerator * (den // x.denominator) for x in v]
+                     for v in (span.point, *span.basis))
+    pivot, lead, rhs = basis[t], c.coeffs[t], c.rhs
+    den *= lead
+    return AffineSubspace(
+        tuple(Fraction(lead * x + rhs * y, den) for x, y in zip(point, pivot)),
+        tuple(
+            tuple(Fraction(lead * x - f * y, den) for x, y in zip(b, pivot))
+            for i, (f, b) in enumerate(zip(c.coeffs, basis))
+            if i != t
+        ),
+    )
 
 
 def _normalized(c: Constraint) -> Constraint:
@@ -147,7 +178,7 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
                 witness = span.parametrize(witness_params)
                 faces[key] = VoronoiFace(key, span, witness, site_set.dim)
             for k in range(indices[-1] + 1, n):
-                child = span.cut(cuts[k])
+                child = cut(span, cuts[k])
                 if child is not None:
                     extended.append((indices + (k,), child))
         level = extended

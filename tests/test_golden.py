@@ -6,10 +6,12 @@ the case was added.  The inputs are the CLI test fixtures' site sets and
 region, and seeded planar and 3D site sets, each with a region that covers
 every cell and a degenerate one: a simplex with a repeated vertex, a single
 point, a segment, a 4-point hull in the plane and the midpoint of a site
-and its nearest neighbour, which lies on both closed cells.  Further cases
-pin `voronoi classify --cell`, `voronoi delaunay --select` with sorted
-selections, and `resolve run` on roots of the resolver's degree box, with
-and without a seed.
+and its nearest neighbour, which lies on both closed cells.  Two more
+seeded sets have coordinates that are thirds and sevenths, so every face
+witness of their `voronoi build` is computed over a common denominator
+L = 21 > 1.  Further cases pin `voronoi classify --cell`, `voronoi
+delaunay --select` with sorted selections, and `resolve run` on roots of
+the resolver's degree box, with and without a seed.
 
 A change that alters any of these outputs on purpose records the new
 digest here and says so in CHANGES.md.
@@ -31,6 +33,16 @@ def _seeded_sites(seed, n, dim, hi):
     pts = set()
     while len(pts) < n:
         pts.add(tuple(rng.randint(0, hi) for _ in range(dim)))
+    return sorted(pts)
+
+
+def _seeded_rational_sites(seed, n, dim, hi):
+    """Sites whose coordinates are thirds or sevenths, so their common
+    denominator L is 21."""
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(F(rng.randint(0, hi), rng.choice((3, 7))) for _ in range(dim)))
     return sorted(pts)
 
 
@@ -65,6 +77,8 @@ def _degenerate(pts):
 PLANAR = _seeded_sites(16101, 6, 2, 97)
 PLANAR_WIDE = _seeded_sites(16102, 5, 2, 10**6)
 SPATIAL = _seeded_sites(16103, 5, 3, 31)
+PLANAR_RATIONAL = _seeded_rational_sites(16104, 6, 2, 97)
+SPATIAL_RATIONAL = _seeded_rational_sites(16105, 5, 3, 31)
 
 FILES = {
     "triangle": _sites_json(2, [[0, 0], [1, 0], [0, 1]]),
@@ -81,6 +95,8 @@ FILES = {
     "spatial": _sites_json(3, SPATIAL),
     "spatial_cover": _cover(3, 31),
     "spatial_degenerate": _degenerate(SPATIAL),
+    "planar_rational": _sites_json(2, PLANAR_RATIONAL),
+    "spatial_rational": _sites_json(3, SPATIAL_RATIONAL),
     "simplex2": from_simplices([(0, 1, 2)]).to_json_dict(),
     "simplex3": from_simplices([(0, 1, 2, 3)]).to_json_dict(),
     "node": {"I": [1, 2], "m": 1, "F": []},
@@ -103,6 +119,8 @@ def _commands():
     for sites in ("triangle", "square", "strip", "ring", "planar", "wide", "spatial"):
         out.append((f"build-json-{sites}", ["voronoi", "build", sites]))
         out.append((f"build-text-{sites}", ["--format", "text", "voronoi", "build", sites]))
+    for sites in ("planar_rational", "spatial_rational"):
+        out.append((f"build-json-{sites}", ["voronoi", "build", sites]))
     for sites, region in fixtures + seeded:
         complex_ = "simplex3" if sites == "spatial" else "simplex2"
         out.append((f"select-{sites}-{region}",
@@ -144,6 +162,8 @@ GOLDEN = {
     "build-text-wide": ("e8f6d34cb0d568cfe99ac975751a6854c92e4a988fd9652e258dfdf718738111", 0),
     "build-json-spatial": ("3ba7f376f7af7f6aa37e82814ac17d458fea55b70422c7b13f0851632b6eb5f5", 0),
     "build-text-spatial": ("c11308eff2de438414880837d42ed01f77b34b07cb6d3b73a83111fc767b539c", 0),
+    "build-json-planar_rational": ("208b91673769158085153b55755f0435218212515cc4389fa3184341d243376d", 0),
+    "build-json-spatial_rational": ("c8758b9269be14345b9e7385c8caf7e05e35c321ee85e249d14586ce59c321a9", 0),
     "select-triangle-region": ("7b35a5a42f11be2ea281946143ed502d4b1eda6c16052e4edefddb2da62db8ee", 0),
     "snc-triangle-region": ("25e72c4bf51277afbe5bfffc48c239a594a266735c930619858916f0ff390239", 0),
     "pipeline-triangle-region": ("9f882f02c04c3e8cbf3d87831f8b1c6d5de092978624270b393e7324291c28ff", 0),

@@ -3,7 +3,9 @@
 The oracle computes invariant factors as ratios of gcds of k-by-k
 minors, which is independent of any reduction path.  Exhaustive over all
 shapes with at most six entries in [-2, 2], the full [-3, 3] range for
-2x2, and a seeded random sample of 3x3 matrices in [-3, 3].
+2x2, and a seeded random sample of 3x3 matrices in [-3, 3].  The engine
+keeps only the diagonal; the transform-keeping oracle (`snf_oracle`)
+must reach the same diagonal with unimodular L, R and L * M * R = diag.
 """
 
 import random
@@ -13,27 +15,35 @@ import pytest
 
 from minors_oracle import determinant, invariant_factors_by_minors, is_unimodular
 from snclab.intlinalg import IntMatrix, rank, smith_normal_form
+from snf_oracle import identity, matmul, smith_form_with_transforms, zero
 
 
-def check_one(m: IntMatrix):
-    s = smith_normal_form(m)
-    prod = s.left * m * s.right
+def check_transforms(m: IntMatrix):
+    """The oracle's L * M * R is diagonal with unimodular L and R, and its
+    diagonal, divisibility chain included, is the engine's."""
+    s, oracle = smith_normal_form(m), smith_form_with_transforms(m)
+    prod = matmul(matmul(oracle.left, m), oracle.right)
     for i in range(m.rows):
         for j in range(m.cols):
             expected = s.diagonal[i] if i == j and i < len(s.diagonal) else 0
-            assert prod[(i, j)] == expected
-    assert is_unimodular(s.left)
-    assert is_unimodular(s.right)
+            assert prod.entries[i][j] == expected
+    assert is_unimodular(oracle.left)
+    assert is_unimodular(oracle.right)
+    assert oracle.diagonal == s.diagonal
     nz = s.nonzero
     for a, b in zip(nz, nz[1:]):
         assert b % a == 0
     assert all(d == 0 for d in s.diagonal[len(nz):])
-    assert s.diagonal == invariant_factors_by_minors(m)
+
+
+def check_one(m: IntMatrix):
+    check_transforms(m)
+    assert smith_normal_form(m).diagonal == invariant_factors_by_minors(m)
 
 
 def test_spec_examples():
-    assert smith_normal_form(IntMatrix.identity(2)).diagonal == (1, 1)
-    assert smith_normal_form(IntMatrix.zero(2, 3)).diagonal == (0, 0)
+    assert smith_normal_form(identity(2)).diagonal == (1, 1)
+    assert smith_normal_form(zero(2, 3)).diagonal == (0, 0)
     m = IntMatrix.from_rows([[2, 4], [-2, 6]])
     s = smith_normal_form(m)
     assert s.diagonal == (2, 10)
@@ -74,15 +84,7 @@ def test_structure_on_larger_random_matrices():
         m = IntMatrix.from_rows(
             [[rng.randint(-50, 50) for _ in range(c)] for _ in range(r)]
         )
-        s = smith_normal_form(m)
-        prod = s.left * m * s.right
-        for i in range(r):
-            for j in range(c):
-                expected = s.diagonal[i] if i == j and i < len(s.diagonal) else 0
-                assert prod[(i, j)] == expected
-        assert is_unimodular(s.left) and is_unimodular(s.right)
-        nz = s.nonzero
-        assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
+        check_transforms(m)
 
 
 def test_rank_matches_snf():
@@ -99,4 +101,4 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         IntMatrix(1, 2, ((1,),))
     with pytest.raises(ValueError):
-        determinant(IntMatrix.zero(2, 3))
+        determinant(zero(2, 3))

@@ -1,8 +1,11 @@
 """Rational solvers, affine subspaces, and Fourier-Motzkin feasibility."""
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
+from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -270,3 +273,69 @@ def test_intersect_is_stacked_solve(drawn):
         assert meet is None
     else:
         assert meet is not None and (meet.point, meet.basis) == (expected.point, expected.basis)
+
+
+RATIONAL = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def spans_and_cuts(draw):
+    """A subspace of Q^1..Q^3 in solve_affine's echelon form through a
+    rational point, and a row in its parameters: all ints or with Fraction
+    entries, with negative and zero leading coefficients, or all zero."""
+    n = draw(st.integers(1, 3))
+    point = tuple(draw(RATIONAL) for _ in range(n))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=n))
+    rows = [vec(r) for r in rows if any(r)]
+    basis = solve_affine(rows, [dot(r, point) for r in rows])[1] if rows else whole_space(n).basis
+    span = AffineSubspace(point, basis)
+    entry = st.integers(-4, 4) if draw(st.booleans()) else st.one_of(st.integers(-4, 4), RATIONAL)
+    if draw(st.integers(0, 4)) == 0:
+        coeffs = (0,) * span.dim
+    else:
+        coeffs = tuple(draw(entry) for _ in range(span.dim))
+    return span, Constraint(coeffs, draw(entry))
+
+
+@settings(max_examples=400)
+@given(spans_and_cuts())
+@example((whole_space(2), Constraint((0, 0), 0)))
+@example((whole_space(2), Constraint((0, 0), 1)))
+@example((AffineSubspace((F(1, 3), F(2, 7)), whole_space(2).basis), Constraint((-3, 2), F(5, 2))))
+def test_integer_cut_is_the_fraction_cut(drawn):
+    span, c = drawn
+    got, want = span.cut(c), fraction_kernel.cut(span, c)
+    if want is None or want is span:
+        assert got is want
+        return
+    assert got.point == want.point and got.basis == want.basis
+    assert got.integer_form == want.integer_form
+    assert got == want and hash(got) == hash(want)
+    den, point, basis = got.integer_form
+    assert den > 0 and gcd(den, *point, *(x for b in basis for x in b)) == 1
+
+
+def test_spans_from_ints_and_fractions_are_one_span():
+    cases = [((0, 0), ((1, 0), (0, 1))), ((3, -2), ((1, 1),)), ((5, 0, 7), ()),
+             ((2, 4), ((2, -6),))]
+    for point, basis in cases:
+        ints = AffineSubspace(point, basis)
+        fracs = AffineSubspace(vec(point), tuple(map(vec, basis)))
+        assert ints == fracs and hash(ints) == hash(fracs)
+        assert ints.integer_form == fracs.integer_form
+        assert ints.point == fracs.point and ints.basis == fracs.basis
+    assert whole_space(2) == AffineSubspace((F(0), F(0)), ((F(1), F(0)), (F(0), F(1))))
+    assert whole_space(2).integer_form == (1, (0, 0), ((1, 0), (0, 1)))
+    halves = AffineSubspace((F(1, 2), F(-3, 4)), ((F(1), F(5, 6)),))
+    assert halves.integer_form == (12, (6, -9), ((12, 10),))
+
+
+def test_affine_subspace_is_frozen():
+    span = AffineSubspace((F(1, 2), F(0)), ((F(1), F(1)),))
+    for name in ("point", "basis", "integer_form", "key", "dim"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(span, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(span, name)
+    assert span.integer_form == (2, (1, 0), ((2, 2),))
+    assert span.point == (F(1, 2), F(0))

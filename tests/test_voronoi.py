@@ -152,6 +152,28 @@ def test_integer_substitution_is_the_fraction_substitution_scaled():
     assert checked > 1000
 
 
+def test_enumeration_builds_no_fractions_it_does_not_read():
+    # each H(J) is held in integers: the enumeration, the simplicity check,
+    # the Delaunay dual and its Betti numbers never read a span's point or
+    # basis, so none of them is built
+    for dim, n, hi in ((2, 12, 97), (3, 9, 31)):
+        rng = random.Random(41 + dim)
+        pts = set()
+        while len(pts) < n:
+            pts.add(tuple(rng.randint(0, hi) for _ in range(dim)))
+        vc = voronoi_complex(SiteSet.build(dim, sorted(pts)))
+        assert vc.simplicity_witness() is None
+        delaunay_dual(vc, vc.cell_indices()).all_betti()
+        spans = [*vc.subspaces.values(), *(f.span for f in vc.faces.values())]
+        assert len(vc.subspaces) > 50
+        assert not [s for s in spans if "point" in vars(s) or "basis" in vars(s)]
+        # reading them builds them, equal to the solved H(J)
+        key = min(vc.subspaces, key=sorted)
+        solved = equidistance_subspace(vc.sites, sorted(key))
+        assert (vc.subspaces[key].point, vc.subspaces[key].basis) == (solved.point, solved.basis)
+        assert "point" in vars(vc.subspaces[key])
+
+
 def test_partition_property_random_sites():
     rng = random.Random(1001)
     for _ in range(25):
