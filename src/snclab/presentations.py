@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Sequence
 
 from .complexes import AbelianGroup, ComplexError, DeltaComplex
-from .intlinalg import IntMatrix, rank, reduce_unit_pivots, smith_normal_form
+from .intlinalg import rank, reduce_unit_pivots, smith_normal_form
 from .jsonread import expect_int, expect_object
 
 
@@ -80,14 +80,6 @@ class Presentation:
             out.append({g: v for g, v in col.items() if v})
         return out
 
-    def exponent_matrix(self) -> IntMatrix:
-        """Generators-by-relators matrix of exponent sums."""
-        grid = [[0] * len(self.relators) for _ in range(self.generators)]
-        for j, col in enumerate(self.exponent_columns()):
-            for g, v in col.items():
-                grid[g][j] = v
-        return IntMatrix.from_rows(grid, len(self.relators))
-
     def to_json_dict(self) -> dict:
         return {"generators": self.generators, "relators": [list(w) for w in self.relators]}
 
@@ -128,8 +120,10 @@ def is_q_superperfect_sufficient(p: Presentation) -> SuperperfectVerdict:
     relator, so b1 = g - rank and b2 = r - rank over the rationals.  Both
     vanishing is sufficient for H_1(G,Q) = H_2(G,Q) = 0 because H_2 of the
     group is a quotient of H_2 of the complex; failure refutes nothing.
+    The rank is read off the unit-pivot reduction, as in `abelianization`.
     """
-    r = rank(p.exponent_matrix()) if p.generators else 0
+    pivots, residual = reduce_unit_pivots(p.exponent_columns(), p.generators)
+    r = len(pivots) + rank(residual)
     b1 = p.generators - r
     b2 = len(p.relators) - r
     if b1 == 0 and b2 == 0:

@@ -9,7 +9,8 @@ primitive integer reduced row-echelon form of its equations, by
 Substituting an integer row into its parameters is integer arithmetic
 on that form; it meets a hyperplane by `cut`, given the hyperplane's row
 in its parameters, with no solve and no Fraction: the Voronoi
-enumeration cuts out each H(J + k) so, and `intersect` folds cuts.  The
+enumeration and the subspace arrangement cut out each H(J + k) and each
+meet so, and no library path calls `intersect`, the Fraction fold.  The
 feasibility engine is Fourier-Motzkin elimination over mixed strict and
 non-strict inequalities on primitive integer rows, one routine for both
 entry points, and it runs in integers throughout.  `feasible` decides the
@@ -179,17 +180,6 @@ class AffineSubspace:
             for k in range(len(out)):
                 out[k] += c * b[k]
         return tuple(out)
-
-    def contains_point(self, x: Sequence[Fraction]) -> bool:
-        normals, rhs = self.implicit()
-        p = vec(x)
-        return all(dot(a, p) == b for a, b in zip(normals, rhs))
-
-    def contains(self, other: "AffineSubspace") -> bool:
-        normals, _ = self.implicit()
-        return self.contains_point(other.point) and all(
-            dot(a, v) == 0 for a in normals for v in other.basis
-        )
 
     @cached_property
     def key(self) -> tuple[tuple[int, ...], ...]:

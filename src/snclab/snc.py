@@ -15,8 +15,8 @@ face, reproducing the classical failure of the naive quotient.
 The ledger checks (stage disjointness, agreement across each gluing) run
 for every cell and every gluing.  They read meets and containments from
 the Voronoi complex's subspace arrangement as set operations on index
-sets; only disjoint same-stage centers of dimension 1 or more are met by
-solving.
+sets and, for disjoint same-stage centers, on their meet's integer
+distance classes.
 """
 
 from __future__ import annotations
@@ -85,11 +85,12 @@ def blowup_ledger(vc: VoronoiComplex, cell: int) -> BlowupLedger:
 def _verify_stage_disjointness(vc: VoronoiComplex, ledger: BlowupLedger) -> None:
     """Same-stage centers meet only inside an earlier center.
 
-    Overlapping centers meet in H(a | b), and only disjoint centers of stage
-    d >= 1 are solved.  Distinct stage-0 centers are distinct points, as no
-    two index sets share a subspace, so there only a repeated center meets.
-    Disjoint centers that meet outside every earlier center in more than the
-    generic dimension dim a + dim b - m (crossing lines in 3D) are an input
+    Overlapping centers meet in H(a | b); disjoint ones of stage d >= 1 are
+    covered when an earlier center's sites share a distance class of their
+    meet.  Distinct stage-0 centers are distinct points, as no two index
+    sets share a subspace, so there only a repeated center meets.  Disjoint
+    centers that meet outside every earlier center in more than the generic
+    dimension dim a + dim b - m (crossing lines in 3D) are an input
     property, a GenericityError, not a failed check."""
     arrangement = vc.arrangement
     earlier = {c.sites: c for c in ledger.centers}
@@ -118,7 +119,7 @@ def _verify_stage_disjointness(vc: VoronoiComplex, ledger: BlowupLedger) -> None
                 )
             else:
                 covered = any(
-                    c.dim < d and arrangement.spans[c.sites].contains(meet)
+                    c.dim < d and arrangement.meet_within(a.sites, b.sites, c.sites)
                     for c in ledger.centers
                 )
                 if not covered and meet.dim > a.dim + b.dim - m:

@@ -28,12 +28,12 @@ bisector misses H(J).  No solve is needed: the bisector row read off the
 profiles is both the face test's inequality and the cut.
 
 The subspace classification and the SNC gluing read the complex's
-`SubspaceArrangement`, built on first use, which answers incidence from
-the index sets: H(J1) and H(J2) meet in H(J1 | J2) when J1 and J2 share a
-site, and a genericity certificate (the sites grouped by distance on each
-H(Q)) gives containment, H(Q) in H(J) iff J <= Q outside the exceptional
-sets E.  Only the subspaces above E keep geometry: canonical keys, which
-finish the genericity check, and meets, each a fold of cuts.  The
+`SubspaceArrangement`, built on first use, which decides incidence in
+integers: H(J1) and H(J2) meet in H(J1 | J2) when J1 and J2 share a site,
+else in H(J1) cut by the bisector rows of J2, and a subspace lies in H(J)
+iff J falls in one of its distance classes, so H(Q) lies in H(J) iff
+J <= Q outside the exceptional sets E.  The classes of two or more sites
+key the coincidence table that finishes the genericity check.  The
 self-checks themselves (parasitic parents, intersection closure) still
 run for every cell.
 """
@@ -436,13 +436,15 @@ class SubspaceReport:
     minimal_parasitic_parent: dict[frozenset[int], frozenset[int]]
 
 
-def _distance_classes(sites: SiteSet, span: AffineSubspace) -> tuple[frozenset[int], ...]:
-    """The sites grouped by their squared distance as a function on span,
-    that is by their profile (`SiteSet.profiles`)."""
+def _distance_partition(sites: SiteSet, span: AffineSubspace) -> frozenset[frozenset[int]]:
+    """The sites grouped by their squared distance on span, i.e. by profile
+    (`SiteSet.profiles`), one-site classes dropped.  An H(Q) or a meet
+    H(a) & H(b) is the meet of H(C) over these classes C (Q, a and b each
+    lie in one), so two such spans are equal iff their partitions are."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for k, profile in enumerate(sites.profiles(span)):
         groups.setdefault(profile, []).append(k)
-    return tuple(frozenset(g) for g in groups.values())
+    return frozenset(frozenset(g) for g in groups.values() if len(g) > 1)
 
 
 def _proper_subsets(j_set: frozenset[int]) -> list[frozenset[int]]:
@@ -454,39 +456,40 @@ def _proper_subsets(j_set: frozenset[int]) -> list[frozenset[int]]:
 
 class SubspaceArrangement:
     """Every nonempty H(J) of one Voronoi complex, with incidence read off
-    the index sets.
+    the index sets and the sites' integer distance classes.
 
     By the lifting map (Edelsbrunner & Seidel, "Voronoi diagrams and
     arrangements", 1986), H(J1) and H(J2) meet in H(J1 | J2) when J1 and J2
-    share a site.  Containment comes from a genericity certificate computed
-    here: H(Q) lies in H(J) exactly when the sites of J are equidistant
-    from every point of H(Q), that is fall in one of its distance classes.
-    Q is exceptional, in E, when those classes are not Q and singletons,
-    i.e. H(Q) lies on the bisector of two sites not both in Q; for Q outside
-    E, H(Q) lies in H(J) iff J <= Q.  Two index sets with one subspace both
-    lie above E (contain some H(Q), Q in E), so the canonical-key table that
-    finishes the genericity check, naming the first colliding pair in
-    (size, sorted) order, holds only those.  Meets of disjoint index sets
-    are cut out and memoised.  The callers evaluate their checks every call.
+    share a site; that of disjoint J1 and J2 is H(J1) cut by the bisector
+    rows of J2, as `voronoi_complex` cuts out H(J + k), memoised with its
+    `_distance_partition`.  A subspace lies in H(J) exactly when J falls in
+    one of its classes.  Q is exceptional, in E, when the partition of H(Q)
+    is not {Q}, i.e. H(Q) lies on the bisector of two sites not both in Q;
+    for Q outside E, H(Q) lies in H(J) iff J <= Q.  Two index sets with one
+    subspace both lie above E (contain some H(Q), Q in E), so the table
+    that finishes the genericity check, naming the first colliding pair in
+    (size, sorted) order, maps only their partitions to them.  The callers
+    evaluate their checks every call.
     """
 
     def __init__(self, sites: SiteSet, subspaces: dict[frozenset[int], AffineSubspace]):
+        self.sites = sites
         self.spans = subspaces
         order = sorted(subspaces, key=_lattice_order)
         self.records = tuple(SubspaceRecord(key, subspaces[key]) for key in order)
-        self._classes: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
+        self._partitions: dict[frozenset[int], frozenset[frozenset[int]]] = {}
         for key in order:
-            classes = _distance_classes(sites, subspaces[key])
-            if len(classes) != len(sites) - len(key) + 1:
-                self._classes[key] = classes
-        self.exceptional = frozenset(self._classes)
+            partition = _distance_partition(sites, subspaces[key])
+            if partition != {key}:
+                self._partitions[key] = partition
+        self.exceptional = frozenset(self._partitions)
         self.above_exceptional = frozenset(
-            key for key in order if any(self.within(q, key) for q in self._classes)
+            key for key in order if any(self.within(q, key) for q in self._partitions)
         )
-        self._index: dict[AffineSubspace, frozenset[int]] = {}
+        self._index: dict[frozenset[frozenset[int]], frozenset[int]] = {}
         for key in order:
             if key in self.above_exceptional:
-                first = self._index.setdefault(subspaces[key], key)
+                first = self._index.setdefault(self._partitions.get(key, frozenset((key,))), key)
                 if first != key:
                     raise GenericityError(
                         f"H{sorted(first)} and H{sorted(key)} span the same subspace"
@@ -499,33 +502,47 @@ class SubspaceArrangement:
             pairs = [(a, b) for a, b in combinations(subsets, 2) if a & b and a | b == key]
             if pairs:
                 self.splits[key] = pairs
-        self._meets: dict[frozenset[frozenset[int]], Optional[AffineSubspace]] = {}
+        self._meets: dict[frozenset[frozenset[int]], tuple] = {}
 
     def within(self, q: frozenset[int], j: frozenset[int]) -> bool:
         """Whether H(q) lies in H(j)."""
-        classes = self._classes.get(q)
-        return j <= q if classes is None else any(j <= c for c in classes)
+        partition = self._partitions.get(q)
+        return j <= q if partition is None else any(j <= c for c in partition)
 
     def containing(self, q: frozenset[int]) -> list[frozenset[int]]:
         """The index sets J with H(J) containing H(q), in (size, sorted) order."""
-        if q not in self._classes:
+        if q not in self._partitions:
             return [*_proper_subsets(q), q]
         return [r.sites for r in self.records if self.within(q, r.sites)]
 
-    def lookup(self, span: AffineSubspace) -> Optional[frozenset[int]]:
-        """The index set J above E with H(J) == span, or None.  A meet of
-        disjoint index sets that is some H(Q) has Q in E: otherwise Q holds
-        both sets and its bisectors are dependent, so a subset shares H(Q)."""
-        return self._index.get(span)
+    def _disjoint_meet(self, j1: frozenset[int], j2: frozenset[int]):
+        """(H(j1) & H(j2), its partition) for disjoint j1 and j2, or (None,
+        None) when they do not meet."""
+        pair = frozenset((j1, j2))
+        if pair not in self._meets:
+            span, first = self.spans[j1], min(j2)
+            for k in sorted(j2 - {first}):
+                row = Constraint(*self.sites.bisector(first, k))
+                span = span and span.cut(row.substitute(span))
+            self._meets[pair] = span, span and _distance_partition(self.sites, span)
+        return self._meets[pair]
 
     def meet(self, j1: frozenset[int], j2: frozenset[int]) -> Optional[AffineSubspace]:
         """H(j1) intersected with H(j2), or None when they are disjoint."""
         if j1 & j2:
             return self.spans.get(j1 | j2)
-        pair = frozenset((j1, j2))
-        if pair not in self._meets:
-            self._meets[pair] = self.spans[j1].intersect(self.spans[j2])
-        return self._meets[pair]
+        return self._disjoint_meet(j1, j2)[0]
+
+    def meet_within(self, j1: frozenset[int], j2: frozenset[int], j: frozenset[int]) -> bool:
+        """Whether H(j1) & H(j2), for disjoint j1 and j2 that meet, lies in H(j)."""
+        return any(j <= c for c in self._disjoint_meet(j1, j2)[1])
+
+    def lookup(self, j1: frozenset[int], j2: frozenset[int]) -> Optional[frozenset[int]]:
+        """The J above E with H(J) == H(j1) & H(j2), for disjoint j1 and j2,
+        or None.  A meet of disjoint index sets that is some H(Q) has Q in E:
+        otherwise Q holds both sets and its bisectors are dependent, so a
+        subset shares H(Q)."""
+        return self._index.get(self._disjoint_meet(j1, j2)[1])
 
 
 def classify_subspaces(vc: VoronoiComplex, cell: int) -> SubspaceReport:
@@ -625,10 +642,7 @@ def _check_intersection_closure(vc: VoronoiComplex, parasitic: Sequence[Subspace
                     f"is essential H{sorted(union)}"
                 )
             continue
-        meet = arrangement.meet(p1.sites, p2.sites)
-        if meet is None:
-            continue
-        key = arrangement.lookup(meet)
+        key = arrangement.lookup(p1.sites, p2.sites)
         if key is not None and key not in position:
             raise VoronoiCheckError(
                 f"intersection of parasitic H{sorted(p1.sites)} and "

@@ -11,6 +11,10 @@ one Fraction per coordinate of the result over the least common
 denominator of the subspace's point and basis.  `AffineSubspace.cut`,
 which stays in integers, must give the same point, basis and integer form.
 
+`contains_point` and `contains` test incidence by a subspace's implicit
+equations, in Fractions; `snclab.voronoi.SubspaceArrangement` decides
+incidence from integer distance classes and must agree with them.
+
 `voronoi_complex` is the enumeration with eager witnesses: every H(J)
 substitutes each bisector of min(J) into its parameters and runs
 Fourier-Motzkin for a witness, point or not, and each child is cut out by
@@ -24,7 +28,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from snclab import qlinalg
-from snclab.qlinalg import AffineSubspace, Constraint, Vector, dot, whole_space
+from snclab.qlinalg import AffineSubspace, Constraint, Vector, dot, vec, whole_space
 from snclab.voronoi import SiteSet, VoronoiComplex
 
 
@@ -56,6 +60,22 @@ def cut(span: AffineSubspace, c: Constraint) -> Optional[AffineSubspace]:
             for i, (f, b) in enumerate(zip(c.coeffs, basis))
             if i != t
         ),
+    )
+
+
+def contains_point(span: AffineSubspace, x: Sequence[Fraction]) -> bool:
+    """Whether x satisfies every implicit equation of span."""
+    normals, rhs = span.implicit()
+    p = vec(x)
+    return all(dot(a, p) == b for a, b in zip(normals, rhs))
+
+
+def contains(big: AffineSubspace, small: AffineSubspace) -> bool:
+    """Whether big contains small: its point and directions satisfy big's
+    implicit equations."""
+    normals, _ = big.implicit()
+    return contains_point(big, small.point) and all(
+        dot(a, v) == 0 for a in normals for v in small.basis
     )
 
 

@@ -3,13 +3,15 @@
 `invariant_factors_by_minors` reads the invariant factors off the gcds of
 the k-by-k minors, so it shares no reduction path with
 `snclab.intlinalg.smith_normal_form` and checks it on small matrices.
-`determinant` is fraction-free (Bareiss) elimination.
+`determinant` is fraction-free (Bareiss) elimination.  `exponent_matrix`
+is a presentation's dense generators-by-relators matrix of exponent sums.
 """
 
 from itertools import combinations
 from math import gcd
 
 from snclab.intlinalg import IntMatrix
+from snclab.presentations import Presentation
 
 
 def determinant(m: IntMatrix) -> int:
@@ -61,6 +63,15 @@ def invariant_factors_by_minors(m: IntMatrix) -> tuple[int, ...]:
         prev = g
     factors += [0] * (limit - len(factors))
     return tuple(factors)
+
+
+def exponent_matrix(p: Presentation) -> IntMatrix:
+    """Generators-by-relators matrix of exponent sums."""
+    grid = [[0] * len(p.relators) for _ in range(p.generators)]
+    for j, col in enumerate(p.exponent_columns()):
+        for g, v in col.items():
+            grid[g][j] = v
+    return IntMatrix.from_rows(grid, len(p.relators))
 
 
 def is_unimodular(m: IntMatrix) -> bool:

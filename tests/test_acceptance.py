@@ -26,7 +26,8 @@ from corpus import (
     TRIANGLE_SITES,
     TWO_SITES_1D,
 )
-from minors_oracle import invariant_factors_by_minors
+from fraction_kernel import contains, contains_point
+from minors_oracle import exponent_matrix, invariant_factors_by_minors
 from snclab.complexes import AbelianGroup, build_complex, delta_isomorphic, from_simplices
 from snclab.presentations import (
     Presentation,
@@ -175,15 +176,15 @@ def test_criterion_3_parasitic_parents():
                             continue
                         supers = [
                             p for p in rep.parasitic
-                            if p.span.contains_point(record.span.point)
-                            and p.span.contains(record.span)
+                            if contains_point(p.span, record.span.point)
+                            and contains(p.span, record.span)
                         ]
                         minimal = [
                             p for p in supers
                             if not any(
                                 q is not p
-                                and p.span.contains_point(q.span.point)
-                                and p.span.contains(q.span)
+                                and contains_point(p.span, q.span.point)
+                                and contains(p.span, q.span)
                                 for q in supers
                             )
                         ]
@@ -310,7 +311,7 @@ def test_criterion_7_group_criteria():
                 for _ in range(rng.randint(0, 4))
             ]
             p = Presentation.build(gens, relators)
-            factors = invariant_factors_by_minors(p.exponent_matrix())
+            factors = invariant_factors_by_minors(exponent_matrix(p))
             nonzero = [d for d in factors if d != 0]
             assert abelianization(p) == AbelianGroup.from_invariant_factors(
                 gens - len(nonzero), nonzero

@@ -3,12 +3,14 @@
 The arrangement's meets, containments and exceptional sets are checked
 against a parametric oracle that solves point + basis systems directly and
 never touches the implicit equations, the canonical key or the arrangement.
-Its self-checks are checked against the geometric versions they replace.
+Its self-checks are checked against the geometric versions they replace,
+and its distance partitions against canonical-key equality.
 """
 
 import functools
 import math
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_kernel
 from corpus import (
     FOUR_SITES_1D,
     RING_SITES,
@@ -165,14 +168,13 @@ def test_equality_needs_the_same_ambient_space():
     )
 
 
-def test_lru_cache_around_contains_terminates(monkeypatch):
-    cached = functools.lru_cache(maxsize=None)(AffineSubspace.contains)
-    monkeypatch.setattr(AffineSubspace, "contains", cached)
+def test_lru_cache_around_contains_terminates():
+    cached = functools.lru_cache(maxsize=None)(fraction_kernel.contains)
     line = AffineSubspace((F(0), F(0)), ((F(1), F(1)),))
     twin = AffineSubspace((F(0), F(0)), ((F(1), F(1)),))
     other = AffineSubspace((F(5), F(5)), ((F(-2), F(-2)),))
     point = AffineSubspace((F(2), F(2)), ())
-    assert line.contains(point) and twin.contains(point) and other.contains(point)
+    assert cached(line, point) and cached(twin, point) and cached(other, point)
     assert line == twin == other
     assert cached.cache_info().hits == 2
 
@@ -195,8 +197,10 @@ def check_arrangement(vc):
         if meet is not None:
             assert same_set(meet, expected)
             if not j1 & j2:
-                key = arrangement.lookup(meet)
+                key = arrangement.lookup(j1, j2)
                 assert key == next((j for j, s in spans.items() if same_set(s, meet)), None)
+                for j in ordered:
+                    assert arrangement.meet_within(j1, j2, j) == param_contains(spans[j], meet)
     above = set()
     for q in spans:
         containers = [j for j in ordered if param_contains(spans[j], spans[q])]
@@ -343,7 +347,7 @@ class GeometricArrangement:
         return self.meets[j1, j2]
 
     def contains(self, j, span):
-        return self.spans[j].contains(span)
+        return fraction_kernel.contains(self.spans[j], span)
 
 
 def geometric_contains(reference, big, small):
@@ -551,29 +555,97 @@ def test_exceptional_sets_of_hidden_containments():
     assert len(model.strata) == len(model.vc.faces)
 
 
-def test_planar_gluing_solves_nothing(monkeypatch):
-    # with no exceptional set every incidence comes from the index sets:
-    # no elimination and no geometric meet in any cell or gluing
-    rng = random.Random(11)
+def seeded_sites(seed, n, dim):
+    rng = random.Random(seed)
     pts = set()
-    while len(pts) < 11:
-        pts.add((rng.randint(0, 97), rng.randint(0, 97)))
-    vc = voronoi_complex(SiteSet.build(2, sorted(pts)))
+    while len(pts) < n:
+        pts.add(tuple(rng.randint(0, 97) for _ in range(dim)))
+    return SiteSet.build(dim, sorted(pts))
+
+
+def test_planar_gluing_solves_nothing(monkeypatch):
+    # every incidence comes from the index sets and the integer distance
+    # partitions: no elimination and no Fraction geometry (no intersect, no
+    # implicit equations, no canonical key, so no subspace is hashed) in any
+    # cell or gluing.  The planar set has no exceptional set; the 3D set's
+    # ledgers hold disjoint stage-1 lines, and random5_n10 has an exceptional
+    # set, so both cut out meets of disjoint index sets
+    complexes = {
+        "planar11": voronoi_complex(seeded_sites(11, 11, 2)),
+        "spatial11_8": voronoi_complex(seeded_sites(11, 8, 3)),
+        "random5_n10": voronoi_complex(HIDDEN_CONTAINMENTS["random5_n10"]),
+    }
     calls = []
-    solve, intersect = qlinalg.solve_affine, AffineSubspace.intersect
 
-    def counting_solve(rows, rhs):
-        calls.append("solve_affine")
-        return solve(rows, rhs)
+    def counting(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
 
-    def counting_intersect(self, other):
-        calls.append("intersect")
-        return intersect(self, other)
+    monkeypatch.setattr(qlinalg, "solve_affine", counting("solve_affine", qlinalg.solve_affine))
+    monkeypatch.setattr(voronoi, "solve_affine", counting("solve_affine", voronoi.solve_affine))
+    for name in ("intersect", "implicit", "cut"):
+        monkeypatch.setattr(AffineSubspace, name, counting(name, getattr(AffineSubspace, name)))
+    monkeypatch.setattr(AffineSubspace, "key", property(counting("key", AffineSubspace.key.func)))
+    for name, vc in complexes.items():
+        calls.clear()
+        model = build_snc(vc, vc.cell_indices())
+        assert len(model.charts) == len(vc.sites) and model.gluings
+        assert (vc.arrangement.exceptional != frozenset()) == (name == "random5_n10")
+        assert [c for c in calls if c != "cut"] == [], name
+        assert ("cut" in calls) == (name != "planar11"), name
 
-    monkeypatch.setattr(qlinalg, "solve_affine", counting_solve)
-    monkeypatch.setattr(voronoi, "solve_affine", counting_solve)
-    monkeypatch.setattr(AffineSubspace, "intersect", counting_intersect)
-    model = build_snc(vc, vc.cell_indices())
-    assert vc.arrangement.exceptional == frozenset()
-    assert len(model.charts) == 11 and model.gluings
-    assert calls == []
+
+# --- the distance partition is the subspace -------------------------------
+
+
+def partitions_and_spans(sites):
+    """(partition, span) for every H(J) and every meet of disjoint J1, J2,
+    the meets by `AffineSubspace.intersect`."""
+    spans = voronoi_complex(sites).subspaces
+    out = [(voronoi._distance_partition(sites, span), span) for span in spans.values()]
+    for j1, j2 in combinations(spans, 2):
+        meet = None if j1 & j2 else spans[j1].intersect(spans[j2])
+        if meet is not None:
+            out.append((voronoi._distance_partition(sites, meet), meet))
+    return out
+
+
+RECTANGLE = [(0, 0), (2, 0), (0, 4), (2, 4)]
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_distance_partition_determines_the_subspace(data):
+    # partitions are equal exactly when the subspaces are, canonical keys
+    # as the oracle; small coordinate ranges make degenerate sets common
+    dim = data.draw(st.sampled_from([1, 2, 2, 3]))
+    hi = data.draw(st.sampled_from([3, 6, 20]))
+    n = data.draw(st.integers(2, {1: 6, 2: 6, 3: 5}[dim]))
+    points = data.draw(
+        st.lists(st.tuples(*[st.integers(0, hi)] * dim), min_size=n, max_size=n, unique=True)
+    )
+    pairs = partitions_and_spans(SiteSet.build(dim, points))
+    assert len({p for p, _ in pairs}) == len({s for _, s in pairs}) == len(set(pairs))
+
+
+@pytest.mark.parametrize("dim, points, first, second", [
+    (1, [[0], [1], [2], [3], [4]], {0, 3}, {1, 2}),
+    (2, RECTANGLE, {0, 2}, {1, 3}),
+], ids=["five_1d", "rectangle"])
+def test_distance_partition_of_coinciding_index_sets(dim, points, first, second):
+    # H{0,3} = H{1,2} with 1D sites 0..4, where the classes are {0,3},
+    # {1,2} and {4}; in the rectangle H{0,2} = H{1,3} although the classes
+    # of the two index sets are disjoint
+    sites = SiteSet.build(dim, points)
+    vc = voronoi_complex(sites)
+    a, b = frozenset(first), frozenset(second)
+    assert vc.subspaces[a] == vc.subspaces[b]
+    assert voronoi._distance_partition(sites, vc.subspaces[a]) == {a, b}
+    assert voronoi._distance_partition(sites, vc.subspaces[b]) == {a, b}
+    pairs = partitions_and_spans(sites)
+    assert len({p for p, _ in pairs}) == len({s for _, s in pairs}) == len(set(pairs))
+    message = f"H{sorted(first)} and H{sorted(second)} span the same subspace"
+    with pytest.raises(GenericityError, match=re.escape(message)):
+        vc.arrangement

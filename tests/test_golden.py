@@ -9,7 +9,9 @@ point, a segment, a 4-point hull in the plane and the midpoint of a site
 and its nearest neighbour, which lies on both closed cells.  Two more
 seeded sets have coordinates that are thirds and sevenths, so every face
 witness of their `voronoi build` is computed over a common denominator
-L = 21 > 1.  Further cases pin `voronoi classify --cell`, `voronoi
+L = 21 > 1.  Three larger 3D sets, two seeded integer ones and one in
+thirds and sevenths, pin `snc build` and `snc dual` over every cell: their
+ledgers hold pairs of disjoint same-stage lines.  Further cases pin `voronoi classify --cell`, `voronoi
 delaunay --select` with sorted selections, and `resolve run` on roots of
 the resolver's degree box, with and without a seed.
 
@@ -79,6 +81,11 @@ PLANAR_WIDE = _seeded_sites(16102, 5, 2, 10**6)
 SPATIAL = _seeded_sites(16103, 5, 3, 31)
 PLANAR_RATIONAL = _seeded_rational_sites(16104, 6, 2, 97)
 SPATIAL_RATIONAL = _seeded_rational_sites(16105, 5, 3, 31)
+GLUED = {
+    "spatial11_8": _seeded_sites(11, 8, 3, 97),
+    "spatial11_10": _seeded_sites(11, 10, 3, 97),
+    "spatial_rational8": _seeded_rational_sites(16106, 8, 3, 97),
+}
 
 FILES = {
     "triangle": _sites_json(2, [[0, 0], [1, 0], [0, 1]]),
@@ -97,6 +104,7 @@ FILES = {
     "spatial_degenerate": _degenerate(SPATIAL),
     "planar_rational": _sites_json(2, PLANAR_RATIONAL),
     "spatial_rational": _sites_json(3, SPATIAL_RATIONAL),
+    **{name: _sites_json(3, pts) for name, pts in GLUED.items()},
     "simplex2": from_simplices([(0, 1, 2)]).to_json_dict(),
     "simplex3": from_simplices([(0, 1, 2, 3)]).to_json_dict(),
     "node": {"I": [1, 2], "m": 1, "F": []},
@@ -137,6 +145,9 @@ def _commands():
                           ("planar", "0,2,3,5"), ("spatial", "1,3"), ("square", "0,1")):
         out.append((f"delaunay-{sites}-{select}",
                     ["voronoi", "delaunay", sites, "--select", select]))
+    for sites in GLUED:
+        out.append((f"snc-build-{sites}", ["snc", "build", sites]))
+        out.append((f"snc-dual-{sites}", ["snc", "dual", sites]))
     for roots in ("node", "cascade", "heavy", "deep", "box_roots"):
         out.append((f"resolve-{roots}", ["resolve", "run", roots]))
     out.append(("resolve-box_roots-seed", ["resolve", "run", "box_roots", "--seed", "7"]))
@@ -210,6 +221,12 @@ GOLDEN = {
     "delaunay-planar-0,2,3,5": ("b1e5ddbfb04403fc0dc2fdc2ffee9319cd1d4fa1ad926ed0e5e292f6c06b6b8b", 0),
     "delaunay-spatial-1,3": ("05255b984ee062754ab299c8f396fc3078b697c77d4a299ca694c44ff4246b39", 0),
     "delaunay-square-0,1": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "snc-build-spatial11_8": ("217b57db81b84aad6d29604fe66b77ea73992beba845efde980d2cc50512709e", 0),
+    "snc-dual-spatial11_8": ("c4de312183bcb8f29eff58531e9a3ec67816e4ce57593f951d906e516cf87e42", 0),
+    "snc-build-spatial11_10": ("fb70411504869be095c4ca415af247c4b91b648cca2af2ac0a96ed3158698808", 0),
+    "snc-dual-spatial11_10": ("0d3d55933e51c7e1e8cfbe405b7c8934bbbef709b7c9c4a5ad07e9b5aa42f459", 0),
+    "snc-build-spatial_rational8": ("0f21a2c9bc22214a5c832cc4a91b7f39c89f08aafe580b6e392a042d9cf43155", 0),
+    "snc-dual-spatial_rational8": ("2f370421bc1fa4c54b991d78deece7dfbd6df14d007c0145c1b941fd9f085de4", 0),
     "resolve-node": ("40f8567504cc4eeba90ae7123a6ab0575ad5234f3a8f02d056b864bda28e4249", 0),
     "resolve-cascade": ("dd81c5b271ba2ab2bd41482b8e562b9eb8f7add46941daf14cbc81b40d544c23", 0),
     "resolve-heavy": ("9d6156c6ce158f970f754ca0153232796fe8700d7a8de54dca66caeea1306daa", 0),

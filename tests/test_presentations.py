@@ -5,7 +5,7 @@ import random
 import pytest
 
 from corpus import CIRCLE, FULL_2_SIMPLEX, NAMED_COMPLEXES, RP2, TORUS
-from minors_oracle import invariant_factors_by_minors
+from minors_oracle import exponent_matrix, invariant_factors_by_minors
 from snclab.complexes import AbelianGroup, ComplexError, from_simplices
 from snclab.presentations import (
     Presentation,
@@ -127,7 +127,9 @@ def test_abelianization_against_minors_oracle():
             )
         p = Presentation.build(gens, relators)
         got = abelianization(p)
-        factors = invariant_factors_by_minors(p.exponent_matrix())
+        factors = invariant_factors_by_minors(exponent_matrix(p))
         nonzero = [d for d in factors if d != 0]
         expected = AbelianGroup.from_invariant_factors(gens - len(nonzero), nonzero)
         assert got == expected
+        confirmed = gens == len(nonzero) == len(relators)
+        assert (is_q_superperfect_sufficient(p) is SuperperfectVerdict.CONFIRMED) == confirmed
