@@ -12,11 +12,11 @@ what keeps spurious identifications from appearing: with them disabled
 (a test hook) the classes may merge charts whose cells do not share a
 face, reproducing the classical failure of the naive quotient.
 
-The ledger checks (stage disjointness, agreement across each gluing) run
-for every cell and every gluing.  They read meets and containments from
-the Voronoi complex's subspace arrangement as set operations on index
-sets and, for disjoint same-stage centers, on their meet's integer
-distance classes.
+A chart's ledger is the arrangement's `records_by_dim` minus the cell's
+star, the index sets of its faces.  So the ledger checks (stage
+disjointness, agreement across each gluing) still run for every cell and
+every gluing, but read only the stars; their pair work is the
+arrangement's, done once (`SubspaceArrangement.meeting_pairs`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .complexes import (
@@ -59,7 +58,8 @@ class SncCheckError(CheckFailed, SncError):
 class BlowupLedger:
     """Ordered blow-up centers for one chart, by increasing dimension.
 
-    Every parasitic subspace of the cell is listed.  Centers of dimension
+    Every parasitic subspace of the cell is listed: the arrangement's
+    `records_by_dim` without the cell's star.  Centers of dimension
     at most m-2 are genuine blow-up centers and must be pairwise disjoint
     within their stage once earlier stages removed their intersections;
     codimension-1 entries are kept for bookkeeping (blowing up a divisor
@@ -69,69 +69,41 @@ class BlowupLedger:
     cell: int
     centers: tuple[SubspaceRecord, ...]
 
-    def centers_of_dim(self, d: int) -> tuple[SubspaceRecord, ...]:
-        return tuple(c for c in self.centers if c.dim == d)
-
 
 def blowup_ledger(vc: VoronoiComplex, cell: int) -> BlowupLedger:
     """All parasitic subspaces for the cell, sorted by (dimension, index set)."""
-    report = classify_subspaces(vc, cell)
-    centers = sorted(report.parasitic, key=lambda r: (r.dim, sorted(r.sites)))
-    ledger = BlowupLedger(cell, tuple(centers))
-    _verify_stage_disjointness(vc, ledger)
+    star = frozenset(r.sites for r in classify_subspaces(vc, cell).essential)
+    ledger = BlowupLedger(
+        cell, tuple(r for r in vc.arrangement.records_by_dim if r.sites not in star)
+    )
+    _verify_stage_disjointness(vc, cell, star)
     return ledger
 
 
-def _verify_stage_disjointness(vc: VoronoiComplex, ledger: BlowupLedger) -> None:
+def _verify_stage_disjointness(vc: VoronoiComplex, cell: int, star: frozenset) -> None:
     """Same-stage centers meet only inside an earlier center.
 
-    Overlapping centers meet in H(a | b); disjoint ones of stage d >= 1 are
-    covered when an earlier center's sites share a distance class of their
-    meet.  Distinct stage-0 centers are distinct points, as no two index
-    sets share a subspace, so there only a repeated center meets.  Disjoint
-    centers that meet outside every earlier center in more than the generic
-    dimension dim a + dim b - m (crossing lines in 3D) are an input
-    property, a GenericityError, not a failed check."""
-    arrangement = vc.arrangement
-    earlier = {c.sites: c for c in ledger.centers}
+    The first pair of `SubspaceArrangement.meeting_pairs` with neither set
+    in the star but every cover in it fails.  Stage 0 needs no check: no
+    two index sets share a point (the arrangement refuses such sites), and
+    a ledger lists each center once.  Disjoint centers that meet outside
+    every earlier center above the generic dimension dim a + dim b - m
+    (crossing lines in 3D) are an input property, a GenericityError, not
+    a failed check."""
     m = vc.dim
-    for d in range(0, max(m - 1, 0)):
-        stage = ledger.centers_of_dim(d)
-        if d == 0:
-            first: dict[frozenset[int], int] = {}
-            pairs = sorted(
-                (first[c.sites], i)
-                for i, c in enumerate(stage)
-                if first.setdefault(c.sites, i) != i
+    for a, b, meet_dim, covers in vc.arrangement.meeting_pairs:
+        if a in star or b in star or not covers <= star:
+            continue
+        d = vc.subspaces[a].dim
+        if not a & b and meet_dim > 2 * d - m:
+            raise GenericityError(
+                f"H{sorted(a)} and H{sorted(b)} meet in dimension "
+                f"{meet_dim}, above the generic {2 * d - m}"
             )
-        else:
-            pairs = combinations(range(len(stage)), 2)
-        for a_idx, b_idx in pairs:
-            a, b = stage[a_idx], stage[b_idx]
-            meet = arrangement.meet(a.sites, b.sites)
-            if meet is None:
-                continue
-            if a.sites & b.sites:
-                covered = any(
-                    earlier[j].dim < d
-                    for j in arrangement.containing(a.sites | b.sites)
-                    if j in earlier
-                )
-            else:
-                covered = any(
-                    c.dim < d and arrangement.meet_within(a.sites, b.sites, c.sites)
-                    for c in ledger.centers
-                )
-                if not covered and meet.dim > a.dim + b.dim - m:
-                    raise GenericityError(
-                        f"H{sorted(a.sites)} and H{sorted(b.sites)} meet in dimension "
-                        f"{meet.dim}, above the generic {a.dim + b.dim - m}"
-                    )
-            if not covered:
-                raise SncCheckError(
-                    f"stage-{d} centers H{sorted(a.sites)} and H{sorted(b.sites)} of cell "
-                    f"{ledger.cell} overlap outside every earlier center"
-                )
+        raise SncCheckError(
+            f"stage-{d} centers H{sorted(a)} and H{sorted(b)} of cell "
+            f"{cell} overlap outside every earlier center"
+        )
 
 
 @dataclass(frozen=True)
@@ -233,11 +205,10 @@ def build_snc(
     if witness is not None:
         raise NotSimpleError(witness)
     chosen = set(cells)
-    ledgers = {i: blowup_ledger(vc, i) for i in cells}
     charts = {
         i: Chart(
             i,
-            ledgers[i],
+            blowup_ledger(vc, i),
             tuple(sorted((f.sites for f in vc.faces_of_cell(i)), key=sorted)),
         )
         for i in cells
@@ -249,7 +220,7 @@ def build_snc(
             if frozenset((i, j)) in vc.faces:
                 gluings.append((i, j))
     for i, j in gluings:
-        _verify_ledger_match(vc, ledgers[i], ledgers[j], frozenset((i, j)))
+        _verify_ledger_match(vc, charts[i], charts[j], frozenset((i, j)))
 
     uf = UnionFind()
     face_keys = set(vc.faces)
@@ -280,22 +251,23 @@ def build_snc(
     )
 
 
-def _verify_ledger_match(vc, ledger_a: BlowupLedger, ledger_b: BlowupLedger, glue_key) -> None:
-    """The two charts must blow up the same centers inside the shared face."""
+def _verify_ledger_match(vc, chart_a: Chart, chart_b: Chart, glue_key) -> None:
+    """The two charts must blow up the same centers inside the shared face.
+
+    Those are the centers whose index set contains the glue key g or,
+    disjoint from g, lies in H(g).  Both ledgers are one order minus a star
+    (`Chart.faces`), so they agree there exactly when the stars do."""
     arrangement = vc.arrangement
 
-    def restriction(ledger: BlowupLedger):
-        out = []
-        for c in ledger.centers:
-            if glue_key <= c.sites:
-                out.append(c.sites)
-            elif not (c.sites & glue_key) and arrangement.within(c.sites, glue_key):
-                out.append(c.sites)
-        return sorted(out, key=sorted)
+    def restriction(star):
+        return {
+            j for j in star
+            if glue_key <= j or not j & glue_key and arrangement.within(j, glue_key)
+        }
 
-    if restriction(ledger_a) != restriction(ledger_b):
+    if restriction(chart_a.faces) != restriction(chart_b.faces):
         raise SncCheckError(
-            f"ledgers of cells {ledger_a.cell} and {ledger_b.cell} disagree on their "
+            f"ledgers of cells {chart_a.cell} and {chart_b.cell} disagree on their "
             f"shared face {sorted(glue_key)}"
         )
 

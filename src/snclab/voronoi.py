@@ -35,7 +35,8 @@ iff J falls in one of its distance classes, so H(Q) lies in H(J) iff
 J <= Q outside the exceptional sets E.  The classes of two or more sites
 key the coincidence table that finishes the genericity check.  The
 self-checks themselves (parasitic parents, intersection closure) still
-run for every cell.
+run for every cell, but read only its star, the index sets of its faces:
+every fact that does not depend on the cell is the arrangement's.
 """
 
 from __future__ import annotations
@@ -468,8 +469,10 @@ class SubspaceArrangement:
     for Q outside E, H(Q) lies in H(J) iff J <= Q.  Two index sets with one
     subspace both lie above E (contain some H(Q), Q in E), so the table
     that finishes the genericity check, naming the first colliding pair in
-    (size, sorted) order, maps only their partitions to them.  The callers
-    evaluate their checks every call.
+    (size, sorted) order, maps only their partitions to them.  The records
+    are sorted once in each of two orders, by size and by dimension, and
+    the pair work of the per-cell checks is done once: `splits` and, on
+    first use, `meeting_pairs`.
     """
 
     def __init__(self, sites: SiteSet, subspaces: dict[frozenset[int], AffineSubspace]):
@@ -477,6 +480,7 @@ class SubspaceArrangement:
         self.spans = subspaces
         order = sorted(subspaces, key=_lattice_order)
         self.records = tuple(SubspaceRecord(key, subspaces[key]) for key in order)
+        self.records_by_dim = tuple(sorted(self.records, key=lambda r: (r.dim, sorted(r.sites))))
         self._partitions: dict[frozenset[int], frozenset[frozenset[int]]] = {}
         for key in order:
             partition = _distance_partition(sites, subspaces[key])
@@ -503,6 +507,27 @@ class SubspaceArrangement:
             if pairs:
                 self.splits[key] = pairs
         self._meets: dict[frozenset[frozenset[int]], tuple] = {}
+
+    @cached_property
+    def meeting_pairs(self) -> tuple[tuple[frozenset[int], frozenset[int], int, frozenset], ...]:
+        """(a, b, dim, covers) for every pair whose subspaces have one
+        dimension d, 1 <= d <= m - 2, and meet, in `combinations` order over
+        `records_by_dim`: dim is the meet's, and covers are the index sets
+        of dimension below d whose subspace contains the meet."""
+        out = []
+        for d in range(1, self.sites.dim - 1):
+            level = [r.sites for r in self.records_by_dim if r.dim == d]
+            lower = [r.sites for r in self.records_by_dim if r.dim < d]
+            for a, b in combinations(level, 2):
+                meet = self.meet(a, b)
+                if meet is None:
+                    continue
+                if a & b:
+                    covers = [j for j in self.containing(a | b) if self.spans[j].dim < d]
+                else:
+                    covers = [j for j in lower if self.meet_within(a, b, j)]
+                out.append((a, b, meet.dim, frozenset(covers)))
+        return tuple(out)
 
     def within(self, q: frozenset[int], j: frozenset[int]) -> bool:
         """Whether H(q) lies in H(j)."""
@@ -568,39 +593,37 @@ def classify_subspaces(vc: VoronoiComplex, cell: int) -> SubspaceReport:
             essential.append(record)
         else:
             parasitic.append(record)
-    by_key = {p.sites: p for p in parasitic}
+    star = frozenset(r.sites for r in essential)
     parent: dict[frozenset[int], frozenset[int]] = {}
     for record in essential:
         if record.dim > m - 2:
             continue
         supers = [
-            by_key[j]
+            j
             for j in arrangement.containing(record.sites)
-            if j in by_key and by_key[j].dim > record.dim
-            and _contains(arrangement, by_key[j], record)
+            if j not in star and arrangement.spans[j].dim > record.dim
+            and _contains(arrangement, j, record.sites)
         ]
         minimal = [
-            p
-            for p in supers
-            if not any(q is not p and _contains(arrangement, p, q) for q in supers)
+            p for p in supers if not any(q != p and _contains(arrangement, p, q) for q in supers)
         ]
-        if len(minimal) != 1 or minimal[0].dim != record.dim + 1:
+        if len(minimal) != 1 or arrangement.spans[minimal[0]].dim != record.dim + 1:
             raise VoronoiCheckError(
                 f"essential H{sorted(record.sites)} of cell {cell} has no unique "
                 f"minimal parasitic parent of dimension {record.dim + 1}"
             )
-        parent[record.sites] = minimal[0].sites
-    _check_intersection_closure(vc, parasitic)
+        parent[record.sites] = minimal[0]
+    _check_intersection_closure(vc, star)
     return SubspaceReport(cell, m, tuple(essential), tuple(parasitic), parent)
 
 
 def _contains(
-    arrangement: SubspaceArrangement, big: SubspaceRecord, small: SubspaceRecord
+    arrangement: SubspaceArrangement, big: frozenset[int], small: frozenset[int]
 ) -> bool:
-    """big.span contains small.span, read off the index sets."""
-    if big.sites <= small.sites:
+    """H(big) contains H(small), read off the index sets."""
+    if big <= small:
         return True
-    if big.sites & small.sites or not arrangement.within(small.sites, big.sites):
+    if big & small or not arrangement.within(small, big):
         # overlapping index sets: containment would force H(big | small) to
         # coincide with H(small), which genericity rules out; disjoint ones
         # are read off the certificate
@@ -608,43 +631,39 @@ def _contains(
     # disjoint index sets: containment puts a point of H(small) on the
     # bisectors of big as well, a coincidence of non-generic sites
     raise GenericityError(
-        f"H{sorted(big.sites)} contains H{sorted(small.sites)} although their "
+        f"H{sorted(big)} contains H{sorted(small)} although their "
         f"index sets are disjoint"
     )
 
 
-def _check_intersection_closure(vc: VoronoiComplex, parasitic: Sequence[SubspaceRecord]) -> None:
+def _check_intersection_closure(vc: VoronoiComplex, star: frozenset[frozenset[int]]) -> None:
     """A pairwise meet of parasitic subspaces that is some H(Q) is parasitic.
 
-    The first failing pair in `combinations` order is named.  Only pairs
-    that can meet in an unlisted H(Q) are examined: overlapping pairs whose
-    union is unlisted, and pairs above E (see `SubspaceArrangement.lookup`)."""
+    The parasitic index sets are the arrangement's outside the cell's star
+    (the index sets of its faces), and the first failing pair in
+    `combinations` order over them is named.  Only pairs that can meet in
+    an H(Q) of the star are examined: the splits of a star key into two
+    parasitic ones (`SubspaceArrangement.splits`), and the parasitic pairs
+    above E (see `SubspaceArrangement.lookup`)."""
     arrangement = vc.arrangement
-    position: dict[frozenset[int], int] = {}
-    for i, p in enumerate(parasitic):
-        position.setdefault(p.sites, i)
     pairs = {
-        (min(position[a], position[b]), max(position[a], position[b]))
-        for union, splits in arrangement.splits.items()
-        if union not in position
-        for a, b in splits
-        if a in position and b in position
+        (a, b)
+        for union in star
+        for a, b in arrangement.splits.get(union, ())
+        if a not in star and b not in star
     }
-    above = [i for i, p in enumerate(parasitic) if p.sites in arrangement.above_exceptional]
-    pairs.update(combinations(above, 2))
-    for i, j in sorted(pairs):
-        p1, p2 = parasitic[i], parasitic[j]
-        if p1.sites & p2.sites:
-            union = p1.sites | p2.sites
-            if union in arrangement.spans and union not in position:
+    pairs.update(combinations(sorted(arrangement.above_exceptional - star, key=_lattice_order), 2))
+    for a, b in sorted(pairs, key=lambda pair: _lattice_order(pair[0]) + _lattice_order(pair[1])):
+        if a & b:
+            if a | b in star:
                 raise VoronoiCheckError(
-                    f"intersection of parasitic H{sorted(p1.sites)} and H{sorted(p2.sites)} "
-                    f"is essential H{sorted(union)}"
+                    f"intersection of parasitic H{sorted(a)} and H{sorted(b)} "
+                    f"is essential H{sorted(a | b)}"
                 )
             continue
-        key = arrangement.lookup(p1.sites, p2.sites)
-        if key is not None and key not in position:
+        key = arrangement.lookup(a, b)
+        if key in star:
             raise VoronoiCheckError(
-                f"intersection of parasitic H{sorted(p1.sites)} and "
-                f"H{sorted(p2.sites)} equals essential H{sorted(key)}"
+                f"intersection of parasitic H{sorted(a)} and "
+                f"H{sorted(b)} equals essential H{sorted(key)}"
             )

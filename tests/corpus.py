@@ -63,3 +63,31 @@ RING_SITES = SiteSet.build(
     2, [[0, 0], [2, 0], [0, 3], [F(-5, 2), 0], [0, F(-7, 4)]]
 )
 RING_OUTER = (1, 2, 3, 4)
+
+# sets with hidden containments (an H(Q) on the bisector of two sites not
+# both in Q) or with two index sets sharing a subspace
+HIDDEN_CONTAINMENTS = {
+    # the third planar set drawn from random.Random(5) for n = 6, 8, 10:
+    # the non-face H{1,4,8} lies on the bisector H{0,5}
+    "random5_n10": SiteSet.build(2, [[0, 26], [9, 17], [16, 0], [20, 97], [21, 37],
+                                     [23, 49], [27, 21], [40, 25], [56, 16], [79, 79]]),
+    # the Voronoi vertex H{3,5,6} lies on the bisector H{1,4}
+    "vertex_on_bisector": SiteSet.build(
+        2, [[0, 1], [4, 11], [5, 7], [7, 3], [10, 14], [11, 8], [12, 8]]
+    ),
+    # the circumcentre of sites 0, 1, 4 lies on the bisector H{2,3}
+    "circumcentre_on_bisector": SiteSet.build(2, [[0, 0], [2, 0], [4, 2], [0, 4], [0, 2]]),
+    "grid": SiteSet.build(2, [[x, y] for x in range(3) for y in range(3)]),
+    "cocircular": SiteSet.build(2, [[0, 5], [3, 4], [4, 3], [5, 0], [0, -5], [-3, -4], [7, 7]]),
+    "cube": SiteSet.build(3, [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)]),
+    # H{0,1,2} and H{3,4,5} are lines through (1, 2, 3), which is 3 from
+    # sites 0-2 and sqrt(26) from sites 3-5: disjoint stage-1 centers meet
+    "crossing_axes": SiteSet.build(
+        3, [[3, 4, 4], [-1, 3, 5], [2, 0, 5], [6, 3, 3], [0, 2, 8], [4, -2, 2]]
+    ),
+    # a seventh site 3 from (1, 2, 3) makes that point H{0,1,2,6}
+    "crossing_axes_vertex": SiteSet.build(
+        3, [[3, 4, 4], [-1, 3, 5], [2, 0, 5], [6, 3, 3], [0, 2, 8], [4, -2, 2], [3, 3, 1]]
+    ),
+    "circle_in_3d": SiteSet.build(3, [[0, 5, 0], [3, 4, 0], [5, 0, 0], [0, -5, 0], [1, 1, 4]]),
+}

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import fraction_kernel
 from corpus import (
     FOUR_SITES_1D,
+    HIDDEN_CONTAINMENTS,
     RING_SITES,
     STRIP_SITES,
     THREE_SITES_1D,
@@ -31,11 +32,11 @@ from snclab import qlinalg, voronoi
 from snclab.qlinalg import AffineSubspace, dot, solve_affine
 from snclab.snc import (
     BlowupLedger,
+    Chart,
     SncCheckError,
     SncError,
     _verify_ledger_match,
     _verify_stage_disjointness,
-    blowup_ledger,
     build_snc,
 )
 from snclab.voronoi import (
@@ -214,6 +215,16 @@ def check_arrangement(vc):
         expected = [(a, b) for a, b in combinations(ordered, 2)
                     if a & b and a | b == q and q not in (a, b)]
         assert arrangement.splits.get(q, []) == expected
+    by_dim = sorted(spans, key=lambda j: (spans[j].dim, sorted(j)))
+    assert [r.sites for r in arrangement.records_by_dim] == by_dim
+    expected = []
+    for d in range(1, vc.dim - 1):
+        for a, b in combinations([j for j in by_dim if spans[j].dim == d], 2):
+            meet = param_meet(spans[a], spans[b])
+            if meet is not None:
+                covers = {j for j in spans if spans[j].dim < d and param_contains(spans[j], meet)}
+                expected.append((a, b, meet.dim, covers))
+    assert list(arrangement.meeting_pairs) == expected
 
 
 @pytest.mark.parametrize(
@@ -225,6 +236,12 @@ def test_memoised_facts_match_oracle_on_corpus(sites):
     vc = voronoi_complex(sites)
     build_snc(vc, vc.cell_indices())  # fills the memo first
     check_arrangement(vc)
+
+
+@pytest.mark.parametrize("name", ["crossing_axes", "crossing_axes_vertex"])
+def test_memoised_facts_match_oracle_on_crossing_lines(name):
+    # disjoint same-stage lines that meet, with and without a covering point
+    check_arrangement(voronoi_complex(HIDDEN_CONTAINMENTS[name]))
 
 
 @settings(max_examples=12)
@@ -254,44 +271,41 @@ VC_TRIANGLE = voronoi_complex(TRIANGLE_SITES)
 VC_STRIP = voronoi_complex(STRIP_SITES)
 
 
-def record(vc, sites):
-    key = frozenset(sites)
-    return SubspaceRecord(key, vc.subspaces[key])
+def star_of(cell, vc):
+    return frozenset(r.sites for r in classify_subspaces(vc, cell).essential)
 
 
-def test_stage_disjointness_rejects_overlapping_stage_0_centers():
-    q = record(VC_STRIP, {0, 1, 2})
-    assert q.dim == 0
-    with pytest.raises(SncError, match="stage-0 centers .* overlap outside"):
-        _verify_stage_disjointness(VC_STRIP, BlowupLedger(1, (q, q)))
+def all_but(vc, *parasitic):
+    """The forged star that leaves exactly the given index sets parasitic."""
+    return frozenset(vc.subspaces) - {frozenset(p) for p in parasitic}
 
 
 def test_stage_disjointness_needs_the_covering_point():
-    # two parasitic lines of cell 0 meet at H{1,2,3,4}; without that point
-    # in the ledger their overlap is not covered by an earlier center
+    # two parasitic lines of cell 0 meet at H{1,2,3,4}; with that point in
+    # the star it leaves the ledger, and their overlap is not covered by an
+    # earlier center
     vc = voronoi_complex(
         SiteSet.build(3, [[6, 31, 1], [7, 31, 28], [8, 4, 16], [24, 27, 0], [30, 24, 13]])
     )
-    full = blowup_ledger(vc, 0)
-    pruned = BlowupLedger(0, tuple(c for c in full.centers if c.sites != {1, 2, 3, 4}))
+    star = star_of(0, vc)
+    _verify_stage_disjointness(vc, 0, star)
     with pytest.raises(SncError, match=r"stage-1 centers H\[1, 2, 3\] and H\[1, 2, 4\]"):
-        _verify_stage_disjointness(vc, pruned)
+        _verify_stage_disjointness(vc, 0, star | {frozenset({1, 2, 3, 4})})
 
 
 def test_intersection_closure_rejects_essential_union():
-    parasitic = [record(VC_TRIANGLE, {0, 1}), record(VC_TRIANGLE, {1, 2})]
+    star = all_but(VC_TRIANGLE, {0, 1}, {1, 2})
     with pytest.raises(VoronoiError, match=r"is essential H\[0, 1, 2\]"):
-        _check_intersection_closure(VC_TRIANGLE, parasitic)
+        _check_intersection_closure(VC_TRIANGLE, star)
 
 
 def test_intersection_closure_rejects_essential_meet():
     # the bisector of sites 2 and 3 runs through the circumcentre (1, 1)
     # of sites 0, 1, 4, so H{0,1} and H{2,3} meet exactly in H{0,1,4}
     vc = voronoi_complex(SiteSet.build(2, [[0, 0], [2, 0], [4, 2], [0, 4], [0, 2]]))
-    parasitic = [record(vc, {0, 1}), record(vc, {2, 3})]
     with pytest.raises(VoronoiError, match=r"equals essential H\[0, 1, 4\]"):
-        _check_intersection_closure(vc, parasitic)
-    _check_intersection_closure(vc, parasitic + [record(vc, {0, 1, 4})])
+        _check_intersection_closure(vc, all_but(vc, {0, 1}, {2, 3}))
+    _check_intersection_closure(vc, all_but(vc, {0, 1}, {2, 3}, {0, 1, 4}))
 
 
 def test_genericity_error_names_the_first_pair():
@@ -410,7 +424,7 @@ def geometric_closure(reference, parasitic):
 
 def geometric_stage(vc, reference, ledger):
     for d in range(0, max(vc.dim - 1, 0)):
-        for a, b in combinations(ledger.centers_of_dim(d), 2):
+        for a, b in combinations([c for c in ledger.centers if c.dim == d], 2):
             meet = reference.meet(a.sites, b.sites)
             if meet is None:
                 continue
@@ -454,11 +468,19 @@ def ledger_of(cell, records):
     return BlowupLedger(cell, tuple(sorted(records, key=lambda r: (r.dim, sorted(r.sites)))))
 
 
+def chart_of(vc, cell, star):
+    """The chart of cell whose star is forged: its ledger is every record
+    outside star, and its faces are star with the cell itself."""
+    ledger = ledger_of(cell, [r for r in vc.arrangement.records if r.sites not in star])
+    return Chart(cell, ledger, (frozenset({cell}), *star))
+
+
 def compare_with_geometry(sites, rng, rounds=6):
     """Every parent, closure, stage and ledger verdict of the index-algebra
-    checks equals the geometric one, first-failure message included, on the
-    true per-cell inputs, on them with one record dropped or added, and on
-    random record lists."""
+    checks equals the geometric one, first-failure message included, on
+    the true stars, on them with one key dropped or added, and on random
+    subsets of the index sets; the geometric checks read the records
+    outside each star."""
     vc = voronoi_complex(sites)
     table = outcome(lambda: vc.arrangement and None)
     assert table == outcome(lambda: GeometricArrangement(vc.subspaces) and None)
@@ -466,37 +488,42 @@ def compare_with_geometry(sites, rng, rounds=6):
         return
     reference = GeometricArrangement(vc.subspaces)
     records = list(vc.arrangement.records)
+    keys = [r.sites for r in records]
     cells = list(vc.cell_indices())
-    reports = {}
+    stars = {}
     for cell in cells:
         verdict = outcome(classify_subspaces, vc, cell)
         if verdict[0] == "ok":
-            reports[cell] = verdict[1]
             rep = verdict[1]
+            stars[cell] = frozenset(r.sites for r in rep.essential)
             verdict = ("ok", ([r.sites for r in rep.essential], [r.sites for r in rep.parasitic],
                               rep.minimal_parasitic_parent))
         assert verdict == outcome(geometric_classify, vc, reference, cell)
     if len(records) < 2:
         return
+
+    def random_star():
+        return frozenset(rng.sample(keys, rng.randint(0, len(keys))))
+
     for _ in range(rounds):
         cell = rng.choice(cells)
-        base = list(reports[cell].parasitic) if cell in reports else rng.sample(records, 2)
-        dropped = rng.sample(base, len(base) - 1)
-        added = base + [rng.choice(records)]
-        shuffled = rng.sample(records, rng.randint(2, len(records)))
-        for chosen in (base, sorted(dropped, key=records.index), added, shuffled):
-            assert (outcome(_check_intersection_closure, vc, chosen)
-                    == outcome(geometric_closure, reference, chosen))
-        for chosen in (base, dropped, added, shuffled, shuffled + shuffled[:1]):
-            ledger = ledger_of(cell, chosen)
-            assert (outcome(_verify_stage_disjointness, vc, ledger)
-                    == outcome(geometric_stage, vc, reference, ledger))
+        base = stars[cell] if cell in stars else frozenset(rng.sample(keys, len(keys) - 2))
+        dropped = base - {rng.choice(sorted(base, key=sorted))} if base else base
+        added = base | {rng.choice(keys)}
+        for star in (base, dropped, added, random_star()):
+            chart = chart_of(vc, cell, star)
+            parasitic = [r for r in records if r.sites not in star]
+            assert (outcome(_check_intersection_closure, vc, star)
+                    == outcome(geometric_closure, reference, parasitic))
+            assert (outcome(_verify_stage_disjointness, vc, cell, star)
+                    == outcome(geometric_stage, vc, reference, chart.ledger))
             other = rng.choice(cells)
-            other_base = list(reports[other].parasitic) if other in reports else shuffled
             glue = frozenset(rng.sample(cells, 2))
-            for other_ledger in (ledger_of(other, other_base), ledger_of(other, shuffled)):
-                assert (outcome(_verify_ledger_match, vc, ledger, other_ledger, glue)
-                        == outcome(geometric_ledger_match, reference, ledger, other_ledger, glue))
+            for other_star in (stars[other] if other in stars else random_star(), random_star()):
+                other_chart = chart_of(vc, other, other_star)
+                assert (outcome(_verify_ledger_match, vc, chart, other_chart, glue)
+                        == outcome(geometric_ledger_match, reference, chart.ledger,
+                                   other_chart.ledger, glue))
 
 
 @settings(max_examples=30)
@@ -508,35 +535,6 @@ def test_index_algebra_checks_match_geometry_on_random_sites(data):
         st.lists(st.tuples(*[st.integers(0, 10)] * dim), min_size=n, max_size=n, unique=True)
     )
     compare_with_geometry(SiteSet.build(dim, points), random.Random(data.draw(st.integers(0, 99))))
-
-
-# sets with hidden containments (an H(Q) on the bisector of two sites not
-# both in Q) or with two index sets sharing a subspace
-HIDDEN_CONTAINMENTS = {
-    # the third planar set drawn from random.Random(5) for n = 6, 8, 10:
-    # the non-face H{1,4,8} lies on the bisector H{0,5}
-    "random5_n10": SiteSet.build(2, [[0, 26], [9, 17], [16, 0], [20, 97], [21, 37],
-                                     [23, 49], [27, 21], [40, 25], [56, 16], [79, 79]]),
-    # the Voronoi vertex H{3,5,6} lies on the bisector H{1,4}
-    "vertex_on_bisector": SiteSet.build(
-        2, [[0, 1], [4, 11], [5, 7], [7, 3], [10, 14], [11, 8], [12, 8]]
-    ),
-    # the circumcentre of sites 0, 1, 4 lies on the bisector H{2,3}
-    "circumcentre_on_bisector": SiteSet.build(2, [[0, 0], [2, 0], [4, 2], [0, 4], [0, 2]]),
-    "grid": SiteSet.build(2, [[x, y] for x in range(3) for y in range(3)]),
-    "cocircular": SiteSet.build(2, [[0, 5], [3, 4], [4, 3], [5, 0], [0, -5], [-3, -4], [7, 7]]),
-    "cube": SiteSet.build(3, [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)]),
-    # H{0,1,2} and H{3,4,5} are lines through (1, 2, 3), which is 3 from
-    # sites 0-2 and sqrt(26) from sites 3-5: disjoint stage-1 centers meet
-    "crossing_axes": SiteSet.build(
-        3, [[3, 4, 4], [-1, 3, 5], [2, 0, 5], [6, 3, 3], [0, 2, 8], [4, -2, 2]]
-    ),
-    # a seventh site 3 from (1, 2, 3) makes that point H{0,1,2,6}
-    "crossing_axes_vertex": SiteSet.build(
-        3, [[3, 4, 4], [-1, 3, 5], [2, 0, 5], [6, 3, 3], [0, 2, 8], [4, -2, 2], [3, 3, 1]]
-    ),
-    "circle_in_3d": SiteSet.build(3, [[0, 5, 0], [3, 4, 0], [5, 0, 0], [0, -5, 0], [1, 1, 4]]),
-}
 
 
 @pytest.mark.parametrize("name", sorted(HIDDEN_CONTAINMENTS))
@@ -561,6 +559,27 @@ def seeded_sites(seed, n, dim):
     while len(pts) < n:
         pts.add(tuple(rng.randint(0, 97) for _ in range(dim)))
     return SiteSet.build(dim, sorted(pts))
+
+
+def test_pair_work_does_not_grow_with_the_selection(monkeypatch):
+    # every pair of same-stage lines is met once per arrangement, however
+    # many charts read the result
+    meets = []
+    meet = SubspaceArrangement.meet
+
+    def counted(self, j1, j2):
+        meets.append((j1, j2))
+        return meet(self, j1, j2)
+
+    monkeypatch.setattr(SubspaceArrangement, "meet", counted)
+    counts = []
+    for selection in ([0], range(8)):
+        vc = voronoi_complex(seeded_sites(11, 8, 3))
+        meets.clear()
+        build_snc(vc, selection)
+        counts.append(len(meets))
+    lines = sum(span.dim == 1 for span in vc.subspaces.values())
+    assert counts == [lines * (lines - 1) // 2] * 2
 
 
 def test_planar_gluing_solves_nothing(monkeypatch):

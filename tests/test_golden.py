@@ -11,9 +11,13 @@ seeded sets have coordinates that are thirds and sevenths, so every face
 witness of their `voronoi build` is computed over a common denominator
 L = 21 > 1.  Three larger 3D sets, two seeded integer ones and one in
 thirds and sevenths, pin `snc build` and `snc dual` over every cell: their
-ledgers hold pairs of disjoint same-stage lines.  Further cases pin `voronoi classify --cell`, `voronoi
-delaunay --select` with sorted selections, and `resolve run` on roots of
-the resolver's degree box, with and without a seed.
+ledgers hold pairs of disjoint same-stage lines; so do an 18-site planar
+set with coordinates up to 10^6.  `snc build` and `voronoi
+classify` also run on a planar set whose exceptional set E is not empty,
+and `snc build` on crossing 3D lines, which it refuses with exit 2.
+Further cases pin `voronoi classify --cell`, `voronoi delaunay --select`
+with sorted selections, and `resolve run` on roots of the resolver's
+degree box, with and without a seed.
 
 A change that alters any of these outputs on purpose records the new
 digest here and says so in CHANGES.md.
@@ -26,6 +30,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from corpus import HIDDEN_CONTAINMENTS
 from snclab.cli import main
 from snclab.complexes import from_simplices
 
@@ -85,7 +90,12 @@ GLUED = {
     "spatial11_8": _seeded_sites(11, 8, 3, 97),
     "spatial11_10": _seeded_sites(11, 10, 3, 97),
     "spatial_rational8": _seeded_rational_sites(16106, 8, 3, 97),
+    "planar5_18": _seeded_sites(5, 18, 2, 10**6),
 }
+# E is not empty: the non-face H{1,4,8} lies on the bisector H{0,5}
+EXCEPTIONAL = HIDDEN_CONTAINMENTS["random5_n10"]
+# disjoint stage-1 lines meet outside every earlier center: exit 2
+CROSSING = HIDDEN_CONTAINMENTS["crossing_axes"]
 
 FILES = {
     "triangle": _sites_json(2, [[0, 0], [1, 0], [0, 1]]),
@@ -104,7 +114,9 @@ FILES = {
     "spatial_degenerate": _degenerate(SPATIAL),
     "planar_rational": _sites_json(2, PLANAR_RATIONAL),
     "spatial_rational": _sites_json(3, SPATIAL_RATIONAL),
-    **{name: _sites_json(3, pts) for name, pts in GLUED.items()},
+    **{name: _sites_json(len(pts[0]), pts) for name, pts in GLUED.items()},
+    "exceptional": _sites_json(EXCEPTIONAL.dim, EXCEPTIONAL.sites),
+    "crossing": _sites_json(CROSSING.dim, CROSSING.sites),
     "simplex2": from_simplices([(0, 1, 2)]).to_json_dict(),
     "simplex3": from_simplices([(0, 1, 2, 3)]).to_json_dict(),
     "node": {"I": [1, 2], "m": 1, "F": []},
@@ -148,6 +160,9 @@ def _commands():
     for sites in GLUED:
         out.append((f"snc-build-{sites}", ["snc", "build", sites]))
         out.append((f"snc-dual-{sites}", ["snc", "dual", sites]))
+    out.append(("snc-build-exceptional", ["snc", "build", "exceptional"]))
+    out.append(("classify-json-exceptional-1", ["voronoi", "classify", "exceptional", "--cell", "1"]))
+    out.append(("snc-build-crossing", ["snc", "build", "crossing"]))
     for roots in ("node", "cascade", "heavy", "deep", "box_roots"):
         out.append((f"resolve-{roots}", ["resolve", "run", roots]))
     out.append(("resolve-box_roots-seed", ["resolve", "run", "box_roots", "--seed", "7"]))
@@ -227,6 +242,11 @@ GOLDEN = {
     "snc-dual-spatial11_10": ("0d3d55933e51c7e1e8cfbe405b7c8934bbbef709b7c9c4a5ad07e9b5aa42f459", 0),
     "snc-build-spatial_rational8": ("0f21a2c9bc22214a5c832cc4a91b7f39c89f08aafe580b6e392a042d9cf43155", 0),
     "snc-dual-spatial_rational8": ("2f370421bc1fa4c54b991d78deece7dfbd6df14d007c0145c1b941fd9f085de4", 0),
+    "snc-build-planar5_18": ("897b7fae8c1cb8d1f7fe46d7a087660e8affa40d215314f74abe25291724be9b", 0),
+    "snc-dual-planar5_18": ("ce86200ef956675a39581d658e7eed2dc69db0ef283b5ca5259ac0baf3999578", 0),
+    "snc-build-exceptional": ("11d69122524cb27ee0d80a9bce4243903cf60cfefc1e3e1f15d7d174b44f7567", 0),
+    "classify-json-exceptional-1": ("596087dc37d9b0227369490d877464ecb6f327668c55a3067cfc95a95b0d1d34", 0),
+    "snc-build-crossing": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     "resolve-node": ("40f8567504cc4eeba90ae7123a6ab0575ad5234f3a8f02d056b864bda28e4249", 0),
     "resolve-cascade": ("dd81c5b271ba2ab2bd41482b8e562b9eb8f7add46941daf14cbc81b40d544c23", 0),
     "resolve-heavy": ("9d6156c6ce158f970f754ca0153232796fe8700d7a8de54dca66caeea1306daa", 0),

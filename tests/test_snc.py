@@ -119,16 +119,20 @@ def test_ledger_consistency_across_gluings():
 
 
 def test_ledger_mismatch_is_detected():
-    from snclab.snc import BlowupLedger, _verify_ledger_match
+    from snclab.snc import BlowupLedger, Chart, _verify_ledger_match
 
-    full = blowup_ledger(VC_STRIP, 1)
-    # drop a center that lies inside the 0-1 wall (the q-point H{0,1,2})
-    pruned = BlowupLedger(
-        1, tuple(c for c in full.centers if c.sites != frozenset({0, 1, 2}))
+    charts = build_snc(VC_STRIP, STRIP_ROW).charts
+    # forge cell 1's star to hold a center that lies inside the 0-1 wall
+    # (the q-point H{0,1,2}), so that center leaves cell 1's ledger
+    q = frozenset({0, 1, 2})
+    pruned = Chart(
+        1,
+        BlowupLedger(1, tuple(c for c in charts[1].ledger.centers if c.sites != q)),
+        (*charts[1].faces, q),
     )
-    other = blowup_ledger(VC_STRIP, 0)
+    _verify_ledger_match(VC_STRIP, charts[0], charts[1], frozenset({0, 1}))
     with pytest.raises(SncError, match="disagree"):
-        _verify_ledger_match(VC_STRIP, other, pruned, frozenset({0, 1}))
+        _verify_ledger_match(VC_STRIP, charts[0], pruned, frozenset({0, 1}))
 
 
 def test_build_snc_errors():
