@@ -200,6 +200,9 @@ def cmd_check(args) -> tuple[dict, int]:
 
 
 def cmd_voronoi(args) -> tuple[dict, int]:
+    # select reports the cells a region meets, so it reads --region alone
+    if args.action == "select" and not args.region:
+        raise VoronoiError("voronoi select needs --region")
     vc = voronoi_complex(_load_sites(args.sites))
     if args.action == "build":
         return vc.to_json_dict(), 0
@@ -236,9 +239,6 @@ def cmd_voronoi(args) -> tuple[dict, int]:
                 for k, v in rep.minimal_parasitic_parent.items()
             },
         }, 0
-    # select reports the cells a region meets, so it reads --region alone
-    if not args.region:
-        raise VoronoiError("voronoi select needs --region")
     region = region_from_json_dict(_load(args.region))
     return {"cells": list(select_subcomplex(vc, region))}, 0
 

@@ -15,24 +15,27 @@ affine function of the subspace's parameters, its integer profile
 (`SiteSet.profiles`), and the bisector of sites i and k is profile k
 minus profile i.  The face test, the cuts and the arrangement's distance
 classes all read the profiles, computed once per H(J), so the face
-lattice is decided in integers: on a point H(J) by comparing profiles,
-elsewhere by integer Fourier-Motzkin (`feasible`).  Each H(J) is held in
-its integer form, so Fractions are made only for the sites, for a
-span's point and basis when they are read, and for a face's witness,
-which is computed when first read.
+lattice is decided in integers: on a point H(J) by comparing profiles, on
+a line by one pass over the bounds, elsewhere by integer Fourier-Motzkin
+(`feasible`).  Each H(J) is held in its integer form, so Fractions are
+made only for the sites, for a span's point and basis when they are read,
+and for a face's witness, which is computed when first read.
 
-Face enumeration visits only the index sets with non-empty H(J): since
-H(J + k) is H(J) cut by the bisector of min(J) and k, each such J is
-extended level by level by one site at a time and dropped as soon as that
-bisector misses H(J).  No solve is needed: the bisector row read off the
-profiles is both the face test's inequality and the cut.
+Two walks extend index sets level by level, one site at a time: H(J + k)
+is H(J) cut by the bisector of min(J) and k, read off the profiles, so
+nothing is solved.  The face walk (`voronoi_complex`) extends J only while
+its closed face is non-empty, so its work follows the number of faces.
+The span walk (`_span_walk`) visits every non-empty H(J) and records the
+exceptional sets E; a complex runs it on first use, which `voronoi
+classify`, `snc`, `resolve embed` and `pipeline` do and `voronoi build`,
+`simple`, `delaunay` and `select` never do.
 
 The subspace classification and the SNC gluing read the complex's
-`SubspaceArrangement`, built on first use, which decides incidence in
-integers: H(J1) and H(J2) meet in H(J1 | J2) when J1 and J2 share a site,
-else in H(J1) cut by the bisector rows of J2, and a subspace lies in H(J)
-iff J falls in one of its distance classes, so H(Q) lies in H(J) iff
-J <= Q outside the exceptional sets E.  The classes of two or more sites
+`SubspaceArrangement`, built on first use from the span walk, which
+decides incidence in integers: H(J1) and H(J2) meet in H(J1 | J2) when J1
+and J2 share a site, else in H(J1) cut by the bisector rows of J2, and a
+subspace lies in H(J) iff J falls in one of its distance classes, so H(Q)
+lies in H(J) iff J <= Q outside the exceptional sets E.  The classes of two or more sites
 key the coincidence table that finishes the genericity check.  The
 self-checks themselves (parasitic parents, intersection closure) still
 run for every cell, but read only its star, the index sets of its faces:
@@ -54,6 +57,7 @@ from .qlinalg import (
     AffineSubspace,
     Constraint,
     Vector,
+    _tightest,
     feasible,
     feasible_point,
     solve_affine,
@@ -191,7 +195,8 @@ def _face_rows(
     """The face test of H(J), J = indices sorted: for each site k outside J
     in ascending order, the strict row (l_k - l_i).u < c_k - c_i with i =
     min(J), i.e. the bisector of i and k substituted into H(J).  With
-    strict=False and J = (i,) the rows cut out the closed cell of i."""
+    strict=False the rows cut out J's closed face: the closed cell of i
+    when J = (i,)."""
     c_i, *l_i = profiles[indices[0]]
     return {
         k: Constraint(tuple(map(sub, l_k, l_i)), c_k - c_i, strict)
@@ -232,9 +237,15 @@ class VoronoiFace:
 
 @dataclass(frozen=True)
 class VoronoiComplex:
+    """The faces of a site set's Voronoi diagram, keyed by their index sets
+    in (size, sorted) order.  Every non-empty H(J) and the partitions of E
+    come from the span walk, run on first use (`_spans`): `voronoi
+    classify`, `snc`, `resolve embed` and `pipeline` read them through
+    `arrangement`; `voronoi build`, `simple`, `delaunay` and `select`
+    never do."""
+
     sites: SiteSet
     faces: dict[frozenset[int], VoronoiFace]
-    subspaces: dict[frozenset[int], AffineSubspace]
 
     @property
     def dim(self) -> int:
@@ -244,9 +255,18 @@ class VoronoiComplex:
         return tuple(range(len(self.sites)))
 
     @cached_property
+    def _spans(self) -> tuple[dict, dict]:
+        return _span_walk(self.sites)
+
+    @property
+    def subspaces(self) -> dict[frozenset[int], AffineSubspace]:
+        """Every non-empty H(J), |J| >= 2, in (size, sorted) order."""
+        return self._spans[0]
+
+    @cached_property
     def arrangement(self) -> "SubspaceArrangement":
         """The arrangement of every H(J), built on first use."""
-        return SubspaceArrangement(self.sites, self.subspaces)
+        return SubspaceArrangement(self.sites, *self._spans)
 
     @cached_property
     def _sorted_faces(self) -> tuple[VoronoiFace, ...]:
@@ -286,53 +306,164 @@ class VoronoiComplex:
         }
 
 
+def _line_children(
+    profiles: Sequence[tuple[int, ...]], indices: Sequence[int]
+) -> tuple[bool, dict[int, Constraint]]:
+    """On a line H(J): whether J is a face, and the rows that cut out the
+    children H(J + k) whose closed face can be non-empty, from one bound
+    pass (`_tightest`) over the face test's rows taken non-strict.  The
+    closed face is the segment those rows bound, and the open face, the
+    strict rows' segment, is its interior unless a row is 0 <= 0 (site k
+    ties with J on the whole line).  A child's closed face lies on row k,
+    so it is empty unless row k attains an end of the segment or ties."""
+    c_i, l_i = profiles[indices[0]]
+    rows = {k: (l_k - l_i, c_k - c_i) for k, (c_k, l_k) in enumerate(profiles)
+            if k not in indices}
+    bounds = _tightest([(row, False) for row in rows.values()], 0)
+    if bounds is None:
+        return False, {}
+    lower, upper = bounds
+    is_face = (0, 0) not in rows.values() and (
+        lower is None or upper is None or upper[0] * lower[1] > lower[0] * upper[1]
+    )
+    children = {}
+    for k, (a, b) in rows.items():
+        # row a u <= b ends the segment when its bound b / a is the
+        # segment's bound (p, q) on its side: b q == p a
+        end = upper if a > 0 else lower
+        if (a, b) == (0, 0) or a and end and b * end[1] == end[0] * a:
+            children[k] = Constraint((a,), b)
+    return is_face, children
+
+
 def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
-    """Build the full face lattice, visiting only the J with non-empty H(J).
+    """The face lattice, from a walk that extends J only while its closed
+    face (the points at least as close to J's sites as to any other) is
+    non-empty.
 
-    Level by level, each sorted J with non-empty H(J) computes its sites'
-    integer profiles once (`SiteSet.profiles`); row k of the face test and
-    the cut for H(J + k) are profile k minus profile min(J), so nothing is
-    solved and nothing is substituted.  For k > max(J) that row cuts out
-    H(J + k) (`AffineSubspace.cut`), which visits the index sets in
-    `combinations` order; since each cut keeps `solve_affine`'s echelon
-    form, H(J) equals `equidistance_subspace` point for point.  The cuts
-    run in integers, and no H(J) makes a Fraction until its point or basis
-    is read.
+    By the lifting map the closed face of J on H(J) is where J's common
+    profile is the lowest; it only shrinks as J grows, so once it is empty
+    no superset of J is a face.  Each sorted J computes its sites' integer
+    profiles (`SiteSet.profiles`), and row k of the face test, like the cut
+    for H(J + k), is profile k minus profile min(J):
 
-    A face exists for J exactly when some point has nearest-site set J.  On
-    a point H(J) that is read off the profiles: the sites of J share one
-    profile, and every other site's must be larger; a child H(J + k) is the
-    same point when site k shares it.  On a larger H(J) the strict rows go
-    to `feasible`, integer Fourier-Motzkin without a witness; each face's
-    witness is computed only when read (`VoronoiFace.witness`).
+    - |J| = 1: the site is the only site nearest to itself, so its cell is
+      a face, with no elimination.
+    - a point H(J): J is a face when no other site shares J's profile and
+      none has a smaller one, and its closed face is non-empty when none
+      has a smaller one; H(J + k) is the same point when k shares it.
+    - a line H(J): one bound pass decides the face and names the children
+      to cut (`_line_children`); the others are never built.
+    - a larger H(J): `feasible` (integer Fourier-Motzkin) on the strict
+      rows, and only when it fails, on the rows taken non-strict; a
+      non-empty closed face cuts every child.
+
+    The cuts (`AffineSubspace.cut`) visit the index sets in `combinations`
+    order and keep `solve_affine`'s echelon form, so each face's span
+    equals `equidistance_subspace` point for point and the span walk's
+    H(J) in integers.  No Fraction is made until a span's point or basis,
+    or a face's witness (`VoronoiFace.witness`), is read.
     """
     n = len(site_set)
     faces: dict[frozenset[int], VoronoiFace] = {}
-    subspaces: dict[frozenset[int], AffineSubspace] = {}
-    level = [((i,), whole_space(site_set.dim)) for i in range(n)]
+    whole = whole_space(site_set.dim)
+    top = site_set.profiles(whole)
+    level = [((i,), whole) for i in range(n)]
     while level:
         extended = []
         for indices, span in level:
-            key = frozenset(indices)
-            if len(indices) >= 2:
-                subspaces[key] = span
-            profiles = site_set.profiles(span)
+            profiles = top if span is whole else site_set.profiles(span)
             later = range(indices[-1] + 1, n)
-            if span.dim:
-                rows = _face_rows(profiles, indices)
-                is_face = feasible(list(rows.values()), span.dim)
-                children = [(k, span.cut(rows[k])) for k in later]
-            else:
-                # the sites of J share a profile: a face when no other site
-                # has it and none has a smaller one
+            if not span.dim:
                 least = profiles[indices[0]]
-                is_face = profiles.count(least) == len(indices) and min(profiles) == least
-                children = [(k, span) for k in later if profiles[k] == least]
+                closed = min(profiles) == least
+                is_face = closed and profiles.count(least) == len(indices)
+                children = [(k, span) for k in later if closed and profiles[k] == least]
+            elif span.dim == 1:
+                is_face, rows = _line_children(profiles, indices)
+                children = [(k, span.cut(rows[k])) for k in later if k in rows]
+            else:
+                rows = _face_rows(profiles, indices)
+                is_face = len(indices) == 1 or feasible(list(rows.values()), span.dim)
+                closed = is_face or feasible(
+                    list(_face_rows(profiles, indices, strict=False).values()), span.dim
+                )
+                children = [(k, span.cut(rows[k])) for k in later if closed]
             if is_face:
+                key = frozenset(indices)
                 faces[key] = VoronoiFace(key, span, site_set.dim, site_set)
             extended.extend((indices + (k,), child) for k, child in children if child is not None)
         level = extended
-    return VoronoiComplex(site_set, faces, subspaces)
+    return VoronoiComplex(site_set, faces)
+
+
+def _cut_profiles(
+    profiles: Sequence[tuple[int, ...]], row: Constraint, span: AffineSubspace,
+    child: AffineSubspace,
+) -> list[tuple[int, ...]]:
+    """The profiles on child = span.cut(row), derived from those on span.
+    With pivot t, lead a_t, right-hand side b and the cut's signed gcd
+    g = a_t D / D' (D and D' the denominators of span and child), each
+    site's (c, *l) becomes c' = (a_t c - b l_t) / g and l'_i = (a_t l_i -
+    a_i l_t) / g for i != t: the cut's new point and basis vectors
+    substituted into `SiteSet.profiles`, integer for integer."""
+    coeffs, rhs = row.coeffs, row.rhs
+    t = next(i for i, a in enumerate(coeffs) if a)
+    lead = coeffs[t]
+    g = lead * span.integer_form[0] // child.integer_form[0]
+    others = [(i + 1, a) for i, a in enumerate(coeffs) if i != t]
+    t += 1  # entry 0 of a profile is c
+    if not others:  # a line cut to a point, the most common cut
+        return [((lead * p[0] - rhs * p[t]) // g,) for p in profiles]
+    return [((lead * p[0] - rhs * p[t]) // g, *[(lead * p[i] - a * p[t]) // g for i, a in others])
+            for p in profiles]
+
+
+def _span_walk(
+    site_set: SiteSet,
+) -> tuple[dict[frozenset[int], AffineSubspace], dict[frozenset[int], frozenset[frozenset[int]]]]:
+    """Every non-empty H(J), |J| >= 2, in (size, sorted) order, and the
+    distance partitions of those in E.
+
+    The walk visits the J of `voronoi_complex` with no face test: level by
+    level, H(J + k) is H(J) cut by profile k minus profile min(J), for
+    every later k.  Only the whole space's profiles are computed from the
+    sites; each child's are derived from its parent's through the cut
+    (`_cut_profiles`), when the child is visited.  The sites of J share one
+    profile on H(J), so J is outside E exactly when the profiles take
+    n - |J| + 1 distinct values, and only E's partitions are recorded."""
+    n = len(site_set)
+    whole = whole_space(site_set.dim)
+    top = site_set.profiles(whole)
+    subspaces: dict[frozenset[int], AffineSubspace] = {}
+    partitions: dict[frozenset[int], frozenset[frozenset[int]]] = {}
+    # (J, H(J), its parent H, the parent's profiles, the cut row)
+    level = [((i,), whole, whole, top, None) for i in range(n)]
+    while level:
+        extended = []
+        for indices, span, parent, above, row in level:
+            profiles = above if span is parent else _cut_profiles(above, row, parent, span)
+            if len(indices) >= 2:
+                key = frozenset(indices)
+                subspaces[key] = span
+                if len(set(profiles)) != n - len(indices) + 1:
+                    partitions[key] = _partition(profiles)
+            least = profiles[indices[0]]
+            later = range(indices[-1] + 1, n)
+            if not span.dim:
+                # H(J + k) is the same point when site k shares J's profile
+                extended.extend((indices + (k,), span, span, profiles, None)
+                                for k in later if profiles[k] == least)
+                continue
+            c_i, *l_i = least
+            for k in later:
+                c_k, *l_k = profiles[k]
+                cut = Constraint(tuple(map(sub, l_k, l_i)), c_k - c_i)
+                child = span.cut(cut)
+                if child is not None:
+                    extended.append((indices + (k,), child, span, profiles, cut))
+        level = extended
+    return subspaces, partitions
 
 
 def restricted_simplicity_witness(
@@ -437,15 +568,20 @@ class SubspaceReport:
     minimal_parasitic_parent: dict[frozenset[int], frozenset[int]]
 
 
+def _partition(profiles: Sequence[tuple[int, ...]]) -> frozenset[frozenset[int]]:
+    """The sites grouped by profile, one-site classes dropped."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, profile in enumerate(profiles):
+        groups.setdefault(profile, []).append(k)
+    return frozenset(frozenset(g) for g in groups.values() if len(g) > 1)
+
+
 def _distance_partition(sites: SiteSet, span: AffineSubspace) -> frozenset[frozenset[int]]:
     """The sites grouped by their squared distance on span, i.e. by profile
     (`SiteSet.profiles`), one-site classes dropped.  An H(Q) or a meet
     H(a) & H(b) is the meet of H(C) over these classes C (Q, a and b each
     lie in one), so two such spans are equal iff their partitions are."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for k, profile in enumerate(sites.profiles(span)):
-        groups.setdefault(profile, []).append(k)
-    return frozenset(frozenset(g) for g in groups.values() if len(g) > 1)
+    return _partition(sites.profiles(span))
 
 
 def _proper_subsets(j_set: frozenset[int]) -> list[frozenset[int]]:
@@ -462,11 +598,12 @@ class SubspaceArrangement:
     By the lifting map (Edelsbrunner & Seidel, "Voronoi diagrams and
     arrangements", 1986), H(J1) and H(J2) meet in H(J1 | J2) when J1 and J2
     share a site; that of disjoint J1 and J2 is H(J1) cut by the bisector
-    rows of J2, as `voronoi_complex` cuts out H(J + k), memoised with its
+    rows of J2, as the walks cut out H(J + k), memoised with its
     `_distance_partition`.  A subspace lies in H(J) exactly when J falls in
     one of its classes.  Q is exceptional, in E, when the partition of H(Q)
     is not {Q}, i.e. H(Q) lies on the bisector of two sites not both in Q;
-    for Q outside E, H(Q) lies in H(J) iff J <= Q.  Two index sets with one
+    the span walk records these partitions, and for Q outside E, H(Q) lies
+    in H(J) iff J <= Q.  Two index sets with one
     subspace both lie above E (contain some H(Q), Q in E), so the table
     that finishes the genericity check, naming the first colliding pair in
     (size, sorted) order, maps only their partitions to them.  The records
@@ -475,17 +612,20 @@ class SubspaceArrangement:
     first use, `meeting_pairs`.
     """
 
-    def __init__(self, sites: SiteSet, subspaces: dict[frozenset[int], AffineSubspace]):
+    def __init__(
+        self,
+        sites: SiteSet,
+        subspaces: dict[frozenset[int], AffineSubspace],
+        partitions: dict[frozenset[int], frozenset[frozenset[int]]],
+    ):
+        """subspaces holds every non-empty H(J), and partitions the distance
+        partition of each H(Q), Q in E, as the span walk records them."""
         self.sites = sites
         self.spans = subspaces
         order = sorted(subspaces, key=_lattice_order)
         self.records = tuple(SubspaceRecord(key, subspaces[key]) for key in order)
         self.records_by_dim = tuple(sorted(self.records, key=lambda r: (r.dim, sorted(r.sites))))
-        self._partitions: dict[frozenset[int], frozenset[frozenset[int]]] = {}
-        for key in order:
-            partition = _distance_partition(sites, subspaces[key])
-            if partition != {key}:
-                self._partitions[key] = partition
+        self._partitions = partitions
         self.exceptional = frozenset(self._partitions)
         self.above_exceptional = frozenset(
             key for key in order if any(self.within(q, key) for q in self._partitions)

@@ -18,8 +18,9 @@ incidence from integer distance classes and must agree with them.
 `voronoi_complex` is the enumeration with eager witnesses: every H(J)
 substitutes each bisector of min(J) into its parameters and runs
 Fourier-Motzkin for a witness, point or not, and each child is cut out by
-the Fraction `cut`.  `snclab.voronoi` must find the same faces, spans,
-subspaces and witnesses.
+the Fraction `cut`.  It returns the complex of its faces and its own map
+of every non-empty H(J).  `snclab.voronoi` must find the same faces,
+spans and witnesses, and its span walk the same subspaces.
 """
 
 from dataclasses import dataclass
@@ -175,9 +176,12 @@ class VoronoiFace:
         return self.ambient_dim - self.span.dim
 
 
-def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
+def voronoi_complex(
+    site_set: SiteSet,
+) -> tuple[VoronoiComplex, dict[frozenset[int], AffineSubspace]]:
     """The face lattice over the J with non-empty H(J), each face's witness
-    found by Fourier-Motzkin as the face is tested."""
+    found by Fourier-Motzkin as the face is tested, and every non-empty
+    H(J), |J| >= 2."""
     n = len(site_set)
     faces: dict[frozenset[int], VoronoiFace] = {}
     subspaces: dict[frozenset[int], AffineSubspace] = {}
@@ -202,4 +206,4 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
                 if child is not None:
                     extended.append((indices + (k,), child))
         level = extended
-    return VoronoiComplex(site_set, faces, subspaces)
+    return VoronoiComplex(site_set, faces), subspaces

@@ -445,6 +445,17 @@ def test_unexpected_exception_exits_3(inputs, capsys, monkeypatch, exc, last_lin
     assert captured.err.rstrip().endswith(last_line)
 
 
+def test_select_without_region_exits_2_before_enumerating(inputs, capsys, monkeypatch):
+    def enumerated(sites):
+        raise RuntimeError("voronoi select enumerated the complex")
+
+    monkeypatch.setattr(cli, "voronoi_complex", enumerated)
+    code = main(["voronoi", "select", inputs["triangle"]])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: voronoi select needs --region\n"
+
+
 def _refuse_closure(vc, parasitic):
     raise VoronoiCheckError("intersection closure refused")
 

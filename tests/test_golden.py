@@ -12,7 +12,10 @@ witness of their `voronoi build` is computed over a common denominator
 L = 21 > 1.  Three larger 3D sets, two seeded integer ones and one in
 thirds and sevenths, pin `snc build` and `snc dual` over every cell: their
 ledgers hold pairs of disjoint same-stage lines; so do an 18-site planar
-set with coordinates up to 10^6.  `snc build` and `voronoi
+set with coordinates up to 10^6.  `voronoi build`, `simple`, `delaunay`
+(every cell) and `select` over a cover run on a 40-site planar set and a
+14-site 3D set, where the face walk builds far fewer H(J) than there are
+non-empty ones.  `snc build` and `voronoi
 classify` also run on a planar set whose exceptional set E is not empty,
 and `snc build` on crossing 3D lines, which it refuses with exit 2.
 Further cases pin `voronoi classify --cell`, `voronoi delaunay --select`
@@ -92,6 +95,12 @@ GLUED = {
     "spatial_rational8": _seeded_rational_sites(16106, 8, 3, 97),
     "planar5_18": _seeded_sites(5, 18, 2, 10**6),
 }
+# larger sets, each with its cover, where the face walk prunes: only O(n)
+# of the non-empty H(J) have a non-empty closed face
+PRUNED = {
+    "planar5_40": (_seeded_sites(5, 40, 2, 10**6), "wide_cover"),
+    "spatial11_14": (_seeded_sites(11, 14, 3, 97), "spatial97_cover"),
+}
 # E is not empty: the non-face H{1,4,8} lies on the bisector H{0,5}
 EXCEPTIONAL = HIDDEN_CONTAINMENTS["random5_n10"]
 # disjoint stage-1 lines meet outside every earlier center: exit 2
@@ -115,6 +124,8 @@ FILES = {
     "planar_rational": _sites_json(2, PLANAR_RATIONAL),
     "spatial_rational": _sites_json(3, SPATIAL_RATIONAL),
     **{name: _sites_json(len(pts[0]), pts) for name, pts in GLUED.items()},
+    **{name: _sites_json(len(pts[0]), pts) for name, (pts, _) in PRUNED.items()},
+    "spatial97_cover": _cover(3, 97),
     "exceptional": _sites_json(EXCEPTIONAL.dim, EXCEPTIONAL.sites),
     "crossing": _sites_json(CROSSING.dim, CROSSING.sites),
     "simplex2": from_simplices([(0, 1, 2)]).to_json_dict(),
@@ -157,6 +168,10 @@ def _commands():
                           ("planar", "0,2,3,5"), ("spatial", "1,3"), ("square", "0,1")):
         out.append((f"delaunay-{sites}-{select}",
                     ["voronoi", "delaunay", sites, "--select", select]))
+    for sites, (_, cover) in PRUNED.items():
+        for action in ("build", "simple", "delaunay"):
+            out.append((f"voronoi-{action}-{sites}", ["voronoi", action, sites]))
+        out.append((f"select-{sites}-{cover}", ["voronoi", "select", sites, "--region", cover]))
     for sites in GLUED:
         out.append((f"snc-build-{sites}", ["snc", "build", sites]))
         out.append((f"snc-dual-{sites}", ["snc", "dual", sites]))
@@ -236,6 +251,14 @@ GOLDEN = {
     "delaunay-planar-0,2,3,5": ("b1e5ddbfb04403fc0dc2fdc2ffee9319cd1d4fa1ad926ed0e5e292f6c06b6b8b", 0),
     "delaunay-spatial-1,3": ("05255b984ee062754ab299c8f396fc3078b697c77d4a299ca694c44ff4246b39", 0),
     "delaunay-square-0,1": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "voronoi-build-planar5_40": ("37d8e16aa30dd6354635019e795ae9ae6200cd25ebe5d7303e557d2d85287a12", 0),
+    "voronoi-simple-planar5_40": ("9e54914bb8d5aeab687ab0d0f007fa343aad3e9e61896865a33e2bfe34c283fe", 0),
+    "voronoi-delaunay-planar5_40": ("97738f20a85a7d0466dfcef9405b12fd85fb18180d676c16b5f84acdd5b7d22e", 0),
+    "select-planar5_40-wide_cover": ("93d74745879e757c923fad2e84cb5d0f36d939b4f1d0776c156200bba21ec06a", 0),
+    "voronoi-build-spatial11_14": ("5483664459b583269b4bac30735e571a3535877a24b175cd95df0659b079dd77", 0),
+    "voronoi-simple-spatial11_14": ("9e54914bb8d5aeab687ab0d0f007fa343aad3e9e61896865a33e2bfe34c283fe", 0),
+    "voronoi-delaunay-spatial11_14": ("0602a900219e927e1e3bc5d4cc4324dfc06b7e738008126941b5ff077135de75", 0),
+    "select-spatial11_14-spatial97_cover": ("24ea9c2c1f61d64e7811ab101cdc072d9f0e7c58267fa1e5296b2063681ff2e1", 0),
     "snc-build-spatial11_8": ("217b57db81b84aad6d29604fe66b77ea73992beba845efde980d2cc50512709e", 0),
     "snc-dual-spatial11_8": ("c4de312183bcb8f29eff58531e9a3ec67816e4ce57593f951d906e516cf87e42", 0),
     "snc-build-spatial11_10": ("fb70411504869be095c4ca415af247c4b91b648cca2af2ac0a96ed3158698808", 0),

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
+from operator import sub
 
 import pytest
 from hypothesis import example, given
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import fraction_kernel
 from corpus import (
     FOUR_SITES_1D,
+    HIDDEN_CONTAINMENTS,
     RING_OUTER,
     RING_SITES,
     SQUARE_SITES,
@@ -22,7 +24,7 @@ from corpus import (
 )
 from snclab.complexes import AbelianGroup
 from snclab.presentations import abelianization, pi1_presentation
-from snclab.qlinalg import Constraint, dot, feasible_point, whole_space
+from snclab.qlinalg import AffineSubspace, Constraint, dot, feasible_point, whole_space
 from snclab import voronoi
 from snclab.voronoi import (
     GenericityError,
@@ -449,9 +451,10 @@ def test_genericity_density_fuzz():
         assert vc.is_simple()
 
 
-def brute_force_voronoi(sites: SiteSet) -> VoronoiComplex:
+def brute_force_voronoi(sites: SiteSet):
     """Reference enumeration: every index subset in `combinations` order,
-    each H(J) solved from scratch, each face tested by Fourier-Motzkin."""
+    each H(J) solved from scratch, each face tested by Fourier-Motzkin.
+    Returns the complex of the faces and the map of every non-empty H(J)."""
     n = len(sites)
     faces, subspaces = {}, {}
     for size in range(1, n + 1):
@@ -472,14 +475,14 @@ def brute_force_voronoi(sites: SiteSet) -> VoronoiComplex:
                 faces[key] = fraction_kernel.VoronoiFace(
                     key, span, span.parametrize(params), sites.dim
                 )
-    return VoronoiComplex(sites, faces, subspaces)
+    return VoronoiComplex(sites, faces), subspaces
 
 
-def _lattice_fields(vc: VoronoiComplex):
+def _lattice_fields(vc: VoronoiComplex, subspaces):
     witness = vc.simplicity_witness()
     return (
         [(k, f.witness, f.span.point, f.span.basis, f.ambient_dim) for k, f in vc.faces.items()],
-        [(k, s.point, s.basis) for k, s in vc.subspaces.items()],
+        [(k, s.point, s.basis) for k, s in subspaces.items()],
         None if witness is None else (witness.sites, witness.witness, witness.span.point),
     )
 
@@ -520,7 +523,8 @@ def degenerate_site_sets(draw):
 @example(SiteSet.build(2, [[0, 0], [1, 1], [2, 2], [0, 3], [3, 0]]))
 @example(SiteSet.build(3, [[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 0], [1, 1, 3]]))
 def test_pruned_enumeration_matches_brute_force(sites):
-    assert _lattice_fields(voronoi_complex(sites)) == _lattice_fields(brute_force_voronoi(sites))
+    vc = voronoi_complex(sites)
+    assert _lattice_fields(vc, vc.subspaces) == _lattice_fields(*brute_force_voronoi(sites))
 
 
 def test_enumeration_solves_only_nonempty_subspaces(monkeypatch):
@@ -551,7 +555,91 @@ def test_enumeration_solves_only_nonempty_subspaces(monkeypatch):
 def test_lazy_witnesses_match_the_eager_enumeration(sites):
     # cocircular, grid, cube and cospherical sets above
     vc = voronoi_complex(sites)
-    assert _lattice_fields(vc) == _lattice_fields(fraction_kernel.voronoi_complex(sites))
+    assert _lattice_fields(vc, vc.subspaces) == _lattice_fields(
+        *fraction_kernel.voronoi_complex(sites)
+    )
+
+
+@given(degenerate_site_sets())
+@example(SiteSet.build(2, _CIRCLE))
+@example(SiteSet.build(3, _SPHERE))
+@example(SiteSet.build(3, [(1, 0, 0), (0, 2, 0), (0, 0, 3), (4, 4, 1), (2, 5, 3)]))
+def test_cut_profiles_are_the_profiles_of_the_cut(sites):
+    # the span walk derives each child's profiles from its parent's: H(J)
+    # is H(J - max J) cut by profile max J minus profile min J
+    whole = whole_space(sites.dim)
+    spans = {frozenset((i,)): whole for i in range(len(sites))} | voronoi_complex(sites).subspaces
+    for key, child in spans.items():
+        if len(key) < 2:
+            continue
+        indices = sorted(key)
+        parent = spans[frozenset(indices[:-1])]
+        profiles = sites.profiles(parent)
+        (c_i, *l_i), (c_k, *l_k) = profiles[indices[0]], profiles[indices[-1]]
+        row = Constraint(tuple(map(sub, l_k, l_i)), c_k - c_i)
+        assert parent.cut(row).integer_form == child.integer_form
+        if any(row.coeffs):
+            derived = voronoi._cut_profiles(profiles, row, parent, child)
+        else:  # site max J shares profile min J on all of the parent
+            derived = profiles
+        assert derived == sites.profiles(child)
+
+
+def recorded_exceptional_sets(sites):
+    """The span walk's partitions, checked against `_distance_partition`
+    over every span."""
+    subspaces, partitions = voronoi_complex(sites)._spans
+    assert partitions == {
+        key: partition for key, span in subspaces.items()
+        if (partition := voronoi._distance_partition(sites, span)) != {key}
+    }
+    return partitions
+
+
+@given(degenerate_site_sets())
+@example(SiteSet.build(2, _CIRCLE))
+@example(SiteSet.build(3, _SPHERE))
+def test_span_walk_records_the_exceptional_sets(sites):
+    recorded_exceptional_sets(sites)
+
+
+@pytest.mark.parametrize("name", sorted(HIDDEN_CONTAINMENTS))
+def test_span_walk_records_hidden_containments(name):
+    # every set but the crossing lines has an exceptional H(Q)
+    assert bool(recorded_exceptional_sets(HIDDEN_CONTAINMENTS[name])) == (name != "crossing_axes")
+
+
+@pytest.mark.parametrize(
+    "seed, n, dim, hi, spans",
+    [(5, 40, 2, 10**6, 10660), (11, 14, 3, 97, 1456)],
+    ids=["planar5_40", "spatial11_14"],
+)
+def test_face_walk_is_output_sensitive(monkeypatch, seed, n, dim, hi, spans):
+    # on generic sites the face walk cuts the C(n, 2) bisectors out of the
+    # whole space, every later child of a face of dimension 2 or more, and
+    # on a line only the rows that end its closed segment, two per Voronoi
+    # edge; the span walk runs only when the span map is read
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(rng.randint(0, hi) for _ in range(dim)))
+    cuts = []
+    cut = AffineSubspace.cut
+
+    def counted(span, row):
+        cuts.append(row)
+        return cut(span, row)
+
+    monkeypatch.setattr(AffineSubspace, "cut", counted)
+    vc = voronoi_complex(SiteSet.build(dim, sorted(pts)))
+    assert vc.simplicity_witness() is None
+    delaunay_dual(vc, vc.cell_indices()).all_betti()
+    assert "_spans" not in vars(vc)
+    below_faces = sum(n - 1 - max(key) for key, face in vc.faces.items()
+                      if face.dim >= 2 and len(key) >= 2)
+    edges = sum(face.dim == 1 for face in vc.faces.values())
+    assert len(cuts) <= n * (n - 1) // 2 + below_faces + 2 * edges
+    assert len(vc.subspaces) == spans
 
 
 def test_equal_faces_hash_equal():
