@@ -35,11 +35,12 @@ The subspace classification and the SNC gluing read the complex's
 decides incidence in integers: H(J1) and H(J2) meet in H(J1 | J2) when J1
 and J2 share a site, else in H(J1) cut by the bisector rows of J2, and a
 subspace lies in H(J) iff J falls in one of its distance classes, so H(Q)
-lies in H(J) iff J <= Q outside the exceptional sets E.  The classes of two or more sites
-key the coincidence table that finishes the genericity check.  The
-self-checks themselves (parasitic parents, intersection closure) still
-run for every cell, but read only its star, the index sets of its faces:
-every fact that does not depend on the cell is the arrangement's.
+lies in H(J) iff J <= Q outside the exceptional sets E.  The classes of
+two or more sites key the coincidence table that finishes the genericity
+check.  The self-checks themselves (parasitic parents, intersection
+closure) still run for every cell, but read only its star, the index sets
+of its faces: every fact that does not depend on the cell is the
+arrangement's.
 """
 
 from __future__ import annotations
