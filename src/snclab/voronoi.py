@@ -430,39 +430,35 @@ def _span_walk(
     level, H(J + k) is H(J) cut by profile k minus profile min(J), for
     every later k.  Only the whole space's profiles are computed from the
     sites; each child's are derived from its parent's through the cut
-    (`_cut_profiles`), when the child is visited.  The sites of J share one
-    profile on H(J), so J is outside E exactly when the profiles take
-    n - |J| + 1 distinct values, and only E's partitions are recorded."""
+    (`_cut_profiles`).  The sites of J share one profile on H(J), so J is
+    outside E exactly when the profiles take n - |J| + 1 distinct values,
+    and only E's partitions are recorded.  A point outside E has no child,
+    since no other site shares its profile, so it is never kept for the
+    next level."""
     n = len(site_set)
     whole = whole_space(site_set.dim)
-    top = site_set.profiles(whole)
     subspaces: dict[frozenset[int], AffineSubspace] = {}
     partitions: dict[frozenset[int], frozenset[frozenset[int]]] = {}
-    # (J, H(J), its parent H, the parent's profiles, the cut row)
-    level = [((i,), whole, whole, top, None) for i in range(n)]
+    top = site_set.profiles(whole)
+    level = [((i,), whole, top) for i in range(n)]
     while level:
         extended = []
-        for indices, span, parent, above, row in level:
-            profiles = above if span is parent else _cut_profiles(above, row, parent, span)
-            if len(indices) >= 2:
-                key = frozenset(indices)
-                subspaces[key] = span
-                if len(set(profiles)) != n - len(indices) + 1:
-                    partitions[key] = _partition(profiles)
-            least = profiles[indices[0]]
-            later = range(indices[-1] + 1, n)
-            if not span.dim:
-                # H(J + k) is the same point when site k shares J's profile
-                extended.extend((indices + (k,), span, span, profiles, None)
-                                for k in later if profiles[k] == least)
-                continue
-            c_i, *l_i = least
-            for k in later:
+        for indices, span, profiles in level:
+            c_i, *l_i = profiles[indices[0]]
+            for k in range(indices[-1] + 1, n):
                 c_k, *l_k = profiles[k]
-                cut = Constraint(tuple(map(sub, l_k, l_i)), c_k - c_i)
-                child = span.cut(cut)
-                if child is not None:
-                    extended.append((indices + (k,), child, span, profiles, cut))
+                row = Constraint(tuple(map(sub, l_k, l_i)), c_k - c_i)
+                child = span.cut(row)
+                if child is None:
+                    continue
+                derived = profiles if child is span else _cut_profiles(profiles, row, span, child)
+                key = frozenset(indices + (k,))
+                subspaces[key] = child
+                exceptional = len(set(derived)) != n - len(key) + 1
+                if exceptional:
+                    partitions[key] = _partition(derived)
+                if child.dim or exceptional:
+                    extended.append((indices + (k,), child, derived))
         level = extended
     return subspaces, partitions
 
