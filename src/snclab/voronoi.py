@@ -600,13 +600,12 @@ class SubspaceArrangement:
     one of its classes.  Q is exceptional, in E, when the partition of H(Q)
     is not {Q}, i.e. H(Q) lies on the bisector of two sites not both in Q;
     the span walk records these partitions, and for Q outside E, H(Q) lies
-    in H(J) iff J <= Q.  Two index sets with one
-    subspace both lie above E (contain some H(Q), Q in E), so the table
-    that finishes the genericity check, naming the first colliding pair in
-    (size, sorted) order, maps only their partitions to them.  The records
-    are sorted once in each of two orders, by size and by dimension, and
-    the pair work of the per-cell checks is done once: `splits` and, on
-    first use, `meeting_pairs`.
+    in H(J) iff J <= Q.  Two index sets with one subspace both lie above E
+    (contain some H(Q), Q in E), so the table that finishes the genericity
+    check, naming the first colliding pair in (size, sorted) order, maps
+    only their partitions to them.  The records are sorted once in each of
+    two orders, by size and by dimension, and the pair work of the per-cell
+    checks is done once: `splits` and, on first use, `meeting_pairs`.
     """
 
     def __init__(
