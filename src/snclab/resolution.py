@@ -22,7 +22,10 @@ det size, exponents in label order), and the resolver expands each
 distinct canonical state once per call: a hash-consed DAG with chart
 multiplicities on its edges (Filliatre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006).  The tree trace is stamped out of that
-DAG by relabelling.
+DAG by relabelling.  A state whose charts take no fresh label has
+children that depend only on it and its node's labels, so they are built
+once per (state, labels) pair, and the nodes below equal such labelled
+models share one LocalModel object per chart.
 
 The nerve of the x-index sets is an invariant of resolution.  The engine
 checks, once per distinct state, the two local facts that force it (each
@@ -415,18 +418,19 @@ class ResolutionTrace:
         return from_simplices(maximal)
 
     def to_json_dict(self) -> dict:
+        # one model dict per distinct model, shared by the nodes that hold it
+        rendered: dict[LocalModel, tuple[dict, bool]] = {}
+        nodes = []
+        for n in self.nodes:
+            model = n.model
+            shared = rendered.get(model)
+            if shared is None:
+                shared = rendered[model] = (model.to_json_dict(), model.is_resolved())
+            nodes.append({"id": n.node_id, "model": shared[0], "multiplicity": n.multiplicity,
+                          "parent": n.parent, "resolved": shared[1]})
         return {
             "roots": list(self.roots),
-            "nodes": [
-                {
-                    "id": n.node_id,
-                    "model": n.model.to_json_dict(),
-                    "multiplicity": n.multiplicity,
-                    "parent": n.parent,
-                    "resolved": n.model.is_resolved(),
-                }
-                for n in self.nodes
-            ],
+            "nodes": nodes,
             "steps": [
                 {
                     "id": s.step_id,
@@ -449,29 +453,6 @@ class ResolutionTrace:
 
 _NODE_SLOTS = _setters(TraceNode)
 _STEP_SLOTS = _setters(TraceStep)
-
-
-def _node(node_id, model, multiplicity, parent) -> TraceNode:
-    node = _new(TraceNode)
-    set_id, set_model, set_mult, set_parent = _NODE_SLOTS
-    set_id(node, node_id)
-    set_model(node, model)
-    set_mult(node, multiplicity)
-    set_parent(node, parent)
-    return node
-
-
-def _step(step_id, node, rule, detail, children, descents, relabel) -> TraceStep:
-    step = _new(TraceStep)
-    set_id, set_node, set_rule, set_detail, set_children, set_descents, set_relabel = _STEP_SLOTS
-    set_id(step, step_id)
-    set_node(step, node)
-    set_rule(step, rule)
-    set_detail(step, detail)
-    set_children(step, children)
-    set_descents(step, descents)
-    set_relabel(step, relabel)
-    return step
 
 
 def _relabel_shape(parent_deg: Mdeg, child_deg: Mdeg) -> bool:
@@ -622,6 +603,18 @@ def _expand_all(states: Sequence[tuple], policy: Policy, max_steps: Optional[int
     return memo
 
 
+def _stamp(state: _State, names: tuple) -> list:
+    """(model, child state or None for a leaf, child labels, multiplicity)
+    for each merged chart of an expanded state, its labels named by names."""
+    name_at = names.__getitem__
+    children = []
+    for child, x, m, positions, exps, mult in state.charts:
+        child_labels = tuple(map(name_at, positions))
+        model = _model(x, m, tuple(zip(child_labels, exps)), child.mdeg)
+        children.append((model, child if child.rule is not None else None, child_labels, mult))
+    return children
+
+
 def resolve(
     roots: Sequence[LocalModel],
     policy: Policy = Policy(),
@@ -641,9 +634,14 @@ def resolve(
     The tree is then built breadth first by relabelling the memo.  A fresh
     label is one past every label used so far in the call, so nodes,
     labels and step details are those of the worklist that expands every
-    node.  The step budget and MAX_TREE_NODES are checked against the
-    exact tree size before any node is built, and a subtree above
-    MAX_TREE_NODES stops the call as soon as the memo has counted it.
+    node.  A node's children are built once per (state, labels) pair when
+    its state's charts take no fresh label, so nodes with equal labelled
+    models there hold one shared LocalModel; a state that takes a fresh
+    label builds them anew each time, and each step's detail is formatted
+    from the labels of its own node.  The step budget and MAX_TREE_NODES
+    are checked against the exact tree size before any node is built, and
+    a subtree above MAX_TREE_NODES stops the call as soon as the memo has
+    counted it.
     """
     if not roots:
         raise ResolutionError("no roots given")
@@ -656,26 +654,46 @@ def resolve(
     _check_tree_bound(sum(t.nodes for t in tops))
     nodes = [TraceNode(i, r, 1, None) for i, r in enumerate(roots)]
     # only unresolved nodes are queued: leaves take no step and fresh no label
-    queue = deque((i, t, tuple(j for j, _ in r.exceptional))
+    queue = deque((i, t, tuple(j for j, _ in r.exceptional), 1)
                   for i, (r, t) in enumerate(zip(roots, tops)) if t.rule is not None)
     fresh = max((j for r in roots for j, _ in r.exceptional), default=0) + 1
     steps: list[TraceStep] = []
+    # the children of a state whose charts take no fresh label, per (state, labels)
+    stamped: dict[tuple, list] = {}
+    new, push, pop = _new, queue.append, queue.popleft
+    add_node, add_step = nodes.append, steps.append
+    set_id, set_model, set_mult, set_parent = _NODE_SLOTS
+    set_step, set_node, set_rule, set_detail, set_children, set_descents, set_relabel = _STEP_SLOTS
     while queue:
-        node_id, state, labels = queue.popleft()
+        node_id, state, labels, multiplicity = pop()
         names = labels + (fresh,)
         if state.fresh:
             fresh += 1
-        name_at = names.__getitem__
-        multiplicity = nodes[node_id].multiplicity
+            children = _stamp(state, names)
+        else:
+            children = stamped.get((state, labels))
+            if children is None:
+                children = stamped[state, labels] = _stamp(state, names)
         first = len(nodes)
-        for child, x, m, positions, exps, mult in state.charts:
-            child_labels = tuple(map(name_at, positions))
-            model = _model(x, m, tuple(zip(child_labels, exps)), child.mdeg)
-            if child.rule is not None:
-                queue.append((len(nodes), child, child_labels))
-            nodes.append(_node(len(nodes), model, mult * multiplicity, node_id))
-        steps.append(_step(len(steps), node_id, state.rule, state.tag.format(*names),
-                           tuple(range(first, len(nodes))), state.descents, state.relabel))
+        for child_id, (model, child, child_labels, mult) in enumerate(children, first):
+            mult *= multiplicity
+            if child is not None:
+                push((child_id, child, child_labels, mult))
+            node = new(TraceNode)
+            set_id(node, child_id)
+            set_model(node, model)
+            set_mult(node, mult)
+            set_parent(node, node_id)
+            add_node(node)
+        step = new(TraceStep)
+        set_step(step, len(steps))
+        set_node(step, node_id)
+        set_rule(step, state.rule)
+        set_detail(step, state.tag.format(*names))
+        set_children(step, tuple(range(first, len(nodes))))
+        set_descents(step, state.descents)
+        set_relabel(step, state.relabel)
+        add_step(step)
     leaf_sets = {s[0] for s, e in memo.items() if e.rule is None}
     snapshots = (closure(r.x_divisors for r in roots),
                  closure(sorted(leaf_sets, key=len, reverse=True)))

@@ -605,7 +605,7 @@ class SubspaceArrangement:
     check, naming the first colliding pair in (size, sorted) order, maps
     only their partitions to them.  The records are sorted once in each of
     two orders, by size and by dimension, and the pair work of the per-cell
-    checks is done once: `splits` and, on first use, `meeting_pairs`.
+    checks is done once, on first use: `splits` per key and `meeting_pairs`.
     """
 
     def __init__(
@@ -634,14 +634,7 @@ class SubspaceArrangement:
                     raise GenericityError(
                         f"H{sorted(first)} and H{sorted(key)} span the same subspace"
                     )
-        # the pairs of proper subsets that share a site and cover key: the
-        # overlapping pairs, key itself aside, that meet in H(key)
-        self.splits: dict[frozenset[int], list[tuple[frozenset[int], frozenset[int]]]] = {}
-        for key in order:
-            subsets = _proper_subsets(key)
-            pairs = [(a, b) for a, b in combinations(subsets, 2) if a & b and a | b == key]
-            if pairs:
-                self.splits[key] = pairs
+        self._splits: dict[frozenset[int], list[tuple[frozenset[int], frozenset[int]]]] = {}
         self._meets: dict[frozenset[frozenset[int]], tuple] = {}
 
     @cached_property
@@ -664,6 +657,17 @@ class SubspaceArrangement:
                     covers = [j for j in lower if self.meet_within(a, b, j)]
                 out.append((a, b, meet.dim, frozenset(covers)))
         return tuple(out)
+
+    def splits(self, key: frozenset[int]) -> list[tuple[frozenset[int], frozenset[int]]]:
+        """The pairs of proper subsets of key that share a site and cover it,
+        in `combinations` order: the overlapping pairs, key itself aside,
+        that meet in H(key).  Computed on first read."""
+        pairs = self._splits.get(key)
+        if pairs is None:
+            subsets = _proper_subsets(key)
+            pairs = self._splits[key] = [(a, b) for a, b in combinations(subsets, 2)
+                                         if a & b and a | b == key]
+        return pairs
 
     def within(self, q: frozenset[int], j: frozenset[int]) -> bool:
         """Whether H(q) lies in H(j)."""
@@ -785,7 +789,7 @@ def _check_intersection_closure(vc: VoronoiComplex, star: frozenset[frozenset[in
     pairs = {
         (a, b)
         for union in star
-        for a, b in arrangement.splits.get(union, ())
+        for a, b in arrangement.splits(union)
         if a not in star and b not in star
     }
     pairs.update(combinations(sorted(arrangement.above_exceptional - star, key=_lattice_order), 2))

@@ -214,7 +214,7 @@ def check_arrangement(vc):
     for q in spans:
         expected = [(a, b) for a, b in combinations(ordered, 2)
                     if a & b and a | b == q and q not in (a, b)]
-        assert arrangement.splits.get(q, []) == expected
+        assert arrangement.splits(q) == expected
     by_dim = sorted(spans, key=lambda j: (spans[j].dim, sorted(j)))
     assert [r.sites for r in arrangement.records_by_dim] == by_dim
     expected = []

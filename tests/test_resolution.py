@@ -351,11 +351,40 @@ def test_nodes_with_equal_states_have_equal_models():
     first: dict[tuple, LocalModel] = {}
     repeats = 0
     for node in trace.nodes:
-        model = first.setdefault(node.model.state(), node.model)
-        if model is not node.model:
+        state = node.model.state()
+        if state in first:
             repeats += 1
+            model = first[state]
             assert node.model == model and hash(node.model) == hash(model)
+        else:
+            first[state] = node.model
     assert repeats == 11
+
+
+@pytest.mark.parametrize("root", [
+    LocalModel.build([1, 2, 3, 4], 3),
+    LocalModel.build([1, 2, 3], 3, [(10, 1), (11, 1), (12, 1), (13, 1)]),
+], ids=["4_3_empty", "3_3_1111"])
+def test_children_are_stamped_once_per_state_and_labels(root):
+    # a step that takes no fresh label has children that depend only on its
+    # node's labelled model: below equal such models each chart is one
+    # shared LocalModel, and every node's model is the worklist oracle's
+    trace = resolve([root])
+    expected = tree_resolver.resolve([root])
+    assert [n.model for n in trace.nodes] == [n.model for n in expected.nodes]
+    below: dict[LocalModel, tuple] = {}
+    shared = 0
+    for step in trace.steps:
+        parent = trace.nodes[step.node].model
+        labels = {j for j, _ in parent.exceptional}
+        children = tuple(trace.nodes[c].model for c in step.children)
+        if any(j not in labels for child in children for j, _ in child.exceptional):
+            continue  # the step takes a fresh label
+        first = below.setdefault(parent, children)
+        if first is not children:
+            shared += 1
+            assert all(a is b for a, b in zip(first, children, strict=True))
+    assert shared > 100
 
 
 def test_policy_permutation_fuzz():
