@@ -5,6 +5,7 @@ about them (face lists, adjacency, genericity) are re-derived in the
 tests from witness points and direct distance comparisons.
 """
 
+import random
 from fractions import Fraction as F
 
 from snclab.complexes import build_complex, from_simplices
@@ -40,6 +41,21 @@ NAMED_COMPLEXES = {
     "rp2": RP2,
     "torus": TORUS,
 }
+
+
+def suspension(facets, a, b):
+    """The suspension of a pure complex's facets with cone points a and b."""
+    return [tuple(f) + (a,) for f in facets] + [tuple(f) + (b,) for f in facets]
+
+
+def random_pure_3d(seed, vertices, count):
+    """count distinct tetrahedra on the vertices, drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    facets = set()
+    while len(facets) < count:
+        facets.add(tuple(sorted(rng.sample(range(vertices), 4))))
+    return sorted(facets)
+
 
 # --- site configurations ------------------------------------------------
 

@@ -10,7 +10,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corpus import CIRCLE, FULL_2_SIMPLEX, NAMED_COMPLEXES, POINT, RP2, RP2_FACES, SPHERE_2, TORUS
+from corpus import (
+    CIRCLE,
+    FULL_2_SIMPLEX,
+    NAMED_COMPLEXES,
+    POINT,
+    RP2,
+    RP2_FACES,
+    SPHERE_2,
+    TORUS,
+    random_pure_3d,
+    suspension,
+)
 from snclab.complexes import (
     AbelianGroup,
     _faces,
@@ -329,29 +340,16 @@ def _sympy_invariant_factors(m):
     return [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i] != 0]
 
 
-def _suspension(facets, a, b):
-    return [tuple(f) + (a,) for f in facets] + [tuple(f) + (b,) for f in facets]
-
-
-def _random_pure_3d(seed, vertices, count):
-    """count distinct tetrahedra on the vertices, drawn from random.Random(seed)."""
-    rng = random.Random(seed)
-    facets = set()
-    while len(facets) < count:
-        facets.add(tuple(sorted(rng.sample(range(vertices), 4))))
-    return sorted(facets)
-
-
 # torsion in the top residual beside columns cleared below it, dense random
 # 3-complexes, and repeated faces: (a, b, a) and (b, a, b) on two loops at
 # one vertex give H_1 = Z/3, and in (a, a, b) the edge a cancels
 TORSION_AND_CLEARING = [
-    ("suspended_rp2", from_simplices(_suspension(RP2_FACES, 7, 8))),
-    ("double_suspended_rp2", from_simplices(_suspension(_suspension(RP2_FACES, 7, 8), 9, 10))),
+    ("suspended_rp2", from_simplices(suspension(RP2_FACES, 7, 8))),
+    ("double_suspended_rp2", from_simplices(suspension(suspension(RP2_FACES, 7, 8), 9, 10))),
     ("rp2_join_triangle",
      from_simplices([f + e for e in ((7, 8), (7, 9), (8, 9)) for f in RP2_FACES])),
 ] + [
-    (f"random_3d_{seed}", from_simplices(_random_pure_3d(seed, n, count)))
+    (f"random_3d_{seed}", from_simplices(random_pure_3d(seed, n, count)))
     for seed, (n, count) in enumerate(((8, 30), (10, 30), (14, 48)))
 ] + [
     ("repeated_faces_z3", build_complex([[None], [[0, 0], [0, 0]], [[0, 1, 0], [1, 0, 1]]])),

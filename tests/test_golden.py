@@ -20,7 +20,13 @@ classify` also run on a planar set whose exceptional set E is not empty,
 and `snc build` on crossing 3D lines, which it refuses with exit 2.
 Further cases pin `voronoi classify --cell`, `voronoi delaunay --select`
 with sorted selections, and `resolve run` on roots of the resolver's
-degree box, with and without a seed.
+degree box, with and without a seed.  `homology` (with and without
+`--dim`), `pi1` and `check q-acyclic` run on the complexes test corpus,
+on Delta-complexes with loops, repeated and cancelling faces, on the
+boundaries of the 6-, 7- and 8-simplex, on RP2 and its suspensions and on
+a seeded random pure 3-complex; `check q-perfect` and `q-superperfect` run
+on the simplified pi_1 presentations of those complexes, on named groups
+and on malformed presentations.
 
 A change that alters any of these outputs on purpose records the new
 digest here and says so in CHANGES.md.
@@ -33,9 +39,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from corpus import HIDDEN_CONTAINMENTS
+from itertools import combinations
+
+from corpus import HIDDEN_CONTAINMENTS, NAMED_COMPLEXES, RP2_FACES, random_pure_3d, suspension
 from snclab.cli import main
 from snclab.complexes import from_simplices
+from snclab.presentations import higman_presentation, pi1_presentation, sl2z_presentation
 
 
 def _seeded_sites(seed, n, dim, hi):
@@ -141,6 +150,47 @@ FILES = {
 }
 
 
+# Delta-complexes for the homology commands, as raw cell lists where the
+# faces repeat or cancel
+COMPLEXES = {
+    **{name: k.to_json_dict() for name, k in NAMED_COMPLEXES.items()},
+    "two_points": from_simplices([(0,), (1,)]).to_json_dict(),
+    "two_loops_at_0": {"cells": [[None, None], [[0, 0], [0, 0], [1, 0]]]},
+    "theta": {"cells": [[None, None], [[1, 0], [1, 0], [0, 1]]]},
+    "repeated_faces_z3": {"cells": [[None], [[0, 0], [0, 0]], [[0, 1, 0], [1, 0, 1]]]},
+    "cancelling_face": {"cells": [[None] * 2, [[1, 0], [0, 0]], [[0, 0, 1]]]},
+    "nonzero_composite": {"cells": [[None] * 3, [[1, 0], [2, 0], [2, 1]],
+                                    [[2, 1, 0], [0, 0, 1]]]},
+    **{f"boundary_delta_{n}": from_simplices(combinations(range(n + 1), n)).to_json_dict()
+       for n in (6, 7, 8)},
+    "suspended_rp2": from_simplices(suspension(RP2_FACES, 7, 8)).to_json_dict(),
+    "double_suspended_rp2":
+        from_simplices(suspension(suspension(RP2_FACES, 7, 8), 9, 10)).to_json_dict(),
+    "random_3d_16107": from_simplices(random_pure_3d(16107, 12, 40)).to_json_dict(),
+}
+# (connected complexes only) their simplified pi_1 presentations
+PRESENTATIONS = {
+    **{f"pi1_{name}": pi1_presentation(k).simplified().to_json_dict()
+       for name, k in NAMED_COMPLEXES.items()},
+    "pi1_suspended_rp2":
+        pi1_presentation(from_simplices(suspension(RP2_FACES, 7, 8))).simplified().to_json_dict(),
+    "higman": higman_presentation().to_json_dict(),
+    "sl2z": sl2z_presentation().to_json_dict(),
+    "commutator": {"generators": 2, "relators": [[1, 2, -1, -2]]},
+    "z2": {"generators": 1, "relators": [[1, 1]]},
+    "free_1": {"generators": 1, "relators": []},
+    "trivial": {"generators": 0, "relators": []},
+    "letter_out_of_range": {"generators": 2, "relators": [[1, 3]]},
+    "letter_zero": {"generators": 2, "relators": [[1, 0]]},
+    "letter_bool": {"generators": 2, "relators": [[1, True]]},
+    "letter_float": {"generators": 2, "relators": [[1.0]]},
+    "relator_not_a_list": {"generators": 2, "relators": [1]},
+    "negative_generators": {"generators": -1, "relators": []},
+}
+FILES.update(COMPLEXES)
+FILES.update(PRESENTATIONS)
+
+
 def _commands():
     """(case id, argv) with input names standing for their files."""
     fixtures = [(s, "region") for s in ("triangle", "square", "strip", "ring")]
@@ -182,6 +232,17 @@ def _commands():
         out.append((f"resolve-{roots}", ["resolve", "run", roots]))
     out.append(("resolve-box_roots-seed", ["resolve", "run", "box_roots", "--seed", "7"]))
     out.append(("resolve-text-heavy", ["--format", "text", "resolve", "run", "heavy"]))
+    for name in COMPLEXES:
+        out.append((f"homology-{name}", ["homology", name]))
+        out.append((f"homology-dim1-{name}", ["homology", name, "--dim", "1"]))
+        out.append((f"pi1-{name}", ["pi1", name]))
+        out.append((f"check-q-acyclic-{name}", ["check", "q-acyclic", name]))
+    out.append(("homology-dim5-torus", ["homology", "torus", "--dim", "5"]))
+    out.append(("homology-text-rp2", ["--format", "text", "homology", "rp2"]))
+    out.append(("pi1-basepoint-rp2", ["pi1", "rp2", "--basepoint", "3"]))
+    for name in PRESENTATIONS:
+        out.append((f"check-q-perfect-{name}", ["check", "q-perfect", name]))
+        out.append((f"check-q-superperfect-{name}", ["check", "q-superperfect", name]))
     return out
 
 
@@ -277,6 +338,119 @@ GOLDEN = {
     "resolve-box_roots": ("142403571526bfb2591360dfbecaeb564f136d990107bab144ac737c22e5b9b1", 0),
     "resolve-box_roots-seed": ("821bd6c6d52bc5ff96db108f114c095b29ca481fac947f4aff9d282a277aa4b7", 0),
     "resolve-text-heavy": ("7f4523d01b44beb4a966731f90e5af98a65a7f8f79fe08942b12674ee75e76b1", 0),
+    "homology-point": ("49d7ddfccf2d8007892379bfc26c9cfa2c3e0ca44be07e2bbb73d533d39acc06", 0),
+    "homology-dim1-point": ("9dcf50ce2983fe494befb58d77d486b374a5a54fafb7f5128960015b250bcfbb", 0),
+    "pi1-point": ("1468e4636a69d0eda09bfe3bf7f3a51ab3bcceed46fb94fc8082b82451b69a6f", 0),
+    "check-q-acyclic-point": ("110ae39ed423800cb822fab9a326873e04eb80ba618c254e8be9386e557c35eb", 0),
+    "homology-circle": ("e519923d620cbb8c06368e0c1f15f3ef27ecb07aa0dc9a3d62d69d008b866154", 0),
+    "homology-dim1-circle": ("3aa748248501c7e09f4c4c736c3d376837d2a2d5364d5483974a95628a620afd", 0),
+    "pi1-circle": ("ad9e929d4fe327d740d843c8c0447818940e50ef918d9d4e040ebb5f3d3ea79f", 0),
+    "check-q-acyclic-circle": ("4a4a86a72c9df9bd6e0466a328db2d93b4dc753ef1d252716518f0d9b50629c9", 1),
+    "homology-full_2_simplex": ("bd86855d72c0ff9e8d6423bf239722eba088bb72777d3930ed3a142704907a5b", 0),
+    "homology-dim1-full_2_simplex": ("826c65521baff10a2582e1533bd423f9ec847d6cadd8ffca23d587cba4c9d444", 0),
+    "pi1-full_2_simplex": ("89007c0b00841a8af1df8abaeced1544e73141f2f024783271cf274605aafd80", 0),
+    "check-q-acyclic-full_2_simplex": ("237de9c224e2895519e9a34bf6c0a089edba896658663eb13437da815bac7308", 0),
+    "homology-sphere_2": ("4b37be151452f3840f01b3c4db15a993c042cd23c63700ff026d27ef379f2057", 0),
+    "homology-dim1-sphere_2": ("c341811f9c630951fa4f1434185d153f79c6c04e40299958ab04fdc60433fa8a", 0),
+    "pi1-sphere_2": ("daa23f908856c3b0c35d4ce54da1c54022c6fbc750726418900a51568eadd6f5", 0),
+    "check-q-acyclic-sphere_2": ("bd645f1942c7c41ef87c5c1bd2bd7b9430204557255d34c8ff14455d1c3500eb", 1),
+    "homology-rp2": ("f3e323e6b886e797f7b4c1daa98d38fdd048859c7765f3e0d4501bc04b795a85", 0),
+    "homology-dim1-rp2": ("844f36a9163514eb6ca5e863f252b2560e75f9df13021b540b8f42588f1aebe7", 0),
+    "pi1-rp2": ("8e134fe5bc79221ed2d6ca78ab80123ad42abe544468daf54b96c4a8700d6d0b", 0),
+    "check-q-acyclic-rp2": ("237de9c224e2895519e9a34bf6c0a089edba896658663eb13437da815bac7308", 0),
+    "homology-torus": ("ffde66b357467769079263e47a7a69450593f89735894709c3daf3a7b3577857", 0),
+    "homology-dim1-torus": ("5454623082f624e809303f0a0b7654b4c57f1cff67644c903f8f2e9824558a8d", 0),
+    "pi1-torus": ("114febc73e636ce15fa1d9811649cbc3d11aa0d9ce569a819c12387b5cd3911a", 0),
+    "check-q-acyclic-torus": ("88b33ac8d503873bd35c66bf6433a783d4b4393be3f1756791daa245b47dba58", 1),
+    "homology-two_points": ("a603a0384cb215b02bc361242df089bbbea7a11e4109a8a33e23c69133e88376", 0),
+    "homology-dim1-two_points": ("711f0ba9c4fd32dab7b731f23f26162ece57e3e92773e82c7f16090367726537", 0),
+    "pi1-two_points": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "check-q-acyclic-two_points": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "homology-two_loops_at_0": ("8ae8e897bfa08822b5bd5449d6f2798587d6e8a1652f4d59b713a30457bd9855", 0),
+    "homology-dim1-two_loops_at_0": ("5825596eaea8475bb149463614010ff561914774b92f96954165ca22e373de9f", 0),
+    "pi1-two_loops_at_0": ("2eae7e4ba53aedd3cbc060ca435e5fdf7fd74239065242d49e089297b53a5bf9", 0),
+    "check-q-acyclic-two_loops_at_0": ("8a1682bc79b34083b8e0fb735566f70911ad44d47f0d87035da5466a431978c7", 1),
+    "homology-theta": ("8ae8e897bfa08822b5bd5449d6f2798587d6e8a1652f4d59b713a30457bd9855", 0),
+    "homology-dim1-theta": ("5825596eaea8475bb149463614010ff561914774b92f96954165ca22e373de9f", 0),
+    "pi1-theta": ("2eae7e4ba53aedd3cbc060ca435e5fdf7fd74239065242d49e089297b53a5bf9", 0),
+    "check-q-acyclic-theta": ("8a1682bc79b34083b8e0fb735566f70911ad44d47f0d87035da5466a431978c7", 1),
+    "homology-repeated_faces_z3": ("16e9908ac2130027c44650fbee0747d46164b562723ff6999eaec3b236f3ca89", 0),
+    "homology-dim1-repeated_faces_z3": ("1865731ccd4f0ddfa5ccd467d47fb614caf7acbaad722078de6a6be268ec6708", 0),
+    "pi1-repeated_faces_z3": ("ae305568dda23c6ea0897906d61768be9638d5e42f8c705e8542b248126326f1", 0),
+    "check-q-acyclic-repeated_faces_z3": ("237de9c224e2895519e9a34bf6c0a089edba896658663eb13437da815bac7308", 0),
+    "homology-cancelling_face": ("23bae15d54e956a51fd9211975024ce57e8076625274774ba05367af17bbafc8", 0),
+    "homology-dim1-cancelling_face": ("db0025dbf48b10b0f6b103811836fee6b856b05da9b94772bff13eb7612b57b5", 0),
+    "pi1-cancelling_face": ("89007c0b00841a8af1df8abaeced1544e73141f2f024783271cf274605aafd80", 0),
+    "check-q-acyclic-cancelling_face": ("237de9c224e2895519e9a34bf6c0a089edba896658663eb13437da815bac7308", 0),
+    "homology-nonzero_composite": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "homology-dim1-nonzero_composite": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "pi1-nonzero_composite": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "check-q-acyclic-nonzero_composite": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "homology-boundary_delta_6": ("07dc173c98f4ae2ac118ee05b05218080bc9ebe9f520daa3b0b8eece4fe253d1", 0),
+    "homology-dim1-boundary_delta_6": ("0252f452ed0bf93fd570942135317f4650fe73ec4d4e29464fd0acebd8f08e47", 0),
+    "pi1-boundary_delta_6": ("7a9365787f4f709489aa023a1fdea1017c3b1fb8f9b15b2547f966a48d7855a1", 0),
+    "check-q-acyclic-boundary_delta_6": ("ddb3058a17dd061e3d861b64c7b177745c4e056e4eeca6c340a600aaeafe56fd", 1),
+    "homology-boundary_delta_7": ("812f70be7312b0b2a5c0d5ebce992b6cd398dc4209d425d3275915dee99dd59b", 0),
+    "homology-dim1-boundary_delta_7": ("173f66930235a504639f1e61f9d750efcc72fc956d35618efb6bf88571f86b79", 0),
+    "pi1-boundary_delta_7": ("b794cfae28ca45e8a64eff0e708948cb72e829a3fcabdb39e346e23e8369ae8d", 0),
+    "check-q-acyclic-boundary_delta_7": ("40ad2a4d7b6d7ae225970b6da43b35c47e000a3f3150c20f516c9dcae765a0cb", 1),
+    "homology-boundary_delta_8": ("2913521a9a04585e2e195e10b3af1c84fd2fe27cdbf8351906eeee6ceb70cc15", 0),
+    "homology-dim1-boundary_delta_8": ("cfd976b9ab687a82350a115565bbf5a4daad6e4b764bb2053ce04e59d9e417e4", 0),
+    "pi1-boundary_delta_8": ("9f8b9b87e060c49df9e1affcbc6641d4565bcd33fbd65d2d8a983999f398d293", 0),
+    "check-q-acyclic-boundary_delta_8": ("9ae799034e9381031834a7eda4f1836d56b7a0a6ab7452352723d7ded2740d9d", 1),
+    "homology-suspended_rp2": ("4e64e6a9f660a56b319ffd0c7c1a650a0d4cc672846f278c3b52d676d6a1616e", 0),
+    "homology-dim1-suspended_rp2": ("fa93eff147132b3e4fd5528ad08b2d6acd3ccceab6389ad887afeddfb4f11e1d", 0),
+    "pi1-suspended_rp2": ("36992fc830ca83394792772f63dcbe90770986ac32c3db6e781f4c021ee9e644", 0),
+    "check-q-acyclic-suspended_rp2": ("491b4307e01fbfce8f4bf3299ec977567b19166d415766ad71284cb88c85b947", 0),
+    "homology-double_suspended_rp2": ("d366936a4a8eaf829ce3a935100aac9905375acef75bf409af9cdd140d80143a", 0),
+    "homology-dim1-double_suspended_rp2": ("be83317ec5024905ca89d1840f9577650e27aa5b6d84500c11b9971670d4ca5b", 0),
+    "pi1-double_suspended_rp2": ("585d36478e0797a3f82a55b09b68e775274830b10d13f6772f01408c089ac871", 0),
+    "check-q-acyclic-double_suspended_rp2": ("074f0e3b46b0e7a417759f38913edc0775b4c636a0f9261607e84ce956e71dee", 0),
+    "homology-random_3d_16107": ("7c0038c0f5753944faf8402165102e0e8ab5a2d134639a8b25ddddd56da7e70e", 0),
+    "homology-dim1-random_3d_16107": ("e280c0c8d272772d5c52545f13e975df9f286a3076075efd004e33e7f2def552", 0),
+    "pi1-random_3d_16107": ("ba22275d37832bb6c8d356af2065f3f4356b37e9ed13d2311bfc6e338d31a2ce", 0),
+    "check-q-acyclic-random_3d_16107": ("7329f95c4400aeef8db58969d6f1fce9e7582daaffadc89aa5c9206b7e236c7d", 1),
+    "homology-dim5-torus": ("86457b18c742433b78d751f67ba0c6671a599c44982fa97c2f7d55a0bed5fbe5", 0),
+    "homology-text-rp2": ("a56cef76fde01e251e13b6f11037aa7972e2488448d2304c36871388a80e1ca3", 0),
+    "pi1-basepoint-rp2": ("8602cd096799b2d96f560f73cf4d3ba64019475500bf9a6ea54251cac0e8ba32", 0),
+    "check-q-perfect-pi1_point": ("1d006ce46623319620b206227029d7e5b82347f282468c5143d1b9cf9895f18f", 0),
+    "check-q-superperfect-pi1_point": ("88e7bcc48a12387e63daec9f702bfd094221f39db98d6bf398cf407be32259bd", 0),
+    "check-q-perfect-pi1_circle": ("da2db47e96952bd942f31c294f536fbf503355fdf7819d4d61015e5d00405da0", 1),
+    "check-q-superperfect-pi1_circle": ("849e74b63254b14d9f5c6eb77152be32d3b47fe32191bfe1db64cabd0658dbe4", 1),
+    "check-q-perfect-pi1_full_2_simplex": ("1d006ce46623319620b206227029d7e5b82347f282468c5143d1b9cf9895f18f", 0),
+    "check-q-superperfect-pi1_full_2_simplex": ("88e7bcc48a12387e63daec9f702bfd094221f39db98d6bf398cf407be32259bd", 0),
+    "check-q-perfect-pi1_sphere_2": ("1d006ce46623319620b206227029d7e5b82347f282468c5143d1b9cf9895f18f", 0),
+    "check-q-superperfect-pi1_sphere_2": ("849e74b63254b14d9f5c6eb77152be32d3b47fe32191bfe1db64cabd0658dbe4", 1),
+    "check-q-perfect-pi1_rp2": ("152af36d5c6d03a7ca0dc82ec216cb5386090ac9b75468c09c3f0513dcd12a0b", 0),
+    "check-q-superperfect-pi1_rp2": ("88e7bcc48a12387e63daec9f702bfd094221f39db98d6bf398cf407be32259bd", 0),
+    "check-q-perfect-pi1_torus": ("b8eba90a226e26690740788d00e896c8d8833b2331381ab5f0a599c58106beb2", 1),
+    "check-q-superperfect-pi1_torus": ("849e74b63254b14d9f5c6eb77152be32d3b47fe32191bfe1db64cabd0658dbe4", 1),
+    "check-q-perfect-pi1_suspended_rp2": ("1d006ce46623319620b206227029d7e5b82347f282468c5143d1b9cf9895f18f", 0),
+    "check-q-superperfect-pi1_suspended_rp2": ("849e74b63254b14d9f5c6eb77152be32d3b47fe32191bfe1db64cabd0658dbe4", 1),
+    "check-q-perfect-higman": ("1d006ce46623319620b206227029d7e5b82347f282468c5143d1b9cf9895f18f", 0),
+    "check-q-superperfect-higman": ("88e7bcc48a12387e63daec9f702bfd094221f39db98d6bf398cf407be32259bd", 0),
+    "check-q-perfect-sl2z": ("53cb04c254b6dad0db449a5b2b9a20bdf41587f2d7ff3720f331f3740b46abbd", 0),
+    "check-q-superperfect-sl2z": ("88e7bcc48a12387e63daec9f702bfd094221f39db98d6bf398cf407be32259bd", 0),
+    "check-q-perfect-commutator": ("b8eba90a226e26690740788d00e896c8d8833b2331381ab5f0a599c58106beb2", 1),
+    "check-q-superperfect-commutator": ("849e74b63254b14d9f5c6eb77152be32d3b47fe32191bfe1db64cabd0658dbe4", 1),
+    "check-q-perfect-z2": ("152af36d5c6d03a7ca0dc82ec216cb5386090ac9b75468c09c3f0513dcd12a0b", 0),
+    "check-q-superperfect-z2": ("88e7bcc48a12387e63daec9f702bfd094221f39db98d6bf398cf407be32259bd", 0),
+    "check-q-perfect-free_1": ("da2db47e96952bd942f31c294f536fbf503355fdf7819d4d61015e5d00405da0", 1),
+    "check-q-superperfect-free_1": ("849e74b63254b14d9f5c6eb77152be32d3b47fe32191bfe1db64cabd0658dbe4", 1),
+    "check-q-perfect-trivial": ("1d006ce46623319620b206227029d7e5b82347f282468c5143d1b9cf9895f18f", 0),
+    "check-q-superperfect-trivial": ("88e7bcc48a12387e63daec9f702bfd094221f39db98d6bf398cf407be32259bd", 0),
+    "check-q-perfect-letter_out_of_range": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "check-q-superperfect-letter_out_of_range": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "check-q-perfect-letter_zero": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "check-q-superperfect-letter_zero": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "check-q-perfect-letter_bool": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "check-q-superperfect-letter_bool": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "check-q-perfect-letter_float": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "check-q-superperfect-letter_float": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "check-q-perfect-relator_not_a_list": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "check-q-superperfect-relator_not_a_list": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "check-q-perfect-negative_generators": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "check-q-superperfect-negative_generators": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
 }
 
 
