@@ -323,7 +323,7 @@ def run_pipeline(complex_path: str, sites_path: str, region_path: str,
         raise VoronoiError("the region selects no Voronoi cells")
     dual = delaunay_dual(vc, selection)
     model = build_snc(vc, selection)
-    model_dual = dual_complex(model)
+    model_dual = dual_complex(model, dual)
     roots = embed_snc(model)
     trace = resolve(roots, policy, max_steps)
     nerve = trace.nerve_complex()

@@ -2,10 +2,13 @@
 
 A complex stores, per dimension, one record per cell: the ordered list of
 its (k-1)-dimensional faces.  A k-cell has exactly k+1 faces and the
-boundary map is the usual alternating sum, kept as one sparse column per
-cell (repeated faces add up, so they may cancel).  The composite boundary
-must vanish; build_complex checks this cell by cell on the sparse columns
-and names the first offending cell when it does not.
+boundary map is the usual alternating sum (repeated faces add up, so they
+may cancel).  build_complex validates a layer at a time and falls back to
+a walk over the layer's cells only to name the first malformed one.  The
+composite boundary must vanish; build_complex checks this on every cell,
+in order, on the face lists themselves, and names the first offending
+cell when it does not.  The sparse boundary columns are built only when
+homology reads them.
 
 Homology reduces the boundaries from the top dimension down: the
 unit-pivot reduction of intlinalg splits each boundary into identity
@@ -30,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, cycle, groupby
+from itertools import chain, combinations, cycle, groupby, repeat
 from typing import Iterable, Optional, Sequence
 
 from .intlinalg import IntMatrix, rank, reduce_unit_pivots, smith_normal_form
@@ -114,7 +117,7 @@ class DeltaComplex:
     @cached_property
     def _columns(self) -> tuple[tuple[dict[int, int], ...], ...]:
         """The sparse boundary columns, indexed by dimension (none in dimension 0)."""
-        return ((),) + tuple(tuple(_col(faces) for faces in layer) for layer in self.cells[1:])
+        return ((),) + tuple(tuple(map(_col, layer)) for layer in self.cells[1:])
 
     @cached_property
     def _reduced(self) -> tuple[tuple[tuple[int, ...], IntMatrix], ...]:
@@ -130,7 +133,8 @@ class DeltaComplex:
         combination of other columns of d_k, none of them p or an earlier
         pivot.  Backward induction from the last pivot puts every dropped
         column in the lattice of the kept ones.  The only assumption is d d = 0,
-        which build_complex checks on every complex.
+        which build_complex checks on the face lists of every complex; the
+        sparse columns read here are first built by this reduction.
         """
         reduced = []
         cleared: frozenset[int] = frozenset()
@@ -186,13 +190,31 @@ class DeltaComplex:
         return json.dumps(self.to_json_dict(), sort_keys=True) + "\n"
 
 
+def _bad_cell(k: int, layer: Sequence, below: int) -> str:
+    """The message naming the first malformed cell of layer k, whose faces
+    index a layer of `below` cells."""
+    for i, spec in enumerate(layer):
+        if not isinstance(spec, (list, tuple)):
+            return f"cell ({k},{i}) must be a list of face indices"
+        if len(spec) != k + 1:
+            return f"cell ({k},{i}) must have exactly {k + 1} faces"
+        for f in spec:
+            if type(f) is not int:
+                return f"face reference in cell ({k},{i}) is not an integer: {f!r}"
+            if not 0 <= f < below:
+                return f"dangling face reference in cell ({k},{i}): {f}"
+    raise AssertionError(f"layer {k} has no malformed cell")
+
+
 def build_complex(cells: Sequence[CellSpec], labels=None) -> DeltaComplex:
     """Validate raw cell lists and return the complex.
 
     Layers and cells are lists.  The 0-dimensional layer may list anything
     (labels, nulls); only its length matters.  Each k-cell for k >= 1 must
     list exactly k+1 existing (k-1)-cells by int index (not bool), and
-    the composite boundary must vanish over the integers.
+    the composite boundary must vanish over the integers.  Each layer is
+    tested as a whole; a layer that fails is walked cell by cell to name
+    its first malformed cell.
     """
     if not isinstance(cells, (list, tuple)):
         raise ComplexError("complex cells must be a list of layers")
@@ -201,22 +223,21 @@ def build_complex(cells: Sequence[CellSpec], labels=None) -> DeltaComplex:
     for k, layer in enumerate(cells):
         if not isinstance(layer, (list, tuple)):
             raise ComplexError(f"layer {k} of the complex must be a list")
-    normalized: list[tuple[tuple[int, ...], ...]] = [tuple(() for _ in cells[0])]
+    normalized: list[tuple[tuple[int, ...], ...]] = [((),) * len(cells[0])]
     for k in range(1, len(cells)):
-        layer = []
-        for i, spec in enumerate(cells[k]):
-            if not isinstance(spec, (list, tuple)):
-                raise ComplexError(f"cell ({k},{i}) must be a list of face indices")
-            faces = tuple(spec)
-            if len(faces) != k + 1:
-                raise ComplexError(f"cell ({k},{i}) must have exactly {k + 1} faces")
-            for f in faces:
-                if type(f) is not int:
-                    raise ComplexError(f"face reference in cell ({k},{i}) is not an integer: {f!r}")
-                if not 0 <= f < len(cells[k - 1]):
-                    raise ComplexError(f"dangling face reference in cell ({k},{i}): {f}")
-            layer.append(faces)
-        normalized.append(tuple(layer))
+        layer = cells[k]
+        below = len(cells[k - 1])
+        lists = all(map(isinstance, layer, repeat((list, tuple))))
+        faces = tuple(map(tuple, layer)) if lists else ()
+        flat = list(chain.from_iterable(faces))
+        if not (
+            lists
+            and {k + 1}.issuperset(map(len, faces))
+            and {int}.issuperset(map(type, flat))
+            and (not flat or 0 <= min(flat) and max(flat) < below)
+        ):
+            raise ComplexError(_bad_cell(k, layer, below))
+        normalized.append(faces)
     # drop empty top layers so dim reflects actual cells
     while len(normalized) > 1 and not normalized[-1]:
         normalized.pop()
@@ -233,17 +254,26 @@ def build_complex(cells: Sequence[CellSpec], labels=None) -> DeltaComplex:
             raise ComplexError("labels shape does not match cells")
     else:
         norm_labels = None
-    complex_ = DeltaComplex(tuple(normalized), norm_labels)
-    for k in range(2, complex_.dim + 1):
-        lower = complex_._columns[k - 1]
-        for j, col in enumerate(complex_._columns[k]):
-            composite: dict[int, int] = {}
-            for f, v in col.items():
-                for g, w in lower[f].items():
-                    composite[g] = composite.get(g, 0) + v * w
-            if any(composite.values()):
+    # d d = 0 on a k-cell with faces f_i says that the (k-2)-cells at the
+    # even places i + j of the face lists of the f_i are, as a multiset,
+    # those at the odd places
+    for k in range(2, len(normalized)):
+        even = [f[0::2] for f in normalized[k - 1]]
+        odd = [f[1::2] for f in normalized[k - 1]]
+        for j, faces in enumerate(normalized[k]):
+            plus: list[int] = []
+            minus: list[int] = []
+            for f in faces[0::2]:
+                plus += even[f]
+                minus += odd[f]
+            for f in faces[1::2]:
+                plus += odd[f]
+                minus += even[f]
+            plus.sort()
+            minus.sort()
+            if plus != minus:
                 raise ComplexError(f"boundary composite is nonzero on cell ({k},{j})")
-    return complex_
+    return DeltaComplex(tuple(normalized), norm_labels)
 
 
 def _faces(sets: Iterable[Iterable]) -> set[tuple]:

@@ -148,23 +148,29 @@ def reduce_unit_pivots(
     the residual has no +-1 entry.  It keeps the surviving nonzero columns
     in order, on the rows they touch.
     """
-    cols = [{i: v for i, v in c.items() if v} for c in columns]
+    cols = [c.copy() if all(c.values()) else {i: v for i, v in c.items() if v} for c in columns]
     where: list[set[int]] = [set() for _ in range(rows)]
     for j, c in enumerate(cols):
         for i in c:
             where[i].add(j)
     pivots: list[int] = []
-    pending = list(range(len(cols)))
+    pending: Sequence[int] = range(len(cols))
     while pending:
         retry = set()
         for j in pending:
             col = cols[j]
-            candidates = [i for i, v in col.items() if v in (1, -1)]
-            if not candidates:
+            pivot = fewest = -1
+            for i, v in col.items():
+                if v == 1 or v == -1:
+                    n = len(where[i])
+                    if pivot < 0 or n < fewest or n == fewest and i < pivot:
+                        pivot, fewest = i, n
+            if pivot < 0:
                 continue
-            pivot = min(candidates, key=lambda i: (len(where[i]), i))
+            for i in col:
+                where[i].discard(j)
             u = col[pivot]
-            for other in sorted(where[pivot] - {j}):
+            for other in sorted(where[pivot]):
                 target = cols[other]
                 q = target[pivot] * u
                 for i, v in col.items():
@@ -176,8 +182,6 @@ def reduce_unit_pivots(
                         del target[i]
                         where[i].discard(other)
                 retry.add(other)
-            for i in col:
-                where[i].discard(j)
             cols[j] = {}
             pivots.append(pivot)
         pending = sorted(retry)

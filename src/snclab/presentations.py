@@ -11,6 +11,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from typing import Sequence
 
 from .complexes import AbelianGroup, ComplexError, DeltaComplex
@@ -42,10 +43,11 @@ class Presentation:
     def __post_init__(self):
         if self.generators < 0:
             raise PresentationError("negative generator count")
-        for w in self.relators:
-            for letter in w:
-                if letter == 0 or abs(letter) > self.generators:
-                    raise PresentationError(f"relator letter {letter} out of range")
+        letters = list(chain.from_iterable(self.relators))
+        if letters and (0 in letters or min(letters) < -self.generators
+                        or max(letters) > self.generators):
+            bad = next(x for x in letters if x == 0 or abs(x) > self.generators)
+            raise PresentationError(f"relator letter {bad} out of range")
 
     @classmethod
     def build(cls, generators: int, relators: Sequence[Sequence[int]]) -> "Presentation":
@@ -53,15 +55,16 @@ class Presentation:
         raises PresentationError."""
         if not isinstance(relators, (list, tuple)):
             raise PresentationError("relators must be a list of words")
-        words = []
-        for w in relators:
-            if not isinstance(w, (list, tuple)):
-                raise PresentationError(f"relator {w!r} is not a list of letters")
-            for x in w:
-                if type(x) is not int:
-                    raise PresentationError(f"relator letter {x!r} is not an integer")
-            words.append(tuple(w))
-        return cls(generators, tuple(words))
+        lists = all(map(isinstance, relators, repeat((list, tuple))))
+        words = tuple(map(tuple, relators)) if lists else ()
+        if not (lists and {int}.issuperset(map(type, chain.from_iterable(words)))):
+            for w in relators:
+                if not isinstance(w, (list, tuple)):
+                    raise PresentationError(f"relator {w!r} is not a list of letters")
+                for x in w:
+                    if type(x) is not int:
+                        raise PresentationError(f"relator letter {x!r} is not an integer")
+        return cls(generators, words)
 
     def simplified(self) -> "Presentation":
         """Free reduction plus removal of empty relators; nothing else."""

@@ -272,17 +272,20 @@ def _verify_ledger_match(vc, chart_a: Chart, chart_b: Chart, glue_key) -> None:
         )
 
 
-def dual_complex(model: SncModel) -> DeltaComplex:
+def dual_complex(model: SncModel, reference: Optional[DeltaComplex] = None) -> DeltaComplex:
     """One (|J|-1)-cell per stratum; checked against the Delaunay dual.
 
     The check is an honest graded isomorphism search, not a comparison of
-    the shared index bookkeeping.
+    the shared index bookkeeping.  `reference` is the Delaunay dual of the
+    model's selection when the caller already holds it; it is built here
+    otherwise.
     """
     try:
         out = build_complex(*nerve_cells(s.key for s in model.strata))
     except ComplexError as exc:
         raise SncError(f"dual complex: {exc}") from exc
-    reference = delaunay_dual(model.vc, model.selection)
+    if reference is None:
+        reference = delaunay_dual(model.vc, model.selection)
     if not delta_isomorphic(out, reference):
         raise SncCheckError("dual complex is not isomorphic to the Delaunay dual")
     return out

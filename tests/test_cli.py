@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -563,6 +564,29 @@ def test_pipeline_triangle_and_byte_stability(inputs):
     assert report1["final"]["betti"] == [1, 0, 0]
     assert report1["verdicts"]["rational_singularity_eligible"] is True
     assert report1["verdicts"]["homology_preserved_across_stages"] is True
+
+
+def test_pipeline_builds_one_delaunay_dual(inputs, capsys, monkeypatch):
+    # run_pipeline hands its Delaunay dual to dual_complex, which still
+    # runs the isomorphism check against it; snc dual builds its own
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "delaunay_dual", counted("delaunay_dual", voronoi.delaunay_dual))
+    monkeypatch.setattr(snc, "delaunay_dual", counted("delaunay_dual", voronoi.delaunay_dual))
+    monkeypatch.setattr(snc, "delta_isomorphic", counted("delta_isomorphic", snc.delta_isomorphic))
+    report, code = run_pipeline(inputs["simplex2"], inputs["triangle"], inputs["region"])
+    assert code == 0 and report["snc"]["dual_isomorphic_to_delaunay"]
+    assert calls == {"delaunay_dual": 1, "delta_isomorphic": 1}
+    calls.clear()
+    assert main(["snc", "dual", inputs["triangle"]]) == 0
+    capsys.readouterr()
+    assert calls["delaunay_dual"] == calls["delta_isomorphic"] > 0
 
 
 def test_pipeline_ring_preserves_circle_homology(inputs, capsys):

@@ -111,13 +111,29 @@ def test_nonzero_boundary_composite_names_cell():
 @given(
     st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=1, max_size=4),
     st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), max_size=3),
+    st.lists(st.lists(st.integers(0, 3), min_size=5, max_size=5), max_size=3),
 )
-def test_sparse_composite_check_matches_dense_product(triangles, tetrahedra):
-    # two vertices, an edge each way and a loop at each vertex
+def test_sparse_composite_check_matches_dense_product(triangles, tetrahedra, four_cells):
+    # two vertices, an edge each way and a loop at each vertex; the 3- and
+    # 4-cells repeat faces often enough that d d = 0 holds below them
     cells = [[None] * 2, [[1, 0], [0, 0], [1, 1], [0, 1]], triangles]
     if tetrahedra:
         cells.append([[f % len(triangles) for f in t] for t in tetrahedra])
+        if four_cells:
+            cells.append([[f % len(tetrahedra) for f in c] for c in four_cells])
     assert _verdict(cells) == _dense_verdict(cells)
+
+
+def test_building_a_complex_leaves_its_boundary_columns_unbuilt():
+    # build_complex checks d d = 0 on the face lists, so the sparse
+    # boundary columns are made only when homology reads them
+    torus = [[None], [[0, 0], [0, 0], [0, 0]], [[0, 2, 1], [1, 2, 0]]]
+    for k, betti in ((from_simplices(combinations(range(6), 5)), (1, 0, 0, 0, 1)),
+                     (from_simplices(RP2_FACES), (1, 0, 0)),
+                     (build_complex(torus), (1, 2, 1))):
+        assert "_columns" not in vars(k) and "_reduced" not in vars(k)
+        assert k.all_betti() == betti
+        assert "_columns" in vars(k)
 
 
 def test_boundary_composites_vanish_on_corpus():

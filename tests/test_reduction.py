@@ -8,6 +8,7 @@ rank is the number of pivot rows plus the residual's rank.
 from hypothesis import given
 from hypothesis import strategies as st
 
+import homology_oracles
 from minors_oracle import invariant_factors_by_minors
 from snclab.intlinalg import IntMatrix, rank, reduce_unit_pivots, smith_normal_form
 from snf_oracle import zero
@@ -51,3 +52,20 @@ def test_input_columns_are_left_alone_and_residual_is_what_is_left():
     # that pivots on row 1
     assert reduce_unit_pivots([{0: 2, 1: 3}, {0: 1, 1: 1}], 2) == ((0, 1), zero(0, 0))
     assert reduce_unit_pivots([], 3) == ((), zero(0, 0))
+
+
+@st.composite
+def sparse_columns(draw):
+    """(columns, rows): up to 10 dict columns over at most 13 rows, entries
+    -3..3 with zeros kept in the dicts."""
+    rows = draw(st.integers(0, 13))
+    entries = st.dictionaries(st.integers(0, rows - 1), st.integers(-3, 3)) if rows else st.just({})
+    return draw(st.lists(entries, max_size=10)), rows
+
+
+@given(sparse_columns())
+def test_one_pass_pivot_choice_matches_the_candidate_list_oracle(case):
+    columns, rows = case
+    before = [dict(c) for c in columns]
+    assert reduce_unit_pivots(columns, rows) == homology_oracles.reduce_unit_pivots(columns, rows)
+    assert columns == before

@@ -21,6 +21,7 @@ from snclab.complexes import build_complex, delta_isomorphic, from_simplices
 from snclab.snc import (
     PillowConstant,
     Pi1Verdict,
+    SncCheckError,
     SncError,
     SncModel,
     blowup_dual_complex,
@@ -158,6 +159,13 @@ def test_dual_complex_matches_delaunay():
         reference = delaunay_dual(vc, selection)
         assert dual.cell_counts() == reference.cell_counts()
         assert delta_isomorphic(dual, reference)
+
+
+def test_dual_complex_checks_the_reference_it_is_handed():
+    model = build_snc(VC_TRIANGLE, (0, 1, 2))
+    assert dual_complex(model, delaunay_dual(VC_TRIANGLE, (0, 1, 2))) == dual_complex(model)
+    with pytest.raises(SncCheckError, match="not isomorphic"):
+        dual_complex(model, delaunay_dual(VC_STRIP, STRIP_ROW))
 
 
 def test_dual_complex_examples():
