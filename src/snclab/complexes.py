@@ -190,20 +190,19 @@ class DeltaComplex:
         return json.dumps(self.to_json_dict(), sort_keys=True) + "\n"
 
 
-def _bad_cell(k: int, layer: Sequence, below: int) -> str:
-    """The message naming the first malformed cell of layer k, whose faces
-    index a layer of `below` cells."""
+def _check_cells(k: int, layer: Sequence, below: int) -> None:
+    """Raise ComplexError naming the first malformed cell of layer k, whose
+    faces index a layer of `below` cells."""
     for i, spec in enumerate(layer):
         if not isinstance(spec, (list, tuple)):
-            return f"cell ({k},{i}) must be a list of face indices"
+            raise ComplexError(f"cell ({k},{i}) must be a list of face indices")
         if len(spec) != k + 1:
-            return f"cell ({k},{i}) must have exactly {k + 1} faces"
+            raise ComplexError(f"cell ({k},{i}) must have exactly {k + 1} faces")
         for f in spec:
             if type(f) is not int:
-                return f"face reference in cell ({k},{i}) is not an integer: {f!r}"
+                raise ComplexError(f"face reference in cell ({k},{i}) is not an integer: {f!r}")
             if not 0 <= f < below:
-                return f"dangling face reference in cell ({k},{i}): {f}"
-    raise AssertionError(f"layer {k} has no malformed cell")
+                raise ComplexError(f"dangling face reference in cell ({k},{i}): {f}")
 
 
 def build_complex(cells: Sequence[CellSpec], labels=None) -> DeltaComplex:
@@ -236,7 +235,7 @@ def build_complex(cells: Sequence[CellSpec], labels=None) -> DeltaComplex:
             and {int}.issuperset(map(type, flat))
             and (not flat or 0 <= min(flat) and max(flat) < below)
         ):
-            raise ComplexError(_bad_cell(k, layer, below))
+            _check_cells(k, layer, below)
         normalized.append(faces)
     # drop empty top layers so dim reflects actual cells
     while len(normalized) > 1 and not normalized[-1]:
