@@ -3,12 +3,9 @@
 A complex stores, per dimension, one record per cell: the ordered list of
 its (k-1)-dimensional faces.  A k-cell has exactly k+1 faces and the
 boundary map is the usual alternating sum (repeated faces add up, so they
-may cancel).  build_complex validates a layer at a time and falls back to
-a walk over the layer's cells only to name the first malformed one.  The
-composite boundary must vanish; build_complex checks this on every cell,
-in order, on the face lists themselves, and names the first offending
-cell when it does not.  The sparse boundary columns are built only when
-homology reads them.
+may cancel).  The composite boundary must vanish; build_complex checks
+this cell by cell on the face lists and names the first offending cell
+when it does not.  The sparse boundary columns are built for homology.
 
 Homology reduces the boundaries from the top dimension down: the
 unit-pivot reduction of intlinalg splits each boundary into identity
@@ -133,8 +130,7 @@ class DeltaComplex:
         combination of other columns of d_k, none of them p or an earlier
         pivot.  Backward induction from the last pivot puts every dropped
         column in the lattice of the kept ones.  The only assumption is d d = 0,
-        which build_complex checks on the face lists of every complex; the
-        sparse columns read here are first built by this reduction.
+        which build_complex checks on every complex.
         """
         reduced = []
         cleared: frozenset[int] = frozenset()
@@ -191,8 +187,7 @@ class DeltaComplex:
 
 
 def _check_cells(k: int, layer: Sequence, below: int) -> None:
-    """Raise ComplexError naming the first malformed cell of layer k, whose
-    faces index a layer of `below` cells."""
+    """Name the first malformed cell of layer k, over `below` (k-1)-cells."""
     for i, spec in enumerate(layer):
         if not isinstance(spec, (list, tuple)):
             raise ComplexError(f"cell ({k},{i}) must be a list of face indices")
@@ -211,9 +206,8 @@ def build_complex(cells: Sequence[CellSpec], labels=None) -> DeltaComplex:
     Layers and cells are lists.  The 0-dimensional layer may list anything
     (labels, nulls); only its length matters.  Each k-cell for k >= 1 must
     list exactly k+1 existing (k-1)-cells by int index (not bool), and
-    the composite boundary must vanish over the integers.  Each layer is
-    tested as a whole; a layer that fails is walked cell by cell to name
-    its first malformed cell.
+    the composite boundary must vanish over the integers.  A layer is
+    walked cell by cell only when a test of the whole layer fails.
     """
     if not isinstance(cells, (list, tuple)):
         raise ComplexError("complex cells must be a list of layers")
@@ -260,8 +254,7 @@ def build_complex(cells: Sequence[CellSpec], labels=None) -> DeltaComplex:
         even = [f[0::2] for f in normalized[k - 1]]
         odd = [f[1::2] for f in normalized[k - 1]]
         for j, faces in enumerate(normalized[k]):
-            plus: list[int] = []
-            minus: list[int] = []
+            plus, minus = [], []
             for f in faces[0::2]:
                 plus += even[f]
                 minus += odd[f]
