@@ -269,7 +269,7 @@ def cmd_snc(args) -> tuple[dict, int]:
     return {
         "complex": dual.to_json_dict(),
         "betti": list(dual.all_betti()),
-        "sheaf_cohomology": list(sheaf_cohomology_dims(model)),
+        "sheaf_cohomology": list(sheaf_cohomology_dims(model, dual)),
         "pi1_link": pi1_link_criterion(model).value,
     }, 0
 

@@ -327,17 +327,21 @@ def blowup_dual_complex(d: DeltaComplex, center) -> DeltaComplex:
     return build_complex(cells, labels)
 
 
-def sheaf_cohomology_dims(model: SncModel) -> tuple[int, ...]:
+def sheaf_cohomology_dims(model: SncModel, dual: Optional[DeltaComplex] = None) -> tuple[int, ...]:
     """dim H^i(Z, O_Z) for the glued variety, all strata rational.
 
     Under the rationality hypothesis these equal the rational Betti
     numbers of the dual complex; a single non-rational stratum makes the
-    identification unavailable and is refused.
+    identification unavailable and is refused.  `dual` is the model's
+    `dual_complex` when the caller already holds it; it is built here
+    otherwise.
     """
     bad = [sorted(k) for k, ok in sorted(model.rational.items(), key=lambda kv: sorted(kv[0])) if not ok]
     if bad:
         raise SncError(f"strata flagged non-rational: {bad}")
-    return dual_complex(model).all_betti()
+    if dual is None:
+        dual = dual_complex(model)
+    return dual.all_betti()
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,19 @@ equidistance locus of J is the affine subspace H(J).
 On a subspace, by the lifting map (Edelsbrunner & Seidel, "Voronoi
 diagrams and arrangements", 1986), each site's squared distance is an
 affine function of the subspace's parameters, its integer profile
-(`SiteSet.profiles`), and the bisector of sites i and k is profile k
-minus profile i.  The face test, the cuts and the arrangement's distance
-classes all read the profiles, computed once per H(J), so the face
-lattice is decided in integers: on a point H(J) by comparing profiles, on
-a line by one pass over the bounds, elsewhere by integer Fourier-Motzkin
-(`feasible`).  Each H(J) is held in its integer form, so Fractions are
-made only for the sites, for a span's point and basis when they are read,
-and for a face's witness, which is computed when first read.
+(`SiteSet.profiles`), and the bisector of sites i and k substituted into
+the subspace is profile k minus profile i.  The face test substitutes the
+bisector rows of min(J) into H(J) directly, integer for integer; the span
+walk and the arrangement's distance classes read the profiles.  So the
+face lattice is decided in integers: on a point H(J) by the signs of the
+rows, on a line by one pass over the bounds, elsewhere by integer
+Fourier-Motzkin (`feasible`).  Each H(J) is held in its integer form, so
+Fractions are made only for the sites, for a span's point and basis when
+they are read, and for a face's witness, which is computed when first
+read.
 
 Two walks extend index sets level by level, one site at a time: H(J + k)
-is H(J) cut by the bisector of min(J) and k, read off the profiles, so
+is H(J) cut by the bisector of min(J) and k substituted into H(J), so
 nothing is solved.  The face walk (`voronoi_complex`) extends J only while
 its closed face is non-empty, so its work follows the number of faces.
 The span walk (`_span_walk`) visits every non-empty H(J) and records the
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, repeat
 from math import lcm
-from operator import add, sub
+from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from .complexes import ComplexError, DeltaComplex, build_complex, nerve_cells
@@ -95,6 +97,18 @@ class NotSimpleError(VoronoiError):
             f"not simple: face {sorted(witness.sites)} lies in {len(witness.sites)} cells "
             f"but has codimension {witness.codim}"
         )
+
+
+def _column_dots(columns: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    """The sum of v[x] times column x, entry by entry: one integer per site
+    when each column holds one entry per site.  Zero entries of v cost
+    nothing."""
+    total = None
+    for x, column in zip(v, columns):
+        if x:
+            total = [x * c for c in column] if total is None else [
+                t + x * c for t, c in zip(total, column)]
+    return [0] * len(columns[0]) if total is None else total
 
 
 @dataclass(frozen=True)
@@ -157,15 +171,9 @@ class SiteSet:
         integer."""
         den, anchor, basis = span.integer_form
         norms, columns = self._lifted
-
-        def dots(v: tuple[int, ...]) -> Iterable[int]:
-            # v . 2L Y for every site, a coordinate column at a time
-            total: Iterable[int] = repeat(0)
-            for x, column in zip(v, columns):
-                total = map(add, total, map(x.__mul__, column))
-            return total
-
-        return list(zip(map(sub, map(den.__mul__, norms), dots(anchor)), *map(dots, basis)))
+        lifted = (norms, *columns)
+        return list(zip(_column_dots(lifted, (den, *[-x for x in anchor])),
+                        *[_column_dots(lifted, (0, *b)) for b in basis]))
 
 
 def equidistance_subspace(sites: SiteSet, j_set: Sequence[int]) -> Optional[AffineSubspace]:
@@ -193,11 +201,12 @@ def _lattice_order(j_set: frozenset[int]) -> tuple[int, list[int]]:
 def _face_rows(
     profiles: Sequence[tuple[int, ...]], indices: Sequence[int], strict: bool = True
 ) -> dict[int, Constraint]:
-    """The face test of H(J), J = indices sorted: for each site k outside J
-    in ascending order, the strict row (l_k - l_i).u < c_k - c_i with i =
-    min(J), i.e. the bisector of i and k substituted into H(J).  With
-    strict=False the rows cut out J's closed face: the closed cell of i
-    when J = (i,)."""
+    """The face test of H(J), J = indices sorted, read off the sites'
+    profiles on H(J) (for a face's witness and `select_subcomplex`): for
+    each site k outside J in ascending order, the strict row (l_k - l_i).u
+    < c_k - c_i with i = min(J), i.e. the bisector of i and k substituted
+    into H(J).  With strict=False the rows cut out J's closed face: the
+    closed cell of i when J = (i,)."""
     c_i, *l_i = profiles[indices[0]]
     return {
         k: Constraint(tuple(map(sub, l_k, l_i)), c_k - c_i, strict)
@@ -308,33 +317,56 @@ class VoronoiComplex:
 
 
 def _line_children(
-    profiles: Sequence[tuple[int, ...]], indices: Sequence[int]
-) -> tuple[bool, dict[int, Constraint]]:
-    """On a line H(J): whether J is a face, and the rows that cut out the
-    children H(J + k) whose closed face can be non-empty, from one bound
-    pass (`_tightest`) over the face test's rows taken non-strict.  The
-    closed face is the segment those rows bound, and the open face, the
-    strict rows' segment, is its interior unless a row is 0 <= 0 (site k
-    ties with J on the whole line).  A child's closed face lies on row k,
-    so it is empty unless row k attains an end of the segment or ties."""
-    c_i, l_i = profiles[indices[0]]
-    rows = {k: (l_k - l_i, c_k - c_i) for k, (c_k, l_k) in enumerate(profiles)
-            if k not in indices}
-    bounds = _tightest([(row, False) for row in rows.values()], 0)
+    rows: Sequence[tuple[int, int]], indices: Sequence[int]
+) -> tuple[bool, list[tuple[int, Constraint]]]:
+    """On a line H(J), given the face test's rows (a, b) for every site k
+    (`_substituted_rows`, zero for k in J): whether J is a face, and the
+    later sites k, with their rows, whose children H(J + k) can have a
+    non-empty closed face, from one bound pass (`_tightest`) over the rows
+    taken non-strict, where J's zero rows bound nothing.  The closed face
+    is the segment those rows bound, and the open face, the strict rows'
+    segment, is its interior unless a row outside J is 0 <= 0 (site k ties
+    with J on the whole line).  A child's closed face lies on row k, so it
+    is empty unless row k attains an end of the segment or ties."""
+    bounds = _tightest(zip(rows, repeat(False)), 0)
     if bounds is None:
-        return False, {}
+        return False, []
     lower, upper = bounds
-    is_face = (0, 0) not in rows.values() and (
+    is_face = rows.count((0, 0)) == len(indices) and (
         lower is None or upper is None or upper[0] * lower[1] > lower[0] * upper[1]
     )
-    children = {}
-    for k, (a, b) in rows.items():
+    children = []
+    for k in range(indices[-1] + 1, len(rows)):
         # row a u <= b ends the segment when its bound b / a is the
         # segment's bound (p, q) on its side: b q == p a
+        a, b = rows[k]
         end = upper if a > 0 else lower
         if (a, b) == (0, 0) or a and end and b * end[1] == end[0] * a:
-            children[k] = Constraint((a,), b)
+            children.append((k, Constraint((a,), b)))
     return is_face, children
+
+
+def _bisector_columns(site_set: SiteSet) -> list[tuple[tuple[int, ...], ...]]:
+    """For each site i, the bisector rows (a, b) of i and every site k
+    (`SiteSet.bisector`, the zero row for k = i) as columns over k: the
+    column of b, then one column per coordinate of a."""
+    norms, columns = site_set._lifted
+    return [
+        (tuple(x - norms[i] for x in norms), *(tuple(x - c[i] for x in c) for c in columns))
+        for i in range(len(site_set))
+    ]
+
+
+def _substituted_rows(bisectors: tuple[tuple[int, ...], ...], span: AffineSubspace) -> list:
+    """Site i's bisector rows substituted into span, given as i's
+    `_bisector_columns`: over the integer form (D, P, B), row k becomes
+    (a.B_0, ..., a.B_d-1, D b - a.P), integer for integer
+    (`Constraint.substitute`), each entry the columns (b, *a) dotted with
+    (0, *B_t) or (D, *-P).  On H(J) with i = min(J) these are the face
+    test's rows, zero for k in J."""
+    den, anchor, basis = span.integer_form
+    return list(zip(*[_column_dots(bisectors, (0, *b)) for b in basis],
+                    _column_dots(bisectors, (den, *[-x for x in anchor]))))
 
 
 def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
@@ -344,15 +376,17 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
 
     By the lifting map the closed face of J on H(J) is where J's common
     profile is the lowest; it only shrinks as J grows, so once it is empty
-    no superset of J is a face.  Each sorted J computes its sites' integer
-    profiles (`SiteSet.profiles`), and row k of the face test, like the cut
-    for H(J + k), is profile k minus profile min(J):
+    no superset of J is a face.  Row k of the face test, like the cut for
+    H(J + k), is the bisector row of min(J) and k substituted into H(J)
+    (`_substituted_rows`), from bisector columns built once per call, so
+    no profile is computed:
 
     - |J| = 1: the site is the only site nearest to itself, so its cell is
       a face, with no elimination.
-    - a point H(J): J is a face when no other site shares J's profile and
-      none has a smaller one, and its closed face is non-empty when none
-      has a smaller one; H(J + k) is the same point when k shares it.
+    - a point H(J): J is a face when no row is negative and only J's are
+      zero (no other site is as close), and its closed face is non-empty
+      when no row is negative; H(J + k) is the same point when row k is
+      zero.
     - a line H(J): one bound pass decides the face and names the children
       to cut (`_line_children`); the others are never built.
     - a larger H(J): `feasible` (integer Fourier-Motzkin) on the strict
@@ -367,29 +401,28 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
     """
     n = len(site_set)
     faces: dict[frozenset[int], VoronoiFace] = {}
-    whole = whole_space(site_set.dim)
-    top = site_set.profiles(whole)
-    level = [((i,), whole) for i in range(n)]
+    bisectors = _bisector_columns(site_set)
+    level = [((i,), whole_space(site_set.dim)) for i in range(n)]
     while level:
         extended = []
         for indices, span in level:
-            profiles = top if span is whole else site_set.profiles(span)
+            rows = _substituted_rows(bisectors[indices[0]], span)
             later = range(indices[-1] + 1, n)
             if not span.dim:
-                least = profiles[indices[0]]
-                closed = min(profiles) == least
-                is_face = closed and profiles.count(least) == len(indices)
-                children = [(k, span) for k in later if closed and profiles[k] == least]
+                closed = min(rows) >= (0,)
+                is_face = closed and rows.count((0,)) == len(indices)
+                children = [(k, span) for k in later if closed and rows[k] == (0,)]
             elif span.dim == 1:
-                is_face, rows = _line_children(profiles, indices)
-                children = [(k, span.cut(rows[k])) for k in later if k in rows]
+                is_face, cuts = _line_children(rows, indices)
+                children = [(k, span.cut(row)) for k, row in cuts]
             else:
-                rows = _face_rows(profiles, indices)
-                is_face = len(indices) == 1 or feasible(list(rows.values()), span.dim)
+                tests = [row for k, row in enumerate(rows) if k not in indices]
+                is_face = len(indices) == 1 or feasible(
+                    [Constraint(row[:-1], row[-1], True) for row in tests], span.dim)
                 closed = is_face or feasible(
-                    list(_face_rows(profiles, indices, strict=False).values()), span.dim
-                )
-                children = [(k, span.cut(rows[k])) for k in later if closed]
+                    [Constraint(row[:-1], row[-1]) for row in tests], span.dim)
+                children = [(k, span.cut(Constraint(rows[k][:-1], rows[k][-1])))
+                            for k in later if closed]
             if is_face:
                 key = frozenset(indices)
                 faces[key] = VoronoiFace(key, span, site_set.dim, site_set)

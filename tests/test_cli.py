@@ -568,7 +568,8 @@ def test_pipeline_triangle_and_byte_stability(inputs):
 
 def test_pipeline_builds_one_delaunay_dual(inputs, capsys, monkeypatch):
     # run_pipeline hands its Delaunay dual to dual_complex, which still
-    # runs the isomorphism check against it; snc dual builds its own
+    # runs the isomorphism check against it; snc dual builds its own once
+    # and hands the dual complex to the sheaf cohomology
     calls = Counter()
 
     def counted(name, fn):
@@ -584,9 +585,10 @@ def test_pipeline_builds_one_delaunay_dual(inputs, capsys, monkeypatch):
     assert code == 0 and report["snc"]["dual_isomorphic_to_delaunay"]
     assert calls == {"delaunay_dual": 1, "delta_isomorphic": 1}
     calls.clear()
+    monkeypatch.setattr(snc, "build_complex", counted("build_complex", snc.build_complex))
     assert main(["snc", "dual", inputs["triangle"]]) == 0
     capsys.readouterr()
-    assert calls["delaunay_dual"] == calls["delta_isomorphic"] > 0
+    assert calls == {"build_complex": 1, "delaunay_dual": 1, "delta_isomorphic": 1}
 
 
 def test_pipeline_ring_preserves_circle_homology(inputs, capsys):

@@ -522,6 +522,19 @@ def degenerate_site_sets(draw):
 @example(SQUARE_SITES)
 @example(SiteSet.build(2, [[0, 0], [1, 1], [2, 2], [0, 3], [3, 0]]))
 @example(SiteSet.build(3, [[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 0], [1, 1, 3]]))
+# in 4D the face test runs on 3-spaces, planes, lines and points
+@example(SiteSet.build(4, [(0, 0, 0, 0), (3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 5, 0),
+                           (0, 0, 0, 1), (1, 1, 1, 1)]))
+@example(SiteSet.build(4, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
+                           (0, 0, 1, 1), (1, 1, 1, 1)]))
+# rational sites: the bisector rows are over the common denominator 21
+@example(SiteSet.build(2, [(F(1, 3), 0), (F(2, 7), F(5, 3)), (F(-4, 7), F(1, 7)),
+                           (F(5, 3), F(2, 3)), (0, F(-8, 7)), (F(1, 3), F(1, 7))]))
+@example(SiteSet.build(3, [(F(1, 3), 0, F(2, 7)), (F(-5, 7), F(1, 3), 1), (0, F(4, 3), F(-1, 7)),
+                           (F(2, 3), F(2, 3), F(2, 3)), (F(1, 7), F(-2, 3), 0)]))
+@example(SiteSet.build(4, [(F(1, 3), 0, 0, F(1, 7)), (0, F(2, 7), F(-1, 3), 0),
+                           (F(4, 3), F(1, 3), 0, F(-3, 7)), (0, 0, F(5, 7), F(2, 3)),
+                           (F(-2, 3), F(1, 7), F(1, 3), 1), (F(1, 7), F(1, 7), F(1, 7), F(1, 7))]))
 def test_pruned_enumeration_matches_brute_force(sites):
     vc = voronoi_complex(sites)
     assert _lattice_fields(vc, vc.subspaces) == _lattice_fields(*brute_force_voronoi(sites))
@@ -545,6 +558,28 @@ def test_enumeration_solves_only_nonempty_subspaces(monkeypatch):
     vc = voronoi_complex(SiteSet.build(2, sorted(pts)))
     assert vc.subspaces
     assert solves == []
+
+
+def test_face_walk_reads_no_profiles(monkeypatch):
+    # the face walk substitutes min(J)'s bisector rows into each H(J); only
+    # the span walk reads profiles, the whole space's, and derives the rest
+    calls = []
+    profiles = SiteSet.profiles
+
+    def counting_profiles(sites, span):
+        calls.append(span)
+        return profiles(sites, span)
+
+    monkeypatch.setattr(SiteSet, "profiles", counting_profiles)
+    rng = random.Random(11)
+    pts = set()
+    while len(pts) < 11:
+        pts.add((rng.randint(0, 97), rng.randint(0, 97)))
+    vc = voronoi_complex(SiteSet.build(2, sorted(pts)))
+    assert len(vc.faces) > 11
+    assert calls == []
+    assert vc.subspaces
+    assert len(calls) == 1
 
 
 @given(degenerate_site_sets())
