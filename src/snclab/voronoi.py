@@ -401,8 +401,9 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
     """
     n = len(site_set)
     faces: dict[frozenset[int], VoronoiFace] = {}
+    whole = whole_space(site_set.dim)
     bisectors = _bisector_columns(site_set)
-    level = [((i,), whole_space(site_set.dim)) for i in range(n)]
+    level = [((i,), whole) for i in range(n)]
     while level:
         extended = []
         for indices, span in level:
