@@ -52,7 +52,6 @@ from .seifert import (
     weighted_degree,
 )
 from .snc import (
-    BlowupLedger,
     PillowConstant,
     Pi1Verdict,
     SncCheckError,

@@ -12,11 +12,13 @@ what keeps spurious identifications from appearing: with them disabled
 (a test hook) the classes may merge charts whose cells do not share a
 face, reproducing the classical failure of the naive quotient.
 
-A chart's ledger is the arrangement's `records_by_dim` minus the cell's
-star, the index sets of its faces.  So the ledger checks (stage
-disjointness, agreement across each gluing) still run for every cell and
-every gluing, but read only the stars; their pair work is the
-arrangement's, done once (`SubspaceArrangement.meeting_pairs`).
+A chart is its cell and its star, the index sets of its faces; its
+ledger is the arrangement's `records_by_dim` minus that star, so no chart
+stores one.  The ledger checks (stage disjointness, agreement across each
+gluing) still run for every cell and every gluing, but read only the
+stars; their pair work is the arrangement's, done once
+(`SubspaceArrangement.meeting_pairs`).  A rendering builds one dict per
+record and lists the same dicts in every chart's ledger.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .voronoi import (
     CheckFailed,
     GenericityError,
     NotSimpleError,
-    SubspaceRecord,
     VoronoiComplex,
     classify_subspaces,
     delaunay_dual,
@@ -54,30 +55,21 @@ class SncCheckError(CheckFailed, SncError):
     """A gluing self-check failed: ledgers or the dual-vs-Delaunay test."""
 
 
-@dataclass(frozen=True)
-class BlowupLedger:
-    """Ordered blow-up centers for one chart, by increasing dimension.
+def blowup_ledger(vc: VoronoiComplex, cell: int) -> tuple[frozenset[int], ...]:
+    """The cell's faces, {cell} and its star, sorted by their sorted index
+    sets, once its parasitic subspaces pass the self-checks.
 
-    Every parasitic subspace of the cell is listed: the arrangement's
-    `records_by_dim` without the cell's star.  Centers of dimension
-    at most m-2 are genuine blow-up centers and must be pairwise disjoint
-    within their stage once earlier stages removed their intersections;
-    codimension-1 entries are kept for bookkeeping (blowing up a divisor
-    changes nothing) and are exempt from the disjointness requirement.
+    The chart blows up every parasitic subspace of the cell: the
+    arrangement's `records_by_dim` without the star, by increasing
+    dimension.  Centers of dimension at most m-2 are genuine blow-up
+    centers and must be pairwise disjoint within their stage once earlier
+    stages removed their intersections; codimension-1 entries are kept for
+    bookkeeping (blowing up a divisor changes nothing) and are exempt from
+    the disjointness requirement.
     """
-
-    cell: int
-    centers: tuple[SubspaceRecord, ...]
-
-
-def blowup_ledger(vc: VoronoiComplex, cell: int) -> BlowupLedger:
-    """All parasitic subspaces for the cell, sorted by (dimension, index set)."""
     star = frozenset(r.sites for r in classify_subspaces(vc, cell).essential)
-    ledger = BlowupLedger(
-        cell, tuple(r for r in vc.arrangement.records_by_dim if r.sites not in star)
-    )
     _verify_stage_disjointness(vc, cell, star)
-    return ledger
+    return tuple(sorted((frozenset((cell,)), *star), key=sorted))
 
 
 def _verify_stage_disjointness(vc: VoronoiComplex, cell: int, star: frozenset) -> None:
@@ -109,7 +101,6 @@ def _verify_stage_disjointness(vc: VoronoiComplex, cell: int, star: frozenset) -
 @dataclass(frozen=True)
 class Chart:
     cell: int
-    ledger: BlowupLedger
     faces: tuple[frozenset[int], ...]
 
 
@@ -141,15 +132,22 @@ class SncModel:
         return tuple(s for s in self.strata if len(s.key) == 1)
 
     def to_json_dict(self) -> dict:
+        records = [
+            (r.sites, {"sites": sorted(r.sites), "dim": r.dim})
+            for r in self.vc.arrangement.records_by_dim
+        ]
+
+        def ledger(chart):
+            star = set(chart.faces)
+            return [out for key, out in records if key not in star]
+
         return {
             "dim": self.dim,
             "selection": list(self.selection),
             "charts": [
                 {
                     "cell": c.cell,
-                    "ledger": [
-                        {"sites": sorted(r.sites), "dim": r.dim} for r in c.ledger.centers
-                    ],
+                    "ledger": ledger(c),
                     "faces": [sorted(f) for f in c.faces],
                 }
                 for _, c in sorted(self.charts.items())
@@ -164,15 +162,9 @@ class SncModel:
                 for s in self.strata
             ],
             "flags": {
-                "rational": {
-                    json.dumps(sorted(k)): v for k, v in sorted(
-                        self.rational.items(), key=lambda kv: sorted(kv[0])
-                    )
-                },
+                "rational": {json.dumps(sorted(k)): v for k, v in self.rational.items()},
                 "sphere_class": {
-                    json.dumps(sorted(k)): v for k, v in sorted(
-                        self.sphere_class.items(), key=lambda kv: sorted(kv[0])
-                    )
+                    json.dumps(sorted(k)): v for k, v in self.sphere_class.items()
                 },
             },
             "ledgers_applied": self.ledgers_applied,
@@ -205,14 +197,7 @@ def build_snc(
     if witness is not None:
         raise NotSimpleError(witness)
     chosen = set(cells)
-    charts = {
-        i: Chart(
-            i,
-            blowup_ledger(vc, i),
-            tuple(sorted((f.sites for f in vc.faces_of_cell(i)), key=sorted)),
-        )
-        for i in cells
-    }
+    charts = {i: Chart(i, blowup_ledger(vc, i)) for i in cells}
     gluings = []
     for a_idx in range(len(cells)):
         for b_idx in range(a_idx + 1, len(cells)):

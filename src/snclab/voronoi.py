@@ -286,9 +286,6 @@ class VoronoiComplex:
         """The faces in (size, sorted) order of their index sets, sorted once."""
         return self._sorted_faces
 
-    def faces_of_cell(self, i: int) -> list[VoronoiFace]:
-        return [f for f in self.face_list() if i in f.sites]
-
     def simplicity_witness(self) -> Optional[VoronoiFace]:
         return self._simplicity_witness
 

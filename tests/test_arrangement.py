@@ -31,7 +31,6 @@ from corpus import (
 from snclab import qlinalg, voronoi
 from snclab.qlinalg import AffineSubspace, dot, solve_affine
 from snclab.snc import (
-    BlowupLedger,
     Chart,
     SncCheckError,
     SncError,
@@ -425,12 +424,13 @@ def geometric_closure(reference, parasitic):
 
 
 def geometric_stage(vc, reference, ledger):
+    cell, centers = ledger
     for d in range(0, max(vc.dim - 1, 0)):
-        for a, b in combinations([c for c in ledger.centers if c.dim == d], 2):
+        for a, b in combinations([c for c in centers if c.dim == d], 2):
             meet = reference.meet(a.sites, b.sites)
             if meet is None:
                 continue
-            if not any(c.dim < d and reference.contains(c.sites, meet) for c in ledger.centers):
+            if not any(c.dim < d and reference.contains(c.sites, meet) for c in centers):
                 generic = a.dim + b.dim - vc.dim
                 if not a.sites & b.sites and meet.dim > generic:
                     raise GenericityError(
@@ -439,14 +439,14 @@ def geometric_stage(vc, reference, ledger):
                     )
                 raise SncCheckError(
                     f"stage-{d} centers H{sorted(a.sites)} and H{sorted(b.sites)} of cell "
-                    f"{ledger.cell} overlap outside every earlier center"
+                    f"{cell} overlap outside every earlier center"
                 )
 
 
 def geometric_ledger_match(reference, ledger_a, ledger_b, glue_key):
     def restriction(ledger):
         return sorted(
-            (c.sites for c in ledger.centers
+            (c.sites for c in ledger[1]
              if glue_key <= c.sites
              or (not c.sites & glue_key and reference.contains(glue_key, c.span))),
             key=sorted,
@@ -454,7 +454,7 @@ def geometric_ledger_match(reference, ledger_a, ledger_b, glue_key):
 
     if restriction(ledger_a) != restriction(ledger_b):
         raise SncCheckError(
-            f"ledgers of cells {ledger_a.cell} and {ledger_b.cell} disagree on their "
+            f"ledgers of cells {ledger_a[0]} and {ledger_b[0]} disagree on their "
             f"shared face {sorted(glue_key)}"
         )
 
@@ -466,15 +466,17 @@ def outcome(check, *args):
         return type(exc).__name__, str(exc)
 
 
-def ledger_of(cell, records):
-    return BlowupLedger(cell, tuple(sorted(records, key=lambda r: (r.dim, sorted(r.sites)))))
+def ledger_of(vc, cell, star):
+    """The ledger of cell as (cell, centers): every record outside star,
+    sorted by (dimension, index set)."""
+    records = [r for r in vc.arrangement.records if r.sites not in star]
+    return cell, tuple(sorted(records, key=lambda r: (r.dim, sorted(r.sites))))
 
 
-def chart_of(vc, cell, star):
-    """The chart of cell whose star is forged: its ledger is every record
-    outside star, and its faces are star with the cell itself."""
-    ledger = ledger_of(cell, [r for r in vc.arrangement.records if r.sites not in star])
-    return Chart(cell, ledger, (frozenset({cell}), *star))
+def chart_of(cell, star):
+    """The chart of cell whose star is forged: its faces are star with the
+    cell itself."""
+    return Chart(cell, (frozenset({cell}), *star))
 
 
 def compare_with_geometry(sites, rng, rounds=6):
@@ -513,19 +515,19 @@ def compare_with_geometry(sites, rng, rounds=6):
         dropped = base - {rng.choice(sorted(base, key=sorted))} if base else base
         added = base | {rng.choice(keys)}
         for star in (base, dropped, added, random_star()):
-            chart = chart_of(vc, cell, star)
+            chart = chart_of(cell, star)
             parasitic = [r for r in records if r.sites not in star]
             assert (outcome(_check_intersection_closure, vc, star)
                     == outcome(geometric_closure, reference, parasitic))
             assert (outcome(_verify_stage_disjointness, vc, cell, star)
-                    == outcome(geometric_stage, vc, reference, chart.ledger))
+                    == outcome(geometric_stage, vc, reference, ledger_of(vc, cell, star)))
             other = rng.choice(cells)
             glue = frozenset(rng.sample(cells, 2))
             for other_star in (stars[other] if other in stars else random_star(), random_star()):
-                other_chart = chart_of(vc, other, other_star)
+                other_chart = chart_of(other, other_star)
                 assert (outcome(_verify_ledger_match, vc, chart, other_chart, glue)
-                        == outcome(geometric_ledger_match, reference, chart.ledger,
-                                   other_chart.ledger, glue))
+                        == outcome(geometric_ledger_match, reference, ledger_of(vc, cell, star),
+                                   ledger_of(vc, other, other_star), glue))
 
 
 @settings(max_examples=30)

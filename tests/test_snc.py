@@ -1,5 +1,6 @@
 """Glued models: ledgers, strata, dual complexes, blow-ups, pillows."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -32,7 +33,17 @@ from snclab.snc import (
     pillow_projectivity,
     sheaf_cohomology_dims,
 )
-from snclab.voronoi import NotSimpleError, delaunay_dual, voronoi_complex
+from snclab.voronoi import NotSimpleError, SiteSet, delaunay_dual, voronoi_complex
+from test_golden import (
+    EXCEPTIONAL,
+    GLUED,
+    PLANAR,
+    PLANAR_RATIONAL,
+    PLANAR_WIDE,
+    SPATIAL,
+    SPATIAL_RATIONAL,
+    _seeded_sites,
+)
 
 VC_TRIANGLE = voronoi_complex(TRIANGLE_SITES)
 VC_STRIP = voronoi_complex(STRIP_SITES)
@@ -41,25 +52,32 @@ VC_TWO = voronoi_complex(TWO_SITES_1D)
 VC_THREE_1D = voronoi_complex(THREE_SITES_1D)
 
 
+def ledger(vc, cell, faces=None):
+    """The cell's ledger as (cell, centers): every record of the
+    arrangement, by dimension, outside the chart's faces."""
+    star = set(blowup_ledger(vc, cell) if faces is None else faces)
+    return cell, tuple(r for r in vc.arrangement.records_by_dim if r.sites not in star)
+
+
 def test_ledger_triangle_cell0():
-    led = blowup_ledger(VC_TRIANGLE, 0)
-    assert [(sorted(c.sites), c.dim) for c in led.centers] == [([1, 2], 1)]
+    _, centers = ledger(VC_TRIANGLE, 0)
+    assert [(sorted(c.sites), c.dim) for c in centers] == [([1, 2], 1)]
 
 
 def test_ledger_two_sites_empty():
-    assert blowup_ledger(VC_TWO, 0).centers == ()
-    assert blowup_ledger(VC_TWO, 1).centers == ()
+    assert ledger(VC_TWO, 0) == (0, ())
+    assert ledger(VC_TWO, 1) == (1, ())
 
 
 def test_ledger_strip_middle_contains_q_point():
-    led = blowup_ledger(VC_STRIP, 1)
-    keys = [c.sites for c in led.centers]
+    _, centers = ledger(VC_STRIP, 1)
+    keys = [c.sites for c in centers]
     assert frozenset({0, 1, 2}) in keys
-    q = next(c for c in led.centers if c.sites == frozenset({0, 1, 2}))
+    q = next(c for c in centers if c.sites == frozenset({0, 1, 2}))
     assert q.dim == 0
     assert q.span.point == (F(2), F(-3, 2))
     # increasing dimension along the ledger
-    dims = [c.dim for c in led.centers]
+    dims = [c.dim for c in centers]
     assert dims == sorted(dims)
 
 
@@ -120,17 +138,15 @@ def test_ledger_consistency_across_gluings():
 
 
 def test_ledger_mismatch_is_detected():
-    from snclab.snc import BlowupLedger, Chart, _verify_ledger_match
+    from snclab.snc import Chart, _verify_ledger_match
 
     charts = build_snc(VC_STRIP, STRIP_ROW).charts
     # forge cell 1's star to hold a center that lies inside the 0-1 wall
     # (the q-point H{0,1,2}), so that center leaves cell 1's ledger
     q = frozenset({0, 1, 2})
-    pruned = Chart(
-        1,
-        BlowupLedger(1, tuple(c for c in charts[1].ledger.centers if c.sites != q)),
-        (*charts[1].faces, q),
-    )
+    pruned = Chart(1, (*charts[1].faces, q))
+    assert q in [c.sites for c in ledger(VC_STRIP, 1, charts[1].faces)[1]]
+    assert q not in [c.sites for c in ledger(VC_STRIP, 1, pruned.faces)[1]]
     _verify_ledger_match(VC_STRIP, charts[0], charts[1], frozenset({0, 1}))
     with pytest.raises(SncError, match="disagree"):
         _verify_ledger_match(VC_STRIP, charts[0], pruned, frozenset({0, 1}))
@@ -268,3 +284,76 @@ def test_model_json_is_stable():
     model = build_snc(VC_STRIP, STRIP_ROW)
     again = build_snc(VC_STRIP, STRIP_ROW)
     assert model.to_json() == again.to_json()
+
+
+def render_per_chart(model):
+    """The model's JSON as it was rendered with a fresh dict for every
+    (chart, record) pair and pre-sorted flag maps: the oracle for
+    `SncModel.to_json`."""
+    def flags(table):
+        ordered = sorted(table.items(), key=lambda kv: sorted(kv[0]))
+        return {json.dumps(sorted(k)): v for k, v in ordered}
+
+    out = {
+        "dim": model.dim,
+        "selection": list(model.selection),
+        "charts": [
+            {
+                "cell": c.cell,
+                "ledger": [{"sites": sorted(r.sites), "dim": r.dim}
+                           for r in ledger(model.vc, c.cell, c.faces)[1]],
+                "faces": [sorted(f) for f in c.faces],
+            }
+            for _, c in sorted(model.charts.items())
+        ],
+        "gluings": [list(g) for g in model.gluings],
+        "strata": [
+            {"key": sorted(s.key), "dim": s.dim, "members": [[ch, sorted(j)] for ch, j in s.members]}
+            for s in model.strata
+        ],
+        "flags": {"rational": flags(model.rational), "sphere_class": flags(model.sphere_class)},
+        "ledgers_applied": model.ledgers_applied,
+    }
+    return json.dumps(out, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("sites", [
+    SiteSet.build(2, _seeded_sites(5, 10, 2, 10**6)),
+    SiteSet.build(3, GLUED["spatial11_8"]),
+], ids=["planar5_10", "spatial11_8"])
+def test_ledgers_share_one_dict_per_record(sites):
+    vc = voronoi_complex(sites)
+    model = build_snc(vc, vc.cell_indices())
+    rendered = model.to_json_dict()
+    entries = [e for chart in rendered["charts"] for e in chart["ledger"]]
+    by_sites = {}
+    for e in entries:
+        by_sites.setdefault(tuple(e["sites"]), set()).add(id(e))
+    assert all(len(ids) == 1 for ids in by_sites.values())
+    assert len(entries) > len({id(e) for e in entries})
+    assert len({id(e) for e in entries}) <= len(vc.arrangement.records_by_dim)
+    assert model.to_json() == render_per_chart(model)
+    part = build_snc(vc, [0, 2])
+    assert part.to_json() == render_per_chart(part)
+
+
+GOLDEN_SITES = {
+    "triangle": TRIANGLE_SITES,
+    "strip": STRIP_SITES,
+    "ring": RING_SITES,
+    "planar": SiteSet.build(2, PLANAR),
+    "wide": SiteSet.build(2, PLANAR_WIDE),
+    "spatial": SiteSet.build(3, SPATIAL),
+    "planar_rational": SiteSet.build(2, PLANAR_RATIONAL),
+    "spatial_rational": SiteSet.build(3, SPATIAL_RATIONAL),
+    **{name: SiteSet.build(len(pts[0]), pts) for name, pts in GLUED.items()},
+    "exceptional": EXCEPTIONAL,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SITES))
+def test_blowup_ledger_returns_the_faces_of_the_cell(name):
+    vc = voronoi_complex(GOLDEN_SITES[name])
+    for cell in vc.cell_indices():
+        expected = tuple(sorted((f.sites for f in vc.face_list() if cell in f.sites), key=sorted))
+        assert blowup_ledger(vc, cell) == expected
