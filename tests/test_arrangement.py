@@ -515,18 +515,18 @@ def compare_with_geometry(sites, rng, rounds=6):
         dropped = base - {rng.choice(sorted(base, key=sorted))} if base else base
         added = base | {rng.choice(keys)}
         for star in (base, dropped, added, random_star()):
-            chart = chart_of(cell, star)
+            chart, ledger = chart_of(cell, star), ledger_of(vc, cell, star)
             parasitic = [r for r in records if r.sites not in star]
             assert (outcome(_check_intersection_closure, vc, star)
                     == outcome(geometric_closure, reference, parasitic))
             assert (outcome(_verify_stage_disjointness, vc, cell, star)
-                    == outcome(geometric_stage, vc, reference, ledger_of(vc, cell, star)))
+                    == outcome(geometric_stage, vc, reference, ledger))
             other = rng.choice(cells)
             glue = frozenset(rng.sample(cells, 2))
             for other_star in (stars[other] if other in stars else random_star(), random_star()):
                 other_chart = chart_of(other, other_star)
                 assert (outcome(_verify_ledger_match, vc, chart, other_chart, glue)
-                        == outcome(geometric_ledger_match, reference, ledger_of(vc, cell, star),
+                        == outcome(geometric_ledger_match, reference, ledger,
                                    ledger_of(vc, other, other_star), glue))
 
 
