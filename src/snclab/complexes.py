@@ -11,8 +11,9 @@ Homology reduces the boundaries from the top dimension down: the
 unit-pivot reduction of intlinalg splits each boundary into identity
 pivots and a small residual block, and a k-cell that was a pivot row of
 the boundary above is cleared from the boundary below, whose remaining
-columns span the same lattice.  Ranks and torsion come from `rank` and
-`smith_normal_form` of the residuals alone.
+columns span the same lattice.  Ranks and torsion come from the Smith
+normal form of the residuals alone (`rank` counts its nonzero invariant
+factors), so homology runs on integers and makes no Fraction.
 
 Every nerve in the package (the simplicial complex of from_simplices, the
 Delaunay dual, the SNC dual complex, the resolver's nerve) is built here

@@ -3,7 +3,8 @@
 Everything here is arbitrary-precision: entries are Python ints, and
 every row and column operation is unimodular.  `smith_normal_form`
 computes the diagonal alone, since its callers read only the invariant
-factors and the rank; the transforms are not kept.  The pivot policy is
+factors and the rank; the transforms are not kept.  `rank` is read off
+that diagonal, so no Fraction is made here.  The pivot policy is
 fixed (smallest absolute value, ties broken by row-major position).
 
 Homology and abelianization first split the +-1 pivots off a sparse
@@ -17,10 +18,7 @@ only the columns the boundary above left uncleared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
-
-from .qlinalg import row_reduce
 
 
 @dataclass(frozen=True)
@@ -48,11 +46,6 @@ class IntMatrix:
         else:
             width = 0
         return cls(len(data), width, data)
-
-
-def rank(m: IntMatrix) -> int:
-    """Rank over the rationals, by `qlinalg.row_reduce`."""
-    return len(row_reduce([[Fraction(x) for x in row] for row in m.entries], m.cols))
 
 
 @dataclass(frozen=True)
@@ -129,6 +122,12 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
         s += 1
 
     return SmithNormalForm(tuple(a[i][i] if i < cols else 0 for i in range(limit)))
+
+
+def rank(m: IntMatrix) -> int:
+    """Rank over the rationals: the number of nonzero invariant factors of
+    `smith_normal_form`, so no Fraction is made."""
+    return smith_normal_form(m).rank
 
 
 def reduce_unit_pivots(

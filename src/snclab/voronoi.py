@@ -5,19 +5,21 @@ d(x, y_i) <= d(x, y_j) iff 2(y_j - y_i) . x <= |y_j|^2 - |y_i|^2, so every
 face is cut out by rational equalities and strict inequalities and its
 existence is a Fourier-Motzkin feasibility question.  Over the sites'
 common denominator L (y = Y / L) that row times L^2 is the integer row
-2L(Y_j - Y_i) . x <= |Y_j|^2 - |Y_i|^2, read off the site set's lifted
-sites (|Y|^2, 2L Y).  Faces are keyed by the set J of sites attaining equality; the
-equidistance locus of J is the affine subspace H(J).
+2L(Y_j - Y_i) . x <= |Y_j|^2 - |Y_i|^2 (`SiteSet.bisector`).  Faces are
+keyed by the set J of sites attaining equality; the equidistance locus of
+J is the affine subspace H(J).
 
-On a subspace, by the lifting map (Edelsbrunner & Seidel, "Voronoi
-diagrams and arrangements", 1986), each site's squared distance is an
-affine function of the subspace's parameters, its integer profile
-(`SiteSet.profiles`), and the bisector of sites i and k substituted into
-the subspace is profile k minus profile i.  The face test substitutes the
-bisector rows of min(J) into H(J) directly, integer for integer; the span
-walk and the arrangement's distance classes read the profiles.  So the
-face lattice is decided in integers: on a point H(J) by the signs of the
-rows, on a line by one pass over the bounds, elsewhere by integer
+One integer kernel substitutes a site's bisector rows into a subspace:
+`SiteSet.rows(i, span)`, one row per site k, from columns built once per
+site set.  By the lifting map (Edelsbrunner & Seidel, "Voronoi diagrams
+and arrangements", 1986), each site's squared distance on a subspace is
+an affine function of its parameters, and row k is site k's minus site
+i's, so the rows of any one site group the sites by distance.  The face
+test of J, a face's witness and `select_subcomplex` read the rows of
+min(J); the span walk derives them through each cut, and the
+arrangement's distance classes group the sites by them.  So the face
+lattice is decided in integers: on a point H(J) by the signs of the rows,
+on a line by one pass over the bounds, elsewhere by integer
 Fourier-Motzkin (`feasible`).  Each H(J) is held in its integer form, so
 Fractions are made only for the sites, for a span's point and basis when
 they are read, and for a face's witness, which is computed when first
@@ -51,8 +53,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, repeat
 from math import lcm
-from operator import sub
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .complexes import ComplexError, DeltaComplex, build_complex, nerve_cells
 from .jsonread import expect_list, expect_object, expect_rational
@@ -143,13 +144,16 @@ class SiteSet:
         return scale, tuple(tuple(int(c * scale) for c in s) for s in self.sites)
 
     @cached_property
-    def _lifted(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """For the sites Y / L of `integer_sites`: every |Y|^2, and the
-        vectors 2L Y as one column per coordinate."""
+    def _columns(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """For each site i, the bisector rows (a, b) of i and every site k
+        (`bisector`, the zero row for k = i) as columns over k: the column
+        of b, then one column per coordinate of a."""
         scale, points = self.integer_sites
-        return (
-            tuple(sum(c * c for c in y) for y in points),
-            tuple(tuple(2 * scale * c for c in column) for column in zip(*points)),
+        norms = [sum(c * c for c in y) for y in points]
+        lifted = [[2 * scale * c for c in column] for column in zip(*points)]
+        return tuple(
+            (tuple(x - norms[i] for x in norms), *(tuple(x - c[i] for x in c) for c in lifted))
+            for i in range(len(points))
         )
 
     def bisector(self, i: int, j: int) -> tuple[tuple[int, ...], int]:
@@ -157,23 +161,23 @@ class SiteSet:
         `integer_sites`: a.x <= b exactly when x is at least as close to i
         as to j (the rational row 2(y_j - y_i).x <= |y_j|^2 - |y_i|^2 times
         L^2)."""
-        norms, columns = self._lifted
-        return tuple(c[j] - c[i] for c in columns), norms[j] - norms[i]
+        rhs, *coeffs = self._columns[i]
+        return tuple(c[j] for c in coeffs), rhs[j]
 
-    def profiles(self, span: AffineSubspace) -> list[tuple[int, ...]]:
-        """Each site's squared distance as an affine function on span, in
-        integers.  At x = (P + B u) / D (`integer_form`) and y = Y / L,
-        D L^2 (|x - y|^2 - |x|^2) = c - l.u with c = D |Y|^2 - 2L P.Y and
-        l = 2L B^T Y; a site's profile is (c, *l).  Two sites are
-        equidistant on all of span iff their profiles agree, and x is at
-        least as close to site i as to site k iff (l_k - l_i).u <= c_k - c_i,
-        which is `Constraint(*bisector(i, k)).substitute(span)`, integer for
-        integer."""
+    def rows(self, i: int, span: AffineSubspace) -> list[tuple[int, ...]]:
+        """Site i's bisector rows substituted into span, one (*coeffs, rhs)
+        per site k: over span's integer form (D, P, B), x = (P + B u) / D,
+        row k is (a.B_0, ..., a.B_d-1, D b - a.P) for (a, b) =
+        `bisector(i, k)`, i.e. `Constraint(*bisector(i, k)).substitute(span)`,
+        integer for integer, each entry i's columns (b, *a) dotted with
+        (0, *B_t) or (D, *-P).  By the lifting map rhs - coeffs.u is
+        D L^2 (|x - y_k|^2 - |x - y_i|^2), an affine function of u, so two
+        sites are equidistant on all of span iff their rows agree, and the
+        sites equidistant to i have the zero row."""
         den, anchor, basis = span.integer_form
-        norms, columns = self._lifted
-        lifted = (norms, *columns)
-        return list(zip(_column_dots(lifted, (den, *[-x for x in anchor])),
-                        *[_column_dots(lifted, (0, *b)) for b in basis]))
+        columns = self._columns[i]
+        return list(zip(*[_column_dots(columns, (0, *b)) for b in basis],
+                        _column_dots(columns, (den, *[-x for x in anchor]))))
 
 
 def equidistance_subspace(sites: SiteSet, j_set: Sequence[int]) -> Optional[AffineSubspace]:
@@ -198,21 +202,14 @@ def _lattice_order(j_set: frozenset[int]) -> tuple[int, list[int]]:
     return len(j_set), sorted(j_set)
 
 
-def _face_rows(
-    profiles: Sequence[tuple[int, ...]], indices: Sequence[int], strict: bool = True
-) -> dict[int, Constraint]:
-    """The face test of H(J), J = indices sorted, read off the sites'
-    profiles on H(J) (for a face's witness and `select_subcomplex`): for
-    each site k outside J in ascending order, the strict row (l_k - l_i).u
-    < c_k - c_i with i = min(J), i.e. the bisector of i and k substituted
-    into H(J).  With strict=False the rows cut out J's closed face: the
+def _constraints(
+    rows: Sequence[tuple[int, ...]], indices: Collection[int], strict: bool
+) -> list[Constraint]:
+    """The rows (`SiteSet.rows` of min(J) on H(J), J = indices) of the
+    sites k outside J, in ascending order, as constraints: strict ones are
+    the face test of J, non-strict ones cut out its closed face, the
     closed cell of i when J = (i,)."""
-    c_i, *l_i = profiles[indices[0]]
-    return {
-        k: Constraint(tuple(map(sub, l_k, l_i)), c_k - c_i, strict)
-        for k, (c_k, *l_k) in enumerate(profiles)
-        if k not in indices
-    }
+    return [Constraint(row[:-1], row[-1], strict) for k, row in enumerate(rows) if k not in indices]
 
 
 @dataclass(frozen=True)
@@ -241,8 +238,9 @@ class VoronoiFace:
         span at Fourier-Motzkin's witness of the face test's rows."""
         if not self.span.dim:
             return self.span.point
-        rows = _face_rows(self.site_set.profiles(self.span), sorted(self.sites))
-        return self.span.parametrize(feasible_point(list(rows.values()), self.span.dim))
+        rows = self.site_set.rows(min(self.sites), self.span)
+        return self.span.parametrize(
+            feasible_point(_constraints(rows, self.sites, True), self.span.dim))
 
 
 @dataclass(frozen=True)
@@ -317,7 +315,7 @@ def _line_children(
     rows: Sequence[tuple[int, int]], indices: Sequence[int]
 ) -> tuple[bool, list[tuple[int, Constraint]]]:
     """On a line H(J), given the face test's rows (a, b) for every site k
-    (`_substituted_rows`, zero for k in J): whether J is a face, and the
+    (`SiteSet.rows` of min(J), zero for k in J): whether J is a face, and the
     later sites k, with their rows, whose children H(J + k) can have a
     non-empty closed face, from one bound pass (`_tightest`) over the rows
     taken non-strict, where J's zero rows bound nothing.  The closed face
@@ -343,40 +341,16 @@ def _line_children(
     return is_face, children
 
 
-def _bisector_columns(site_set: SiteSet) -> list[tuple[tuple[int, ...], ...]]:
-    """For each site i, the bisector rows (a, b) of i and every site k
-    (`SiteSet.bisector`, the zero row for k = i) as columns over k: the
-    column of b, then one column per coordinate of a."""
-    norms, columns = site_set._lifted
-    return [
-        (tuple(x - norms[i] for x in norms), *(tuple(x - c[i] for x in c) for c in columns))
-        for i in range(len(site_set))
-    ]
-
-
-def _substituted_rows(bisectors: tuple[tuple[int, ...], ...], span: AffineSubspace) -> list:
-    """Site i's bisector rows substituted into span, given as i's
-    `_bisector_columns`: over the integer form (D, P, B), row k becomes
-    (a.B_0, ..., a.B_d-1, D b - a.P), integer for integer
-    (`Constraint.substitute`), each entry the columns (b, *a) dotted with
-    (0, *B_t) or (D, *-P).  On H(J) with i = min(J) these are the face
-    test's rows, zero for k in J."""
-    den, anchor, basis = span.integer_form
-    return list(zip(*[_column_dots(bisectors, (0, *b)) for b in basis],
-                    _column_dots(bisectors, (den, *[-x for x in anchor]))))
-
-
 def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
     """The face lattice, from a walk that extends J only while its closed
     face (the points at least as close to J's sites as to any other) is
     non-empty.
 
-    By the lifting map the closed face of J on H(J) is where J's common
-    profile is the lowest; it only shrinks as J grows, so once it is empty
+    By the lifting map the closed face of J on H(J) is where no row of
+    min(J) is negative; it only shrinks as J grows, so once it is empty
     no superset of J is a face.  Row k of the face test, like the cut for
     H(J + k), is the bisector row of min(J) and k substituted into H(J)
-    (`_substituted_rows`), from bisector columns built once per call, so
-    no profile is computed:
+    (`SiteSet.rows`), from bisector columns built once per site set:
 
     - |J| = 1: the site is the only site nearest to itself, so its cell is
       a face, with no elimination.
@@ -399,12 +373,11 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
     n = len(site_set)
     faces: dict[frozenset[int], VoronoiFace] = {}
     whole = whole_space(site_set.dim)
-    bisectors = _bisector_columns(site_set)
     level = [((i,), whole) for i in range(n)]
     while level:
         extended = []
         for indices, span in level:
-            rows = _substituted_rows(bisectors[indices[0]], span)
+            rows = site_set.rows(indices[0], span)
             later = range(indices[-1] + 1, n)
             if not span.dim:
                 closed = min(rows) >= (0,)
@@ -414,11 +387,9 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
                 is_face, cuts = _line_children(rows, indices)
                 children = [(k, span.cut(row)) for k, row in cuts]
             else:
-                tests = [row for k, row in enumerate(rows) if k not in indices]
                 is_face = len(indices) == 1 or feasible(
-                    [Constraint(row[:-1], row[-1], True) for row in tests], span.dim)
-                closed = is_face or feasible(
-                    [Constraint(row[:-1], row[-1]) for row in tests], span.dim)
+                    _constraints(rows, indices, True), span.dim)
+                closed = is_face or feasible(_constraints(rows, indices, False), span.dim)
                 children = [(k, span.cut(Constraint(rows[k][:-1], rows[k][-1])))
                             for k in later if closed]
             if is_face:
@@ -429,26 +400,25 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
     return VoronoiComplex(site_set, faces)
 
 
-def _cut_profiles(
-    profiles: Sequence[tuple[int, ...]], row: Constraint, span: AffineSubspace,
+def _cut_rows(
+    rows: Sequence[tuple[int, ...]], row: Constraint, span: AffineSubspace,
     child: AffineSubspace,
 ) -> list[tuple[int, ...]]:
-    """The profiles on child = span.cut(row), derived from those on span.
-    With pivot t, lead a_t, right-hand side b and the cut's signed gcd
-    g = a_t D / D' (D and D' the denominators of span and child), each
-    site's (c, *l) becomes c' = (a_t c - b l_t) / g and l'_i = (a_t l_i -
-    a_i l_t) / g for i != t: the cut's new point and basis vectors
-    substituted into `SiteSet.profiles`, integer for integer."""
+    """The rows (`SiteSet.rows`) on child = span.cut(row), derived from
+    those on span.  With pivot t, lead a_t, right-hand side b and the cut's
+    signed gcd g = a_t D / D' (D and D' the denominators of span and
+    child), each row (*l, c) becomes l'_i = (a_t l_i - a_i l_t) / g for
+    i != t and c' = (a_t c - b l_t) / g: the cut's new point and basis
+    vectors substituted into `SiteSet.rows`, integer for integer."""
     coeffs, rhs = row.coeffs, row.rhs
     t = next(i for i, a in enumerate(coeffs) if a)
     lead = coeffs[t]
     g = lead * span.integer_form[0] // child.integer_form[0]
-    others = [(i + 1, a) for i, a in enumerate(coeffs) if i != t]
-    t += 1  # entry 0 of a profile is c
+    others = [(i, a) for i, a in enumerate(coeffs) if i != t]
     if not others:  # a line cut to a point, the most common cut
-        return [((lead * p[0] - rhs * p[t]) // g,) for p in profiles]
-    return [((lead * p[0] - rhs * p[t]) // g, *[(lead * p[i] - a * p[t]) // g for i, a in others])
-            for p in profiles]
+        return [((lead * r[-1] - rhs * r[t]) // g,) for r in rows]
+    return [(*[(lead * r[i] - a * r[t]) // g for i, a in others], (lead * r[-1] - rhs * r[t]) // g)
+            for r in rows]
 
 
 def _span_walk(
@@ -458,31 +428,28 @@ def _span_walk(
     distance partitions of those in E.
 
     The walk visits the J of `voronoi_complex` with no face test: level by
-    level, H(J + k) is H(J) cut by profile k minus profile min(J), for
-    every later k.  Only the whole space's profiles are computed from the
-    sites; each child's are derived from its parent's through the cut
-    (`_cut_profiles`).  The sites of J share one profile on H(J), so J is
-    outside E exactly when the profiles take n - |J| + 1 distinct values,
-    and only E's partitions are recorded.  A point outside E has no child,
-    since no other site shares its profile, so it is never kept for the
-    next level."""
+    level, H(J + k) is H(J) cut by row k of min(J)'s rows on H(J)
+    (`SiteSet.rows`), for every later k.  Rows are built from the sites only
+    at the whole space, once per site; each child's are derived from its
+    parent's through the cut (`_cut_rows`).  The sites of J share the zero
+    row on H(J), so J is outside E exactly when the rows take n - |J| + 1
+    distinct values, and only E's partitions are recorded.  A point outside
+    E has no child, since no other site shares J's row, so it is never kept
+    for the next level."""
     n = len(site_set)
     whole = whole_space(site_set.dim)
     subspaces: dict[frozenset[int], AffineSubspace] = {}
     partitions: dict[frozenset[int], frozenset[frozenset[int]]] = {}
-    top = site_set.profiles(whole)
-    level = [((i,), whole, top) for i in range(n)]
+    level = [((i,), whole, site_set.rows(i, whole)) for i in range(n)]
     while level:
         extended = []
-        for indices, span, profiles in level:
-            c_i, *l_i = profiles[indices[0]]
+        for indices, span, rows in level:
             for k in range(indices[-1] + 1, n):
-                c_k, *l_k = profiles[k]
-                row = Constraint(tuple(map(sub, l_k, l_i)), c_k - c_i)
+                row = Constraint(rows[k][:-1], rows[k][-1])
                 child = span.cut(row)
                 if child is None:
                     continue
-                derived = profiles if child is span else _cut_profiles(profiles, row, span, child)
+                derived = rows if child is span else _cut_rows(rows, row, span, child)
                 key = frozenset(indices + (k,))
                 subspaces[key] = child
                 exceptional = len(set(derived)) != n - len(key) + 1
@@ -543,9 +510,9 @@ def select_subcomplex(vc: VoronoiComplex, region: Region) -> tuple[int, ...]:
     The region is a finite union of closed rational simplices; emptiness
     of cell-meets-simplex is decided exactly via feasibility in barycentric
     coordinates.  Every region vertex is checked against the ambient
-    dimension first, and each simplex's hull and its sites' profiles on it
-    are computed once; a cell's closed rows are read off the profiles
-    (`_face_rows`).  Each (cell, simplex) test is one `feasible_point`
+    dimension first, and each simplex's hull is computed once; a cell's
+    closed rows are its bisector rows substituted into the hull
+    (`SiteSet.rows`).  Each (cell, simplex) test is one `feasible_point`
     call, integer Fourier-Motzkin whose witness is back-substituted in
     integers and then discarded.  An empty selection is a valid result.
     """
@@ -563,13 +530,12 @@ def select_subcomplex(vc: VoronoiComplex, region: Region) -> tuple[int, ...]:
         )
         barycentric = [Constraint(tuple(-int(u == v) for u in range(1, k)), 0)
                        for v in range(1, k)]
-        hulls.append((hull.dim, vc.sites.profiles(hull),
-                      [*barycentric, Constraint((1,) * (k - 1), 1)]))
+        hulls.append((hull, [*barycentric, Constraint((1,) * (k - 1), 1)]))
     selected = []
     for i in vc.cell_indices():
-        for nvars, profiles, barycentric in hulls:
-            rows = _face_rows(profiles, (i,), strict=False)
-            if feasible_point([*rows.values(), *barycentric], nvars) is not None:
+        for hull, barycentric in hulls:
+            rows = _constraints(vc.sites.rows(i, hull), (i,), False)
+            if feasible_point([*rows, *barycentric], hull.dim) is not None:
                 selected.append(i)
                 break
     return tuple(selected)
@@ -587,29 +553,32 @@ class SubspaceRecord:
 
 @dataclass(frozen=True)
 class SubspaceReport:
-    """Essential versus parasitic equidistance subspaces for one cell."""
+    """Essential versus parasitic equidistance subspaces for one cell.  The
+    parasitic ones, the arrangement's records outside the essential ones,
+    are listed on first read."""
 
     cell: int
     ambient_dim: int
     essential: tuple[SubspaceRecord, ...]
-    parasitic: tuple[SubspaceRecord, ...]
     minimal_parasitic_parent: dict[frozenset[int], frozenset[int]]
+    arrangement: "SubspaceArrangement" = field(compare=False, repr=False)
+
+    @cached_property
+    def parasitic(self) -> tuple[SubspaceRecord, ...]:
+        star = frozenset(r.sites for r in self.essential)
+        return tuple(r for r in self.arrangement.records if r.sites not in star)
 
 
-def _partition(profiles: Sequence[tuple[int, ...]]) -> frozenset[frozenset[int]]:
-    """The sites grouped by profile, one-site classes dropped."""
+def _partition(rows: Sequence[tuple[int, ...]]) -> frozenset[frozenset[int]]:
+    """The sites grouped by their rows on a span (`SiteSet.rows`, of any
+    one site), i.e. by their squared distance there, one-site classes
+    dropped: the distance partition.  An H(Q) or a meet H(a) & H(b) is the
+    meet of H(C) over these classes C (Q, a and b each lie in one), so two
+    such spans are equal iff their partitions are."""
     groups: dict[tuple[int, ...], list[int]] = {}
-    for k, profile in enumerate(profiles):
-        groups.setdefault(profile, []).append(k)
+    for k, row in enumerate(rows):
+        groups.setdefault(row, []).append(k)
     return frozenset(frozenset(g) for g in groups.values() if len(g) > 1)
-
-
-def _distance_partition(sites: SiteSet, span: AffineSubspace) -> frozenset[frozenset[int]]:
-    """The sites grouped by their squared distance on span, i.e. by profile
-    (`SiteSet.profiles`), one-site classes dropped.  An H(Q) or a meet
-    H(a) & H(b) is the meet of H(C) over these classes C (Q, a and b each
-    lie in one), so two such spans are equal iff their partitions are."""
-    return _partition(sites.profiles(span))
 
 
 def _proper_subsets(j_set: frozenset[int]) -> list[frozenset[int]]:
@@ -626,8 +595,8 @@ class SubspaceArrangement:
     By the lifting map (Edelsbrunner & Seidel, "Voronoi diagrams and
     arrangements", 1986), H(J1) and H(J2) meet in H(J1 | J2) when J1 and J2
     share a site; that of disjoint J1 and J2 is H(J1) cut by the bisector
-    rows of J2, as the walks cut out H(J + k), memoised with its
-    `_distance_partition`.  A subspace lies in H(J) exactly when J falls in
+    rows of J2, as the walks cut out H(J + k), memoised with its distance
+    partition (`_partition`).  A subspace lies in H(J) exactly when J falls in
     one of its classes.  Q is exceptional, in E, when the partition of H(Q)
     is not {Q}, i.e. H(Q) lies on the bisector of two sites not both in Q;
     the span walk records these partitions, and for Q outside E, H(Q) lies
@@ -720,7 +689,7 @@ class SubspaceArrangement:
             for k in sorted(j2 - {first}):
                 row = Constraint(*self.sites.bisector(first, k))
                 span = span and span.cut(row.substitute(span))
-            self._meets[pair] = span, span and _distance_partition(self.sites, span)
+            self._meets[pair] = span, span and _partition(self.sites.rows(first, span))
         return self._meets[pair]
 
     def meet(self, j1: frozenset[int], j2: frozenset[int]) -> Optional[AffineSubspace]:
@@ -744,7 +713,9 @@ class SubspaceArrangement:
 def classify_subspaces(vc: VoronoiComplex, cell: int) -> SubspaceReport:
     """Split every nonempty H(J) into essential or parasitic for one cell.
 
-    Essential subspaces are the spans of the cell's faces.  For each
+    Essential subspaces are the spans of the cell's faces, read off the
+    faces in (size, sorted) order, the order of the arrangement's records;
+    the parasitic ones are listed only when read.  For each
     essential subspace of dimension <= m-2 the unique smallest parasitic
     subspace containing it is recorded (and must have dimension one
     higher); the parasitic family must be closed under pairwise
@@ -757,13 +728,8 @@ def classify_subspaces(vc: VoronoiComplex, cell: int) -> SubspaceReport:
         raise NotSimpleError(witness)
     arrangement = vc.arrangement
     m = vc.dim
-    essential = []
-    parasitic = []
-    for record in arrangement.records:
-        if cell in record.sites and record.sites in vc.faces:
-            essential.append(record)
-        else:
-            parasitic.append(record)
+    essential = tuple(SubspaceRecord(f.sites, arrangement.spans[f.sites]) for f in vc.face_list()
+                      if cell in f.sites and len(f.sites) > 1)
     star = frozenset(r.sites for r in essential)
     parent: dict[frozenset[int], frozenset[int]] = {}
     for record in essential:
@@ -785,7 +751,7 @@ def classify_subspaces(vc: VoronoiComplex, cell: int) -> SubspaceReport:
             )
         parent[record.sites] = minimal[0]
     _check_intersection_closure(vc, star)
-    return SubspaceReport(cell, m, tuple(essential), tuple(parasitic), parent)
+    return SubspaceReport(cell, m, essential, parent, arrangement)
 
 
 def _contains(

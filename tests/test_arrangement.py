@@ -628,32 +628,53 @@ def test_planar_gluing_solves_nothing(monkeypatch):
 
 def partitions_and_spans(sites):
     """(partition, span) for every H(J) and every meet of disjoint J1, J2,
-    the meets by `AffineSubspace.intersect`."""
+    the meets by `AffineSubspace.intersect`; each partition groups the
+    sites by site 0's rows on the span."""
     spans = voronoi_complex(sites).subspaces
-    out = [(voronoi._distance_partition(sites, span), span) for span in spans.values()]
+    out = [(distance_partition(sites, span), span) for span in spans.values()]
     for j1, j2 in combinations(spans, 2):
         meet = None if j1 & j2 else spans[j1].intersect(spans[j2])
         if meet is not None:
-            out.append((voronoi._distance_partition(sites, meet), meet))
+            out.append((distance_partition(sites, meet), meet))
     return out
+
+
+def distance_partition(sites, span, base=0):
+    return voronoi._partition(sites.rows(base, span))
 
 
 RECTANGLE = [(0, 0), (2, 0), (0, 4), (2, 4)]
 
 
-@settings(max_examples=60)
-@given(st.data())
-def test_distance_partition_determines_the_subspace(data):
-    # partitions are equal exactly when the subspaces are, canonical keys
-    # as the oracle; small coordinate ranges make degenerate sets common
-    dim = data.draw(st.sampled_from([1, 2, 2, 3]))
-    hi = data.draw(st.sampled_from([3, 6, 20]))
-    n = data.draw(st.integers(2, {1: 6, 2: 6, 3: 5}[dim]))
-    points = data.draw(
+@st.composite
+def small_site_sets(draw):
+    """Small coordinate ranges make degenerate sets common."""
+    dim = draw(st.sampled_from([1, 2, 2, 3]))
+    hi = draw(st.sampled_from([3, 6, 20]))
+    n = draw(st.integers(2, {1: 6, 2: 6, 3: 5}[dim]))
+    points = draw(
         st.lists(st.tuples(*[st.integers(0, hi)] * dim), min_size=n, max_size=n, unique=True)
     )
-    pairs = partitions_and_spans(SiteSet.build(dim, points))
+    return SiteSet.build(dim, points)
+
+
+@settings(max_examples=60)
+@given(small_site_sets())
+def test_distance_partition_determines_the_subspace(sites):
+    # partitions are equal exactly when the subspaces are, canonical keys
+    # as the oracle
+    pairs = partitions_and_spans(sites)
     assert len({p for p, _ in pairs}) == len({s for _, s in pairs}) == len(set(pairs))
+
+
+@settings(max_examples=60)
+@given(small_site_sets())
+def test_distance_partition_does_not_depend_on_the_base_site(sites):
+    # the rows of any site b are the squared distances less b's, so every
+    # base groups the sites alike, on each H(J) and each meet
+    for partition, span in partitions_and_spans(sites):
+        for b in range(1, len(sites)):
+            assert distance_partition(sites, span, b) == partition
 
 
 @pytest.mark.parametrize("dim, points, first, second", [
@@ -668,8 +689,8 @@ def test_distance_partition_of_coinciding_index_sets(dim, points, first, second)
     vc = voronoi_complex(sites)
     a, b = frozenset(first), frozenset(second)
     assert vc.subspaces[a] == vc.subspaces[b]
-    assert voronoi._distance_partition(sites, vc.subspaces[a]) == {a, b}
-    assert voronoi._distance_partition(sites, vc.subspaces[b]) == {a, b}
+    assert distance_partition(sites, vc.subspaces[a], min(a)) == {a, b}
+    assert distance_partition(sites, vc.subspaces[b], min(b)) == {a, b}
     pairs = partitions_and_spans(sites)
     assert len({p for p, _ in pairs}) == len({s for _, s in pairs}) == len(set(pairs))
     message = f"H{sorted(first)} and H{sorted(second)} span the same subspace"

@@ -8,13 +8,20 @@ keeps only the diagonal; the transform-keeping oracle (`snf_oracle`)
 must reach the same diagonal with unimodular L, R and L * M * R = diag.
 """
 
+import fractions
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minors_oracle import determinant, invariant_factors_by_minors, is_unimodular
+from snclab import complexes, intlinalg, presentations, qlinalg
 from snclab.intlinalg import IntMatrix, rank, smith_normal_form
+from snclab.qlinalg import row_reduce
 from snf_oracle import identity, matmul, smith_form_with_transforms, zero
 
 
@@ -93,6 +100,32 @@ def test_rank_matches_snf():
         r, c = rng.randint(1, 4), rng.randint(1, 4)
         m = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)])
         assert rank(m) == smith_normal_form(m).rank
+
+
+@st.composite
+def small_matrices(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = st.lists(st.integers(-4, 4), min_size=cols, max_size=cols)
+    return draw(st.lists(entries, min_size=rows, max_size=rows)), cols
+
+
+@given(small_matrices())
+def test_rank_is_the_rational_rank(matrix):
+    # the rank read off the Smith normal form is the rank of Fraction row
+    # reduction and of sympy
+    grid, cols = matrix
+    m = IntMatrix.from_rows(grid, cols)
+    by_fractions = len(row_reduce([[Fraction(x) for x in row] for row in grid], cols))
+    assert rank(m) == by_fractions == sympy.Matrix(len(grid), cols, sum(grid, [])).rank()
+
+
+@pytest.mark.parametrize("module", [intlinalg, complexes, presentations], ids=lambda m: m.__name__)
+def test_homology_layer_holds_no_fraction(module):
+    # homology, abelianization and the integer kernel run on ints alone:
+    # no Fraction and nothing of the rational kernel among the module's names
+    for name, value in vars(module).items():
+        assert value is not Fraction and value is not fractions, name
+        assert value is not qlinalg and getattr(value, "__module__", None) != qlinalg.__name__, name
 
 
 def test_matrix_validation():

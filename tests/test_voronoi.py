@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
-from operator import sub
 
 import pytest
 from hypothesis import example, given
@@ -142,10 +141,10 @@ def test_integer_substitution_is_the_fraction_substitution_scaled():
             rational = Constraint(tuple(2 * (b - a) for a, b in zip(yi, yk)), dot(yk, yk) - dot(yi, yi))
             want = fraction_kernel.substitute(rational, span)
             got = Constraint(*sites.bisector(i, k)).substitute(span)
-            # the same row is profile k minus profile i
-            (c_i, *l_i), (c_k, *l_k) = (sites.profiles(span)[j] for j in (i, k))
-            assert got.coeffs == tuple(b - a for a, b in zip(l_i, l_k))
-            assert got.rhs == c_k - c_i
+            # the same row is row k of site i's rows on the span
+            *coeffs, rhs = sites.rows(i, span)[k]
+            assert got.coeffs == tuple(coeffs)
+            assert got.rhs == rhs
             factor = scale * scale * span.integer_form[0]
             assert got.coeffs == tuple(factor * x for x in want.coeffs)
             assert got.rhs == factor * want.rhs
@@ -560,26 +559,28 @@ def test_enumeration_solves_only_nonempty_subspaces(monkeypatch):
     assert solves == []
 
 
-def test_face_walk_reads_no_profiles(monkeypatch):
-    # the face walk substitutes min(J)'s bisector rows into each H(J); only
-    # the span walk reads profiles, the whole space's, and derives the rest
+def test_span_walk_builds_rows_only_at_the_whole_space(monkeypatch):
+    # the face walk substitutes min(J)'s bisector rows into each H(J); the
+    # span walk builds each site's rows on the whole space, n calls, and
+    # derives every child's through the cut
     calls = []
-    profiles = SiteSet.profiles
+    rows = SiteSet.rows
 
-    def counting_profiles(sites, span):
-        calls.append(span)
-        return profiles(sites, span)
+    def counting_rows(sites, i, span):
+        calls.append((i, span))
+        return rows(sites, i, span)
 
-    monkeypatch.setattr(SiteSet, "profiles", counting_profiles)
+    monkeypatch.setattr(SiteSet, "rows", counting_rows)
     rng = random.Random(11)
     pts = set()
     while len(pts) < 11:
         pts.add((rng.randint(0, 97), rng.randint(0, 97)))
     vc = voronoi_complex(SiteSet.build(2, sorted(pts)))
     assert len(vc.faces) > 11
-    assert calls == []
+    assert calls
+    calls.clear()
     assert vc.subspaces
-    assert len(calls) == 1
+    assert calls == [(i, whole_space(2)) for i in range(11)]
 
 
 @given(degenerate_site_sets())
@@ -599,9 +600,9 @@ def test_lazy_witnesses_match_the_eager_enumeration(sites):
 @example(SiteSet.build(2, _CIRCLE))
 @example(SiteSet.build(3, _SPHERE))
 @example(SiteSet.build(3, [(1, 0, 0), (0, 2, 0), (0, 0, 3), (4, 4, 1), (2, 5, 3)]))
-def test_cut_profiles_are_the_profiles_of_the_cut(sites):
-    # the span walk derives each child's profiles from its parent's: H(J)
-    # is H(J - max J) cut by profile max J minus profile min J
+def test_cut_rows_are_the_rows_of_the_cut(sites):
+    # the span walk derives each child's rows from its parent's: H(J) is
+    # H(J - max J) cut by row max J of min J's rows
     whole = whole_space(sites.dim)
     spans = {frozenset((i,)): whole for i in range(len(sites))} | voronoi_complex(sites).subspaces
     for key, child in spans.items():
@@ -609,24 +610,24 @@ def test_cut_profiles_are_the_profiles_of_the_cut(sites):
             continue
         indices = sorted(key)
         parent = spans[frozenset(indices[:-1])]
-        profiles = sites.profiles(parent)
-        (c_i, *l_i), (c_k, *l_k) = profiles[indices[0]], profiles[indices[-1]]
-        row = Constraint(tuple(map(sub, l_k, l_i)), c_k - c_i)
+        rows = sites.rows(indices[0], parent)
+        *coeffs, rhs = rows[indices[-1]]
+        row = Constraint(tuple(coeffs), rhs)
         assert parent.cut(row).integer_form == child.integer_form
         if any(row.coeffs):
-            derived = voronoi._cut_profiles(profiles, row, parent, child)
-        else:  # site max J shares profile min J on all of the parent
-            derived = profiles
-        assert derived == sites.profiles(child)
+            derived = voronoi._cut_rows(rows, row, parent, child)
+        else:  # site max J ties with min J on all of the parent
+            derived = rows
+        assert derived == sites.rows(indices[0], child)
 
 
 def recorded_exceptional_sets(sites):
-    """The span walk's partitions, checked against `_distance_partition`
-    over every span."""
+    """The span walk's partitions, checked against the partition of each
+    span by site 0's rows, built on the span itself."""
     subspaces, partitions = voronoi_complex(sites)._spans
     assert partitions == {
         key: partition for key, span in subspaces.items()
-        if (partition := voronoi._distance_partition(sites, span)) != {key}
+        if (partition := voronoi._partition(sites.rows(0, span))) != {key}
     }
     return partitions
 
