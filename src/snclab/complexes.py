@@ -12,8 +12,8 @@ unit-pivot reduction of intlinalg splits each boundary into identity
 pivots and a small residual block, and a k-cell that was a pivot row of
 the boundary above is cleared from the boundary below, whose remaining
 columns span the same lattice.  Ranks and torsion come from the Smith
-normal form of the residuals alone (`rank` counts its nonzero invariant
-factors), so homology runs on integers and makes no Fraction.
+normal form of the residuals alone, one per boundary, so homology runs on
+integers and makes no Fraction.
 
 Every nerve in the package (the simplicial complex of from_simplices, the
 Delaunay dual, the SNC dual complex, the resolver's nerve) is built here
@@ -34,7 +34,8 @@ from functools import cached_property
 from itertools import chain, combinations, cycle, groupby, repeat
 from typing import Iterable, Optional, Sequence
 
-from .intlinalg import IntMatrix, rank, reduce_unit_pivots, smith_normal_form
+# `rank` is unused here but stays bound: perfbench/tracer.py wraps complexes.rank
+from .intlinalg import SmithNormalForm, rank, reduce_unit_pivots, smith_normal_form
 from .jsonread import expect_object
 
 CellSpec = Sequence[Sequence[int]]
@@ -118,9 +119,10 @@ class DeltaComplex:
         return ((),) + tuple(tuple(map(_col, layer)) for layer in self.cells[1:])
 
     @cached_property
-    def _reduced(self) -> tuple[tuple[tuple[int, ...], IntMatrix], ...]:
-        """(unit pivot rows, residual block) of each boundary map, indexed by
-        dimension, reduced from the top dimension down with clearing.
+    def _reduced(self) -> tuple[tuple[tuple[int, ...], SmithNormalForm], ...]:
+        """(unit pivot rows, Smith normal form of the residual block) of each
+        boundary map d_k at index k - 1, k >= 1, reduced from the top
+        dimension down with clearing; ranks and torsion both read it.
 
         Before the boundary d_k is reduced, the columns of the k-cells that
         were pivot rows of d_(k+1) are dropped.  This keeps the lattice the
@@ -135,16 +137,17 @@ class DeltaComplex:
         """
         reduced = []
         cleared: frozenset[int] = frozenset()
-        for k in range(self.dim, -1, -1):
+        for k in range(self.dim, 0, -1):
             columns = [c for j, c in enumerate(self._columns[k]) if j not in cleared]
-            reduced.append(reduce_unit_pivots(columns, self.n_cells(k - 1)))
-            cleared = frozenset(reduced[-1][0])
+            pivots, residual = reduce_unit_pivots(columns, self.n_cells(k - 1))
+            reduced.append((pivots, smith_normal_form(residual)))
+            cleared = frozenset(pivots)
         return tuple(reversed(reduced))
 
     @cached_property
     def _ranks(self) -> tuple[int, ...]:
         """Rank of each boundary map C_k -> C_{k-1} for k = 0 .. dim + 1."""
-        inner = tuple(len(pivots) + rank(residual) for pivots, residual in self._reduced[1:])
+        inner = tuple(len(pivots) + snf.rank for pivots, snf in self._reduced)
         return (0,) + inner + (0,)
 
     def is_connected(self) -> bool:
@@ -160,7 +163,7 @@ class DeltaComplex:
         """H_k over the integers; out-of-range k gives the zero group."""
         if k < 0 or k > self.dim:
             return AbelianGroup(0)
-        torsion = smith_normal_form(self._reduced[k + 1][1]).nonzero if k < self.dim else ()
+        torsion = self._reduced[k][1].nonzero if k < self.dim else ()
         return AbelianGroup.from_invariant_factors(self.betti(k), torsion)
 
     def betti(self, k: int) -> int:

@@ -6,25 +6,26 @@ rows, with no common factor), and makes its Fraction point and basis only
 when they are read.  It compares and hashes by a canonical key (the
 primitive integer reduced row-echelon form of its equations, by
 `row_reduce`, the one elimination routine), computed once per object.
-Substituting an integer row into its parameters is integer arithmetic
-on that form; it meets a hyperplane by `cut`, given the hyperplane's row
-in its parameters, with no solve and no Fraction: the Voronoi
-enumeration and the subspace arrangement cut out each H(J + k) and each
-meet so, and no library path calls `intersect`, the Fraction fold.  The
-feasibility engine is Fourier-Motzkin elimination over mixed strict and
-non-strict inequalities on primitive integer rows, one routine for both
-entry points, and it runs in integers throughout.  `feasible` decides the
-last variable by comparing its tightest bounds as integer pairs;
-`feasible_point` goes on to back-substitute a witness, fixing each
-variable as a numerator over one common denominator from the same
-tightest-bounds routine, and makes one Fraction per returned coordinate.
-That is enough for the desk scales targeted here (a handful of
-variables, tens of constraints).
+A constraint has one format, the row (*a, b) for a.x <= b (a.x = b in a
+cut), integer for integer input.  `AffineSubspace.row` writes one in a
+subspace's parameters by integer arithmetic on its form, and `cut` meets
+the subspace with the hyperplane of such a row, with no solve and no
+Fraction: the Voronoi enumeration and the subspace arrangement cut out
+each H(J + k) and each meet so, and no library path calls `intersect`,
+the Fraction fold.  The feasibility engine takes (row, strict) pairs,
+strict for a.x < b: Fourier-Motzkin elimination over mixed strict and non-strict inequalities on primitive
+integer rows, one routine for both entry points, and it runs in integers
+throughout.  `feasible` decides the last variable by comparing its
+tightest bounds as integer pairs; `feasible_point` goes on to
+back-substitute a witness, fixing each variable as a numerator over one
+common denominator from the same tightest-bounds routine, and makes one
+Fraction per returned coordinate.  That is enough for the desk scales
+targeted here (a handful of variables, tens of constraints).
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -212,24 +213,32 @@ class AffineSubspace:
         normals = nullspace(basis, len(point))
         return normals, tuple(dot(nrm, point) / den for nrm in normals)
 
-    def cut(self, c: "Constraint") -> Optional["AffineSubspace"]:
-        """The meet with the hyperplane a.x = b, or None; c is its equation
-        in this subspace's parameters, Constraint(a, b).substitute(self),
-        integer when a and b are.  It pivots on c's first nonzero
-        coefficient and reads c only through ratios, so any positive or
-        negative multiple of c gives the same cut; a row with a Fraction
-        entry (an implicit equation, from `intersect`) is brought to its
-        primitive integer row first.  In `solve_affine`'s echelon form the
-        parameters are the free coordinates, and the cut keeps that form:
-        it is `solve_affine` on the stacked equations.  It runs in
-        integers: over the integer form (D, P, B) the new point is
+    def row(self, a: Sequence, b) -> tuple:
+        """The row (*coeffs, rhs) of a.x <= b, or of a.x = b, in this
+        subspace's parameters u: with x = (P + B u) / D (`integer_form`) it
+        is (a.B_0, ..., a.B_d-1, D b - a.P), D > 0 times the row in u, by
+        integer dot products when a and b are integers."""
+        den, point, basis = self.integer_form
+        return (*[sum(map(mul, a, v)) for v in basis], den * b - sum(map(mul, a, point)))
+
+    def cut(self, row: Sequence) -> Optional["AffineSubspace"]:
+        """The meet with the hyperplane a.x = b, or None; row is its equation
+        (*coeffs, rhs) in this subspace's parameters, `self.row(a, b)` or a
+        row of `SiteSet.rows`, integer when a and b are.  It pivots on the
+        first nonzero coefficient and reads the row only through ratios, so
+        any positive or negative multiple of it gives the same cut; a row
+        with a Fraction entry (an implicit equation, from `intersect`) is
+        brought to its primitive integer row first.  In `solve_affine`'s
+        echelon form the parameters are the free coordinates, and the cut
+        keeps that form: it is `solve_affine` on the stacked equations.  It
+        runs in integers: over the integer form (D, P, B) the new point is
         (lead P + rhs B_t) / (lead D) and each other basis vector
         (lead B_i - f_i B_t) / (lead D), with the gcd of all these
         numerators and lead D divided out, signed so that the new D is
         positive."""
-        coeffs, rhs = c.coeffs, c.rhs
-        if type(rhs) is Fraction or Fraction in map(type, coeffs):
-            *coeffs, rhs = primitive((*coeffs, rhs))
+        if Fraction in map(type, row):
+            row = primitive(row)
+        *coeffs, rhs = row
         for t, lead in enumerate(coeffs):
             if lead:
                 break
@@ -256,7 +265,7 @@ class AffineSubspace:
         equation of other in turn."""
         meet: Optional[AffineSubspace] = self
         for a, b in zip(*other.implicit()):
-            meet = meet.cut(Constraint(a, b).substitute(meet))
+            meet = meet.cut(meet.row(a, b))
             if meet is None:
                 break
         return meet
@@ -271,28 +280,6 @@ def _integral(den: int, point: tuple[int, ...], basis: tuple[tuple[int, ...], ..
 
 def whole_space(n: int) -> AffineSubspace:
     return _integral(1, (0,) * n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """coeffs . x <= rhs, or < rhs when strict; the entries are integers or
-    Fractions."""
-
-    coeffs: Sequence[int | Fraction]
-    rhs: int | Fraction
-    strict: bool = False
-
-    def substitute(self, subspace: AffineSubspace) -> "Constraint":
-        """Rewrite in the parameters of the subspace.  With x = (P + B u) / D
-        (its `integer_form`), a.x <= b becomes (a.B) u <= D b - a.P: the row
-        in u times D > 0, by integer dot products when a and b are integers."""
-        den, point, basis = subspace.integer_form
-        a = self.coeffs
-        return Constraint(
-            tuple(sum(map(mul, a, b)) for b in basis),
-            den * self.rhs - sum(map(mul, a, point)),
-            self.strict,
-        )
 
 
 def _tightest(rows, k: int, fixed: Sequence[int] = (), den: int = 1):
@@ -332,7 +319,7 @@ def _tightest(rows, k: int, fixed: Sequence[int] = (), den: int = 1):
     return lower, upper
 
 
-def _eliminate(constraints: Sequence[Constraint], nvars: int):
+def _eliminate(constraints: Sequence[tuple[Sequence, bool]], nvars: int):
     """Fourier-Motzkin elimination (Schrijver, Theory of Linear and Integer
     Programming, 1986, section 12.2) of variables 0..nvars-2.  Returns
     (levels, bounds), or None when the system is infeasible: levels[k]
@@ -343,7 +330,7 @@ def _eliminate(constraints: Sequence[Constraint], nvars: int):
     on that row; strictness propagates through combined rows.  The last
     level bounds the last variable alone, and the system is feasible when
     `_tightest` finds those bounds consistent."""
-    levels = [[(primitive((*c.coeffs, c.rhs)), c.strict) for c in constraints]]
+    levels = [[(primitive(row), strict) for row, strict in constraints]]
     for k in range(nvars - 1):
         uppers, lowers = [], []
         new: dict[tuple[int, ...], bool] = {}
@@ -368,14 +355,14 @@ def _eliminate(constraints: Sequence[Constraint], nvars: int):
     return None if bounds is None else (levels, bounds)
 
 
-def feasible(constraints: Sequence[Constraint], nvars: int) -> bool:
+def feasible(constraints: Sequence[tuple[Sequence, bool]], nvars: int) -> bool:
     """Whether some rational point satisfies every constraint: the
     elimination of `feasible_point` without its witness."""
     return _eliminate(constraints, nvars) is not None
 
 
-def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[Vector]:
-    """A rational point satisfying every constraint, or None.
+def feasible_point(constraints: Sequence[tuple[Sequence, bool]], nvars: int) -> Optional[Vector]:
+    """A rational point satisfying every (row, strict) pair, or None.
 
     The witness is back-substituted through `_eliminate`'s levels, last
     variable first, in integers: the variables already fixed are numerators

@@ -59,7 +59,6 @@ from .complexes import ComplexError, DeltaComplex, build_complex, nerve_cells
 from .jsonread import expect_list, expect_object, expect_rational
 from .qlinalg import (
     AffineSubspace,
-    Constraint,
     Vector,
     _tightest,
     feasible,
@@ -168,12 +167,12 @@ class SiteSet:
         """Site i's bisector rows substituted into span, one (*coeffs, rhs)
         per site k: over span's integer form (D, P, B), x = (P + B u) / D,
         row k is (a.B_0, ..., a.B_d-1, D b - a.P) for (a, b) =
-        `bisector(i, k)`, i.e. `Constraint(*bisector(i, k)).substitute(span)`,
-        integer for integer, each entry i's columns (b, *a) dotted with
-        (0, *B_t) or (D, *-P).  By the lifting map rhs - coeffs.u is
-        D L^2 (|x - y_k|^2 - |x - y_i|^2), an affine function of u, so two
-        sites are equidistant on all of span iff their rows agree, and the
-        sites equidistant to i have the zero row."""
+        `bisector(i, k)`, i.e. `span.row(*bisector(i, k))`, the row that
+        `cut` and (with strict) `feasible` take, each entry i's columns
+        (b, *a) dotted with (0, *B_t) or (D, *-P).  By the lifting map
+        rhs - coeffs.u is D L^2 (|x - y_k|^2 - |x - y_i|^2), affine in u,
+        so two sites are equidistant on all of span iff their rows agree,
+        and the sites equidistant to i have the zero row."""
         den, anchor, basis = span.integer_form
         columns = self._columns[i]
         return list(zip(*[_column_dots(columns, (0, *b)) for b in basis],
@@ -204,12 +203,12 @@ def _lattice_order(j_set: frozenset[int]) -> tuple[int, list[int]]:
 
 def _constraints(
     rows: Sequence[tuple[int, ...]], indices: Collection[int], strict: bool
-) -> list[Constraint]:
+) -> list[tuple[tuple[int, ...], bool]]:
     """The rows (`SiteSet.rows` of min(J) on H(J), J = indices) of the
-    sites k outside J, in ascending order, as constraints: strict ones are
-    the face test of J, non-strict ones cut out its closed face, the
-    closed cell of i when J = (i,)."""
-    return [Constraint(row[:-1], row[-1], strict) for k, row in enumerate(rows) if k not in indices]
+    sites k outside J, in ascending order, as the (row, strict) pairs that
+    `feasible` takes: strict ones are the face test of J, non-strict ones
+    cut out its closed face, the closed cell of i when J = (i,)."""
+    return [(row, strict) for k, row in enumerate(rows) if k not in indices]
 
 
 @dataclass(frozen=True)
@@ -313,10 +312,10 @@ class VoronoiComplex:
 
 def _line_children(
     rows: Sequence[tuple[int, int]], indices: Sequence[int]
-) -> tuple[bool, list[tuple[int, Constraint]]]:
+) -> tuple[bool, list[int]]:
     """On a line H(J), given the face test's rows (a, b) for every site k
     (`SiteSet.rows` of min(J), zero for k in J): whether J is a face, and the
-    later sites k, with their rows, whose children H(J + k) can have a
+    later sites k whose children H(J + k), cut by row k, can have a
     non-empty closed face, from one bound pass (`_tightest`) over the rows
     taken non-strict, where J's zero rows bound nothing.  The closed face
     is the segment those rows bound, and the open face, the strict rows'
@@ -337,7 +336,7 @@ def _line_children(
         a, b = rows[k]
         end = upper if a > 0 else lower
         if (a, b) == (0, 0) or a and end and b * end[1] == end[0] * a:
-            children.append((k, Constraint((a,), b)))
+            children.append(k)
     return is_face, children
 
 
@@ -385,13 +384,12 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
                 children = [(k, span) for k in later if closed and rows[k] == (0,)]
             elif span.dim == 1:
                 is_face, cuts = _line_children(rows, indices)
-                children = [(k, span.cut(row)) for k, row in cuts]
+                children = [(k, span.cut(rows[k])) for k in cuts]
             else:
                 is_face = len(indices) == 1 or feasible(
                     _constraints(rows, indices, True), span.dim)
                 closed = is_face or feasible(_constraints(rows, indices, False), span.dim)
-                children = [(k, span.cut(Constraint(rows[k][:-1], rows[k][-1])))
-                            for k in later if closed]
+                children = [(k, span.cut(rows[k])) for k in later if closed]
             if is_face:
                 key = frozenset(indices)
                 faces[key] = VoronoiFace(key, span, site_set.dim, site_set)
@@ -401,16 +399,17 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
 
 
 def _cut_rows(
-    rows: Sequence[tuple[int, ...]], row: Constraint, span: AffineSubspace,
+    rows: Sequence[tuple[int, ...]], row: tuple[int, ...], span: AffineSubspace,
     child: AffineSubspace,
 ) -> list[tuple[int, ...]]:
     """The rows (`SiteSet.rows`) on child = span.cut(row), derived from
-    those on span.  With pivot t, lead a_t, right-hand side b and the cut's
-    signed gcd g = a_t D / D' (D and D' the denominators of span and
-    child), each row (*l, c) becomes l'_i = (a_t l_i - a_i l_t) / g for
-    i != t and c' = (a_t c - b l_t) / g: the cut's new point and basis
-    vectors substituted into `SiteSet.rows`, integer for integer."""
-    coeffs, rhs = row.coeffs, row.rhs
+    those on span, for a row (*a, b) of them with some a_i nonzero.  With
+    pivot t, lead a_t and the cut's signed gcd g = a_t D / D' (D and D' the
+    denominators of span and child), each row (*l, c) becomes
+    l'_i = (a_t l_i - a_i l_t) / g for i != t and c' = (a_t c - b l_t) / g:
+    the cut's new point and basis vectors substituted into `SiteSet.rows`,
+    integer for integer."""
+    *coeffs, rhs = row
     t = next(i for i, a in enumerate(coeffs) if a)
     lead = coeffs[t]
     g = lead * span.integer_form[0] // child.integer_form[0]
@@ -445,7 +444,7 @@ def _span_walk(
         extended = []
         for indices, span, rows in level:
             for k in range(indices[-1] + 1, n):
-                row = Constraint(rows[k][:-1], rows[k][-1])
+                row = rows[k]
                 child = span.cut(row)
                 if child is None:
                     continue
@@ -510,11 +509,12 @@ def select_subcomplex(vc: VoronoiComplex, region: Region) -> tuple[int, ...]:
     The region is a finite union of closed rational simplices; emptiness
     of cell-meets-simplex is decided exactly via feasibility in barycentric
     coordinates.  Every region vertex is checked against the ambient
-    dimension first, and each simplex's hull is computed once; a cell's
-    closed rows are its bisector rows substituted into the hull
-    (`SiteSet.rows`).  Each (cell, simplex) test is one `feasible_point`
-    call, integer Fourier-Motzkin whose witness is back-substituted in
-    integers and then discarded.  An empty selection is a valid result.
+    dimension first, and each simplex's hull and barycentric rows are
+    built once; a cell's closed rows are its bisector rows substituted into
+    the hull (`SiteSet.rows`).  Each (cell, simplex) test is one
+    `feasible_point` call on both as non-strict pairs, integer
+    Fourier-Motzkin whose witness is back-substituted in integers and then
+    discarded.  An empty selection is a valid result.
     """
     m = vc.dim
     if any(len(p) != m for simplex in region for p in simplex):
@@ -528,9 +528,9 @@ def select_subcomplex(vc: VoronoiComplex, region: Region) -> tuple[int, ...]:
         hull = AffineSubspace(
             p0, tuple(tuple(x - y for x, y in zip(v, p0)) for v in simplex[1:])
         )
-        barycentric = [Constraint(tuple(-int(u == v) for u in range(1, k)), 0)
-                       for v in range(1, k)]
-        hulls.append((hull, [*barycentric, Constraint((1,) * (k - 1), 1)]))
+        # -lambda_v <= 0 for each v, and lambda_1 + ... + lambda_k-1 <= 1
+        barycentric = [((*[-int(u == v) for u in range(1, k)], 0), False) for v in range(1, k)]
+        hulls.append((hull, [*barycentric, ((1,) * k, False)]))
     selected = []
     for i in vc.cell_indices():
         for hull, barycentric in hulls:
@@ -687,8 +687,7 @@ class SubspaceArrangement:
         if pair not in self._meets:
             span, first = self.spans[j1], min(j2)
             for k in sorted(j2 - {first}):
-                row = Constraint(*self.sites.bisector(first, k))
-                span = span and span.cut(row.substitute(span))
+                span = span and span.cut(span.row(*self.sites.bisector(first, k)))
             self._meets[pair] = span, span and _partition(self.sites.rows(first, span))
         return self._meets[pair]
 

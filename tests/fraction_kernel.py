@@ -1,10 +1,13 @@
 """Earlier versions of the geometry kernel, kept as test oracles.
 
-`feasible_point` is Fourier-Motzkin elimination with every row normalized
-by the absolute value of its leading coefficient, and `substitute` writes
-a constraint in a subspace's parameters x = p + B u by Fraction dot
-products.  The integer kernel in `snclab.qlinalg` must return exactly the
-same witnesses, and rows equal to these up to a positive scale.
+`Constraint` is the oracle's own row type, coeffs . x <= rhs (or < rhs
+when strict); the engine takes the same constraints as the (row, strict)
+pairs of `pairs`.  `feasible_point` is Fourier-Motzkin
+elimination with every row normalized by the absolute value of its
+leading coefficient, and `substitute` writes a constraint in a subspace's
+parameters x = p + B u by Fraction dot products.  The integer kernel in
+`snclab.qlinalg` must return exactly the same witnesses, and rows equal to
+these up to a positive scale.
 
 `cut` meets a subspace with a hyperplane given in its parameters, making
 one Fraction per coordinate of the result over the least common
@@ -29,8 +32,29 @@ from math import lcm
 from typing import Optional, Sequence
 
 from snclab import qlinalg
-from snclab.qlinalg import AffineSubspace, Constraint, Vector, dot, vec, whole_space
+from snclab.qlinalg import AffineSubspace, Vector, dot, vec, whole_space
 from snclab.voronoi import SiteSet, VoronoiComplex
+
+
+@dataclass(frozen=True)
+class Constraint:
+    """coeffs . x <= rhs, or < rhs when strict; the entries are integers or
+    Fractions."""
+
+    coeffs: Sequence
+    rhs: object
+    strict: bool = False
+
+    @property
+    def row(self) -> tuple:
+        """(*coeffs, rhs), the row format of the engine."""
+        return (*self.coeffs, self.rhs)
+
+
+def pairs(constraints: Sequence[Constraint]) -> list[tuple]:
+    """The (row, strict) pairs that the engine's `feasible` and
+    `feasible_point` take."""
+    return [(c.row, c.strict) for c in constraints]
 
 
 def substitute(c: Constraint, subspace: AffineSubspace) -> Constraint:
@@ -193,11 +217,11 @@ def voronoi_complex(
             if len(indices) >= 2:
                 subspaces[key] = span
             cuts = {
-                k: Constraint(*site_set.bisector(indices[0], k), strict=True).substitute(span)
+                k: substitute(Constraint(*site_set.bisector(indices[0], k), strict=True), span)
                 for k in range(n)
                 if k not in indices
             }
-            witness_params = qlinalg.feasible_point(list(cuts.values()), span.dim)
+            witness_params = qlinalg.feasible_point(pairs(cuts.values()), span.dim)
             if witness_params is not None:
                 witness = span.parametrize(witness_params)
                 faces[key] = VoronoiFace(key, span, witness, site_set.dim)

@@ -34,6 +34,7 @@ from snclab.complexes import (
     from_simplices,
     nerve_cells,
 )
+from snclab import complexes, intlinalg
 from snclab.intlinalg import IntMatrix, smith_normal_form
 from snf_oracle import matmul, zero
 
@@ -371,6 +372,24 @@ TORSION_AND_CLEARING = [
     ("repeated_faces_z3", build_complex([[None], [[0, 0], [0, 0]], [[0, 1, 0], [1, 0, 1]]])),
     ("cancelling_face", build_complex([[None] * 2, [[1, 0], [0, 0]], [[0, 0, 1]]])),
 ]
+
+
+def test_one_smith_normal_form_per_boundary(monkeypatch):
+    # Betti numbers and torsion read one cached Smith normal form of each
+    # boundary's residual; every route to the form is counted
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+    monkeypatch.setattr(complexes, "smith_normal_form", counted)
+    k = from_simplices(suspension(RP2_FACES, 7, 8))
+    assert k.all_betti() == (1, 0, 0, 0)
+    groups = [k.homology(d) for d in range(k.dim + 1)]
+    assert groups == [AbelianGroup(1), AbelianGroup(0), AbelianGroup(0, (2,)), AbelianGroup(0)]
+    assert len(calls) == k.dim == 3
 
 
 @pytest.mark.parametrize(

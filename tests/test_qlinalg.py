@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_kernel
+from fraction_kernel import Constraint, pairs
 from snclab.qlinalg import (
     AffineSubspace,
-    Constraint,
     dot,
     feasible,
     feasible_point,
@@ -93,7 +93,7 @@ def test_feasible_point_simple_polytope():
         Constraint((F(0), F(1)), F(1)),
         Constraint((F(1), F(1)), F(3, 2), strict=True),
     ]
-    w = feasible_point(cs, 2)
+    w = feasible_point(pairs(cs), 2)
     assert w is not None
     for c in cs:
         value = dot(c.coeffs, w)
@@ -106,16 +106,16 @@ def test_infeasible_strict_system():
         Constraint((F(1),), F(0), strict=True),
         Constraint((F(-1),), F(0), strict=True),
     ]
-    assert feasible_point(cs, 1) is None
+    assert feasible_point(pairs(cs), 1) is None
     # x <= 0 and x >= 0 meets only at 0, which a strict constraint kills
     cs2 = [
         Constraint((F(1),), F(0)),
         Constraint((F(-1),), F(0)),
         Constraint((F(1),), F(0), strict=True),
     ]
-    assert feasible_point(cs2, 1) is None
+    assert feasible_point(pairs(cs2), 1) is None
     cs3 = [Constraint((F(1),), F(0)), Constraint((F(-1),), F(0))]
-    assert feasible_point(cs3, 1) == (F(0),)
+    assert feasible_point(pairs(cs3), 1) == (F(0),)
 
 
 def test_unbounded_directions():
@@ -124,7 +124,7 @@ def test_unbounded_directions():
         Constraint((F(-1), F(0)), F(-5)),
         Constraint((F(1), F(-1)), F(0), strict=True),
     ]
-    w = feasible_point(cs, 2)
+    w = feasible_point(pairs(cs), 2)
     assert w is not None and w[0] >= 5 and w[1] > w[0]
 
 
@@ -139,7 +139,7 @@ def test_randomized_witness_soundness():
             cs.append(
                 Constraint(coeffs, F(rng.randint(-4, 4)), strict=rng.random() < 0.4)
             )
-        w = feasible_point(cs, n)
+        w = feasible_point(pairs(cs), n)
         if w is None:
             # soundness of infeasibility is cross-checked by sampling
             for _ in range(40):
@@ -198,7 +198,7 @@ def rational_systems(draw):
 @example((2, [Constraint((2, 1), 3), Constraint((-1, 0), 0), Constraint((0, -1), 0)]))
 def test_integer_feasible_point_is_the_fraction_oracle(drawn):
     n, system = drawn
-    witness = feasible_point(system, n)
+    witness = feasible_point(pairs(system), n)
     expected = fraction_kernel.feasible_point(system, n)
     assert witness == expected
     # a float would compare equal to a Fraction of the same value
@@ -213,7 +213,7 @@ def test_integer_feasible_point_is_the_fraction_oracle(drawn):
 @example((0, [Constraint((), F(0), strict=True)]))
 def test_feasible_decides_as_the_fraction_oracle(drawn):
     n, system = drawn
-    assert feasible(system, n) == (fraction_kernel.feasible_point(system, n) is not None)
+    assert feasible(pairs(system), n) == (fraction_kernel.feasible_point(system, n) is not None)
 
 
 @st.composite
@@ -228,7 +228,7 @@ def fold_cuts(n, system):
     """The whole space cut by each row of system in turn, or None."""
     sub = whole_space(n)
     for a, b in system:
-        sub = sub.cut(Constraint(vec(a), F(b)).substitute(sub))
+        sub = sub.cut(sub.row(vec(a), F(b)))
         if sub is None:
             return None
     return sub
@@ -304,7 +304,7 @@ def spans_and_cuts(draw):
 @example((AffineSubspace((F(1, 3), F(2, 7)), whole_space(2).basis), Constraint((-3, 2), F(5, 2))))
 def test_integer_cut_is_the_fraction_cut(drawn):
     span, c = drawn
-    got, want = span.cut(c), fraction_kernel.cut(span, c)
+    got, want = span.cut(c.row), fraction_kernel.cut(span, c)
     if want is None or want is span:
         assert got is want
         return
@@ -313,6 +313,21 @@ def test_integer_cut_is_the_fraction_cut(drawn):
     assert got == want and hash(got) == hash(want)
     den, point, basis = got.integer_form
     assert den > 0 and gcd(den, *point, *(x for b in basis for x in b)) == 1
+
+
+@given(spans_and_cuts(), st.data())
+def test_row_is_the_fraction_substitution_scaled(drawn, data):
+    # a.x <= b in the span's parameters is the Fraction substitution times
+    # the span's denominator D, and integer for integer a and b
+    span, _ = drawn
+    entry = st.one_of(st.integers(-4, 4), RATIONAL)
+    a = data.draw(st.tuples(*[entry] * span.ambient_dim))
+    b = data.draw(entry)
+    got = span.row(a, b)
+    want = fraction_kernel.substitute(Constraint(a, b), span).row
+    assert got == tuple(span.integer_form[0] * x for x in want)
+    if all(type(x) is int for x in (*a, b)):
+        assert all(type(x) is int for x in got)
 
 
 def test_spans_from_ints_and_fractions_are_one_span():

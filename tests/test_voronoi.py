@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fraction_kernel
+from fraction_kernel import Constraint, pairs
 from corpus import (
     FOUR_SITES_1D,
     HIDDEN_CONTAINMENTS,
@@ -23,7 +24,7 @@ from corpus import (
 )
 from snclab.complexes import AbelianGroup
 from snclab.presentations import abelianization, pi1_presentation
-from snclab.qlinalg import AffineSubspace, Constraint, dot, feasible_point, whole_space
+from snclab.qlinalg import AffineSubspace, dot, feasible_point, whole_space
 from snclab import voronoi
 from snclab.voronoi import (
     GenericityError,
@@ -140,15 +141,12 @@ def test_integer_substitution_is_the_fraction_substitution_scaled():
             yi, yk = sites.sites[i], sites.sites[k]
             rational = Constraint(tuple(2 * (b - a) for a, b in zip(yi, yk)), dot(yk, yk) - dot(yi, yi))
             want = fraction_kernel.substitute(rational, span)
-            got = Constraint(*sites.bisector(i, k)).substitute(span)
+            got = span.row(*sites.bisector(i, k))
             # the same row is row k of site i's rows on the span
-            *coeffs, rhs = sites.rows(i, span)[k]
-            assert got.coeffs == tuple(coeffs)
-            assert got.rhs == rhs
+            assert sites.rows(i, span)[k] == got
             factor = scale * scale * span.integer_form[0]
-            assert got.coeffs == tuple(factor * x for x in want.coeffs)
-            assert got.rhs == factor * want.rhs
-            assert all(type(x) is int for x in (*got.coeffs, got.rhs))
+            assert got == tuple(factor * x for x in want.row)
+            assert all(type(x) is int for x in got)
             checked += 1
     assert checked > 1000
 
@@ -271,7 +269,7 @@ def test_closed_face_intersections_stay_in_lattice():
                     continue
                 coeffs, rhs = sites.bisector(base, k)
                 constraints.append(Constraint(coeffs, rhs, strict=False))
-            witness = feasible_point(constraints, sites.dim)
+            witness = feasible_point(pairs(constraints), sites.dim)
             if witness is None:
                 continue
             nearest = nearest_set(sites, witness)
@@ -326,7 +324,8 @@ def test_select_systems_match_the_fraction_oracle(dim, n, seed, monkeypatch):
 
     def checked(constraints, nvars):
         witness = feasible_point(constraints, nvars)
-        assert witness == fraction_kernel.feasible_point(constraints, nvars)
+        oracle = [Constraint(row[:-1], row[-1], strict) for row, strict in constraints]
+        assert witness == fraction_kernel.feasible_point(oracle, nvars)
         witnesses.append(witness)
         return witness
 
@@ -465,7 +464,7 @@ def brute_force_voronoi(sites: SiteSet):
             if size >= 2:
                 subspaces[key] = span
             constraints = [
-                Constraint(*sites.bisector(indices[0], k), strict=True).substitute(span)
+                (span.row(*sites.bisector(indices[0], k)), True)
                 for k in range(n)
                 if k not in indices
             ]
@@ -611,10 +610,9 @@ def test_cut_rows_are_the_rows_of_the_cut(sites):
         indices = sorted(key)
         parent = spans[frozenset(indices[:-1])]
         rows = sites.rows(indices[0], parent)
-        *coeffs, rhs = rows[indices[-1]]
-        row = Constraint(tuple(coeffs), rhs)
+        row = rows[indices[-1]]
         assert parent.cut(row).integer_form == child.integer_form
-        if any(row.coeffs):
+        if any(row[:-1]):
             derived = voronoi._cut_rows(rows, row, parent, child)
         else:  # site max J ties with min J on all of the parent
             derived = rows
@@ -676,6 +674,42 @@ def test_face_walk_is_output_sensitive(monkeypatch, seed, n, dim, hi, spans):
     edges = sum(face.dim == 1 for face in vc.faces.values())
     assert len(cuts) <= n * (n - 1) // 2 + below_faces + 2 * edges
     assert len(vc.subspaces) == spans
+
+
+@pytest.mark.parametrize("name", ["planar11", "crossing_axes"])
+def test_walks_and_meets_cut_with_plain_integer_rows(monkeypatch, name):
+    # the face walk, the span walk and the disjoint meets hand `cut` the
+    # row format of SiteSet.rows: a tuple of Python ints, no wrapper object
+    if name == "planar11":
+        rng = random.Random(11)
+        pts = set()
+        while len(pts) < 11:
+            pts.add((rng.randint(0, 97), rng.randint(0, 97)))
+        sites = SiteSet.build(2, sorted(pts))
+    else:
+        sites = HIDDEN_CONTAINMENTS[name]
+    rows = []
+    cut = AffineSubspace.cut
+
+    def recorded(span, row):
+        rows.append(row)
+        return cut(span, row)
+
+    monkeypatch.setattr(AffineSubspace, "cut", recorded)
+
+    def plain():
+        assert rows and all(type(r) is tuple and all(type(x) is int for x in r) for r in rows)
+        rows.clear()
+
+    vc = voronoi_complex(sites)
+    plain()
+    assert vc.subspaces
+    plain()
+    arrangement = vc.arrangement
+    lines = [r.sites for r in arrangement.records_by_dim if r.dim == 1]
+    meets = [arrangement.meet(a, b) for a, b in combinations(lines, 2) if not a & b]
+    assert any(meet is not None for meet in meets)
+    plain()
 
 
 def test_equal_faces_hash_equal():
