@@ -16,8 +16,10 @@ and arrangements", 1986), each site's squared distance on a subspace is
 an affine function of its parameters, and row k is site k's minus site
 i's, so the rows of any one site group the sites by distance.  The face
 test of J, a face's witness and `select_subcomplex` read the rows of
-min(J); the span walk derives them through each cut, and the
-arrangement's distance classes group the sites by them.  So the face
+min(J), and the arrangement's distance classes group the sites by them.
+Both walks build rows only at the whole space and derive each child's
+from its parent's (`_cut_rows`), so they carry min(J)'s rows on H(J) up
+to one positive factor, which none of their readers sees.  So the face
 lattice is decided in integers: on a point H(J) by the signs of the rows,
 on a line by one pass over the bounds, elsewhere by integer
 Fourier-Motzkin (`feasible`).  Each H(J) is held in its integer form, so
@@ -28,7 +30,8 @@ read.
 Two walks extend index sets level by level, one site at a time: H(J + k)
 is H(J) cut by the bisector of min(J) and k substituted into H(J), so
 nothing is solved.  The face walk (`voronoi_complex`) extends J only while
-its closed face is non-empty, so its work follows the number of faces.
+its closed face is non-empty, and cuts H(J) out only when J is a face or
+has children, so its work follows the number of faces.
 The span walk (`_span_walk`) visits every non-empty H(J) and records the
 exceptional sets E; a complex runs it on first use, which `voronoi
 classify`, `snc`, `resolve embed` and `pipeline` do and `voronoi build`,
@@ -53,6 +56,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, repeat
 from math import lcm
+from operator import sub
 from typing import Collection, Iterable, Optional, Sequence
 
 from .complexes import ComplexError, DeltaComplex, build_complex, nerve_cells
@@ -314,14 +318,16 @@ def _line_children(
     rows: Sequence[tuple[int, int]], indices: Sequence[int]
 ) -> tuple[bool, list[int]]:
     """On a line H(J), given the face test's rows (a, b) for every site k
-    (`SiteSet.rows` of min(J), zero for k in J): whether J is a face, and the
-    later sites k whose children H(J + k), cut by row k, can have a
-    non-empty closed face, from one bound pass (`_tightest`) over the rows
-    taken non-strict, where J's zero rows bound nothing.  The closed face
-    is the segment those rows bound, and the open face, the strict rows'
-    segment, is its interior unless a row outside J is 0 <= 0 (site k ties
-    with J on the whole line).  A child's closed face lies on row k, so it
-    is empty unless row k attains an end of the segment or ties."""
+    (`SiteSet.rows` of min(J) up to one positive factor, zero for k in J):
+    whether J is a face, and the later sites k whose children H(J + k),
+    cut by row k, can have a non-empty closed face, from one bound pass
+    (`_tightest`) over the rows taken non-strict, where J's zero rows bound
+    nothing.  Bounds and ends are ratios b / a, which the factor does not
+    move.  The closed face is the segment those rows bound, and the open
+    face, the strict rows' segment, is its interior unless a row outside J
+    is 0 <= 0 (site k ties with J on the whole line).  A child's closed
+    face lies on row k, so it is empty unless row k attains an end of the
+    segment or ties."""
     bounds = _tightest(zip(rows, repeat(False)), 0)
     if bounds is None:
         return False, []
@@ -348,8 +354,13 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
     By the lifting map the closed face of J on H(J) is where no row of
     min(J) is negative; it only shrinks as J grows, so once it is empty
     no superset of J is a face.  Row k of the face test, like the cut for
-    H(J + k), is the bisector row of min(J) and k substituted into H(J)
-    (`SiteSet.rows`), from bisector columns built once per site set:
+    H(J + k), is the bisector row of min(J) and k substituted into H(J),
+    read up to one positive factor: `SiteSet.rows` builds each site's rows
+    on the whole space, and a child J + k derives its rows from its
+    parent's when it is visited (`_cut_rows`), so one rows list is held per
+    parent with children.  The child's dimension is its rows' width, so
+    H(J) is cut out of its parent only once J is known to be a face or to
+    have children, one cut per kept index set:
 
     - |J| = 1: the site is the only site nearest to itself, so its cell is
       a face, with no elimination.
@@ -358,10 +369,10 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
       when no row is negative; H(J + k) is the same point when row k is
       zero.
     - a line H(J): one bound pass decides the face and names the children
-      to cut (`_line_children`); the others are never built.
+      to visit (`_line_children`); the others are never derived.
     - a larger H(J): `feasible` (integer Fourier-Motzkin) on the strict
       rows, and only when it fails, on the rows taken non-strict; a
-      non-empty closed face cuts every child.
+      non-empty closed face visits every child.
 
     The cuts (`AffineSubspace.cut`) visit the index sets in `combinations`
     order and keep `solve_affine`'s echelon form, so each face's span
@@ -372,51 +383,76 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
     n = len(site_set)
     faces: dict[frozenset[int], VoronoiFace] = {}
     whole = whole_space(site_set.dim)
-    level = [((i,), whole) for i in range(n)]
+    # (J, H(J - k), rows there, k = max J), or (J, H(J), None, None) for |J| = 1
+    level = [((i,), whole, None, None) for i in range(n)]
     while level:
         extended = []
-        for indices, span in level:
-            rows = site_set.rows(indices[0], span)
+        for indices, parent, parent_rows, k in level:
+            if parent_rows is None:
+                rows = site_set.rows(indices[0], parent)
+            else:
+                rows = _cut_rows(parent_rows, parent_rows[k])
+                if rows is None:
+                    continue
+            dim = len(rows[0]) - 1
             later = range(indices[-1] + 1, n)
-            if not span.dim:
+            if not dim:
                 closed = min(rows) >= (0,)
                 is_face = closed and rows.count((0,)) == len(indices)
-                children = [(k, span) for k in later if closed and rows[k] == (0,)]
-            elif span.dim == 1:
-                is_face, cuts = _line_children(rows, indices)
-                children = [(k, span.cut(rows[k])) for k in cuts]
+                children = [c for c in later if closed and rows[c] == (0,)]
+            elif dim == 1:
+                is_face, children = _line_children(rows, indices)
             else:
                 is_face = len(indices) == 1 or feasible(
-                    _constraints(rows, indices, True), span.dim)
-                closed = is_face or feasible(_constraints(rows, indices, False), span.dim)
-                children = [(k, span.cut(rows[k])) for k in later if closed]
+                    _constraints(rows, indices, True), dim)
+                closed = is_face or feasible(_constraints(rows, indices, False), dim)
+                children = list(later) if closed else []
+            if not (is_face or children):
+                continue
+            span = parent if parent_rows is None or rows is parent_rows else parent.cut(
+                parent_rows[k])
             if is_face:
                 key = frozenset(indices)
                 faces[key] = VoronoiFace(key, span, site_set.dim, site_set)
-            extended.extend((indices + (k,), child) for k, child in children if child is not None)
+            extended.extend((indices + (c,), span, rows, c) for c in children)
         level = extended
     return VoronoiComplex(site_set, faces)
 
 
 def _cut_rows(
-    rows: Sequence[tuple[int, ...]], row: tuple[int, ...], span: AffineSubspace,
-    child: AffineSubspace,
-) -> list[tuple[int, ...]]:
-    """The rows (`SiteSet.rows`) on child = span.cut(row), derived from
-    those on span, for a row (*a, b) of them with some a_i nonzero.  With
-    pivot t, lead a_t and the cut's signed gcd g = a_t D / D' (D and D' the
-    denominators of span and child), each row (*l, c) becomes
-    l'_i = (a_t l_i - a_i l_t) / g for i != t and c' = (a_t c - b l_t) / g:
-    the cut's new point and basis vectors substituted into `SiteSet.rows`,
-    integer for integer."""
+    rows: Sequence[tuple[int, ...]], row: tuple[int, ...]
+) -> Optional[Sequence[tuple[int, ...]]]:
+    """The rows on span.cut(row), derived from rows, one site's rows on
+    the span (`SiteSet.rows`, up to one positive factor), and row, one of
+    them: rows itself for a `0 = 0` row and None for `0 = b`, b != 0, as
+    `AffineSubspace.cut` returns the span or None.  With pivot t, the
+    first nonzero a_t, and the row negated if need be so that
+    lead = a_t > 0, each row (*l, c) becomes l'_i = lead l_i - a_i l_t for
+    i != t and c' = lead c - b l_t: the cut's new point and basis vectors
+    substituted into the rows, times one more positive factor, with no
+    division.  Every reader of the walks' rows reads them up to that
+    factor: the signs and zeros of a point's rows, the bounds and end test
+    of `_line_children`, `feasible`, which makes each row primitive, and
+    the span walk's count of distinct rows and `_partition`."""
     *coeffs, rhs = row
-    t = next(i for i, a in enumerate(coeffs) if a)
-    lead = coeffs[t]
-    g = lead * span.integer_form[0] // child.integer_form[0]
+    for t, lead in enumerate(coeffs):
+        if lead:
+            break
+    else:
+        return rows if rhs == 0 else None
+    if lead < 0:
+        lead, rhs, coeffs = -lead, -rhs, [-a for a in coeffs]
+    # fixed-width branches for a line and a plane, the common spans
+    if len(coeffs) == 1:
+        return [(lead * c - rhs * l,) for l, c in rows]
+    if len(coeffs) == 2:
+        if t == 0:
+            a = coeffs[1]
+            return [(lead * l1 - a * l0, lead * c - rhs * l0) for l0, l1, c in rows]
+        a = coeffs[0]
+        return [(lead * l0 - a * l1, lead * c - rhs * l1) for l0, l1, c in rows]
     others = [(i, a) for i, a in enumerate(coeffs) if i != t]
-    if not others:  # a line cut to a point, the most common cut
-        return [((lead * r[-1] - rhs * r[t]) // g,) for r in rows]
-    return [(*[(lead * r[i] - a * r[t]) // g for i, a in others], (lead * r[-1] - rhs * r[t]) // g)
+    return [(*[lead * r[i] - a * r[t] for i, a in others], lead * r[-1] - rhs * r[t])
             for r in rows]
 
 
@@ -427,14 +463,15 @@ def _span_walk(
     distance partitions of those in E.
 
     The walk visits the J of `voronoi_complex` with no face test: level by
-    level, H(J + k) is H(J) cut by row k of min(J)'s rows on H(J)
-    (`SiteSet.rows`), for every later k.  Rows are built from the sites only
-    at the whole space, once per site; each child's are derived from its
-    parent's through the cut (`_cut_rows`).  The sites of J share the zero
-    row on H(J), so J is outside E exactly when the rows take n - |J| + 1
-    distinct values, and only E's partitions are recorded.  A point outside
-    E has no child, since no other site shares J's row, so it is never kept
-    for the next level."""
+    level, H(J + k) is H(J) cut by row k of min(J)'s rows on H(J), for
+    every later k.  Rows are built from the sites (`SiteSet.rows`) only at
+    the whole space, once per site; each child's are derived from its
+    parent's, up to one positive factor, by the face walk's kernel
+    (`_cut_rows`).  The sites of J share the zero row on H(J), so J is
+    outside E exactly when the rows take n - |J| + 1 distinct values, and
+    only E's partitions are recorded.  A point outside E has no child,
+    since no other site shares J's row, so it is never kept for the next
+    level."""
     n = len(site_set)
     whole = whole_space(site_set.dim)
     subspaces: dict[frozenset[int], AffineSubspace] = {}
@@ -445,10 +482,10 @@ def _span_walk(
         for indices, span, rows in level:
             for k in range(indices[-1] + 1, n):
                 row = rows[k]
-                child = span.cut(row)
-                if child is None:
+                derived = _cut_rows(rows, row)
+                if derived is None:
                     continue
-                derived = rows if child is span else _cut_rows(rows, row, span, child)
+                child = span if derived is rows else span.cut(row)
                 key = frozenset(indices + (k,))
                 subspaces[key] = child
                 exceptional = len(set(derived)) != n - len(key) + 1
@@ -509,9 +546,11 @@ def select_subcomplex(vc: VoronoiComplex, region: Region) -> tuple[int, ...]:
     The region is a finite union of closed rational simplices; emptiness
     of cell-meets-simplex is decided exactly via feasibility in barycentric
     coordinates.  Every region vertex is checked against the ambient
-    dimension first, and each simplex's hull and barycentric rows are
-    built once; a cell's closed rows are its bisector rows substituted into
-    the hull (`SiteSet.rows`).  Each (cell, simplex) test is one
+    dimension first, and each simplex's hull, barycentric rows and site 0's
+    bisector rows substituted into the hull (`SiteSet.rows`) are built
+    once.  Bisector rows are linear in the sites, so a cell i's closed rows
+    there are site 0's rows minus site 0's row i, entry by entry, exactly
+    `SiteSet.rows(i, hull)`.  Each (cell, simplex) test is one
     `feasible_point` call on both as non-strict pairs, integer
     Fourier-Motzkin whose witness is back-substituted in integers and then
     discarded.  An empty selection is a valid result.
@@ -530,12 +569,13 @@ def select_subcomplex(vc: VoronoiComplex, region: Region) -> tuple[int, ...]:
         )
         # -lambda_v <= 0 for each v, and lambda_1 + ... + lambda_k-1 <= 1
         barycentric = [((*[-int(u == v) for u in range(1, k)], 0), False) for v in range(1, k)]
-        hulls.append((hull, [*barycentric, ((1,) * k, False)]))
+        hulls.append((hull.dim, vc.sites.rows(0, hull), [*barycentric, ((1,) * k, False)]))
     selected = []
     for i in vc.cell_indices():
-        for hull, barycentric in hulls:
-            rows = _constraints(vc.sites.rows(i, hull), (i,), False)
-            if feasible_point([*rows, *barycentric], hull.dim) is not None:
+        for dim, base, barycentric in hulls:
+            own = base[i]
+            rows = _constraints([tuple(map(sub, row, own)) for row in base], (i,), False)
+            if feasible_point([*rows, *barycentric], dim) is not None:
                 selected.append(i)
                 break
     return tuple(selected)

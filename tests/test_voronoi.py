@@ -342,6 +342,47 @@ def test_select_systems_match_the_fraction_oracle(dim, n, seed, monkeypatch):
     assert witnesses[0] == (F(0),)  # cell 0 meets the boundary segment at m alone
 
 
+def test_select_builds_rows_once_per_simplex(monkeypatch):
+    # cell i's rows on a simplex's hull are site 0's rows there minus site
+    # 0's row i, entry by entry: one SiteSet.rows call per region simplex,
+    # and every system holds cell i's own rows on the hull
+    rng = random.Random(31)
+    pts = set()
+    while len(pts) < 7:
+        pts.add((rng.randint(0, 10**6), rng.randint(0, 10**6)))
+    sites = SiteSet.build(2, sorted(pts))
+    vc = voronoi_complex(sites)
+    a, b, c, d = sites.sites[:4]
+    region = ((a, b, c), (), (d,), (b, d), (a, a, c))
+    calls, systems = [], []
+    rows = SiteSet.rows
+
+    def counting_rows(site_set, i, span):
+        calls.append(span)
+        return rows(site_set, i, span)
+
+    def recorded(constraints, nvars):
+        witness = feasible_point(constraints, nvars)
+        systems.append((constraints, witness))
+        return witness
+
+    monkeypatch.setattr(SiteSet, "rows", counting_rows)
+    monkeypatch.setattr(voronoi, "feasible_point", recorded)
+    selected = select_subcomplex(vc, region)
+    assert len(calls) == 4
+    monkeypatch.setattr(SiteSet, "rows", rows)
+    for i in range(len(sites)):
+        for hull in calls:
+            system, witness = systems.pop(0)
+            own = [(row, False) for k, row in enumerate(sites.rows(i, hull)) if k != i]
+            assert system[:len(own)] == own
+            if witness is not None:
+                break
+    assert systems == []
+    # a vertex lies in the closed cells of its nearest sites
+    assert {i for simplex in region for p in simplex for i in nearest_set(sites, p)} <= set(selected)
+
+
 def test_classify_triangle_cell0():
     vc = voronoi_complex(TRIANGLE_SITES)
     rep = classify_subspaces(vc, 0)
@@ -559,9 +600,8 @@ def test_enumeration_solves_only_nonempty_subspaces(monkeypatch):
 
 
 def test_span_walk_builds_rows_only_at_the_whole_space(monkeypatch):
-    # the face walk substitutes min(J)'s bisector rows into each H(J); the
-    # span walk builds each site's rows on the whole space, n calls, and
-    # derives every child's through the cut
+    # each walk builds each site's rows on the whole space, n calls, and
+    # derives every child's from its parent's
     calls = []
     rows = SiteSet.rows
 
@@ -576,7 +616,7 @@ def test_span_walk_builds_rows_only_at_the_whole_space(monkeypatch):
         pts.add((rng.randint(0, 97), rng.randint(0, 97)))
     vc = voronoi_complex(SiteSet.build(2, sorted(pts)))
     assert len(vc.faces) > 11
-    assert calls
+    assert calls == [(i, whole_space(2)) for i in range(11)]
     calls.clear()
     assert vc.subspaces
     assert calls == [(i, whole_space(2)) for i in range(11)]
@@ -595,13 +635,26 @@ def test_lazy_witnesses_match_the_eager_enumeration(sites):
     )
 
 
+def assert_positive_multiple(rows, expected):
+    """rows == c * expected, entry by entry, for one rational c > 0."""
+    assert len(rows) == len(expected)
+    flat = [x for r in expected for x in r]
+    pivot = next((j for j, x in enumerate(flat) if x), None)
+    if pivot is None:
+        assert all(not any(r) for r in rows)
+        return
+    c = F([x for r in rows for x in r][pivot], flat[pivot])
+    assert c > 0
+    assert rows == [tuple(c * x for x in r) for r in expected]
+
+
 @given(degenerate_site_sets())
 @example(SiteSet.build(2, _CIRCLE))
 @example(SiteSet.build(3, _SPHERE))
 @example(SiteSet.build(3, [(1, 0, 0), (0, 2, 0), (0, 0, 3), (4, 4, 1), (2, 5, 3)]))
 def test_cut_rows_are_the_rows_of_the_cut(sites):
-    # the span walk derives each child's rows from its parent's: H(J) is
-    # H(J - max J) cut by row max J of min J's rows
+    # both walks derive each child's rows from its parent's, up to one
+    # positive factor: H(J) is H(J - max J) cut by row max J of min J's rows
     whole = whole_space(sites.dim)
     spans = {frozenset((i,)): whole for i in range(len(sites))} | voronoi_complex(sites).subspaces
     for key, child in spans.items():
@@ -612,11 +665,17 @@ def test_cut_rows_are_the_rows_of_the_cut(sites):
         rows = sites.rows(indices[0], parent)
         row = rows[indices[-1]]
         assert parent.cut(row).integer_form == child.integer_form
-        if any(row[:-1]):
-            derived = voronoi._cut_rows(rows, row, parent, child)
-        else:  # site max J ties with min J on all of the parent
-            derived = rows
-        assert derived == sites.rows(indices[0], child)
+        expected = sites.rows(indices[0], child)
+        derived = voronoi._cut_rows(rows, row)
+        if not any(row[:-1]):  # site max J ties with min J on all of the parent
+            assert derived is rows
+        assert_positive_multiple(derived, expected)
+        # rows that already carry a positive factor, as derived ones do
+        scaled = [tuple(3 * x for x in r) for r in rows]
+        assert_positive_multiple(voronoi._cut_rows(scaled, scaled[indices[-1]]), expected)
+    rows = sites.rows(0, whole)
+    assert voronoi._cut_rows(rows, (0,) * sites.dim + (5,)) is None
+    assert voronoi._cut_rows(rows, (0,) * sites.dim + (-5,)) is None
 
 
 def recorded_exceptional_sets(sites):
@@ -649,10 +708,11 @@ def test_span_walk_records_hidden_containments(name):
     ids=["planar5_40", "spatial11_14"],
 )
 def test_face_walk_is_output_sensitive(monkeypatch, seed, n, dim, hi, spans):
-    # on generic sites the face walk cuts the C(n, 2) bisectors out of the
+    # on generic sites the face walk visits the C(n, 2) bisectors of the
     # whole space, every later child of a face of dimension 2 or more, and
     # on a line only the rows that end its closed segment, two per Voronoi
-    # edge; the span walk runs only when the span map is read
+    # edge, and cuts at most those; the span walk runs only when the span
+    # map is read
     rng = random.Random(seed)
     pts = set()
     while len(pts) < n:
@@ -674,6 +734,32 @@ def test_face_walk_is_output_sensitive(monkeypatch, seed, n, dim, hi, spans):
     edges = sum(face.dim == 1 for face in vc.faces.values())
     assert len(cuts) <= n * (n - 1) // 2 + below_faces + 2 * edges
     assert len(vc.subspaces) == spans
+
+
+@pytest.mark.parametrize(
+    "seed, n, dim, hi",
+    [(11, 11, 2, 97), (5, 40, 2, 10**6), (11, 8, 3, 97), (11, 14, 3, 97)],
+    ids=["planar11_11", "planar5_40", "spatial11_8", "spatial11_14"],
+)
+def test_face_walk_cuts_only_what_it_keeps(monkeypatch, seed, n, dim, hi):
+    # on generic sites the face walk derives a child's rows from its
+    # parent's and cuts H(J) out of its parent only when J is a face or has
+    # children, one cut per face with |J| >= 2
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(rng.randint(0, hi) for _ in range(dim)))
+    cuts = []
+    cut = AffineSubspace.cut
+
+    def counted(span, row):
+        cuts.append(row)
+        return cut(span, row)
+
+    monkeypatch.setattr(AffineSubspace, "cut", counted)
+    vc = voronoi_complex(SiteSet.build(dim, sorted(pts)))
+    assert vc.simplicity_witness() is None
+    assert len(cuts) == sum(len(key) >= 2 for key in vc.faces)
 
 
 @pytest.mark.parametrize("name", ["planar11", "crossing_axes"])
