@@ -17,25 +17,27 @@ an affine function of its parameters, and row k is site k's minus site
 i's, so the rows of any one site group the sites by distance.  The face
 test of J, a face's witness and `select_subcomplex` read the rows of
 min(J), and the arrangement's distance classes group the sites by them.
-Both walks build rows only at the whole space and derive each child's
-from its parent's (`_cut_rows`), so they carry min(J)'s rows on H(J) up
-to one positive factor, which none of their readers sees.  So the face
-lattice is decided in integers: on a point H(J) by the signs of the rows,
-on a line by one pass over the bounds, elsewhere by integer
-Fourier-Motzkin (`feasible`).  Each H(J) is held in its integer form, so
-Fractions are made only for the sites, for a span's point and basis when
-they are read, and for a face's witness, which is computed when first
-read.
+Each H(J) is held in its integer form, so Fractions are made only for the
+sites, for a span's point and basis when they are read, and for a face's
+witness, which is computed when first read.
 
-Two walks extend index sets level by level, one site at a time: H(J + k)
-is H(J) cut by the bisector of min(J) and k substituted into H(J), so
-nothing is solved.  The face walk (`voronoi_complex`) extends J only while
-its closed face is non-empty, and cuts H(J) out only when J is a face or
-has children, so its work follows the number of faces.
-The span walk (`_span_walk`) visits every non-empty H(J) and records the
-exceptional sets E; a complex runs it on first use, which `voronoi
-classify`, `snc`, `resolve embed` and `pipeline` do and `voronoi build`,
-`simple`, `delaunay` and `select` never do.
+One walk (`_walk`) extends index sets level by level, one later site at a
+time: H(J + k) is H(J) cut by row k of min(J)'s rows on H(J), so nothing
+is solved.  It builds rows only at the whole space and derives each
+child's from its parent's (`_cut_rows`), so it carries min(J)'s rows on
+H(J) up to one positive factor, which none of their readers sees.  A rule
+reads J's rows and says whether J is kept and which later sites extend
+it, and H(J) is cut out only when J is kept or extended.  Two rules drive
+it.  The face rule (`voronoi_complex`) keeps the faces and extends J only
+while its closed face is non-empty, which only shrinks as J grows, so the
+work follows the number of faces; it decides the face lattice in
+integers: on a point H(J) by the signs of the rows, on a line by one pass
+over the bounds, elsewhere by integer Fourier-Motzkin (`feasible`).  The
+span rule (`_span_walk`) keeps every non-empty H(J), |J| >= 2, records
+the exceptional sets E, and extends every J but a point outside E, which
+has no child; a complex runs it on first use, which `voronoi classify`,
+`snc`, `resolve embed` and `pipeline` do and `voronoi build`, `simple`,
+`delaunay` and `select` never do.
 
 The subspace classification and the SNC gluing read the complex's
 `SubspaceArrangement`, built on first use from the span walk, which
@@ -57,7 +59,7 @@ from functools import cached_property
 from itertools import combinations, repeat
 from math import lcm
 from operator import sub
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .complexes import ComplexError, DeltaComplex, build_complex, nerve_cells
 from .jsonread import expect_list, expect_object, expect_rational
@@ -67,6 +69,7 @@ from .qlinalg import (
     _tightest,
     feasible,
     feasible_point,
+    # unused here but stays bound: perfbench/tracer.py wraps voronoi.solve_affine
     solve_affine,
     vec,
     whole_space,
@@ -181,23 +184,6 @@ class SiteSet:
         columns = self._columns[i]
         return list(zip(*[_column_dots(columns, (0, *b)) for b in basis],
                         _column_dots(columns, (den, *[-x for x in anchor]))))
-
-
-def equidistance_subspace(sites: SiteSet, j_set: Sequence[int]) -> Optional[AffineSubspace]:
-    """H(J): the locus equidistant to every site in J, or None when empty."""
-    indices = sorted(set(j_set))
-    if len(indices) == 1:
-        return whole_space(sites.dim)
-    base = indices[0]
-    rows, rhs = [], []
-    for other in indices[1:]:
-        a, b = sites.bisector(base, other)
-        rows.append(list(a))
-        rhs.append(b)
-    solved = solve_affine(rows, rhs)
-    if solved is None:
-        return None
-    return AffineSubspace(solved[0], solved[1])
 
 
 def _lattice_order(j_set: frozenset[int]) -> tuple[int, list[int]]:
@@ -346,21 +332,53 @@ def _line_children(
     return is_face, children
 
 
+def _walk(
+    site_set: SiteSet,
+    expand: Callable[[tuple[int, ...], Sequence[tuple[int, ...]]], tuple[bool, Sequence[int]]],
+) -> Iterator[tuple[frozenset[int], AffineSubspace]]:
+    """Each index set J that expand keeps, as a frozenset, with H(J), in
+    (size, sorted) order.  From the empty set on the whole space, whose
+    child k takes site k's rows there (`SiteSet.rows`), every other child's
+    rows are derived inside its parent's loop (`_cut_rows`, None when
+    H(J + k) is empty) and handed to expand(J, rows) for (keep, the later
+    sites that extend J); H(J) is cut out of its parent only when J is
+    kept or extended."""
+    whole = whole_space(site_set.dim)
+    # (J, H(J), its rows or None for the empty J, the sites that extend J)
+    level = [((), whole, None, range(len(site_set)))]
+    while level:
+        extended = []
+        for parent, span, rows, later in level:
+            for k in later:
+                indices = parent + (k,)
+                if rows is None:
+                    child_rows = site_set.rows(k, whole)
+                else:
+                    child_rows = _cut_rows(rows, rows[k])
+                    if child_rows is None:
+                        continue
+                keep, children = expand(indices, child_rows)
+                if not (keep or children):
+                    continue
+                child = span if rows is None or child_rows is rows else span.cut(rows[k])
+                if keep:
+                    yield frozenset(indices), child
+                if children:
+                    extended.append((indices, child, child_rows, children))
+        level = extended
+
+
 def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
-    """The face lattice, from a walk that extends J only while its closed
-    face (the points at least as close to J's sites as to any other) is
-    non-empty.
+    """The face lattice, from the walk (`_walk`) under the face rule: keep
+    J when it is a face, and extend J only while its closed face (the
+    points at least as close to J's sites as to any other) is non-empty.
 
     By the lifting map the closed face of J on H(J) is where no row of
     min(J) is negative; it only shrinks as J grows, so once it is empty
     no superset of J is a face.  Row k of the face test, like the cut for
     H(J + k), is the bisector row of min(J) and k substituted into H(J),
-    read up to one positive factor: `SiteSet.rows` builds each site's rows
-    on the whole space, and a child J + k derives its rows from its
-    parent's when it is visited (`_cut_rows`), so one rows list is held per
-    parent with children.  The child's dimension is its rows' width, so
-    H(J) is cut out of its parent only once J is known to be a face or to
-    have children, one cut per kept index set:
+    read up to the walk's positive factor.  The rule reads the dimension
+    of H(J) off its rows' width:
 
     - |J| = 1: the site is the only site nearest to itself, so its cell is
       a face, with no elimination.
@@ -376,47 +394,28 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
 
     The cuts (`AffineSubspace.cut`) visit the index sets in `combinations`
     order and keep `solve_affine`'s echelon form, so each face's span
-    equals `equidistance_subspace` point for point and the span walk's
-    H(J) in integers.  No Fraction is made until a span's point or basis,
-    or a face's witness (`VoronoiFace.witness`), is read.
+    equals H(J) solved from J's bisector rows by `solve_affine` point for
+    point, and the span walk's H(J) in integers.  No Fraction is made until
+    a span's point or basis, or a face's witness (`VoronoiFace.witness`),
+    is read.
     """
     n = len(site_set)
-    faces: dict[frozenset[int], VoronoiFace] = {}
-    whole = whole_space(site_set.dim)
-    # (J, H(J - k), rows there, k = max J), or (J, H(J), None, None) for |J| = 1
-    level = [((i,), whole, None, None) for i in range(n)]
-    while level:
-        extended = []
-        for indices, parent, parent_rows, k in level:
-            if parent_rows is None:
-                rows = site_set.rows(indices[0], parent)
-            else:
-                rows = _cut_rows(parent_rows, parent_rows[k])
-                if rows is None:
-                    continue
-            dim = len(rows[0]) - 1
-            later = range(indices[-1] + 1, n)
-            if not dim:
-                closed = min(rows) >= (0,)
-                is_face = closed and rows.count((0,)) == len(indices)
-                children = [c for c in later if closed and rows[c] == (0,)]
-            elif dim == 1:
-                is_face, children = _line_children(rows, indices)
-            else:
-                is_face = len(indices) == 1 or feasible(
-                    _constraints(rows, indices, True), dim)
-                closed = is_face or feasible(_constraints(rows, indices, False), dim)
-                children = list(later) if closed else []
-            if not (is_face or children):
-                continue
-            span = parent if parent_rows is None or rows is parent_rows else parent.cut(
-                parent_rows[k])
-            if is_face:
-                key = frozenset(indices)
-                faces[key] = VoronoiFace(key, span, site_set.dim, site_set)
-            extended.extend((indices + (c,), span, rows, c) for c in children)
-        level = extended
-    return VoronoiComplex(site_set, faces)
+
+    def face_rule(indices, rows):
+        dim = len(rows[0]) - 1
+        later = range(indices[-1] + 1, n)
+        if not dim:
+            closed = min(rows) >= (0,)
+            return (closed and rows.count((0,)) == len(indices),
+                    [c for c in later if closed and rows[c] == (0,)])
+        if dim == 1:
+            return _line_children(rows, indices)
+        is_face = len(indices) == 1 or feasible(_constraints(rows, indices, True), dim)
+        closed = is_face or feasible(_constraints(rows, indices, False), dim)
+        return is_face, later if closed else ()
+
+    return VoronoiComplex(site_set, {key: VoronoiFace(key, span, site_set.dim, site_set)
+                                     for key, span in _walk(site_set, face_rule)})
 
 
 def _cut_rows(
@@ -430,10 +429,10 @@ def _cut_rows(
     lead = a_t > 0, each row (*l, c) becomes l'_i = lead l_i - a_i l_t for
     i != t and c' = lead c - b l_t: the cut's new point and basis vectors
     substituted into the rows, times one more positive factor, with no
-    division.  Every reader of the walks' rows reads them up to that
+    division.  Every reader of the walk's rows reads them up to that
     factor: the signs and zeros of a point's rows, the bounds and end test
     of `_line_children`, `feasible`, which makes each row primitive, and
-    the span walk's count of distinct rows and `_partition`."""
+    the span rule's count of distinct rows and `_partition`."""
     *coeffs, rhs = row
     for t, lead in enumerate(coeffs):
         if lead:
@@ -460,41 +459,26 @@ def _span_walk(
     site_set: SiteSet,
 ) -> tuple[dict[frozenset[int], AffineSubspace], dict[frozenset[int], frozenset[frozenset[int]]]]:
     """Every non-empty H(J), |J| >= 2, in (size, sorted) order, and the
-    distance partitions of those in E.
+    distance partitions of those in E, from the walk (`_walk`) under the
+    span rule: keep every J with |J| >= 2, with no face test, and extend J
+    unless H(J) is a point outside E.
 
-    The walk visits the J of `voronoi_complex` with no face test: level by
-    level, H(J + k) is H(J) cut by row k of min(J)'s rows on H(J), for
-    every later k.  Rows are built from the sites (`SiteSet.rows`) only at
-    the whole space, once per site; each child's are derived from its
-    parent's, up to one positive factor, by the face walk's kernel
-    (`_cut_rows`).  The sites of J share the zero row on H(J), so J is
-    outside E exactly when the rows take n - |J| + 1 distinct values, and
-    only E's partitions are recorded.  A point outside E has no child,
-    since no other site shares J's row, so it is never kept for the next
-    level."""
+    The sites of J share the zero row on H(J), so J is outside E exactly
+    when its rows take n - |J| + 1 distinct values, which the walk's
+    positive factor does not change, and only E's partitions are
+    recorded; a single site is never in E, since the sites are distinct.
+    A point outside E has no child, since no other site shares J's row."""
     n = len(site_set)
-    whole = whole_space(site_set.dim)
-    subspaces: dict[frozenset[int], AffineSubspace] = {}
     partitions: dict[frozenset[int], frozenset[frozenset[int]]] = {}
-    level = [((i,), whole, site_set.rows(i, whole)) for i in range(n)]
-    while level:
-        extended = []
-        for indices, span, rows in level:
-            for k in range(indices[-1] + 1, n):
-                row = rows[k]
-                derived = _cut_rows(rows, row)
-                if derived is None:
-                    continue
-                child = span if derived is rows else span.cut(row)
-                key = frozenset(indices + (k,))
-                subspaces[key] = child
-                exceptional = len(set(derived)) != n - len(key) + 1
-                if exceptional:
-                    partitions[key] = _partition(derived)
-                if child.dim or exceptional:
-                    extended.append((indices + (k,), child, derived))
-        level = extended
-    return subspaces, partitions
+
+    def span_rule(indices, rows):
+        exceptional = len(set(rows)) != n - len(indices) + 1
+        if exceptional:
+            partitions[frozenset(indices)] = _partition(rows)
+        extend = exceptional or len(rows[0]) > 1
+        return len(indices) > 1, range(indices[-1] + 1, n) if extend else ()
+
+    return dict(_walk(site_set, span_rule)), partitions
 
 
 def restricted_simplicity_witness(

@@ -18,6 +18,10 @@ which stays in integers, must give the same point, basis and integer form.
 equations, in Fractions; `snclab.voronoi.SubspaceArrangement` decides
 incidence from integer distance classes and must agree with them.
 
+`equidistance_subspace` solves H(J) from J's bisector rows by
+`solve_affine`; the walk in `snclab.voronoi` cuts it out of its parent
+and must give the same point and basis.
+
 `voronoi_complex` is the enumeration with eager witnesses: every H(J)
 substitutes each bisector of min(J) into its parameters and runs
 Fourier-Motzkin for a witness, point or not, and each child is cut out by
@@ -32,7 +36,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from snclab import qlinalg
-from snclab.qlinalg import AffineSubspace, Vector, dot, vec, whole_space
+from snclab.qlinalg import AffineSubspace, Vector, dot, solve_affine, vec, whole_space
 from snclab.voronoi import SiteSet, VoronoiComplex
 
 
@@ -86,6 +90,23 @@ def cut(span: AffineSubspace, c: Constraint) -> Optional[AffineSubspace]:
             if i != t
         ),
     )
+
+
+def equidistance_subspace(sites: SiteSet, j_set: Sequence[int]) -> Optional[AffineSubspace]:
+    """H(J): the locus equidistant to every site in J, or None when empty."""
+    indices = sorted(set(j_set))
+    if len(indices) == 1:
+        return whole_space(sites.dim)
+    base = indices[0]
+    rows, rhs = [], []
+    for other in indices[1:]:
+        a, b = sites.bisector(base, other)
+        rows.append(list(a))
+        rhs.append(b)
+    solved = solve_affine(rows, rhs)
+    if solved is None:
+        return None
+    return AffineSubspace(solved[0], solved[1])
 
 
 def contains_point(span: AffineSubspace, x: Sequence[Fraction]) -> bool:

@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fraction_kernel
-from fraction_kernel import Constraint, pairs
+from fraction_kernel import Constraint, equidistance_subspace, pairs
 from corpus import (
     FOUR_SITES_1D,
     HIDDEN_CONTAINMENTS,
@@ -35,7 +35,6 @@ from snclab.voronoi import (
     VoronoiFace,
     classify_subspaces,
     delaunay_dual,
-    equidistance_subspace,
     select_subcomplex,
     voronoi_complex,
 )
@@ -744,7 +743,8 @@ def test_face_walk_is_output_sensitive(monkeypatch, seed, n, dim, hi, spans):
 def test_face_walk_cuts_only_what_it_keeps(monkeypatch, seed, n, dim, hi):
     # on generic sites the face walk derives a child's rows from its
     # parent's and cuts H(J) out of its parent only when J is a face or has
-    # children, one cut per face with |J| >= 2
+    # children, one cut per face with |J| >= 2; the span walk, the same walk
+    # under the span rule, cuts once per non-empty H(J) with |J| >= 2
     rng = random.Random(seed)
     pts = set()
     while len(pts) < n:
@@ -760,6 +760,9 @@ def test_face_walk_cuts_only_what_it_keeps(monkeypatch, seed, n, dim, hi):
     vc = voronoi_complex(SiteSet.build(dim, sorted(pts)))
     assert vc.simplicity_witness() is None
     assert len(cuts) == sum(len(key) >= 2 for key in vc.faces)
+    cuts.clear()
+    vc.subspaces
+    assert len(cuts) == len(vc.subspaces)
 
 
 @pytest.mark.parametrize("name", ["planar11", "crossing_axes"])
