@@ -12,11 +12,15 @@ subspace's parameters by integer arithmetic on its form, and `cut` meets
 the subspace with the hyperplane of such a row, with no solve and no
 Fraction: the Voronoi enumeration and the subspace arrangement cut out
 each H(J + k) and each meet so, and no library path calls `intersect`,
-the Fraction fold.  The feasibility engine takes (row, strict) pairs,
-strict for a.x < b: Fourier-Motzkin elimination over mixed strict and non-strict inequalities on primitive
-integer rows, one routine for both entry points, and it runs in integers
-throughout.  `feasible` decides the last variable by comparing its
-tightest bounds as integer pairs; `feasible_point` goes on to
+the Fraction fold.  A cut is deferred: the row decides an empty meet,
+the subspace itself, or the pivot and so the dimension, and the child's
+integer form is derived from its parent's and the row only when first
+read, so a reader of dimensions alone does no arithmetic on forms.  The
+feasibility engine takes (row, strict) pairs, strict for a.x < b:
+Fourier-Motzkin elimination over mixed strict and non-strict inequalities
+on primitive integer rows, one routine for both entry points, and it runs
+in integers throughout.  `feasible` decides the last variable by comparing
+its tightest bounds as integer pairs; `feasible_point` goes on to
 back-substitute a witness, fixing each variable as a numerator over one
 common denominator from the same tightest-bounds routine, and makes one
 Fraction per returned coordinate.  That is enough for the desk scales
@@ -132,7 +136,9 @@ class AffineSubspace:
     D > 0 and gcd(D, every entry of P and B) = 1, so that for a rational
     point and basis D is their least common denominator.  The rational
     `point` and `basis`, the implicit equations and the canonical `key`
-    are derived from it when first read, once per object.
+    are derived from it when first read, once per object.  A cut (`cut`)
+    holds its parent, its row and its pivot, with its `dim` and
+    `ambient_dim`, until its form is first read.
 
     Equality and hashing go through `key`, a canonical form of the subspace
     as a set, so two representations of one subspace are interchangeable
@@ -157,11 +163,50 @@ class AffineSubspace:
     def __repr__(self) -> str:
         return f"AffineSubspace(point={self.point!r}, basis={self.basis!r})"
 
-    @property
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(D, P, B), set by the constructor, or derived on first read, once,
+        for a cut pending as (parent, row, pivot t) (`cut`).  In
+        `solve_affine`'s echelon form the parameters are the free
+        coordinates, and the cut keeps that form: it is `solve_affine` on
+        the stacked equations.  It runs in integers: over the parent's form
+        (D, P, B) the new point is (lead P + rhs B_t) / (lead D) and each
+        other basis vector (lead B_i - f_i B_t) / (lead D), with the gcd of
+        all these numerators and lead D divided out, signed so that the new
+        D is positive; a row with a Fraction entry (an implicit equation,
+        from `intersect`) is brought to its primitive integer row first.
+        The form is stored before the pending cut is dropped, so a reader
+        that finds no pending cut finds the form."""
+        cache = self.__dict__
+        pending = cache.get("_cut")
+        if pending is None:
+            return cache["integer_form"]
+        parent, row, t = pending
+        if Fraction in map(type, row):
+            row = primitive(row)
+        den, point, basis = parent.integer_form
+        lead, rhs, pivot = row[t], row[-1], basis[t]
+        den *= lead
+        point = [lead * x + rhs * y for x, y in zip(point, pivot)]
+        basis = [[lead * x - f * y for x, y in zip(b, pivot)]
+                 for i, (f, b) in enumerate(zip(row, basis)) if i != t]
+        g = gcd(den, *point)
+        for b in basis:
+            if g == 1:
+                break
+            g = gcd(g, *b)
+        if den < 0:
+            g = -g
+        form = cache["integer_form"] = (den // g, tuple([x // g for x in point]),
+                                        tuple([tuple([x // g for x in b]) for b in basis]))
+        cache.pop("_cut", None)
+        return form
+
+    @cached_property
     def ambient_dim(self) -> int:
         return len(self.integer_form[1])
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.integer_form[2])
 
@@ -226,39 +271,23 @@ class AffineSubspace:
         (*coeffs, rhs) in this subspace's parameters, `self.row(a, b)` or a
         row of `SiteSet.rows`, integer when a and b are.  It pivots on the
         first nonzero coefficient and reads the row only through ratios, so
-        any positive or negative multiple of it gives the same cut; a row
-        with a Fraction entry (an implicit equation, from `intersect`) is
-        brought to its primitive integer row first.  In `solve_affine`'s
-        echelon form the parameters are the free coordinates, and the cut
-        keeps that form: it is `solve_affine` on the stacked equations.  It
-        runs in integers: over the integer form (D, P, B) the new point is
-        (lead P + rhs B_t) / (lead D) and each other basis vector
-        (lead B_i - f_i B_t) / (lead D), with the gcd of all these
-        numerators and lead D divided out, signed so that the new D is
-        positive."""
-        if Fraction in map(type, row):
-            row = primitive(row)
-        *coeffs, rhs = row
-        for t, lead in enumerate(coeffs):
+        any positive or negative multiple of it gives the same cut.  The row
+        alone decides the empty meet (0 = b, b != 0) and this subspace
+        itself (0 = 0); any other cut is held as (this subspace, a copy of
+        the row, the pivot) with its `dim` and `ambient_dim`, and its
+        `integer_form` is derived only when it is first read, so a walk
+        that reads only dimensions does no arithmetic on forms."""
+        for t, lead in enumerate(row):
             if lead:
                 break
-        else:
-            return self if rhs == 0 else None
-        den, point, basis = self.integer_form
-        pivot = basis[t]
-        den *= lead
-        point = [lead * x + rhs * y for x, y in zip(point, pivot)]
-        basis = [[lead * x - f * y for x, y in zip(b, pivot)]
-                 for i, (f, b) in enumerate(zip(coeffs, basis)) if i != t]
-        g = gcd(den, *point)
-        for b in basis:
-            if g == 1:
-                break
-            g = gcd(g, *b)
-        if den < 0:
-            g = -g
-        return _integral(den // g, tuple([x // g for x in point]),
-                         tuple([tuple([x // g for x in b]) for b in basis]))
+        if t == len(row) - 1 or not lead:  # no coefficient is nonzero
+            return None if lead else self
+        span = object.__new__(AffineSubspace)
+        cache = span.__dict__
+        cache["_cut"] = (self, tuple(row), t)
+        cache["dim"] = self.dim - 1
+        cache["ambient_dim"] = self.ambient_dim
+        return span
 
     def intersect(self, other: "AffineSubspace") -> Optional["AffineSubspace"]:
         """The meet with other, or None: this subspace cut by each implicit
@@ -271,15 +300,8 @@ class AffineSubspace:
         return meet
 
 
-def _integral(den: int, point: tuple[int, ...], basis: tuple[tuple[int, ...], ...]):
-    """The subspace with integer form (den, point, basis), already canonical."""
-    span = object.__new__(AffineSubspace)
-    object.__setattr__(span, "integer_form", (den, point, basis))
-    return span
-
-
 def whole_space(n: int) -> AffineSubspace:
-    return _integral(1, (0,) * n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    return AffineSubspace((0,) * n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 def _tightest(rows, k: int, fixed: Sequence[int] = (), den: int = 1):

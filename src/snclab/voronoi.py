@@ -27,17 +27,21 @@ is solved.  It builds rows only at the whole space and derives each
 child's from its parent's (`_cut_rows`), so it carries min(J)'s rows on
 H(J) up to one positive factor, which none of their readers sees.  A rule
 reads J's rows and says whether J is kept and which later sites extend
-it, and H(J) is cut out only when J is kept or extended.  Two rules drive
-it.  The face rule (`voronoi_complex`) keeps the faces and extends J only
-while its closed face is non-empty, which only shrinks as J grows, so the
-work follows the number of faces; it decides the face lattice in
-integers: on a point H(J) by the signs of the rows, on a line by one pass
-over the bounds, elsewhere by integer Fourier-Motzkin (`feasible`).  The
-span rule (`_span_walk`) keeps every non-empty H(J), |J| >= 2, records
-the exceptional sets E, and extends every J but a point outside E, which
-has no child; a complex runs it on first use, which `voronoi classify`,
-`snc`, `resolve embed` and `pipeline` do and `voronoi build`, `simple`,
-`delaunay` and `select` never do.
+it, and H(J) is cut out only when J is kept or extended.  The cut is
+deferred (`AffineSubspace.cut`): H(J) holds its parent and row and
+derives its integer form only when that is read, so the walks, which read
+only dimensions, do no arithmetic on forms, and `voronoi build`'s
+witnesses and the 3D disjoint meets derive the forms they read.  Two
+rules drive it.  The face rule (`voronoi_complex`) keeps the faces and
+extends J only while its closed face is non-empty, which only shrinks as
+J grows, so the work follows the number of faces; it decides the face
+lattice in integers: on a point H(J) by the signs of the rows, on a line
+by one pass over the bounds, elsewhere by integer Fourier-Motzkin
+(`feasible`).  The span rule (`_span_walk`) keeps every non-empty H(J),
+|J| >= 2, records the exceptional sets E, and extends every J but a point
+outside E, which has no child; a complex runs it on first use, which
+`voronoi classify`, `snc`, `resolve embed` and `pipeline` do and
+`voronoi build`, `simple`, `delaunay` and `select` never do.
 
 The subspace classification and the SNC gluing read the complex's
 `SubspaceArrangement`, built on first use from the span walk, which
@@ -395,9 +399,9 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
     The cuts (`AffineSubspace.cut`) visit the index sets in `combinations`
     order and keep `solve_affine`'s echelon form, so each face's span
     equals H(J) solved from J's bisector rows by `solve_affine` point for
-    point, and the span walk's H(J) in integers.  No Fraction is made until
-    a span's point or basis, or a face's witness (`VoronoiFace.witness`),
-    is read.
+    point, and the span walk's H(J) in integers.  No integer form is
+    derived until it is read, and no Fraction until a span's point or
+    basis, or a face's witness (`VoronoiFace.witness`), is read.
     """
     n = len(site_set)
 
@@ -496,13 +500,15 @@ def delaunay_dual(vc: VoronoiComplex, selection: Optional[Sequence[int]] = None)
 
     One vertex per selected cell and one (|J|-1)-cell per face with J
     inside the selection; this is the nerve of the selected closed cells.
-    Requires simplicity on every face touching the selection.
+    Requires simplicity on every face touching the selection: the faces
+    are scanned for the selection only when the complex's cached
+    `simplicity_witness` says that some face breaks it.
     """
     cells = sorted(set(selection)) if selection is not None else sorted(vc.cell_indices())
     for c in cells:
         if not 0 <= c < len(vc.sites):
             raise VoronoiError(f"unknown cell index {c}")
-    witness = restricted_simplicity_witness(vc, cells)
+    witness = vc.simplicity_witness() and restricted_simplicity_witness(vc, cells)
     if witness is not None:
         raise NotSimpleError(witness)
     chosen = set(cells)

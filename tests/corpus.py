@@ -107,3 +107,12 @@ HIDDEN_CONTAINMENTS = {
     ),
     "circle_in_3d": SiteSet.build(3, [[0, 5, 0], [3, 4, 0], [5, 0, 0], [0, -5, 0], [1, 1, 4]]),
 }
+
+
+def seeded_sites(seed, n, dim):
+    """n distinct sites with coordinates in 0..97 drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(rng.randint(0, 97) for _ in range(dim)))
+    return SiteSet.build(dim, sorted(pts))

@@ -27,6 +27,7 @@ from corpus import (
     THREE_SITES_1D,
     TRIANGLE_SITES,
     TWO_SITES_1D,
+    seeded_sites,
 )
 from snclab import qlinalg, voronoi
 from snclab.qlinalg import AffineSubspace, dot, solve_affine
@@ -555,14 +556,6 @@ def test_exceptional_sets_of_hidden_containments():
     }
     model = build_snc(voronoi_complex(HIDDEN_CONTAINMENTS["random5_n10"]), range(10))
     assert len(model.strata) == len(model.vc.faces)
-
-
-def seeded_sites(seed, n, dim):
-    rng = random.Random(seed)
-    pts = set()
-    while len(pts) < n:
-        pts.add(tuple(rng.randint(0, 97) for _ in range(dim)))
-    return SiteSet.build(dim, sorted(pts))
 
 
 def test_pair_work_does_not_grow_with_the_selection(monkeypatch):

@@ -1,6 +1,8 @@
 """Rational solvers, affine subspaces, and Fourier-Motzkin feasibility."""
 
 import random
+import sys
+import threading
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from math import gcd
@@ -315,6 +317,119 @@ def test_integer_cut_is_the_fraction_cut(drawn):
     assert den > 0 and gcd(den, *point, *(x for b in basis for x in b)) == 1
 
 
+def counted_derivations(monkeypatch):
+    """The rows of the cuts whose integer form is derived from now on: the
+    first-use cache calls its function only for a pending cut."""
+    derived = []
+    cache = AffineSubspace.integer_form
+    derive = cache.func
+
+    def counted(span):
+        derived.append(vars(span)["_cut"][1])
+        return derive(span)
+
+    monkeypatch.setattr(cache, "func", counted)
+    return derived
+
+
+def test_a_cut_reads_its_dimensions_without_its_form(monkeypatch):
+    derived = counted_derivations(monkeypatch)
+    whole = whole_space(3)
+    assert whole.cut((0, 0, 0, 0)) is whole and whole.cut([0, 0, 0, 7]) is None
+    span = whole.cut((2, -1, 0, 5))
+    child = span.cut((0, 3, 4))
+    assert (span.dim, span.ambient_dim, child.dim, child.ambient_dim) == (2, 3, 1, 3)
+    assert child.cut((0, 0)) is child and child.cut((0, 1)) is None
+    assert derived == []
+    # forcing the child derives its parent's form too, each once
+    form = child.integer_form
+    assert derived == [(0, 3, 4), (2, -1, 0, 5)]
+    assert child.integer_form is form == (6, (15, 0, 8), ((3, 6, 0),))
+    assert span.integer_form == (2, (5, 0, 0), ((1, 2, 0), (0, 0, 2)))
+    assert len(derived) == 2 and (child.dim, child.ambient_dim) == (1, 3)
+
+
+@st.composite
+def cut_chains(draw):
+    """A span of spans_and_cuts and one to three rows, each in the
+    parameters of the span the rows before it cut out (fewer when a cut is
+    empty, the span itself or a point)."""
+    span, first = draw(spans_and_cuts())
+    entry = st.one_of(st.integers(-4, 4), RATIONAL)
+    chain, rows, count = span, [first], draw(st.integers(1, 3))
+    while len(rows) < count:
+        chain = fraction_kernel.cut(chain, rows[-1])
+        if chain is None or not chain.dim:
+            break
+        rows.append(Constraint(tuple(draw(entry) for _ in range(chain.dim)), draw(entry)))
+    return span, rows
+
+
+@settings(max_examples=300)
+@given(cut_chains(), st.booleans())
+@example((whole_space(3), [Constraint((1, 2, -1), 3), Constraint((0, 5), F(1, 2)),
+                           Constraint((-3,), 2)]), True)
+@example((whole_space(3), [Constraint((1, 2, -1), 3), Constraint((0, 5), F(1, 2)),
+                           Constraint((-3,), 2)]), False)
+def test_chained_cuts_forced_in_either_order_are_the_fraction_cuts(drawn, child_first):
+    span, rows = drawn
+    lazy, eager = [span], [span]
+    for c in rows:
+        got, want = lazy[-1].cut(c.row), fraction_kernel.cut(eager[-1], c)
+        if want is None or want is eager[-1]:
+            assert got is (None if want is None else lazy[-1])
+            break
+        assert (got.dim, got.ambient_dim) == (want.dim, want.ambient_dim)
+        lazy.append(got)
+        eager.append(want)
+    for got in reversed(lazy) if child_first else lazy:
+        got.integer_form
+    for got, want in zip(lazy, eager):
+        assert got.integer_form == want.integer_form
+        assert got == want and hash(got) == hash(want)
+
+
+def test_threads_racing_to_a_pending_cut_read_one_form():
+    # a cut stores its form before it drops the pending cut, so a thread
+    # that finds the cut no longer pending finds the form (the first-use
+    # cache takes no lock on Python 3.12 and later)
+    rows = [(3, -1, 2, 7), (5, 2, -4), (-2, 9)]
+
+    def chain():
+        spans = [whole_space(3)]
+        for row in rows:
+            spans.append(spans[-1].cut(row))
+        return spans[1:]
+
+    expected = [span.integer_form for span in chain()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            spans, seen = chain(), []
+
+            def force():
+                seen.append([span.integer_form for span in reversed(spans)][::-1])
+
+            threads = [threading.Thread(target=force) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert seen == [expected] * 4
+            assert not any("_cut" in vars(span) for span in spans)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_cut_keeps_its_row_not_the_callers_list():
+    row = [2, -2, 1]
+    span = whole_space(2).cut(row)
+    row[:] = [0, 1, 5]
+    assert span.integer_form == (2, (1, 0), ((2, 2),))
+
+
 @given(spans_and_cuts(), st.data())
 def test_row_is_the_fraction_substitution_scaled(drawn, data):
     # a.x <= b in the span's parameters is the Fraction substitution times
@@ -346,11 +461,18 @@ def test_spans_from_ints_and_fractions_are_one_span():
 
 
 def test_affine_subspace_is_frozen():
+    # a span from the constructor, and the same span as a cut, which stays
+    # frozen both while its form is pending and once it is derived
     span = AffineSubspace((F(1, 2), F(0)), ((F(1), F(1)),))
-    for name in ("point", "basis", "integer_form", "key", "dim"):
-        with pytest.raises(FrozenInstanceError):
-            setattr(span, name, None)
-        with pytest.raises(FrozenInstanceError):
-            delattr(span, name)
-    assert span.integer_form == (2, (1, 0), ((2, 2),))
+    lazy = whole_space(2).cut((2, -2, 1))
+    for forced in (False, True):
+        for s in (span, lazy):
+            for name in ("point", "basis", "integer_form", "key", "dim", "ambient_dim", "_cut"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(s, name, None)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(s, name)
+        assert ("integer_form" in vars(lazy)) is forced
+        assert lazy.integer_form == span.integer_form == (2, (1, 0), ((2, 2),))
+    assert lazy == span and hash(lazy) == hash(span) and "_cut" not in vars(lazy)
     assert span.point == (F(1, 2), F(0))

@@ -21,11 +21,13 @@ from corpus import (
     THREE_SITES_1D,
     TRIANGLE_SITES,
     TWO_SITES_1D,
+    seeded_sites,
 )
 from snclab.complexes import AbelianGroup
 from snclab.presentations import abelianization, pi1_presentation
 from snclab.qlinalg import AffineSubspace, dot, feasible_point, whole_space
 from snclab import voronoi
+from snclab.snc import build_snc
 from snclab.voronoi import (
     GenericityError,
     NotSimpleError,
@@ -225,6 +227,45 @@ def test_delaunay_examples():
     assert delaunay_dual(voronoi_complex(TRIANGLE_SITES)).cell_counts() == (3, 3, 1)
     with pytest.raises(NotSimpleError):
         delaunay_dual(voronoi_complex(SQUARE_SITES))
+
+
+def test_delaunay_dual_reuses_the_complex_simplicity_scan(monkeypatch):
+    # on a simple complex the cached simplicity scan covers the dual's
+    # check: one scan of the faces for both
+    scans = []
+    scan = voronoi.restricted_simplicity_witness
+
+    def counted(vc, selection):
+        scans.append(tuple(selection))
+        return scan(vc, selection)
+
+    monkeypatch.setattr(voronoi, "restricted_simplicity_witness", counted)
+    vc = voronoi_complex(STRIP_SITES)
+    assert vc.simplicity_witness() is None
+    assert delaunay_dual(vc).cell_counts() == (4, 5, 2)
+    assert delaunay_dual(vc, STRIP_ROW).cell_counts() == (3, 2)
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("name, selection", [("cocircular", [6]), ("cocircular", [5, 6]),
+                                             ("cocircular", None), ("grid", None),
+                                             ("grid", [8])])
+def test_delaunay_dual_on_a_non_simple_complex_scans_the_selection(name, selection):
+    # a non-simple complex still checks only the faces that touch the
+    # selection: the cocircular set's bad face {0..5} misses cell 6, whose
+    # dual is returned, and a selection touching a bad face raises the
+    # restricted scan's error
+    vc = voronoi_complex(HIDDEN_CONTAINMENTS[name])
+    assert vc.simplicity_witness() is not None
+    cells = vc.cell_indices() if selection is None else selection
+    witness = voronoi.restricted_simplicity_witness(vc, cells)
+    if witness is None:
+        assert delaunay_dual(vc, selection).cell_counts() == (len(cells),)
+        return
+    with pytest.raises(NotSimpleError) as raised:
+        delaunay_dual(vc, selection)
+    assert str(raised.value) == str(NotSimpleError(witness))
+    assert raised.value.witness == witness
 
 
 def test_delaunay_row_selection_is_path():
@@ -799,6 +840,35 @@ def test_walks_and_meets_cut_with_plain_integer_rows(monkeypatch, name):
     meets = [arrangement.meet(a, b) for a, b in combinations(lines, 2) if not a & b]
     assert any(meet is not None for meet in meets)
     plain()
+
+
+@pytest.mark.parametrize("seed, n, dim", [(11, 11, 2), (11, 8, 3)],
+                         ids=["planar11", "spatial11_8"])
+def test_walks_derive_no_pending_cut(monkeypatch, seed, n, dim):
+    # the face walk, the simplicity scan, the Delaunay dual, the span walk
+    # and (planar) the SNC model over every cell read only the dimensions
+    # of the H(J) the walks cut out, so no cut derives its integer form;
+    # forced afterwards, every H(J) is the one solved from J's bisectors
+    derived = []
+    cache = AffineSubspace.integer_form
+    derive = cache.func
+
+    def counted(span):
+        derived.append(vars(span)["_cut"][1])
+        return derive(span)
+
+    monkeypatch.setattr(cache, "func", counted)
+    sites = seeded_sites(seed, n, dim)
+    vc = voronoi_complex(sites)
+    assert vc.simplicity_witness() is None
+    delaunay_dual(vc, vc.cell_indices()).all_betti()
+    assert vc.subspaces and vc.arrangement.records
+    if dim == 2:
+        build_snc(vc, vc.cell_indices())
+    assert derived == []
+    for key, span in vc.subspaces.items():
+        assert span.integer_form == equidistance_subspace(sites, sorted(key)).integer_form
+    assert derived
 
 
 def test_equal_faces_hash_equal():
