@@ -4,15 +4,16 @@ No predicate ever touches floating point.  An affine subspace holds one
 integer form (a common denominator, an integer point and integer basis
 rows, with no common factor), and makes its Fraction point and basis only
 when they are read.  It compares and hashes by a canonical key (the
-primitive integer reduced row-echelon form of its equations, by
-`row_reduce`, the one elimination routine), computed once per object.
-A constraint has one format, the row (*a, b) for a.x <= b (a.x = b in a
+primitive integer reduced row-echelon form of its equations), computed
+once per object from its form by `_echelon`, the one elimination routine,
+which `solve_affine` and the constructor's rank check also run.  A
+constraint has one format, the row (*a, b) for a.x <= b (a.x = b in a
 cut), integer for integer input.  `AffineSubspace.row` writes one in a
 subspace's parameters by integer arithmetic on its form, and `cut` meets
 the subspace with the hyperplane of such a row, with no solve and no
 Fraction: the Voronoi enumeration and the subspace arrangement cut out
-each H(J + k) and each meet so, and no library path calls `intersect`,
-the Fraction fold.  A cut is deferred: the row decides an empty meet,
+each H(J + k) and each meet so, and no library path calls `intersect`.
+A cut is deferred: the row decides an empty meet,
 the subspace itself, or the pivot and so the dimension, and the child's
 integer form is derived from its parent's and the row only when first
 read, so a reader of dimensions alone does no arithmetic on forms.  The
@@ -37,73 +38,66 @@ from operator import mul
 from typing import Optional, Sequence
 
 Vector = tuple[Fraction, ...]
+IntegerForm = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 def vec(values: Sequence) -> Vector:
     return tuple(Fraction(v) for v in values)
 
 
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def row_reduce(work: list[list[Fraction]], ncols: int) -> list[int]:
-    """Bring work to reduced row-echelon form over its first ncols columns,
-    in place, and return the pivot columns; the rows below the last pivot
-    row are zero in those columns."""
-    m = len(work)
-    pivots: list[int] = []
-    r = 0
+def _echelon(rows: Sequence[Sequence[int]], ncols: int) -> dict[int, tuple[int, ...]]:
+    """The reduced row-echelon form of integer rows over their first ncols
+    columns, keyed by pivot column in ascending order, each row primitive
+    with a positive pivot; its size is the rank there.  Fraction-free
+    Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968, dividing by
+    gcds, not exactly): lead row - f pivot row, lead > 0, clears a row."""
+    work, done = [list(row) for row in rows], {}
     for col in range(ncols):
-        pivot_row = None
-        for i in range(r, m):
-            if work[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        i = next((i for i, row in enumerate(work) if row[col]), None)
+        if i is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][col]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(m):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    return pivots
+        pivot = work.pop(i)
+        g = gcd(*pivot) if pivot[col] > 0 else -gcd(*pivot)
+        lead, pivot = pivot[col] // g, [x // g for x in pivot]
+
+        def cleared(row: list[int]) -> list[int]:
+            if not (f := row[col]):
+                return row
+            row = [lead * x - f * y for x, y in zip(row, pivot)]
+            g = gcd(*row)
+            return [x // g for x in row] if g > 1 else row
+
+        work = [cleared(row) for row in work]
+        done = {c: cleared(row) for c, row in done.items()}
+        done[col] = pivot
+    return {col: tuple(row) for col, row in done.items()}
 
 
 def solve_affine(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Solve rows * x = rhs.
 
     Returns (particular solution, basis of the homogeneous solution space)
-    or None when inconsistent.  The basis comes from the reduced echelon
-    form with free variables in ascending column order, so the output is
-    deterministic.
+    or None when inconsistent: `_echelon` of the primitive integer rows
+    [a | b] over all their columns, so a pivot in the rhs column means no
+    solution.  The basis comes from the reduced echelon form with free
+    variables in ascending column order, so the output is deterministic.
     """
-    m = len(rows)
-    if m == 0:
+    if not rows:
         raise ValueError("empty system; caller should special-case it")
     n = len(rows[0])
-    work = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = row_reduce(work, n)
-    for i in range(len(pivots), m):
-        if work[i][n] != 0:
-            return None
-    free_cols = [c for c in range(n) if c not in pivots]
+    echelon = _echelon([primitive((*row, b)) for row, b in zip(rows, rhs)], n + 1)
+    if n in echelon:
+        return None
     point = [Fraction(0)] * n
-    for row_idx, col in enumerate(pivots):
-        point[col] = work[row_idx][n]
+    for col, row in echelon.items():
+        point[col] = Fraction(row[n], row[col])
     basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for row_idx, col in enumerate(pivots):
-            v[col] = -work[row_idx][fc]
-        basis.append(tuple(v))
+    for fc in range(n):
+        if fc not in echelon:
+            v = [Fraction(int(c == fc)) for c in range(n)]
+            for col, row in echelon.items():
+                v[col] = Fraction(-row[fc], row[col])
+            basis.append(tuple(v))
     return tuple(point), tuple(basis)
 
 
@@ -120,25 +114,26 @@ def primitive(row: Sequence) -> tuple[int, ...]:
     return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], n: int) -> tuple[Vector, ...]:
-    if not rows:
-        return tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-        )
-    solved = solve_affine(rows, [Fraction(0)] * len(rows))
-    assert solved is not None
-    return solved[1]
+def integer_form(point: Sequence, vectors: Sequence[Sequence]) -> IntegerForm:
+    """(D, P, B) for a rational (or integer) point and vectors: P / D and
+    the B[t] / D over their least common denominator D > 0."""
+    den = lcm(*(x.denominator for v in (point, *vectors) for x in v))
+
+    def scaled(v: Sequence) -> tuple[int, ...]:
+        return tuple(x.numerator * (den // x.denominator) for x in v)
+
+    return den, scaled(point), tuple(map(scaled, vectors))
 
 
 class AffineSubspace:
     """An affine subspace of Q^n, held in integers: `integer_form` is
     (D, P, B), the point P / D plus the span of the rows B[t] / D, with
     D > 0 and gcd(D, every entry of P and B) = 1, so that for a rational
-    point and basis D is their least common denominator.  The rational
-    `point` and `basis`, the implicit equations and the canonical `key`
-    are derived from it when first read, once per object.  A cut (`cut`)
-    holds its parent, its row and its pivot, with its `dim` and
-    `ambient_dim`, until its form is first read.
+    point and independent basis D is their least common denominator.  The
+    rational `point` and `basis` and the canonical `key`, whose rows are
+    the implicit equations, are derived from it when first read, once per
+    object.  A cut (`cut`) holds its parent, its row and its pivot, with
+    its `dim` and `ambient_dim`, until its form is first read.
 
     Equality and hashing go through `key`, a canonical form of the subspace
     as a set, so two representations of one subspace are interchangeable
@@ -146,13 +141,12 @@ class AffineSubspace:
     """
 
     def __init__(self, point: Sequence, basis: Sequence[Sequence]):
-        """point + span(basis), for rational (or integer) entries."""
-        den = lcm(*(x.denominator for v in (point, *basis) for x in v))
-
-        def scaled(v: Sequence) -> tuple[int, ...]:
-            return tuple(x.numerator * (den // x.denominator) for x in v)
-
-        object.__setattr__(self, "integer_form", (den, scaled(point), tuple(map(scaled, basis))))
+        """point + span(basis), for rational (or integer) entries; a
+        dependent basis raises ValueError."""
+        form = integer_form(point, basis)
+        if len(_echelon(form[2], len(form[1]))) < len(form[2]):
+            raise ValueError("dependent basis: its vectors span fewer dimensions than they number")
+        object.__setattr__(self, "integer_form", form)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -164,7 +158,7 @@ class AffineSubspace:
         return f"AffineSubspace(point={self.point!r}, basis={self.basis!r})"
 
     @cached_property
-    def integer_form(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    def integer_form(self) -> IntegerForm:
         """(D, P, B), set by the constructor, or derived on first read, once,
         for a cut pending as (parent, row, pivot t) (`cut`).  In
         `solve_affine`'s echelon form the parameters are the free
@@ -173,10 +167,10 @@ class AffineSubspace:
         (D, P, B) the new point is (lead P + rhs B_t) / (lead D) and each
         other basis vector (lead B_i - f_i B_t) / (lead D), with the gcd of
         all these numerators and lead D divided out, signed so that the new
-        D is positive; a row with a Fraction entry (an implicit equation,
-        from `intersect`) is brought to its primitive integer row first.
-        The form is stored before the pending cut is dropped, so a reader
-        that finds no pending cut finds the form."""
+        D is positive; a caller's own row with a Fraction entry is brought
+        to its primitive integer row first.  The form is stored before the
+        pending cut is dropped, so a reader that finds no pending cut finds
+        the form."""
         cache = self.__dict__
         pending = cache.get("_cut")
         if pending is None:
@@ -229,13 +223,24 @@ class AffineSubspace:
 
     @cached_property
     def key(self) -> tuple[tuple[int, ...], ...]:
-        """The primitive integer rows of the reduced row-echelon form of the
-        implicit equations [A | b], denominators cleared.  The whole space
-        has the empty key."""
-        normals, rhs = self.implicit()
-        work = [list(a) + [b] for a, b in zip(normals, rhs)]
-        rank = len(row_reduce(work, self.ambient_dim))
-        return tuple(primitive(row) for row in work[:rank])
+        """The implicit equations [A | b] by `_echelon`, empty for the whole
+        space.  With E = `_echelon` of B in the form (D, P, B) and L the
+        lcm of its pivots E_p[p], each free column c gives the equation
+        D a.x = a.P that writes x_c through the pivot coordinates: a_c = L,
+        a_p = -(L / E_p[p]) E_p[c]."""
+        den, point, basis = self.integer_form
+        n = len(point)
+        echelon = _echelon(basis, n)
+        scale = lcm(*(row[p] for p, row in echelon.items()))
+        equations = []
+        for c in range(n):
+            if c not in echelon:
+                a = [0] * n
+                a[c] = scale
+                for p, row in echelon.items():
+                    a[p] = -(scale // row[p]) * row[c]
+                equations.append((*[den * x for x in a], sum(map(mul, a, point))))
+        return tuple(_echelon(equations, n).values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineSubspace):
@@ -245,18 +250,10 @@ class AffineSubspace:
     def __hash__(self):
         return hash((self.ambient_dim, self.key))
 
-    def implicit(self) -> tuple[tuple[Vector, ...], tuple[Fraction, ...]]:
-        """Equations (A, b) with A x = b cutting out exactly this subspace."""
-        return self._implicit
-
-    @cached_property
-    def _implicit(self) -> tuple[tuple[Vector, ...], tuple[Fraction, ...]]:
-        # the rows B span what the basis B / D spans
-        den, point, basis = self.integer_form
-        if len(basis) == len(point):
-            return (), ()
-        normals = nullspace(basis, len(point))
-        return normals, tuple(dot(nrm, point) / den for nrm in normals)
+    def implicit(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Integer equations (A, b) with A x = b cutting out exactly this
+        subspace: the rows of `key`."""
+        return tuple(row[:-1] for row in self.key), tuple(row[-1] for row in self.key)
 
     def row(self, a: Sequence, b) -> tuple:
         """The row (*coeffs, rhs) of a.x <= b, or of a.x = b, in this
@@ -291,7 +288,7 @@ class AffineSubspace:
 
     def intersect(self, other: "AffineSubspace") -> Optional["AffineSubspace"]:
         """The meet with other, or None: this subspace cut by each implicit
-        equation of other in turn."""
+        equation of other, an integer row, in turn."""
         meet: Optional[AffineSubspace] = self
         for a, b in zip(*other.implicit()):
             meet = meet.cut(meet.row(a, b))

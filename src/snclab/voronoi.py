@@ -10,7 +10,7 @@ keyed by the set J of sites attaining equality; the equidistance locus of
 J is the affine subspace H(J).
 
 One integer kernel substitutes a site's bisector rows into a subspace:
-`SiteSet.rows(i, span)`, one row per site k, from columns built once per
+`SiteSet.rows(i, form)`, one row per site k, from columns built once per
 site set.  By the lifting map (Edelsbrunner & Seidel, "Voronoi diagrams
 and arrangements", 1986), each site's squared distance on a subspace is
 an affine function of its parameters, and row k is site k's minus site
@@ -69,10 +69,12 @@ from .complexes import ComplexError, DeltaComplex, build_complex, nerve_cells
 from .jsonread import expect_list, expect_object, expect_rational
 from .qlinalg import (
     AffineSubspace,
+    IntegerForm,
     Vector,
     _tightest,
     feasible,
     feasible_point,
+    integer_form,
     # unused here but stays bound: perfbench/tracer.py wraps voronoi.solve_affine
     solve_affine,
     vec,
@@ -174,17 +176,17 @@ class SiteSet:
         rhs, *coeffs = self._columns[i]
         return tuple(c[j] for c in coeffs), rhs[j]
 
-    def rows(self, i: int, span: AffineSubspace) -> list[tuple[int, ...]]:
-        """Site i's bisector rows substituted into span, one (*coeffs, rhs)
-        per site k: over span's integer form (D, P, B), x = (P + B u) / D,
-        row k is (a.B_0, ..., a.B_d-1, D b - a.P) for (a, b) =
-        `bisector(i, k)`, i.e. `span.row(*bisector(i, k))`, the row that
-        `cut` and (with strict) `feasible` take, each entry i's columns
-        (b, *a) dotted with (0, *B_t) or (D, *-P).  By the lifting map
-        rhs - coeffs.u is D L^2 (|x - y_k|^2 - |x - y_i|^2), affine in u,
-        so two sites are equidistant on all of span iff their rows agree,
-        and the sites equidistant to i have the zero row."""
-        den, anchor, basis = span.integer_form
+    def rows(self, i: int, form: IntegerForm) -> list[tuple[int, ...]]:
+        """Site i's bisector rows substituted into a span given by its
+        integer form (D, P, B), one (*coeffs, rhs) per site k: with
+        x = (P + B u) / D, row k is (a.B_0, ..., a.B_d-1, D b - a.P) for
+        (a, b) = `bisector(i, k)`, i.e. `span.row(*bisector(i, k))`, the
+        row that `cut` and (with strict) `feasible` take, each entry i's
+        columns (b, *a) dotted with (0, *B_t) or (D, *-P).  By the lifting
+        map rhs - coeffs.u is D L^2 (|x - y_k|^2 - |x - y_i|^2), affine in
+        u, so two sites are equidistant on all of the span iff their rows
+        agree, and the sites equidistant to i have the zero row."""
+        den, anchor, basis = form
         columns = self._columns[i]
         return list(zip(*[_column_dots(columns, (0, *b)) for b in basis],
                         _column_dots(columns, (den, *[-x for x in anchor]))))
@@ -231,7 +233,7 @@ class VoronoiFace:
         span at Fourier-Motzkin's witness of the face test's rows."""
         if not self.span.dim:
             return self.span.point
-        rows = self.site_set.rows(min(self.sites), self.span)
+        rows = self.site_set.rows(min(self.sites), self.span.integer_form)
         return self.span.parametrize(
             feasible_point(_constraints(rows, self.sites, True), self.span.dim))
 
@@ -356,7 +358,7 @@ def _walk(
             for k in later:
                 indices = parent + (k,)
                 if rows is None:
-                    child_rows = site_set.rows(k, whole)
+                    child_rows = site_set.rows(k, whole.integer_form)
                 else:
                     child_rows = _cut_rows(rows, rows[k])
                     if child_rows is None:
@@ -536,11 +538,12 @@ def select_subcomplex(vc: VoronoiComplex, region: Region) -> tuple[int, ...]:
     The region is a finite union of closed rational simplices; emptiness
     of cell-meets-simplex is decided exactly via feasibility in barycentric
     coordinates.  Every region vertex is checked against the ambient
-    dimension first, and each simplex's hull, barycentric rows and site 0's
-    bisector rows substituted into the hull (`SiteSet.rows`) are built
-    once.  Bisector rows are linear in the sites, so a cell i's closed rows
-    there are site 0's rows minus site 0's row i, entry by entry, exactly
-    `SiteSet.rows(i, hull)`.  Each (cell, simplex) test is one
+    dimension first, and each simplex's barycentric rows and site 0's
+    bisector rows on it (`SiteSet.rows` of the `integer_form` of p_0 and
+    the p_v - p_0, dependent for a degenerate simplex) are built once.
+    Bisector rows are linear in the sites, so a cell i's closed rows there
+    are site 0's rows minus site 0's row i, entry by entry, exactly
+    `SiteSet.rows(i, form)`.  Each (cell, simplex) test is one
     `feasible_point` call on both as non-strict pairs, integer
     Fourier-Motzkin whose witness is back-substituted in integers and then
     discarded.  An empty selection is a valid result.
@@ -554,12 +557,10 @@ def select_subcomplex(vc: VoronoiComplex, region: Region) -> tuple[int, ...]:
             continue
         # barycentric lambdas 1..k-1 free, lambda_0 = 1 - sum
         p0, k = simplex[0], len(simplex)
-        hull = AffineSubspace(
-            p0, tuple(tuple(x - y for x, y in zip(v, p0)) for v in simplex[1:])
-        )
+        form = integer_form(p0, [tuple(x - y for x, y in zip(v, p0)) for v in simplex[1:]])
         # -lambda_v <= 0 for each v, and lambda_1 + ... + lambda_k-1 <= 1
         barycentric = [((*[-int(u == v) for u in range(1, k)], 0), False) for v in range(1, k)]
-        hulls.append((hull.dim, vc.sites.rows(0, hull), [*barycentric, ((1,) * k, False)]))
+        hulls.append((k - 1, vc.sites.rows(0, form), [*barycentric, ((1,) * k, False)]))
     selected = []
     for i in vc.cell_indices():
         for dim, base, barycentric in hulls:
@@ -718,7 +719,7 @@ class SubspaceArrangement:
             span, first = self.spans[j1], min(j2)
             for k in sorted(j2 - {first}):
                 span = span and span.cut(span.row(*self.sites.bisector(first, k)))
-            self._meets[pair] = span, span and _partition(self.sites.rows(first, span))
+            self._meets[pair] = span, span and _partition(self.sites.rows(first, span.integer_form))
         return self._meets[pair]
 
     def meet(self, j1: frozenset[int], j2: frozenset[int]) -> Optional[AffineSubspace]:

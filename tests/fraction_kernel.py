@@ -1,5 +1,10 @@
 """Earlier versions of the geometry kernel, kept as test oracles.
 
+`row_reduce` is Fraction Gauss-Jordan elimination, and `solve_affine`,
+`nullspace` and `fraction_key` (a subspace's key from the Fraction
+equations of its basis's null space) read it; `snclab.qlinalg` computes
+the same solutions and keys by integer elimination.
+
 `Constraint` is the oracle's own row type, coeffs . x <= rhs (or < rhs
 when strict); the engine takes the same constraints as the (row, strict)
 pairs of `pairs`.  `feasible_point` is Fourier-Motzkin
@@ -36,8 +41,92 @@ from math import lcm
 from typing import Optional, Sequence
 
 from snclab import qlinalg
-from snclab.qlinalg import AffineSubspace, Vector, dot, solve_affine, vec, whole_space
+from snclab.qlinalg import AffineSubspace, Vector, primitive, vec, whole_space
 from snclab.voronoi import SiteSet, VoronoiComplex
+
+
+def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def row_reduce(work: list[list[Fraction]], ncols: int) -> list[int]:
+    """Bring work to reduced row-echelon form over its first ncols columns,
+    in place, and return the pivot columns; the rows below the last pivot
+    row are zero in those columns."""
+    m = len(work)
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(r, m):
+            if work[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pv = work[r][col]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(m):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
+def solve_affine(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
+    """Solve rows * x = rhs: (particular solution, basis of the homogeneous
+    solution space), free variables in ascending column order, or None when
+    inconsistent."""
+    m = len(rows)
+    if m == 0:
+        raise ValueError("empty system; caller should special-case it")
+    n = len(rows[0])
+    work = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = row_reduce(work, n)
+    for i in range(len(pivots), m):
+        if work[i][n] != 0:
+            return None
+    free_cols = [c for c in range(n) if c not in pivots]
+    point = [Fraction(0)] * n
+    for row_idx, col in enumerate(pivots):
+        point[col] = work[row_idx][n]
+    basis = []
+    for fc in free_cols:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for row_idx, col in enumerate(pivots):
+            v[col] = -work[row_idx][fc]
+        basis.append(tuple(v))
+    return tuple(point), tuple(basis)
+
+
+def nullspace(rows: Sequence[Sequence[Fraction]], n: int) -> tuple[Vector, ...]:
+    if not rows:
+        return tuple(
+            tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
+        )
+    solved = solve_affine(rows, [Fraction(0)] * len(rows))
+    assert solved is not None
+    return solved[1]
+
+
+def fraction_key(span: AffineSubspace) -> tuple[tuple[int, ...], ...]:
+    """The primitive integer rows of the reduced row-echelon form of span's
+    implicit equations [A | b], the rows of A spanning the null space of
+    its basis and b = A p, denominators cleared; the whole space has the
+    empty key."""
+    den, point, basis = span.integer_form
+    if len(basis) == len(point):
+        return ()
+    normals = nullspace(basis, len(point))
+    work = [list(a) + [dot(a, point) / den] for a in normals]
+    rank = len(row_reduce(work, span.ambient_dim))
+    return tuple(primitive(row) for row in work[:rank])
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_kernel
+from fraction_kernel import dot, solve_affine
 from corpus import (
     FOUR_SITES_1D,
     HIDDEN_CONTAINMENTS,
@@ -30,7 +31,7 @@ from corpus import (
     seeded_sites,
 )
 from snclab import qlinalg, voronoi
-from snclab.qlinalg import AffineSubspace, dot, solve_affine
+from snclab.qlinalg import AffineSubspace
 from snclab.snc import (
     Chart,
     SncCheckError,
@@ -633,7 +634,7 @@ def partitions_and_spans(sites):
 
 
 def distance_partition(sites, span, base=0):
-    return voronoi._partition(sites.rows(base, span))
+    return voronoi._partition(sites.rows(base, span.integer_form))
 
 
 RECTANGLE = [(0, 0), (2, 0), (0, 4), (2, 4)]

@@ -18,10 +18,10 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fraction_kernel import row_reduce
 from minors_oracle import determinant, invariant_factors_by_minors, is_unimodular
 from snclab import complexes, intlinalg, presentations, qlinalg
 from snclab.intlinalg import IntMatrix, rank, smith_normal_form
-from snclab.qlinalg import row_reduce
 from snf_oracle import identity, matmul, smith_form_with_transforms, zero
 
 

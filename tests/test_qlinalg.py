@@ -12,13 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_kernel
-from fraction_kernel import Constraint, pairs
+from fraction_kernel import Constraint, dot, nullspace, pairs
+from snclab import qlinalg
 from snclab.qlinalg import (
     AffineSubspace,
-    dot,
     feasible,
     feasible_point,
-    nullspace,
     solve_affine,
     vec,
     whole_space,
@@ -476,3 +475,104 @@ def test_affine_subspace_is_frozen():
         assert lazy.integer_form == span.integer_form == (2, (1, 0), ((2, 2),))
     assert lazy == span and hash(lazy) == hash(span) and "_cut" not in vars(lazy)
     assert span.point == (F(1, 2), F(0))
+
+
+# --- one integer elimination routine ------------------------------------
+
+
+@st.composite
+def independent_spans(draw):
+    """A subspace of Q^1..Q^5 through a point, all ints or with Fraction
+    entries, spanned by drawn vectors, each kept when it raises the rank by
+    the Fraction row reduction."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-4, 4) if draw(st.booleans()) else st.one_of(st.integers(-4, 4), RATIONAL)
+    point = tuple(draw(entry) for _ in range(n))
+    basis = []
+    for _ in range(draw(st.integers(0, n + 1))):
+        v = tuple(draw(entry) for _ in range(n))
+        if len(fraction_kernel.row_reduce([vec(b) for b in (*basis, v)], n)) > len(basis):
+            basis.append(v)
+    return AffineSubspace(point, basis)
+
+
+@settings(max_examples=300)
+@given(independent_spans())
+@example(whole_space(3))
+@example(AffineSubspace((F(1, 2), 0, F(-3, 5)), ()))
+def test_key_is_the_fraction_key(span):
+    assert span.key == fraction_kernel.fraction_key(span)
+    assert all(type(x) is int for row in span.key for x in row)
+
+
+@given(integer_systems(), st.booleans())
+def test_keys_along_a_cut_chain_are_the_fraction_keys(drawn, rational):
+    n, (system,) = drawn
+    span = whole_space(n)
+    while span is not None:
+        assert span.key == fraction_kernel.fraction_key(span)
+        if not system:
+            break
+        a, b = system.pop()
+        span = span.cut(span.row(vec(a) if rational else a, F(b, 3) if rational else b))
+
+
+@st.composite
+def linear_systems(draw):
+    """1 to 4 equations over 1 to 4 variables, all ints or with Fraction
+    entries; a multiple of the first row with its own rhs is often added,
+    so consistent and inconsistent dependent systems are both drawn."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3) if draw(st.booleans()) else st.one_of(st.integers(-3, 3), RATIONAL)
+    rows = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        rows.append(tuple(2 * x for x in rows[0]))
+    return rows, [draw(entry) for _ in rows]
+
+
+@settings(max_examples=400)
+@given(linear_systems())
+@example(([(1, 1), (2, 2)], [1, 3]))
+@example(([(1, 1), (2, 2)], [1, 2]))
+@example(([(0, 0)], [0]))
+@example(([(0, 0)], [F(1, 2)]))
+def test_solve_affine_is_the_fraction_solve(drawn):
+    rows, rhs = drawn
+    solved = solve_affine(rows, rhs)
+    assert solved == fraction_kernel.solve_affine(rows, rhs)
+    assert solved is None or all(type(x) is F for v in (solved[0], *solved[1]) for x in v)
+
+
+@given(independent_spans(), st.data())
+def test_a_dependent_basis_raises(span, data):
+    basis = list(span.basis)
+    factors = [data.draw(st.integers(-2, 2)) for _ in basis]
+    combination = tuple(sum((f * b[c] for f, b in zip(factors, basis)), F(0))
+                        for c in range(span.ambient_dim))
+    basis.insert(data.draw(st.integers(0, len(basis))), combination)
+    with pytest.raises(ValueError):
+        AffineSubspace(span.point, basis)
+
+
+def test_a_dependent_basis_is_no_span():
+    # a line given by two parallel vectors was once taken for the plane
+    for basis in [((1, 0), (2, 0)), ((0, 0),), ((1, 2), (1, 2)), ((1, 0), (0, 1), (1, 1)),
+                  ((F(1, 2), F(1, 3)), (3, 2))]:
+        with pytest.raises(ValueError):
+            AffineSubspace((0, 1), basis)
+
+
+def test_keys_and_equations_hold_no_fraction():
+    # the rational row reduction and its helpers are gone from the engine,
+    # and keys and implicit equations are integer rows for Fraction spans
+    # and for cuts by Fraction rows alike
+    for name in ("row_reduce", "nullspace", "dot"):
+        assert not hasattr(qlinalg, name), name
+    halves = AffineSubspace((F(1, 2), F(-3, 4), F(2, 3)), ((F(1), F(5, 6), F(0)),))
+    spans = [whole_space(3), halves, whole_space(3).cut((F(1, 2), F(2, 3), F(-1, 5), F(7, 4))),
+             AffineSubspace((F(1, 7), F(2), F(0)), ())]
+    for span in spans:
+        normals, rhs = span.implicit()
+        assert len(normals) == len(rhs) == span.ambient_dim - span.dim
+        for value in (*span.key, *normals, rhs):
+            assert all(type(x) is int for x in value)

@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fraction_kernel
-from fraction_kernel import Constraint, equidistance_subspace, pairs
+from fraction_kernel import Constraint, dot, equidistance_subspace, pairs
 from corpus import (
     FOUR_SITES_1D,
     HIDDEN_CONTAINMENTS,
@@ -25,7 +25,7 @@ from corpus import (
 )
 from snclab.complexes import AbelianGroup
 from snclab.presentations import abelianization, pi1_presentation
-from snclab.qlinalg import AffineSubspace, dot, feasible_point, whole_space
+from snclab.qlinalg import AffineSubspace, feasible_point, whole_space
 from snclab import voronoi
 from snclab.snc import build_snc
 from snclab.voronoi import (
@@ -144,7 +144,7 @@ def test_integer_substitution_is_the_fraction_substitution_scaled():
             want = fraction_kernel.substitute(rational, span)
             got = span.row(*sites.bisector(i, k))
             # the same row is row k of site i's rows on the span
-            assert sites.rows(i, span)[k] == got
+            assert sites.rows(i, span.integer_form)[k] == got
             factor = scale * scale * span.integer_form[0]
             assert got == tuple(factor * x for x in want.row)
             assert all(type(x) is int for x in got)
@@ -383,9 +383,9 @@ def test_select_systems_match_the_fraction_oracle(dim, n, seed, monkeypatch):
 
 
 def test_select_builds_rows_once_per_simplex(monkeypatch):
-    # cell i's rows on a simplex's hull are site 0's rows there minus site
-    # 0's row i, entry by entry: one SiteSet.rows call per region simplex,
-    # and every system holds cell i's own rows on the hull
+    # cell i's rows on a simplex's parametrization are site 0's rows there
+    # minus site 0's row i, entry by entry: one SiteSet.rows call per region
+    # simplex, on its integer form, and every system holds cell i's own rows
     rng = random.Random(31)
     pts = set()
     while len(pts) < 7:
@@ -397,9 +397,9 @@ def test_select_builds_rows_once_per_simplex(monkeypatch):
     calls, systems = [], []
     rows = SiteSet.rows
 
-    def counting_rows(site_set, i, span):
-        calls.append(span)
-        return rows(site_set, i, span)
+    def counting_rows(site_set, i, form):
+        calls.append(form)
+        return rows(site_set, i, form)
 
     def recorded(constraints, nvars):
         witness = feasible_point(constraints, nvars)
@@ -412,9 +412,9 @@ def test_select_builds_rows_once_per_simplex(monkeypatch):
     assert len(calls) == 4
     monkeypatch.setattr(SiteSet, "rows", rows)
     for i in range(len(sites)):
-        for hull in calls:
+        for form in calls:
             system, witness = systems.pop(0)
-            own = [(row, False) for k, row in enumerate(sites.rows(i, hull)) if k != i]
+            own = [(row, False) for k, row in enumerate(sites.rows(i, form)) if k != i]
             assert system[:len(own)] == own
             if witness is not None:
                 break
@@ -645,9 +645,9 @@ def test_span_walk_builds_rows_only_at_the_whole_space(monkeypatch):
     calls = []
     rows = SiteSet.rows
 
-    def counting_rows(sites, i, span):
-        calls.append((i, span))
-        return rows(sites, i, span)
+    def counting_rows(sites, i, form):
+        calls.append((i, form))
+        return rows(sites, i, form)
 
     monkeypatch.setattr(SiteSet, "rows", counting_rows)
     rng = random.Random(11)
@@ -656,10 +656,10 @@ def test_span_walk_builds_rows_only_at_the_whole_space(monkeypatch):
         pts.add((rng.randint(0, 97), rng.randint(0, 97)))
     vc = voronoi_complex(SiteSet.build(2, sorted(pts)))
     assert len(vc.faces) > 11
-    assert calls == [(i, whole_space(2)) for i in range(11)]
+    assert calls == [(i, whole_space(2).integer_form) for i in range(11)]
     calls.clear()
     assert vc.subspaces
-    assert calls == [(i, whole_space(2)) for i in range(11)]
+    assert calls == [(i, whole_space(2).integer_form) for i in range(11)]
 
 
 @given(degenerate_site_sets())
@@ -702,10 +702,10 @@ def test_cut_rows_are_the_rows_of_the_cut(sites):
             continue
         indices = sorted(key)
         parent = spans[frozenset(indices[:-1])]
-        rows = sites.rows(indices[0], parent)
+        rows = sites.rows(indices[0], parent.integer_form)
         row = rows[indices[-1]]
         assert parent.cut(row).integer_form == child.integer_form
-        expected = sites.rows(indices[0], child)
+        expected = sites.rows(indices[0], child.integer_form)
         derived = voronoi._cut_rows(rows, row)
         if not any(row[:-1]):  # site max J ties with min J on all of the parent
             assert derived is rows
@@ -713,7 +713,7 @@ def test_cut_rows_are_the_rows_of_the_cut(sites):
         # rows that already carry a positive factor, as derived ones do
         scaled = [tuple(3 * x for x in r) for r in rows]
         assert_positive_multiple(voronoi._cut_rows(scaled, scaled[indices[-1]]), expected)
-    rows = sites.rows(0, whole)
+    rows = sites.rows(0, whole.integer_form)
     assert voronoi._cut_rows(rows, (0,) * sites.dim + (5,)) is None
     assert voronoi._cut_rows(rows, (0,) * sites.dim + (-5,)) is None
 
@@ -724,7 +724,7 @@ def recorded_exceptional_sets(sites):
     subspaces, partitions = voronoi_complex(sites)._spans
     assert partitions == {
         key: partition for key, span in subspaces.items()
-        if (partition := voronoi._partition(sites.rows(0, span))) != {key}
+        if (partition := voronoi._partition(sites.rows(0, span.integer_form))) != {key}
     }
     return partitions
 
