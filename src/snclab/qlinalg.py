@@ -11,21 +11,21 @@ constraint has one format, the row (*a, b) for a.x <= b (a.x = b in a
 cut), integer for integer input.  `AffineSubspace.row` writes one in a
 subspace's parameters by integer arithmetic on its form, and `cut` meets
 the subspace with the hyperplane of such a row, with no solve and no
-Fraction: the Voronoi enumeration and the subspace arrangement cut out
-each H(J + k) and each meet so, and no library path calls `intersect`.
-A cut is deferred: the row decides an empty meet,
-the subspace itself, or the pivot and so the dimension, and the child's
-integer form is derived from its parent's and the row only when first
-read, so a reader of dimensions alone does no arithmetic on forms.  The
-feasibility engine takes (row, strict) pairs, strict for a.x < b:
-Fourier-Motzkin elimination over mixed strict and non-strict inequalities
-on primitive integer rows, one routine for both entry points, and it runs
-in integers throughout.  `feasible` decides the last variable by comparing
-its tightest bounds as integer pairs; `feasible_point` goes on to
-back-substitute a witness, fixing each variable as a numerator over one
-common denominator from the same tightest-bounds routine, and makes one
-Fraction per returned coordinate.  That is enough for the desk scales
-targeted here (a handful of variables, tens of constraints).
+Fraction: the Voronoi enumeration cuts out each H(J + k) so, and no
+library path calls `intersect`.  A cut is deferred: the row decides an
+empty meet, the subspace itself, or the pivot and so the dimension, and
+the child's integer form is derived from its parent's and the row only
+when first read, so a reader of dimensions alone does no arithmetic on
+forms.  The feasibility engine takes (row, strict) pairs, strict for
+a.x < b: Fourier-Motzkin elimination over mixed strict and non-strict
+inequalities on primitive integer rows, one routine for both entry
+points, and it runs in integers throughout.  `feasible` decides the last
+variable by comparing its tightest bounds as integer pairs;
+`feasible_point` goes on to back-substitute a witness, fixing each
+variable as a numerator over one common denominator from the same
+tightest-bounds routine, and makes one Fraction per returned coordinate.
+That is enough for the desk scales targeted here (a handful of variables,
+tens of constraints).
 """
 
 from __future__ import annotations
@@ -142,7 +142,9 @@ class AffineSubspace:
 
     def __init__(self, point: Sequence, basis: Sequence[Sequence]):
         """point + span(basis), for rational (or integer) entries; a
-        dependent basis raises ValueError."""
+        dependent basis or a basis vector of another length raises ValueError."""
+        if any(len(b) != len(point) for b in basis):
+            raise ValueError("basis vector length does not match the point's")
         form = integer_form(point, basis)
         if len(_echelon(form[2], len(form[1]))) < len(form[2]):
             raise ValueError("dependent basis: its vectors span fewer dimensions than they number")

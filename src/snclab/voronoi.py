@@ -31,7 +31,7 @@ it, and H(J) is cut out only when J is kept or extended.  The cut is
 deferred (`AffineSubspace.cut`): H(J) holds its parent and row and
 derives its integer form only when that is read, so the walks, which read
 only dimensions, do no arithmetic on forms, and `voronoi build`'s
-witnesses and the 3D disjoint meets derive the forms they read.  Two
+witnesses and the arrangement's rows derive the forms they read.  Two
 rules drive it.  The face rule (`voronoi_complex`) keeps the faces and
 extends J only while its closed face is non-empty, which only shrinks as
 J grows, so the work follows the number of faces; it decides the face
@@ -46,14 +46,14 @@ outside E, which has no child; a complex runs it on first use, which
 The subspace classification and the SNC gluing read the complex's
 `SubspaceArrangement`, built on first use from the span walk, which
 decides incidence in integers: H(J1) and H(J2) meet in H(J1 | J2) when J1
-and J2 share a site, else in H(J1) cut by the bisector rows of J2, and a
-subspace lies in H(J) iff J falls in one of its distance classes, so H(Q)
-lies in H(J) iff J <= Q outside the exceptional sets E.  The classes of
-two or more sites key the coincidence table that finishes the genericity
-check.  The self-checks themselves (parasitic parents, intersection
-closure) still run for every cell, but read only its star, the index sets
-of its faces: every fact that does not depend on the cell is the
-arrangement's.
+and J2 share a site, else as min(J1)'s rows on H(J1) cut by J2's
+equalities (`_cut_rows`) say, and a subspace lies in H(J) iff J falls in
+one of its distance classes, so H(Q) lies in H(J) iff J <= Q outside the
+exceptional sets E.  The classes of two or more sites key the coincidence
+table that finishes the genericity check.  The self-checks themselves
+(parasitic parents, intersection closure) still run for every cell, but
+read only its star, the index sets of its faces: every fact that does not
+depend on the cell is the arrangement's.
 """
 
 from __future__ import annotations
@@ -437,8 +437,9 @@ def _cut_rows(
     substituted into the rows, times one more positive factor, with no
     division.  Every reader of the walk's rows reads them up to that
     factor: the signs and zeros of a point's rows, the bounds and end test
-    of `_line_children`, `feasible`, which makes each row primitive, and
-    the span rule's count of distinct rows and `_partition`."""
+    of `_line_children`, `feasible`, which makes each row primitive, the
+    span rule's count of distinct rows, `_partition`, and the arrangement's
+    disjoint meets, which cut by differences of rows (`disjoint_meet`)."""
     *coeffs, rhs = row
     for t, lead in enumerate(coeffs):
         if lead:
@@ -625,18 +626,18 @@ class SubspaceArrangement:
 
     By the lifting map (Edelsbrunner & Seidel, "Voronoi diagrams and
     arrangements", 1986), H(J1) and H(J2) meet in H(J1 | J2) when J1 and J2
-    share a site; that of disjoint J1 and J2 is H(J1) cut by the bisector
-    rows of J2, as the walks cut out H(J + k), memoised with its distance
-    partition (`_partition`).  A subspace lies in H(J) exactly when J falls in
-    one of its classes.  Q is exceptional, in E, when the partition of H(Q)
-    is not {Q}, i.e. H(Q) lies on the bisector of two sites not both in Q;
-    the span walk records these partitions, and for Q outside E, H(Q) lies
-    in H(J) iff J <= Q.  Two index sets with one subspace both lie above E
-    (contain some H(Q), Q in E), so the table that finishes the genericity
-    check, naming the first colliding pair in (size, sorted) order, maps
-    only their partitions to them.  The records are sorted once in each of
-    two orders, by size and by dimension, and the pair work of the per-cell
-    checks is done once, on first use: `splits` per key and `meeting_pairs`.
+    share a site; a meet of disjoint J1 and J2 is read off rows, with no
+    span built (`disjoint_meet`).  A subspace lies in H(J) exactly when J
+    falls in one of its classes (`_partition`).  Q is exceptional, in E,
+    when the partition of H(Q) is not {Q}, i.e. H(Q) lies on the bisector
+    of two sites not both in Q; the span walk records these partitions, and
+    for Q outside E, H(Q) lies in H(J) iff J <= Q.  Two index sets with one
+    subspace both lie above E (contain some H(Q), Q in E), so the table
+    that finishes the genericity check, naming the first colliding pair in
+    (size, sorted) order, maps only their partitions to them.  The records
+    are sorted once in each of two orders, by size and by dimension, and
+    the pair work of the per-cell checks is done once, on first use:
+    `splits` per key and `meeting_pairs`.
     """
 
     def __init__(
@@ -666,7 +667,7 @@ class SubspaceArrangement:
                         f"H{sorted(first)} and H{sorted(key)} span the same subspace"
                     )
         self._splits: dict[frozenset[int], list[tuple[frozenset[int], frozenset[int]]]] = {}
-        self._meets: dict[frozenset[frozenset[int]], tuple] = {}
+        self._rows: dict[frozenset[int], list[tuple[int, ...]]] = {}
 
     @cached_property
     def meeting_pairs(self) -> tuple[tuple[frozenset[int], frozenset[int], int, frozenset], ...]:
@@ -679,14 +680,14 @@ class SubspaceArrangement:
             level = [r.sites for r in self.records_by_dim if r.dim == d]
             lower = [r.sites for r in self.records_by_dim if r.dim < d]
             for a, b in combinations(level, 2):
-                meet = self.meet(a, b)
-                if meet is None:
-                    continue
                 if a & b:
-                    covers = [j for j in self.containing(a | b) if self.spans[j].dim < d]
-                else:
-                    covers = [j for j in lower if self.meet_within(a, b, j)]
-                out.append((a, b, meet.dim, frozenset(covers)))
+                    if (span := self.spans.get(a | b)) is not None:
+                        out.append((a, b, span.dim, frozenset(
+                            j for j in self.containing(a | b) if self.spans[j].dim < d)))
+                elif (meet := self.disjoint_meet(a, b)) is not None:
+                    dim, partition = meet
+                    out.append((a, b, dim, frozenset(
+                        j for j in lower if any(j <= c for c in partition))))
         return tuple(out)
 
     def splits(self, key: frozenset[int]) -> list[tuple[frozenset[int], frozenset[int]]]:
@@ -711,33 +712,29 @@ class SubspaceArrangement:
             return [*_proper_subsets(q), q]
         return [r.sites for r in self.records if self.within(q, r.sites)]
 
-    def _disjoint_meet(self, j1: frozenset[int], j2: frozenset[int]):
-        """(H(j1) & H(j2), its partition) for disjoint j1 and j2, or (None,
-        None) when they do not meet."""
-        pair = frozenset((j1, j2))
-        if pair not in self._meets:
-            span, first = self.spans[j1], min(j2)
-            for k in sorted(j2 - {first}):
-                span = span and span.cut(span.row(*self.sites.bisector(first, k)))
-            self._meets[pair] = span, span and _partition(self.sites.rows(first, span.integer_form))
-        return self._meets[pair]
-
-    def meet(self, j1: frozenset[int], j2: frozenset[int]) -> Optional[AffineSubspace]:
-        """H(j1) intersected with H(j2), or None when they are disjoint."""
-        if j1 & j2:
-            return self.spans.get(j1 | j2)
-        return self._disjoint_meet(j1, j2)[0]
-
-    def meet_within(self, j1: frozenset[int], j2: frozenset[int], j: frozenset[int]) -> bool:
-        """Whether H(j1) & H(j2), for disjoint j1 and j2 that meet, lies in H(j)."""
-        return any(j <= c for c in self._disjoint_meet(j1, j2)[1])
+    def disjoint_meet(
+        self, j1: frozenset[int], j2: frozenset[int]
+    ) -> Optional[tuple[int, frozenset[frozenset[int]]]]:
+        """(dim, distance partition) of H(j1) & H(j2) for disjoint j1 and
+        j2, or None when they do not meet: min(j1)'s rows on H(j1), read
+        once per record, cut (`_cut_rows`) by row k minus row f for each k
+        in j2 but f = min(j2), the bisector of f and k there."""
+        if j1 not in self._rows:
+            self._rows[j1] = self.sites.rows(min(j1), self.spans[j1].integer_form)
+        rows, first = self._rows[j1], min(j2)
+        for k in sorted(j2 - {first}):
+            rows = _cut_rows(rows, tuple(map(sub, rows[k], rows[first])))
+            if rows is None:
+                return None
+        return len(rows[0]) - 1, _partition(rows)
 
     def lookup(self, j1: frozenset[int], j2: frozenset[int]) -> Optional[frozenset[int]]:
         """The J above E with H(J) == H(j1) & H(j2), for disjoint j1 and j2,
         or None.  A meet of disjoint index sets that is some H(Q) has Q in E:
         otherwise Q holds both sets and its bisectors are dependent, so a
         subset shares H(Q)."""
-        return self._index.get(self._disjoint_meet(j1, j2)[1])
+        meet = self.disjoint_meet(j1, j2)
+        return meet and self._index.get(meet[1])
 
 
 def classify_subspaces(vc: VoronoiComplex, cell: int) -> SubspaceReport:

@@ -193,16 +193,23 @@ def check_arrangement(vc):
         hidden = any(not p <= q and param_contains(spans[p], spans[q]) for p in pairs)
         assert (q in arrangement.exceptional) == hidden
     for j1, j2 in combinations(ordered, 2):
-        meet = arrangement.meet(j1, j2)
         expected = param_meet(spans[j1], spans[j2])
+        if j1 & j2:
+            meet = spans.get(j1 | j2)
+            assert (meet is None) == (expected is None)
+            assert meet is None or same_set(meet, expected)
+            continue
+        meet = arrangement.disjoint_meet(j1, j2)
         assert (meet is None) == (expected is None)
-        if meet is not None:
-            assert same_set(meet, expected)
-            if not j1 & j2:
-                key = arrangement.lookup(j1, j2)
-                assert key == next((j for j, s in spans.items() if same_set(s, meet)), None)
-                for j in ordered:
-                    assert arrangement.meet_within(j1, j2, j) == param_contains(spans[j], meet)
+        key = arrangement.lookup(j1, j2)
+        if meet is None:
+            assert key is None
+            continue
+        dim, partition = meet
+        assert (dim, partition) == (expected.dim, distance_partition(vc.sites, expected))
+        assert key == next((j for j, s in spans.items() if same_set(s, expected)), None)
+        for j in ordered:
+            assert any(j <= c for c in partition) == param_contains(spans[j], expected)
     above = set()
     for q in spans:
         containers = [j for j in ordered if param_contains(spans[j], spans[q])]
@@ -560,33 +567,35 @@ def test_exceptional_sets_of_hidden_containments():
 
 
 def test_pair_work_does_not_grow_with_the_selection(monkeypatch):
-    # every pair of same-stage lines is met once per arrangement, however
-    # many charts read the result
+    # every disjoint pair of same-stage lines is met once per arrangement,
+    # however many charts read the result
     meets = []
-    meet = SubspaceArrangement.meet
+    disjoint_meet = SubspaceArrangement.disjoint_meet
 
     def counted(self, j1, j2):
         meets.append((j1, j2))
-        return meet(self, j1, j2)
+        return disjoint_meet(self, j1, j2)
 
-    monkeypatch.setattr(SubspaceArrangement, "meet", counted)
+    monkeypatch.setattr(SubspaceArrangement, "disjoint_meet", counted)
     counts = []
     for selection in ([0], range(8)):
         vc = voronoi_complex(seeded_sites(11, 8, 3))
         meets.clear()
         build_snc(vc, selection)
         counts.append(len(meets))
-    lines = sum(span.dim == 1 for span in vc.subspaces.values())
-    assert counts == [lines * (lines - 1) // 2] * 2
+    lines = [j for j, span in vc.subspaces.items() if span.dim == 1]
+    disjoint = sum(not a & b for a, b in combinations(lines, 2))
+    assert disjoint and counts == [disjoint] * 2
 
 
 def test_planar_gluing_solves_nothing(monkeypatch):
     # every incidence comes from the index sets and the integer distance
-    # partitions: no elimination and no Fraction geometry (no intersect, no
-    # implicit equations, no canonical key, so no subspace is hashed) in any
-    # cell or gluing.  The planar set has no exceptional set; the 3D set's
-    # ledgers hold disjoint stage-1 lines, and random5_n10 has an exceptional
-    # set, so both cut out meets of disjoint index sets
+    # partitions: no elimination, no cut and no Fraction geometry (no
+    # intersect, no implicit equations, no canonical key, so no subspace is
+    # hashed) in any cell or gluing.  The planar set has no exceptional set;
+    # the 3D set's ledgers hold disjoint stage-1 lines, and random5_n10 has
+    # an exceptional set, so both read meets of disjoint index sets off the
+    # records' rows
     complexes = {
         "planar11": voronoi_complex(seeded_sites(11, 11, 2)),
         "spatial11_8": voronoi_complex(seeded_sites(11, 8, 3)),
@@ -605,6 +614,8 @@ def test_planar_gluing_solves_nothing(monkeypatch):
     for name in ("intersect", "implicit", "cut"):
         monkeypatch.setattr(AffineSubspace, name, counting(name, getattr(AffineSubspace, name)))
     monkeypatch.setattr(AffineSubspace, "key", property(counting("key", AffineSubspace.key.func)))
+    monkeypatch.setattr(SubspaceArrangement, "disjoint_meet",
+                        counting("disjoint_meet", SubspaceArrangement.disjoint_meet))
     for name, vc in complexes.items():
         calls.clear()
         vc.subspaces  # the span walk cuts out every H(J) once, on first use
@@ -613,8 +624,8 @@ def test_planar_gluing_solves_nothing(monkeypatch):
         model = build_snc(vc, vc.cell_indices())
         assert len(model.charts) == len(vc.sites) and model.gluings
         assert (vc.arrangement.exceptional != frozenset()) == (name == "random5_n10")
-        assert [c for c in calls if c != "cut"] == [], name
-        assert ("cut" in calls) == (name != "planar11"), name
+        assert [c for c in calls if c != "disjoint_meet"] == [], name
+        assert ("disjoint_meet" in calls) == (name != "planar11"), name
 
 
 # --- the distance partition is the subspace -------------------------------
@@ -669,6 +680,28 @@ def test_distance_partition_does_not_depend_on_the_base_site(sites):
     for partition, span in partitions_and_spans(sites):
         for b in range(1, len(sites)):
             assert distance_partition(sites, span, b) == partition
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 6)] * 3), min_size=6, max_size=8, unique=True))
+def test_disjoint_meets_are_the_intersections(points):
+    # small 3D sets, where disjoint H(J) often meet and E is often not
+    # empty: each meet read off the records' rows, in either order, is
+    # `AffineSubspace.intersect`'s meet, by dimension and distance partition
+    sites = SiteSet.build(3, points)
+    vc = voronoi_complex(sites)
+    try:
+        arrangement = vc.arrangement
+    except GenericityError:
+        return
+    spans = vc.subspaces
+    for j1, j2 in combinations(spans, 2):
+        if j1 & j2:
+            continue
+        meet = spans[j1].intersect(spans[j2])
+        expected = meet and (meet.dim, distance_partition(sites, meet))
+        assert arrangement.disjoint_meet(j1, j2) == expected
+        assert arrangement.disjoint_meet(j2, j1) == expected
 
 
 @pytest.mark.parametrize("dim, points, first, second", [

@@ -562,6 +562,18 @@ def test_a_dependent_basis_is_no_span():
             AffineSubspace((0, 1), basis)
 
 
+def test_a_basis_of_another_length_is_no_span():
+    # a longer vector once passed for its first coordinates, so this span
+    # compared equal to the x-axis; a shorter one was accepted as well
+    with pytest.raises(ValueError, match="length"):
+        AffineSubspace((0, 0), ((1, 0, 5),))
+    with pytest.raises(ValueError, match="length"):
+        AffineSubspace((0, 0, 0), ((1, 0),))
+    with pytest.raises(ValueError, match="length"):
+        AffineSubspace((0, 0, 0), ((1, 0, 0), (0, 1)))
+    assert AffineSubspace((0, 0), ((1, 0),)).dim == 1
+
+
 def test_keys_and_equations_hold_no_fraction():
     # the rational row reduction and its helpers are gone from the engine,
     # and keys and implicit equations are integer rows for Fraction spans

@@ -808,8 +808,9 @@ def test_face_walk_cuts_only_what_it_keeps(monkeypatch, seed, n, dim, hi):
 
 @pytest.mark.parametrize("name", ["planar11", "crossing_axes"])
 def test_walks_and_meets_cut_with_plain_integer_rows(monkeypatch, name):
-    # the face walk, the span walk and the disjoint meets hand `cut` the
-    # row format of SiteSet.rows: a tuple of Python ints, no wrapper object
+    # the face walk and the span walk hand `cut` the row format of
+    # SiteSet.rows, a tuple of Python ints with no wrapper object; the
+    # disjoint meets make no cut and hand `_cut_rows` rows of that format
     if name == "planar11":
         rng = random.Random(11)
         pts = set()
@@ -820,10 +821,15 @@ def test_walks_and_meets_cut_with_plain_integer_rows(monkeypatch, name):
         sites = HIDDEN_CONTAINMENTS[name]
     rows = []
     cut = AffineSubspace.cut
+    cut_rows = voronoi._cut_rows
 
     def recorded(span, row):
         rows.append(row)
         return cut(span, row)
+
+    def recorded_rows(table, row):
+        rows.extend([*table, row])
+        return cut_rows(table, row)
 
     monkeypatch.setattr(AffineSubspace, "cut", recorded)
 
@@ -836,8 +842,10 @@ def test_walks_and_meets_cut_with_plain_integer_rows(monkeypatch, name):
     assert vc.subspaces
     plain()
     arrangement = vc.arrangement
+    monkeypatch.setattr(AffineSubspace, "cut", None)
+    monkeypatch.setattr(voronoi, "_cut_rows", recorded_rows)
     lines = [r.sites for r in arrangement.records_by_dim if r.dim == 1]
-    meets = [arrangement.meet(a, b) for a, b in combinations(lines, 2) if not a & b]
+    meets = [arrangement.disjoint_meet(a, b) for a, b in combinations(lines, 2) if not a & b]
     assert any(meet is not None for meet in meets)
     plain()
 
