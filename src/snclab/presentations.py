@@ -154,11 +154,12 @@ def pi1_presentation(k: DeltaComplex, basepoint: int = 0) -> Presentation:
     Generators are the edges outside a breadth-first spanning tree rooted
     at the basepoint (ties broken by lowest edge index); every 2-cell
     contributes its boundary word with tree edges deleted.  Collapsing the
-    tree justifies dropping the conjugating tree paths.
+    tree justifies dropping the conjugating tree paths.  The complex is
+    connected when the search reaches every vertex.
     """
-    if not k.is_connected():
-        raise ComplexError("pi_1 needs a connected complex")
     if not 0 <= basepoint < k.n_cells(0):
+        if not k.is_connected():
+            raise ComplexError("pi_1 needs a connected complex")
         raise ComplexError("basepoint out of range")
     n_edges = k.n_cells(1) if k.dim >= 1 else 0
     edges = k.cells[1] if k.dim >= 1 else ()
@@ -178,6 +179,8 @@ def pi1_presentation(k: DeltaComplex, basepoint: int = 0) -> Presentation:
                 visited.add(other)
                 tree.add(e)
                 queue.append(other)
+    if len(visited) < k.n_cells(0):
+        raise ComplexError("pi_1 needs a connected complex")
     gen_index = {}
     for e in range(n_edges):
         if e not in tree:

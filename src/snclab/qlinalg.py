@@ -300,7 +300,14 @@ class AffineSubspace:
 
 
 def whole_space(n: int) -> AffineSubspace:
-    return AffineSubspace((0,) * n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    """Q^n, with its integer form (1, 0, identity) set as `cut` sets a
+    span's fields: the constructor's `integer_form` and rank check would
+    only confirm that the identity is integral and independent.  Each call
+    makes a new object, so first-read caches stay with one caller."""
+    span = object.__new__(AffineSubspace)
+    span.__dict__["integer_form"] = (
+        1, (0,) * n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    return span
 
 
 def _tightest(rows, k: int, fixed: Sequence[int] = (), den: int = 1):

@@ -705,7 +705,9 @@ def embed_snc(model: SncModel) -> list[LocalModel]:
 
     The ambient smooth space has dimension n = dim(model) + 1.  A stratum
     with d components admits determinant sizes m with m^2 <= n - d, each
-    contributing one root with an empty exceptional multiset.
+    contributing one root with an empty exceptional multiset.  Each root
+    is made by the trusted constructor: a stratum's key is a frozenset of
+    ints, m >= 0 and there is no exceptional divisor to check.
     """
     n = model.dim + 1
     roots = []
@@ -713,7 +715,7 @@ def embed_snc(model: SncModel) -> list[LocalModel]:
         d = len(stratum.key)
         m = 0
         while m * m <= n - d:
-            roots.append(LocalModel.build(sorted(stratum.key), m))
+            roots.append(_model(stratum.key, m, (), Mdeg(d, m, 0)))
             m += 1
     return roots
 

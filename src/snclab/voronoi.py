@@ -4,22 +4,25 @@ Sites live in Q^m.  The nearness predicate is linearized exactly:
 d(x, y_i) <= d(x, y_j) iff 2(y_j - y_i) . x <= |y_j|^2 - |y_i|^2, so every
 face is cut out by rational equalities and strict inequalities and its
 existence is a Fourier-Motzkin feasibility question.  Over the sites'
-common denominator L (y = Y / L) that row times L^2 is the integer row
-2L(Y_j - Y_i) . x <= |Y_j|^2 - |Y_i|^2 (`SiteSet.bisector`).  Faces are
-keyed by the set J of sites attaining equality; the equidistance locus of
-J is the affine subspace H(J).
+common denominator L (y = Y / L, `SiteSet.integer_sites`, each coordinate
+scaled by integer arithmetic on its numerator and denominator) that row
+times L^2 is the integer row 2L(Y_j - Y_i) . x <= |Y_j|^2 - |Y_i|^2.
+Faces are keyed by the set J of sites attaining equality; the equidistance
+locus of J is the affine subspace H(J).
 
 One integer kernel substitutes a site's bisector rows into a subspace:
 `SiteSet.rows(i, form)`, one row per site k, from columns built once per
-site set.  By the lifting map (Edelsbrunner & Seidel, "Voronoi diagrams
-and arrangements", 1986), each site's squared distance on a subspace is
-an affine function of its parameters, and row k is site k's minus site
-i's, so the rows of any one site group the sites by distance.  The face
-test of J, a face's witness and `select_subcomplex` read the rows of
-min(J), and the arrangement's distance classes group the sites by them.
-Each H(J) is held in its integer form, so Fractions are made only for the
-sites, for a span's point and basis when they are read, and for a face's
-witness, which is computed when first read.
+site set, where a unit coefficient reads its column as it is, so the
+whole space's rows are the columns with no multiplication.  By the
+lifting map (Edelsbrunner & Seidel, "Voronoi diagrams and arrangements",
+1986), each site's squared distance on a subspace is an affine function
+of its parameters, and row k is site k's minus site i's, so the rows of
+any one site group the sites by distance.  The face test of J, a face's
+witness and `select_subcomplex` read the rows of min(J), and the
+arrangement's distance classes group the sites by them.  Each H(J) is
+held in its integer form, so Fractions are made only for the sites, for
+a span's point and basis when they are read, and for a face's witness,
+which is computed when first read.
 
 One walk (`_walk`) extends index sets level by level, one later site at a
 time: H(J + k) is H(J) cut by row k of min(J)'s rows on H(J), so nothing
@@ -112,15 +115,18 @@ class NotSimpleError(VoronoiError):
         )
 
 
-def _column_dots(columns: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+def _column_dots(columns: Sequence[Sequence[int]], v: Sequence[int]) -> Sequence[int]:
     """The sum of v[x] times column x, entry by entry: one integer per site
     when each column holds one entry per site.  Zero entries of v cost
-    nothing."""
+    nothing, and a first term with coefficient 1 is the column itself, not
+    a copy, so a unit vector v returns its column; callers only read it."""
     total = None
     for x, column in zip(v, columns):
         if x:
-            total = [x * c for c in column] if total is None else [
-                t + x * c for t, c in zip(total, column)]
+            if total is None:
+                total = column if x == 1 else [x * c for c in column]
+            else:
+                total = [t + x * c for t, c in zip(total, column)]
     return [0] * len(columns[0]) if total is None else total
 
 
@@ -151,41 +157,37 @@ class SiteSet:
 
     @cached_property
     def integer_sites(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(L, Y): every site i equals Y[i] / L, over one common denominator L."""
+        """(L, Y): every site i equals Y[i] / L, over one common denominator
+        L, each coordinate c scaled as c.numerator * (L // c.denominator),
+        with no Fraction arithmetic."""
         scale = lcm(*(c.denominator for s in self.sites for c in s))
-        return scale, tuple(tuple(int(c * scale) for c in s) for s in self.sites)
+        return scale, tuple(tuple(c.numerator * (scale // c.denominator) for c in s)
+                            for s in self.sites)
 
     @cached_property
-    def _columns(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    def _columns(self) -> list[list[list[int]]]:
         """For each site i, the bisector rows (a, b) of i and every site k
-        (`bisector`, the zero row for k = i) as columns over k: the column
-        of b, then one column per coordinate of a."""
+        (the zero row for k = i) as columns over k: the column of b, then
+        one column per coordinate of a.  Over the lifted sites, |Y_k|^2 and
+        2L Y_k, site i's column is the lifted column less its entry i."""
         scale, points = self.integer_sites
-        norms = [sum(c * c for c in y) for y in points]
-        lifted = [[2 * scale * c for c in column] for column in zip(*points)]
-        return tuple(
-            (tuple(x - norms[i] for x in norms), *(tuple(x - c[i] for x in c) for c in lifted))
-            for i in range(len(points))
-        )
-
-    def bisector(self, i: int, j: int) -> tuple[tuple[int, ...], int]:
-        """The integer row (a, b) = (2L(Y_j - Y_i), |Y_j|^2 - |Y_i|^2) over
-        `integer_sites`: a.x <= b exactly when x is at least as close to i
-        as to j (the rational row 2(y_j - y_i).x <= |y_j|^2 - |y_i|^2 times
-        L^2)."""
-        rhs, *coeffs = self._columns[i]
-        return tuple(c[j] for c in coeffs), rhs[j]
+        lifted = [[sum(c * c for c in y) for y in points],
+                  *[[2 * scale * c for c in column] for column in zip(*points)]]
+        return [[[x - column[i] for x in column] for column in lifted]
+                for i in range(len(points))]
 
     def rows(self, i: int, form: IntegerForm) -> list[tuple[int, ...]]:
         """Site i's bisector rows substituted into a span given by its
         integer form (D, P, B), one (*coeffs, rhs) per site k: with
         x = (P + B u) / D, row k is (a.B_0, ..., a.B_d-1, D b - a.P) for
-        (a, b) = `bisector(i, k)`, i.e. `span.row(*bisector(i, k))`, the
-        row that `cut` and (with strict) `feasible` take, each entry i's
-        columns (b, *a) dotted with (0, *B_t) or (D, *-P).  By the lifting
-        map rhs - coeffs.u is D L^2 (|x - y_k|^2 - |x - y_i|^2), affine in
-        u, so two sites are equidistant on all of the span iff their rows
-        agree, and the sites equidistant to i have the zero row."""
+        (a, b) = (2L(Y_k - Y_i), |Y_k|^2 - |Y_i|^2), i.e. `span.row(a, b)`,
+        the row that `cut` and (with strict) `feasible` take, each entry i's
+        columns (b, *a) dotted with (0, *B_t) or (D, *-P); on the whole
+        space, (1, 0, identity), each is one column as it is.  By the
+        lifting map rhs - coeffs.u is D L^2 (|x - y_k|^2 - |x - y_i|^2),
+        affine in u, so two sites are equidistant on all of the span iff
+        their rows agree, and the sites equidistant to i have the zero
+        row."""
         den, anchor, basis = form
         columns = self._columns[i]
         return list(zip(*[_column_dots(columns, (0, *b)) for b in basis],
@@ -491,11 +493,13 @@ def _span_walk(
 def restricted_simplicity_witness(
     vc: VoronoiComplex, selection: Sequence[int]
 ) -> Optional[VoronoiFace]:
+    """The first face in (size, sorted) order that touches the selection
+    and breaks simplicity, or None: one unsorted pass over the faces, so
+    only the violators, none on simple sites, are ordered."""
     chosen = set(selection)
-    for face in vc.face_list():
-        if face.sites & chosen and len(face.sites) != face.codim + 1:
-            return face
-    return None
+    broken = [key for key, face in vc.faces.items()
+              if key & chosen and len(key) != face.codim + 1]
+    return vc.faces[min(broken, key=_lattice_order)] if broken else None
 
 
 def delaunay_dual(vc: VoronoiComplex, selection: Optional[Sequence[int]] = None) -> DeltaComplex:

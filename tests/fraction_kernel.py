@@ -23,9 +23,13 @@ which stays in integers, must give the same point, basis and integer form.
 equations, in Fractions; `snclab.voronoi.SubspaceArrangement` decides
 incidence from integer distance classes and must agree with them.
 
-`equidistance_subspace` solves H(J) from J's bisector rows by
-`solve_affine`; the walk in `snclab.voronoi` cuts it out of its parent
-and must give the same point and basis.
+`bisector(sites, i, j)` is the integer bisector row of two sites over
+`SiteSet.integer_sites`, written out from its formula; `SiteSet.rows`
+substitutes the same rows into a span from columns of its own, and must
+give `span.row(*bisector(...))` for every pair.  `equidistance_subspace`
+solves H(J) from J's bisector rows by `solve_affine`; the walk in
+`snclab.voronoi` cuts it out of its parent and must give the same point
+and basis.
 
 `voronoi_complex` is the enumeration with eager witnesses: every H(J)
 substitutes each bisector of min(J) into its parameters and runs
@@ -181,6 +185,17 @@ def cut(span: AffineSubspace, c: Constraint) -> Optional[AffineSubspace]:
     )
 
 
+def bisector(sites: SiteSet, i: int, j: int) -> tuple[tuple[int, ...], int]:
+    """The integer row (a, b) = (2L(Y_j - Y_i), |Y_j|^2 - |Y_i|^2) over
+    `sites.integer_sites` (L, Y): a.x <= b exactly when x is at least as
+    close to site i as to site j (the rational row
+    2(y_j - y_i).x <= |y_j|^2 - |y_i|^2 times L^2)."""
+    scale, points = sites.integer_sites
+    yi, yj = points[i], points[j]
+    return (tuple(2 * scale * (q - p) for p, q in zip(yi, yj)),
+            sum(q * q for q in yj) - sum(p * p for p in yi))
+
+
 def equidistance_subspace(sites: SiteSet, j_set: Sequence[int]) -> Optional[AffineSubspace]:
     """H(J): the locus equidistant to every site in J, or None when empty."""
     indices = sorted(set(j_set))
@@ -189,7 +204,7 @@ def equidistance_subspace(sites: SiteSet, j_set: Sequence[int]) -> Optional[Affi
     base = indices[0]
     rows, rhs = [], []
     for other in indices[1:]:
-        a, b = sites.bisector(base, other)
+        a, b = bisector(sites, base, other)
         rows.append(list(a))
         rhs.append(b)
     solved = solve_affine(rows, rhs)
@@ -327,7 +342,7 @@ def voronoi_complex(
             if len(indices) >= 2:
                 subspaces[key] = span
             cuts = {
-                k: substitute(Constraint(*site_set.bisector(indices[0], k), strict=True), span)
+                k: substitute(Constraint(*bisector(site_set, indices[0], k), strict=True), span)
                 for k in range(n)
                 if k not in indices
             }

@@ -30,6 +30,10 @@ and on malformed presentations.
 
 A change that alters any of these outputs on purpose records the new
 digest here and says so in CHANGES.md.
+
+The glued models of the `snc build` and `pipeline` cases also pin
+`embed_snc`: its roots, made without the constructor's checks, are the
+checked `LocalModel.build` of each stratum and determinant size.
 """
 
 import hashlib
@@ -45,6 +49,9 @@ from corpus import HIDDEN_CONTAINMENTS, NAMED_COMPLEXES, RP2_FACES, random_pure_
 from snclab.cli import main
 from snclab.complexes import from_simplices
 from snclab.presentations import higman_presentation, pi1_presentation, sl2z_presentation
+from snclab.resolution import LocalModel, embed_snc
+from snclab.snc import build_snc
+from snclab.voronoi import SiteSet, region_from_json_dict, select_subcomplex, voronoi_complex
 
 
 def _seeded_sites(seed, n, dim, hi):
@@ -474,3 +481,41 @@ def run_digest(argv, paths, capsys):
 @pytest.mark.parametrize("case, argv", COMMANDS, ids=[c for c, _ in COMMANDS])
 def test_cli_stdout_matches_golden_digest(case, argv, paths, capsys):
     assert run_digest(argv, paths, capsys) == GOLDEN[case]
+
+
+def golden_models():
+    """The glued model of each `snc build` and `pipeline` case that builds
+    one, from the same sites and region (every cell without one)."""
+    models = {}
+    for case, argv in COMMANDS:
+        if argv[:2] == ["snc", "build"]:
+            sites, region = argv[2], argv[4] if "--region" in argv else None
+        elif argv[0] == "pipeline":
+            sites, region = argv[2], argv[3]
+        else:
+            continue
+        data = FILES[sites]
+        vc = voronoi_complex(SiteSet.build(data["dim"], data["sites"]))
+        selection = (vc.cell_indices() if region is None
+                     else select_subcomplex(vc, region_from_json_dict(FILES[region])))
+        try:
+            models[case] = build_snc(vc, selection)
+        except ValueError:  # refused, as the case's exit code 2 records
+            assert GOLDEN[case][1] == 2, case
+    return models
+
+
+def test_embedded_roots_are_the_checked_models():
+    models = golden_models()
+    assert len(models) > 20
+    for case, model in models.items():
+        n = model.dim + 1
+        want = [LocalModel.build(sorted(s.key), m)
+                for s in sorted(model.strata, key=lambda s: (len(s.key), sorted(s.key)))
+                for m in range(n + 1) if m * m <= n - len(s.key)]
+        roots = embed_snc(model)
+        assert roots == want, case
+        for root, checked in zip(roots, want):
+            assert hash(root) == hash(checked), case
+            assert root.mdeg() == checked.mdeg(), case
+            assert root.to_json_dict() == checked.to_json_dict(), case

@@ -6,7 +6,7 @@ import pytest
 
 from corpus import CIRCLE, FULL_2_SIMPLEX, NAMED_COMPLEXES, RP2, TORUS
 from minors_oracle import exponent_matrix, invariant_factors_by_minors
-from snclab.complexes import AbelianGroup, ComplexError, from_simplices
+from snclab.complexes import AbelianGroup, ComplexError, build_complex, from_simplices
 from snclab.presentations import (
     Presentation,
     PresentationError,
@@ -60,10 +60,19 @@ def test_pi1_torus():
 
 
 def test_pi1_requires_connected():
-    with pytest.raises(ComplexError):
-        pi1_presentation(from_simplices([(0,), (1,)]))
-    with pytest.raises(ComplexError):
-        pi1_presentation(CIRCLE, basepoint=17)
+    two_points = from_simplices([(0,), (1,)])
+    # the search from either vertex misses the other; an out-of-range
+    # basepoint of a disconnected or empty complex gets the connectivity
+    # message, as it did when connectivity was checked first
+    for k, basepoint in ((two_points, 0), (two_points, 1), (two_points, 17),
+                         (from_simplices([(0, 1), (2, 3, 4)]), 4),
+                         (from_simplices([(0, 1), (2, 3, 4)]), -1),
+                         (build_complex([[]]), 0)):
+        with pytest.raises(ComplexError, match="^pi_1 needs a connected complex$"):
+            pi1_presentation(k, basepoint)
+    for basepoint in (17, 3, -1):
+        with pytest.raises(ComplexError, match="^basepoint out of range$"):
+            pi1_presentation(CIRCLE, basepoint=basepoint)
 
 
 def test_pi1_deterministic():

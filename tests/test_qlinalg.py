@@ -454,7 +454,16 @@ def test_spans_from_ints_and_fractions_are_one_span():
         assert ints.integer_form == fracs.integer_form
         assert ints.point == fracs.point and ints.basis == fracs.basis
     assert whole_space(2) == AffineSubspace((F(0), F(0)), ((F(1), F(0)), (F(0), F(1))))
-    assert whole_space(2).integer_form == (1, (0, 0), ((1, 0), (0, 1)))
+    # whole_space sets its form without the constructor's checks: it is the
+    # checked span's, for every dimension
+    for n in range(1, 6):
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        fast, checked = whole_space(n), AffineSubspace((0,) * n, identity)
+        assert fast.integer_form == checked.integer_form == (1, (0,) * n, identity)
+        assert fast.key == checked.key == ()
+        assert fast == checked and hash(fast) == hash(checked)
+        assert (fast.dim, fast.ambient_dim) == (n, n)
+        assert fast is not whole_space(n)
     halves = AffineSubspace((F(1, 2), F(-3, 4)), ((F(1), F(5, 6)),))
     assert halves.integer_form == (12, (6, -9), ((12, 10),))
 

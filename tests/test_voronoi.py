@@ -3,13 +3,14 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fraction_kernel
-from fraction_kernel import Constraint, dot, equidistance_subspace, pairs
+from fraction_kernel import Constraint, bisector, dot, equidistance_subspace, pairs
 from corpus import (
     FOUR_SITES_1D,
     HIDDEN_CONTAINMENTS,
@@ -119,7 +120,7 @@ def test_bisector_linearization_is_exact():
         if a == b:
             continue
         sites = SiteSet(dim, (a, b))
-        coeffs, rhs = sites.bisector(0, 1)
+        coeffs, rhs = bisector(sites, 0, 1)
         x = random_rational_point(rng, dim)
         assert (d2(x, a) <= d2(x, b)) == (dot(coeffs, x) <= rhs)
 
@@ -134,7 +135,12 @@ def test_integer_substitution_is_the_fraction_substitution_scaled():
         dim = rng.randint(1, 3)
         pts = {random_rational_point(rng, dim) for _ in range(rng.randint(2, 6))}
         sites = SiteSet(dim, tuple(sorted(pts)))
-        scale = sites.integer_sites[0]
+        scale, points = sites.integer_sites
+        # the sites are Y / L over L, the lcm of their denominators
+        assert scale == lcm(*(c.denominator for y in sites.sites for c in y))
+        assert all(F(c, scale) == x for y, s in zip(points, sites.sites, strict=True)
+                   for c, x in zip(y, s, strict=True))
+        assert all(type(c) is int for y in points for c in y)
         spans = [whole_space(dim), *voronoi_complex(sites).subspaces.values()]
         for span, (i, k) in product(spans, product(range(len(pts)), repeat=2)):
             if i == k:
@@ -142,7 +148,7 @@ def test_integer_substitution_is_the_fraction_substitution_scaled():
             yi, yk = sites.sites[i], sites.sites[k]
             rational = Constraint(tuple(2 * (b - a) for a, b in zip(yi, yk)), dot(yk, yk) - dot(yi, yi))
             want = fraction_kernel.substitute(rational, span)
-            got = span.row(*sites.bisector(i, k))
+            got = span.row(*bisector(sites, i, k))
             # the same row is row k of site i's rows on the span
             assert sites.rows(i, span.integer_form)[k] == got
             factor = scale * scale * span.integer_form[0]
@@ -191,11 +197,11 @@ def test_partition_property_random_sites():
             # distance semantics
             for i in range(n):
                 in_cell = all(dot(a, x) <= b for a, b in
-                              (sites.bisector(i, j) for j in range(n) if j != i))
+                              (bisector(sites, i, j) for j in range(n) if j != i))
                 assert in_cell == (i in nearest)
             if len(nearest) >= 2:
                 i, j = sorted(nearest)[:2]
-                coeffs, rhs = sites.bisector(i, j)
+                coeffs, rhs = bisector(sites, i, j)
                 assert dot(coeffs, x) == rhs
 
 
@@ -299,7 +305,7 @@ def test_closed_face_intersections_stay_in_lattice():
             for k in union:
                 if k == base:
                     continue
-                coeffs, rhs = sites.bisector(base, k)
+                coeffs, rhs = bisector(sites, base, k)
                 constraints.append(Constraint(coeffs, rhs, strict=False))
                 constraints.append(
                     Constraint(tuple(-c for c in coeffs), -rhs, strict=False)
@@ -307,7 +313,7 @@ def test_closed_face_intersections_stay_in_lattice():
             for k in range(len(sites.sites)):
                 if k in union:
                     continue
-                coeffs, rhs = sites.bisector(base, k)
+                coeffs, rhs = bisector(sites, base, k)
                 constraints.append(Constraint(coeffs, rhs, strict=False))
             witness = feasible_point(pairs(constraints), sites.dim)
             if witness is None:
@@ -545,7 +551,7 @@ def brute_force_voronoi(sites: SiteSet):
             if size >= 2:
                 subspaces[key] = span
             constraints = [
-                (span.row(*sites.bisector(indices[0], k)), True)
+                (span.row(*bisector(sites, indices[0], k)), True)
                 for k in range(n)
                 if k not in indices
             ]
@@ -595,6 +601,35 @@ def degenerate_site_sets(draw):
         pool = list(product(range(-3, 4), repeat=dim))
     points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7, unique=True))
     return SiteSet.build(dim, points)
+
+
+def sorted_scan_witness(vc, selection):
+    """The first face touching the selection, with its index sets sorted
+    by size and then as sorted lists, whose |J| is not its codimension + 1."""
+    chosen = set(selection)
+    for key in sorted(vc.faces, key=lambda j: (len(j), sorted(j))):
+        face = vc.faces[key]
+        if key & chosen and len(key) != face.ambient_dim - face.span.dim + 1:
+            return face
+    return None
+
+
+def every_corpus_site_set(test):
+    for sites in (*SIMPLE_CORPUS.values(), SQUARE_SITES, *HIDDEN_CONTAINMENTS.values()):
+        test = example(sites)(test)
+    return test
+
+
+@given(degenerate_site_sets())
+@every_corpus_site_set
+def test_simplicity_scan_is_the_sorted_scan(sites):
+    # the one unsorted pass names the face that a scan in (size, sorted)
+    # order finds first, for all the cells and for each one alone
+    vc = voronoi_complex(sites)
+    assert vc.simplicity_witness() is sorted_scan_witness(vc, vc.cell_indices())
+    for selection in (vc.cell_indices(), *[(c,) for c in vc.cell_indices()]):
+        assert (voronoi.restricted_simplicity_witness(vc, selection)
+                is sorted_scan_witness(vc, selection))
 
 
 @given(degenerate_site_sets())
