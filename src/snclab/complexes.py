@@ -21,7 +21,6 @@ from one face builder, which lists the downward closure of a family of
 index sets as sorted tuples: `closure` returns that family as sets,
 `nerve_cells` turns a downward-closed family into cells for build_complex,
 and from_simplices hands the builder's tuples to it directly.
-`UnionFind` is the package's one union-find.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -151,13 +150,9 @@ class DeltaComplex:
         return (0,) + inner + (0,)
 
     def is_connected(self) -> bool:
-        n = self.n_cells(0)
-        if n == 0:
-            return False
-        uf = UnionFind(range(n))
-        for head, tail in self.cells[1] if self.dim >= 1 else ():
-            uf.union(head, tail)
-        return len(uf.classes()) == 1
+        """One component: H_0 is free of rank the number of components, and
+        the empty complex has b_0 = 0."""
+        return self.betti(0) == 1
 
     def homology(self, k: int) -> AbelianGroup:
         """H_k over the integers; out-of-range k gives the zero group."""
@@ -332,37 +327,6 @@ def from_simplices(simplices: Iterable[Sequence[int]]) -> DeltaComplex:
     """The simplicial Delta-complex generated by the given simplices, with
     vertices (arbitrary sortable keys) labelled by their keys."""
     return build_complex(*nerve_cells(_faces(simplices)))
-
-
-class UnionFind:
-    """Union-find over hashable, sortable keys; a class is represented by
-    its smallest key, so the representatives are deterministic."""
-
-    def __init__(self, keys: Iterable = ()):
-        self.parent: dict = {x: x for x in keys}
-
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            lo, hi = sorted((ra, rb))
-            self.parent[hi] = lo
-
-    def classes(self) -> dict:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
 
 
 def complex_from_json_dict(data: dict) -> DeltaComplex:

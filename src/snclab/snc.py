@@ -5,12 +5,13 @@ dimensions of the structure sheaf under the rational-strata hypothesis,
 and the triangular-pillow projectivity test.
 
 One chart per selected top cell.  Gluings identify the chart faces lying
-over a shared codimension-1 face, and strata are the equivalence classes
-of chart faces under the transitive closure of all gluings (union-find,
-class representatives by lowest (chart, face) pair).  The ledgers are
-what keeps spurious identifications from appearing: with them disabled
-(a test hook) the classes may merge charts whose cells do not share a
-face, reproducing the classical failure of the naive quotient.
+over a shared codimension-1 face.  A gluing joins two chart faces over
+the same index set J, and every pair of J's cells is itself a face of
+the simple complex, so the classes of the gluing closure are the
+selection's faces: the stratum over J has the members (i, J), i in J.
+The ledgers are what keeps spurious identifications from appearing:
+they blow up the loci over parasitic subspaces, which the naive chart
+quotient would glue across charts whose cells share no face.
 
 A chart is its cell and its star, the index sets of its faces; its
 ledger is the arrangement's `records_by_dim` minus that star, so no chart
@@ -27,12 +28,12 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .complexes import (
     ComplexError,
     DeltaComplex,
-    UnionFind,
     build_complex,
     delta_isomorphic,
     nerve_cells,
@@ -40,7 +41,6 @@ from .complexes import (
 from .voronoi import (
     CheckFailed,
     GenericityError,
-    NotSimpleError,
     VoronoiComplex,
     classify_subspaces,
     delaunay_dual,
@@ -109,7 +109,6 @@ class Stratum:
     key: frozenset[int]
     members: tuple[tuple[int, frozenset[int]], ...]
     dim: int
-    is_face: bool
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,6 @@ class SncModel:
     charts: dict[int, Chart]
     gluings: tuple[tuple[int, int], ...]
     strata: tuple[Stratum, ...]
-    all_classes: tuple[Stratum, ...]
-    ledgers_applied: bool
     rational: dict[frozenset[int], bool]
     sphere_class: dict[frozenset[int], bool]
 
@@ -167,25 +164,19 @@ class SncModel:
                     json.dumps(sorted(k)): v for k, v in self.sphere_class.items()
                 },
             },
-            "ledgers_applied": self.ledgers_applied,
+            "ledgers_applied": True,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True) + "\n"
 
 
-def build_snc(
-    vc: VoronoiComplex,
-    selection: Sequence[int],
-    *,
-    apply_ledgers: bool = True,
-) -> SncModel:
+def build_snc(vc: VoronoiComplex, selection: Sequence[int]) -> SncModel:
     """Charts, gluings and strata over the selected pure top-dimensional cells.
 
-    apply_ledgers=False is a test hook that skips the parasitic blow-ups,
-    so the gluing closure also identifies chart loci over parasitic
-    subspaces; the resulting spurious classes reproduce the failure of
-    the naive chart quotient.
+    A non-simple complex is refused by the first chart's `blowup_ledger`.
+    The strata are the faces J of the selection in sorted order, each of
+    dimension m - |J| + 1 with one member chart face per cell of J.
     """
     cells = sorted(set(selection))
     if not cells:
@@ -193,47 +184,18 @@ def build_snc(
     for c in cells:
         if not 0 <= c < len(vc.sites):
             raise SncError(f"unknown cell index {c}")
-    witness = vc.simplicity_witness()
-    if witness is not None:
-        raise NotSimpleError(witness)
     chosen = set(cells)
     charts = {i: Chart(i, blowup_ledger(vc, i)) for i in cells}
-    gluings = []
-    for a_idx in range(len(cells)):
-        for b_idx in range(a_idx + 1, len(cells)):
-            i, j = cells[a_idx], cells[b_idx]
-            if frozenset((i, j)) in vc.faces:
-                gluings.append((i, j))
+    gluings = [g for g in combinations(cells, 2) if frozenset(g) in vc.faces]
     for i, j in gluings:
         _verify_ledger_match(vc, charts[i], charts[j], frozenset((i, j)))
-
-    uf = UnionFind()
-    face_keys = set(vc.faces)
-    glued_keys = face_keys if apply_ledgers else face_keys | set(vc.subspaces)
-    for key in glued_keys:
-        for i in key & chosen:
-            uf.add((i, tuple(sorted(key))))
-    for i, j in gluings:
-        pair = {i, j}
-        for key in glued_keys:
-            if pair <= key:
-                uf.union((i, tuple(sorted(key))), (j, tuple(sorted(key))))
-
-    classes = []
-    for rep, members in sorted(uf.classes().items()):
-        key = frozenset(rep[1])
-        members = tuple(sorted((ch, frozenset(j)) for ch, j in members))
-        dim = vc.dim - (len(key) - 1)
-        classes.append(Stratum(key, members, dim, key in face_keys))
     strata = tuple(
-        s for s in classes if s.is_face and s.key <= chosen
+        Stratum(key, tuple((i, key) for i in sorted(key)), vc.dim - len(key) + 1)
+        for key in sorted((key for key in vc.faces if key <= chosen), key=sorted)
     )
     rational = {s.key: True for s in strata}
     sphere = {s.key: True for s in strata}
-    return SncModel(
-        vc, tuple(cells), charts, tuple(gluings), strata, tuple(classes),
-        apply_ledgers, rational, sphere,
-    )
+    return SncModel(vc, tuple(cells), charts, tuple(gluings), strata, rational, sphere)
 
 
 def _verify_ledger_match(vc, chart_a: Chart, chart_b: Chart, glue_key) -> None:

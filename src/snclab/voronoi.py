@@ -326,7 +326,7 @@ def _line_children(
     if bounds is None:
         return False, []
     lower, upper = bounds
-    is_face = rows.count((0, 0)) == len(indices) and (
+    open_face = rows.count((0, 0)) == len(indices) and (
         lower is None or upper is None or upper[0] * lower[1] > lower[0] * upper[1]
     )
     children = []
@@ -337,7 +337,7 @@ def _line_children(
         end = upper if a > 0 else lower
         if (a, b) == (0, 0) or a and end and b * end[1] == end[0] * a:
             children.append(k)
-    return is_face, children
+    return open_face, children
 
 
 def _walk(
@@ -418,9 +418,9 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
                     [c for c in later if closed and rows[c] == (0,)])
         if dim == 1:
             return _line_children(rows, indices)
-        is_face = len(indices) == 1 or feasible(_constraints(rows, indices, True), dim)
-        closed = is_face or feasible(_constraints(rows, indices, False), dim)
-        return is_face, later if closed else ()
+        open_face = len(indices) == 1 or feasible(_constraints(rows, indices, True), dim)
+        closed = open_face or feasible(_constraints(rows, indices, False), dim)
+        return open_face, later if closed else ()
 
     return VoronoiComplex(site_set, {key: VoronoiFace(key, span, site_set.dim, site_set)
                                      for key, span in _walk(site_set, face_rule)})

@@ -28,6 +28,7 @@ from corpus import (
 )
 from fraction_kernel import contains, contains_point
 from minors_oracle import exponent_matrix, invariant_factors_by_minors
+from quotient_oracle import naive_quotient
 from snclab.complexes import AbelianGroup, build_complex, delta_isomorphic, from_simplices
 from snclab.presentations import (
     Presentation,
@@ -120,17 +121,17 @@ def test_criterion_2_dual_complex_identification():
         for vc, selection in configurations:
             model = build_snc(vc, selection)
             assert delta_isomorphic(dual_complex(model), delaunay_dual(vc, selection))
-        # the row-of-three regression: no spurious class with the ledgers,
-        # exactly the parasitic triple-point class without them
+        # the row-of-three regression: no spurious class in the gluing
+        # closure over the faces, whose classes in the selection are the
+        # strata; exactly the parasitic triple-point class when the naive
+        # quotient also glues over the parasitic subspaces
         vc = voronoi_complex(STRIP_SITES)
-        good = build_snc(vc, STRIP_ROW)
-        assert all(
-            not {0, 2} <= {ch for ch, _ in s.members} for s in good.all_classes
-        )
-        hooked = build_snc(vc, STRIP_ROW, apply_ledgers=False)
-        spurious = [
-            s for s in hooked.all_classes if {0, 2} <= {ch for ch, _ in s.members}
-        ]
+        classes = naive_quotient(vc, STRIP_ROW, vc.faces)
+        assert all(not {0, 2} <= {ch for ch, _ in s.members} for s in classes)
+        strata = tuple(s for s in classes if s.key <= set(STRIP_ROW))
+        assert strata == build_snc(vc, STRIP_ROW).strata
+        naive = naive_quotient(vc, STRIP_ROW, {*vc.faces, *vc.subspaces})
+        spurious = [s for s in naive if {0, 2} <= {ch for ch, _ in s.members}]
         assert [s.key for s in spurious] == [frozenset({0, 1, 2})]
 
 

@@ -306,7 +306,8 @@ def test_delta_isomorphic_with_loops_and_multiple_edges():
     assert not delta_isomorphic(loop_at_each, theta)
 
 
-def _random_wedges():
+def _random_wedge_edges():
+    """Edge lists of connected graphs on vertices 0 .. n-1, n <= 6."""
     rng = random.Random(5)
     for _ in range(20):
         n = rng.randint(3, 6)
@@ -315,7 +316,32 @@ def _random_wedges():
             tuple(sorted(rng.sample(range(n), 2)))
             for _ in range(rng.randint(0, 3))
         ]
-        yield from_simplices(edges + [e for e in extra if e[0] != e[1]])
+        yield edges + [e for e in extra if e[0] != e[1]]
+
+
+def _random_wedges():
+    return map(from_simplices, _random_wedge_edges())
+
+
+def _components_by_search(k):
+    """The number of components of the 1-skeleton, by depth-first search."""
+    adjacent = [set() for _ in range(k.n_cells(0))]
+    for u, v in k.cells[1] if k.dim >= 1 else ():
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    seen = set()
+    count = 0
+    for root in range(len(adjacent)):
+        if root in seen:
+            continue
+        count += 1
+        stack = [root]
+        seen.add(root)
+        while stack:
+            for w in adjacent[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+    return count
 
 
 def test_homology_of_random_wedges_and_disjoint_pieces():
@@ -323,6 +349,34 @@ def test_homology_of_random_wedges_and_disjoint_pieces():
         assert k.is_connected()
         assert k.homology(0) == AbelianGroup(1)
         assert k.euler_characteristic() == 1 - k.betti(1)
+    wedges = list(_random_wedge_edges())
+    for first, second in zip(wedges, wedges[1:]):
+        shifted = [(u + 10, v + 10) for u, v in second]
+        two_wedges = from_simplices(first + shifted)
+        with_point = from_simplices(first + [(10,)])
+        for k in (two_wedges, with_point):
+            assert not k.is_connected()
+            assert k.homology(0) == AbelianGroup(2)
+        assert two_wedges.betti(1) == (
+            from_simplices(first).betti(1) + from_simplices(second).betti(1)
+        )
+        assert with_point.betti(1) == from_simplices(first).betti(1)
+    empty = build_complex([[]])
+    assert not empty.is_connected()
+    assert empty.homology(0) == AbelianGroup(0)
+    assert _components_by_search(empty) == 0
+
+
+@given(st.data())
+def test_is_connected_is_one_component_by_search(data):
+    # loops, repeated edges and isolated vertices included
+    n = data.draw(st.integers(0, 6))
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = data.draw(st.lists(st.lists(vertex, min_size=2, max_size=2), max_size=8 if n else 0))
+    k = build_complex([[None] * n, edges])
+    components = _components_by_search(k)
+    assert k.is_connected() == (components == 1)
+    assert k.betti(0) == components
 
 
 @given(st.lists(st.frozensets(st.integers(0, 6), max_size=5), max_size=6))

@@ -6,6 +6,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import (
     FULL_2_SIMPLEX,
@@ -18,6 +20,7 @@ from corpus import (
     TRIANGLE_SITES,
     TWO_SITES_1D,
 )
+from quotient_oracle import naive_quotient
 from snclab.complexes import build_complex, delta_isomorphic, from_simplices
 from snclab.snc import (
     PillowConstant,
@@ -33,7 +36,13 @@ from snclab.snc import (
     pillow_projectivity,
     sheaf_cohomology_dims,
 )
-from snclab.voronoi import NotSimpleError, SiteSet, delaunay_dual, voronoi_complex
+from snclab.voronoi import (
+    GenericityError,
+    NotSimpleError,
+    SiteSet,
+    delaunay_dual,
+    voronoi_complex,
+)
 from test_golden import (
     EXCEPTIONAL,
     GLUED,
@@ -111,15 +120,15 @@ def test_build_snc_triangle():
 
 def test_row_of_three_regression():
     good = build_snc(VC_STRIP, STRIP_ROW)
-    for s in good.all_classes:
+    classes = naive_quotient(VC_STRIP, STRIP_ROW, VC_STRIP.faces)
+    for s in classes:
         charts = {ch for ch, _ in s.members}
         assert not {0, 2} <= charts
-    with_hook = build_snc(VC_STRIP, STRIP_ROW, apply_ledgers=False)
-    spurious = [
-        s for s in with_hook.all_classes if {0, 2} <= {ch for ch, _ in s.members}
-    ]
-    assert spurious
-    assert spurious[0].key == frozenset({0, 1, 2})
+    assert tuple(s for s in classes if s.key <= set(STRIP_ROW)) == good.strata
+    # gluing over the parasitic subspaces too, as the naive quotient does
+    naive = naive_quotient(VC_STRIP, STRIP_ROW, {*VC_STRIP.faces, *VC_STRIP.subspaces})
+    spurious = [s.key for s in naive if {0, 2} <= {ch for ch, _ in s.members}]
+    assert spurious == [frozenset({0, 1, 2})]
     # the strata posets differ exactly by the missing 0-2 connection
     assert sorted(tuple(sorted(s.key)) for s in good.strata) == [
         (0,), (0, 1), (1,), (1, 2), (2,),
@@ -157,8 +166,10 @@ def test_build_snc_errors():
         build_snc(VC_TRIANGLE, [])
     with pytest.raises(SncError):
         build_snc(VC_TRIANGLE, [7])
-    with pytest.raises(NotSimpleError):
-        build_snc(voronoi_complex(SQUARE_SITES), [0, 1])
+    square = voronoi_complex(SQUARE_SITES)
+    with pytest.raises(NotSimpleError) as raised:
+        build_snc(square, [0, 1])
+    assert str(raised.value) == str(NotSimpleError(square.simplicity_witness()))
 
 
 def test_dual_complex_matches_delaunay():
@@ -273,9 +284,7 @@ def test_pi1_link_criterion():
     assert pi1_link_criterion(model) is Pi1Verdict.ISOMORPHISM_CLAIMED
     doubted = replace(model, sphere_class={**model.sphere_class, frozenset({0}): False})
     assert pi1_link_criterion(doubted) is Pi1Verdict.UNKNOWN
-    empty = SncModel(
-        model.vc, (), {}, (), (), (), True, {}, {}
-    )
+    empty = SncModel(model.vc, (), {}, (), (), {}, {})
     with pytest.raises(SncError, match="no components"):
         pi1_link_criterion(empty)
 
@@ -312,7 +321,7 @@ def render_per_chart(model):
             for s in model.strata
         ],
         "flags": {"rational": flags(model.rational), "sphere_class": flags(model.sphere_class)},
-        "ledgers_applied": model.ledgers_applied,
+        "ledgers_applied": True,
     }
     return json.dumps(out, sort_keys=True) + "\n"
 
@@ -357,3 +366,44 @@ def test_blowup_ledger_returns_the_faces_of_the_cell(name):
     for cell in vc.cell_indices():
         expected = tuple(sorted((f.sites for f in vc.face_list() if cell in f.sites), key=sorted))
         assert blowup_ledger(vc, cell) == expected
+
+
+def assert_strata_are_the_naive_quotient(vc, selection):
+    """Keys, members, dims and order: the strata are the classes of the
+    gluing closure over the face keys that lie in the selection."""
+    classes = naive_quotient(vc, selection, vc.faces)
+    expected = tuple(s for s in classes if s.key <= set(selection))
+    assert build_snc(vc, selection).strata == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SITES))
+def test_strata_are_the_naive_quotient_on_golden_sites(name):
+    vc = voronoi_complex(GOLDEN_SITES[name])
+    cells = vc.cell_indices()
+    rng = random.Random(name)
+    assert_strata_are_the_naive_quotient(vc, cells)
+    for _ in range(3):
+        assert_strata_are_the_naive_quotient(vc, rng.sample(cells, rng.randint(1, len(cells))))
+
+
+@st.composite
+def site_sets_with_selections(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, {2: 7, 3: 5}[dim]))
+    points = draw(
+        st.lists(st.tuples(*[st.integers(0, 8)] * dim), min_size=n, max_size=n, unique=True)
+    )
+    selection = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return SiteSet.build(dim, points), selection
+
+
+@settings(max_examples=60)
+@given(site_sets_with_selections())
+def test_strata_are_the_naive_quotient_on_random_sites(case):
+    sites, selection = case
+    try:
+        vc = voronoi_complex(sites)
+        build_snc(vc, selection)
+    except (GenericityError, NotSimpleError):
+        return
+    assert_strata_are_the_naive_quotient(vc, selection)
