@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import traceback
 
@@ -25,7 +24,6 @@ from .presentations import (
     PresentationError,
     SuperperfectVerdict,
     abelianization,
-    is_q_perfect,
     is_q_superperfect_sufficient,
     pi1_presentation,
     presentation_from_json_dict,
@@ -142,17 +140,6 @@ def _parse_pillow(text: str) -> PillowConstant:
     return PillowConstant.build(*parts)
 
 
-def _policy(args) -> Policy:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        env = os.environ.get("SNCLAB_SEED")
-        try:
-            seed = int(env) if env else None
-        except ValueError:
-            raise ResolutionError(f"SNCLAB_SEED {env!r} is not an integer") from None
-    return Policy(seed=seed)
-
-
 def cmd_homology(args) -> tuple[dict, int]:
     k = complex_from_json_dict(_load(args.file))
     report = {
@@ -170,7 +157,7 @@ def cmd_homology(args) -> tuple[dict, int]:
 
 def cmd_pi1(args) -> tuple[dict, int]:
     k = complex_from_json_dict(_load(args.file))
-    p = pi1_presentation(k, args.basepoint).simplified()
+    p = pi1_presentation(k, args.basepoint)
     return {
         "presentation": p.to_json_dict(),
         "abelianization": _group_dict(abelianization(p)),
@@ -185,7 +172,7 @@ def cmd_check(args) -> tuple[dict, int]:
     elif args.predicate == "q-perfect":
         p = presentation_from_json_dict(_load(args.file))
         group = abelianization(p)
-        verdict = is_q_perfect(p)
+        verdict = group.rank == 0
         report = {
             "predicate": "q-perfect",
             "abelianization": _group_dict(group),
@@ -283,7 +270,7 @@ def cmd_resolve(args) -> tuple[dict, int]:
         raise ResolutionError("resolve run needs a local-models file")
     data = expect_object(_load(args.file), ResolutionError, "a local-models file")
     roots = expect_list(data.get("roots", [data]), ResolutionError, "'roots'")
-    trace = resolve([model_from_json_dict(r) for r in roots], _policy(args), args.max_steps)
+    trace = resolve([model_from_json_dict(r) for r in roots], Policy(args.seed), args.max_steps)
     report = trace.to_json_dict()
     report["resolved"] = trace.all_resolved()
     return report, 0
@@ -309,6 +296,8 @@ def run_pipeline(complex_path: str, sites_path: str, region_path: str,
     """The end-to-end chain: selection, Delaunay dual, glued model, local
     forms, resolution, and invariant comparison at every controlled stage.
 
+    Each stage's H_1 is read off its complex's homology: by Hurewicz it is
+    the abelianized pi_1 of a connected complex, which every stage must be.
     Homotopy equivalence of the region with the selected subcomplex is a
     hypothesis of the construction, not something the pipeline verifies;
     the report carries that caveat and compares homology as a necessary
@@ -329,8 +318,10 @@ def run_pipeline(complex_path: str, sites_path: str, region_path: str,
     nerve = trace.nerve_complex()
 
     def profile(k):
-        h1 = abelianization(pi1_presentation(k).simplified())
-        return list(k.all_betti()), _group_dict(h1)
+        betti = list(k.all_betti())
+        if not k.is_connected():
+            raise ComplexError("pi_1 needs a connected complex")
+        return betti, _group_dict(k.homology(1))
 
     input_betti, input_h1 = profile(input_complex)
     delaunay_betti, delaunay_h1 = profile(dual)
@@ -388,7 +379,7 @@ def run_pipeline(complex_path: str, sites_path: str, region_path: str,
 
 
 def cmd_pipeline(args) -> tuple[dict, int]:
-    return run_pipeline(args.complex, args.sites, args.region, _policy(args), args.max_steps)
+    return run_pipeline(args.complex, args.sites, args.region, Policy(args.seed), args.max_steps)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -79,22 +79,28 @@ def _verify_stage_disjointness(vc: VoronoiComplex, cell: int, star: frozenset) -
     in the star but every cover in it fails.  Stage 0 needs no check: no
     two index sets share a point (the arrangement refuses such sites), and
     a ledger lists each center once.  Disjoint centers that meet outside
-    every earlier center above the generic dimension dim a + dim b - m
-    (crossing lines in 3D) are an input property, a GenericityError, not
-    a failed check."""
+    every earlier center are an input property: a GenericityError above
+    the generic dimension dim a + dim b - m (crossing lines in 3D), an
+    SncError in it (two planes meeting in a point in 4D)."""
     m = vc.dim
     for a, b, meet_dim, covers in vc.arrangement.meeting_pairs:
         if a in star or b in star or not covers <= star:
             continue
         d = vc.subspaces[a].dim
-        if not a & b and meet_dim > 2 * d - m:
+        if a & b:
+            raise SncCheckError(
+                f"stage-{d} centers H{sorted(a)} and H{sorted(b)} of cell "
+                f"{cell} overlap outside every earlier center"
+            )
+        if meet_dim > 2 * d - m:
             raise GenericityError(
                 f"H{sorted(a)} and H{sorted(b)} meet in dimension "
                 f"{meet_dim}, above the generic {2 * d - m}"
             )
-        raise SncCheckError(
-            f"stage-{d} centers H{sorted(a)} and H{sorted(b)} of cell "
-            f"{cell} overlap outside every earlier center"
+        raise SncError(
+            f"stage-{d} centers H{sorted(a)} and H{sorted(b)} of cell {cell} are disjoint but "
+            f"meet in dimension {meet_dim} outside every earlier center; the gluing "
+            f"construction covers only inputs whose disjoint same-stage centers do not meet"
         )
 
 

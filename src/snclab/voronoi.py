@@ -640,8 +640,7 @@ class SubspaceArrangement:
     that finishes the genericity check, naming the first colliding pair in
     (size, sorted) order, maps only their partitions to them.  The records
     are sorted once in each of two orders, by size and by dimension, and
-    the pair work of the per-cell checks is done once, on first use:
-    `splits` per key and `meeting_pairs`.
+    the stage check's pair work, `meeting_pairs`, is done once, on first use.
     """
 
     def __init__(
@@ -670,7 +669,6 @@ class SubspaceArrangement:
                     raise GenericityError(
                         f"H{sorted(first)} and H{sorted(key)} span the same subspace"
                     )
-        self._splits: dict[frozenset[int], list[tuple[frozenset[int], frozenset[int]]]] = {}
         self._rows: dict[frozenset[int], list[tuple[int, ...]]] = {}
 
     @cached_property
@@ -693,17 +691,6 @@ class SubspaceArrangement:
                     out.append((a, b, dim, frozenset(
                         j for j in lower if any(j <= c for c in partition))))
         return tuple(out)
-
-    def splits(self, key: frozenset[int]) -> list[tuple[frozenset[int], frozenset[int]]]:
-        """The pairs of proper subsets of key that share a site and cover it,
-        in `combinations` order: the overlapping pairs, key itself aside,
-        that meet in H(key).  Computed on first read."""
-        pairs = self._splits.get(key)
-        if pairs is None:
-            subsets = _proper_subsets(key)
-            pairs = self._splits[key] = [(a, b) for a, b in combinations(subsets, 2)
-                                         if a & b and a | b == key]
-        return pairs
 
     def within(self, q: frozenset[int], j: frozenset[int]) -> bool:
         """Whether H(q) lies in H(j)."""
@@ -810,16 +797,10 @@ def _check_intersection_closure(vc: VoronoiComplex, star: frozenset[frozenset[in
     The parasitic index sets are the arrangement's outside the cell's star
     (the index sets of its faces), and the first failing pair in
     `combinations` order over them is named.  Only pairs that can meet in
-    an H(Q) of the star are examined: the splits of a star key into two
-    parasitic ones (`SubspaceArrangement.splits`), and the parasitic pairs
-    above E (see `SubspaceArrangement.lookup`)."""
+    an H(Q) of the star are examined: `_overlapping_pairs` and the
+    parasitic pairs above E (see `SubspaceArrangement.lookup`)."""
     arrangement = vc.arrangement
-    pairs = {
-        (a, b)
-        for union in star
-        for a, b in arrangement.splits(union)
-        if a not in star and b not in star
-    }
+    pairs = _overlapping_pairs(star)
     pairs.update(combinations(sorted(arrangement.above_exceptional - star, key=_lattice_order), 2))
     for a, b in sorted(pairs, key=lambda pair: _lattice_order(pair[0]) + _lattice_order(pair[1])):
         if a & b:
@@ -835,3 +816,14 @@ def _check_intersection_closure(vc: VoronoiComplex, star: frozenset[frozenset[in
                 f"intersection of parasitic H{sorted(a)} and "
                 f"H{sorted(b)} equals essential H{sorted(key)}"
             )
+
+
+def _overlapping_pairs(star: frozenset[frozenset[int]]) -> set[tuple[frozenset, frozenset]]:
+    """The pairs of parasitic index sets that share a site and meet in a
+    star key: for each key, its proper subsets outside the star, paired in
+    `combinations` order where they cover it."""
+    pairs = set()
+    for key in star:
+        outside = [s for s in _proper_subsets(key) if s not in star]
+        pairs.update((a, b) for a, b in combinations(outside, 2) if a & b and a | b == key)
+    return pairs

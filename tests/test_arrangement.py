@@ -48,6 +48,7 @@ from snclab.voronoi import (
     VoronoiCheckError,
     VoronoiError,
     _check_intersection_closure,
+    _overlapping_pairs,
     classify_subspaces,
     voronoi_complex,
 )
@@ -219,10 +220,6 @@ def check_arrangement(vc):
         if q in arrangement.exceptional:
             above.update(containers)
     assert arrangement.above_exceptional == above
-    for q in spans:
-        expected = [(a, b) for a, b in combinations(ordered, 2)
-                    if a & b and a | b == q and q not in (a, b)]
-        assert arrangement.splits(q) == expected
     by_dim = sorted(spans, key=lambda j: (spans[j].dim, sorted(j)))
     assert [r.sites for r in arrangement.records_by_dim] == by_dim
     expected = []
@@ -314,6 +311,44 @@ def test_intersection_closure_rejects_essential_meet():
     with pytest.raises(VoronoiError, match=r"equals essential H\[0, 1, 4\]"):
         _check_intersection_closure(vc, all_but(vc, {0, 1}, {2, 3}))
     _check_intersection_closure(vc, all_but(vc, {0, 1}, {2, 3}, {0, 1, 4}))
+
+
+VC_SPATIAL = voronoi_complex(seeded_sites(11, 5, 3))
+
+
+@pytest.mark.parametrize("key, parasitic, message", [
+    ({0, 1, 2}, [{0, 1}, {1, 2}], r"H\[0, 1\] and H\[1, 2\] is essential H\[0, 1, 2\]$"),
+    ({0, 1, 2, 3}, [{0, 1, 2}, {1, 2, 3}],
+     r"H\[0, 1, 2\] and H\[1, 2, 3\] is essential H\[0, 1, 2, 3\]$"),
+    ({0, 1, 2, 3}, [{0, 1}, {1, 2, 3}],
+     r"H\[0, 1\] and H\[1, 2, 3\] is essential H\[0, 1, 2, 3\]$"),
+], ids=["line", "point_from_lines", "point_from_plane_and_line"])
+def test_intersection_closure_rejects_overlapping_parasitic_pairs(key, parasitic, message):
+    # synthetic 3D stars: a line or a point of the star whose two parasitic
+    # subsets share a site and cover it
+    star = all_but(VC_SPATIAL, *parasitic)
+    assert frozenset(key) in star
+    with pytest.raises(VoronoiCheckError, match=message):
+        _check_intersection_closure(VC_SPATIAL, star)
+    _check_intersection_closure(VC_SPATIAL, star | {frozenset(parasitic[0])})
+
+
+def test_overlapping_pairs_are_the_parasitic_pairs_meeting_in_the_star():
+    # the candidates read off each star key are every pair of parasitic
+    # index sets, in record order, that shares a site and meets in a star
+    # key: no disjoint pair, and none meeting in a parasitic subset
+    vc = VC_SPATIAL
+    keys = [r.sites for r in vc.arrangement.records]
+    line, point = frozenset({0, 1, 2}), frozenset({0, 1, 2, 3})
+    rng = random.Random(35)
+    stars = [frozenset({line}), frozenset({point}), frozenset({line, point}),
+             all_but(vc, {0, 1}, {1, 2}), all_but(vc, {0, 1}, {2, 3}, {0, 2}),
+             *(star_of(cell, vc) for cell in vc.cell_indices()),
+             *(frozenset(rng.sample(keys, rng.randint(1, len(keys)))) for _ in range(20))]
+    for star in stars:
+        parasitic = [j for j in keys if j not in star]
+        expected = {(a, b) for a, b in combinations(parasitic, 2) if a & b and a | b in star}
+        assert _overlapping_pairs(star) == expected
 
 
 def test_genericity_error_names_the_first_pair():
@@ -446,6 +481,13 @@ def geometric_stage(vc, reference, ledger):
                         f"H{sorted(a.sites)} and H{sorted(b.sites)} meet in dimension "
                         f"{meet.dim}, above the generic {generic}"
                     )
+                if not a.sites & b.sites:
+                    raise SncError(
+                        f"stage-{d} centers H{sorted(a.sites)} and H{sorted(b.sites)} of cell "
+                        f"{cell} are disjoint but meet in dimension {meet.dim} outside every "
+                        f"earlier center; the gluing construction covers only inputs whose "
+                        f"disjoint same-stage centers do not meet"
+                    )
                 raise SncCheckError(
                     f"stage-{d} centers H{sorted(a.sites)} and H{sorted(b.sites)} of cell "
                     f"{cell} overlap outside every earlier center"
@@ -553,6 +595,14 @@ def test_index_algebra_checks_match_geometry_on_random_sites(data):
 @pytest.mark.parametrize("name", sorted(HIDDEN_CONTAINMENTS))
 def test_index_algebra_checks_match_geometry_on_hidden_containments(name):
     compare_with_geometry(HIDDEN_CONTAINMENTS[name], random.Random(name), rounds=10)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_index_algebra_checks_match_geometry_in_4d(n):
+    # two disjoint stage-2 planes of a 4D cell can meet in a point, the
+    # generic dimension 2 * 2 - 4, outside every earlier center: both
+    # checks refuse that as an input the gluing does not cover
+    compare_with_geometry(seeded_sites(11, n, 4), random.Random(n), rounds=4)
 
 
 def test_exceptional_sets_of_hidden_containments():

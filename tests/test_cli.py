@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from corpus import seeded_sites
 from snclab import cli, resolution, snc, voronoi
 from snclab.cli import main, run_pipeline
 from snclab.voronoi import VoronoiCheckError
@@ -258,7 +259,7 @@ def test_resolution_subtree_bound_exits_2_fast(inputs, capsys):
     assert "more than the bound of 1000000" in captured.err
 
 
-def test_input_errors_exit_2(inputs, capsys, monkeypatch):
+def test_input_errors_exit_2(inputs, capsys):
     assert run_cli("homology", "/nonexistent.json", capsys=capsys)[0] == 2
     assert run_cli("voronoi", "build", inputs["bad"], capsys=capsys)[0] == 2
     assert run_cli("resolve", "run", capsys=capsys)[0] == 2
@@ -352,9 +353,6 @@ def test_input_errors_exit_2(inputs, capsys, monkeypatch):
     refused(["resolve", "embed"], "needs --sites")
     refused(["voronoi", "select", inputs["triangle"]], "needs --region")
     refused(["voronoi", "select", inputs["triangle"], "--select", "0"], "needs --region")
-    monkeypatch.setenv("SNCLAB_SEED", "abc")
-    refused(["resolve", "run", inputs["node"]], "'abc'")
-    monkeypatch.delenv("SNCLAB_SEED")
 
     # the reader table: for each reader a float, a bool, a null, a missing
     # required key (where the reader has one), a wrong container and a
@@ -554,6 +552,46 @@ def test_pipeline_not_simple_exits_2(inputs, capsys):
     assert "not simple" in captured.err
 
 
+def test_pipeline_refuses_a_disconnected_complex(inputs, capsys):
+    # H_1 is read off each stage's homology, and a stage with more than one
+    # component is still refused: the input complex, or a Delaunay dual of
+    # two cells that share no face
+    two_points = write(inputs["tmp"], "two_points.json", {"cells": [[None, None]]})
+    apart = write(inputs["tmp"], "apart.json", {"simplices": [[["0", "0"]], [["4", "0"]]]})
+    for argv in (["pipeline", two_points, inputs["triangle"], inputs["region"]],
+                 ["pipeline", inputs["simplex2"], inputs["strip"], apart]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: pi_1 needs a connected complex\n")
+
+
+def test_four_dimensional_meeting_centers_exit_2(inputs, capsys):
+    # two disjoint stage-2 planes of a 4D cell meet in a point, the generic
+    # dimension 2 * 2 - 4: an input the gluing construction does not cover,
+    # refused as an input error; the Voronoi commands do not glue, and a 4D
+    # set whose disjoint same-stage centers do not meet still glues
+    def sites(n):
+        points = seeded_sites(11, n, 4).sites
+        return write(inputs["tmp"], f"four{n}.json",
+                     {"dim": 4, "sites": [[str(c) for c in p] for p in points]})
+
+    seven, five = sites(7), sites(5)
+    big = 4 * 98 + 1
+    cover = write(inputs["tmp"], "cover4.json", {"simplices": [
+        [[-1] * 4] + [[big if i == j else -1 for i in range(4)] for j in range(4)]]})
+    message = ("error: stage-2 centers H[1, 2, 3] and H[4, 5, 6] of cell 0 are disjoint but "
+               "meet in dimension 0 outside every earlier center; the gluing construction "
+               "covers only inputs whose disjoint same-stage centers do not meet\n")
+    for argv in (["snc", "build", seven], ["snc", "dual", seven],
+                 ["resolve", "embed", "--sites", seven], ["pipeline", inputs["simplex2"], seven, cover]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+    for argv in (["voronoi", "build", seven], ["voronoi", "classify", seven, "--cell", "0"],
+                 ["snc", "build", five]):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_pipeline_triangle_and_byte_stability(inputs):
     report1, code1 = run_pipeline(inputs["simplex2"], inputs["triangle"], inputs["region"])
     report2, code2 = run_pipeline(inputs["simplex2"], inputs["triangle"], inputs["region"])
@@ -676,7 +714,9 @@ def test_text_format(inputs, capsys):
 
 
 def test_env_seed_accepted(inputs, capsys, monkeypatch):
-    monkeypatch.setenv("SNCLAB_SEED", "3")
-    code, out = run_cli("resolve", "run", inputs["node"], capsys=capsys)
-    assert code == 0
-    assert json.loads(out)["resolved"] is True
+    # the seed is read from --seed alone: SNCLAB_SEED, even malformed, is
+    # ignored
+    plain = run_cli("resolve", "run", inputs["node"], capsys=capsys)
+    monkeypatch.setenv("SNCLAB_SEED", "abc")
+    assert run_cli("resolve", "run", inputs["node"], capsys=capsys) == plain
+    assert plain[0] == 0 and json.loads(plain[1])["resolved"] is True

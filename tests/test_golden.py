@@ -33,7 +33,9 @@ digest here and says so in CHANGES.md.
 
 The glued models of the `snc build` and `pipeline` cases also pin
 `embed_snc`: its roots, made without the constructor's checks, are the
-checked `LocalModel.build` of each stratum and determinant size.
+checked `LocalModel.build` of each stratum and determinant size.  The
+`pipeline` cases' H_1, read off each stage's homology, is checked against
+the abelianization of that stage's pi_1 presentation.
 """
 
 import hashlib
@@ -47,11 +49,22 @@ from itertools import combinations
 
 from corpus import HIDDEN_CONTAINMENTS, NAMED_COMPLEXES, RP2_FACES, random_pure_3d, suspension
 from snclab.cli import main
-from snclab.complexes import from_simplices
-from snclab.presentations import higman_presentation, pi1_presentation, sl2z_presentation
-from snclab.resolution import LocalModel, embed_snc
-from snclab.snc import build_snc
-from snclab.voronoi import SiteSet, region_from_json_dict, select_subcomplex, voronoi_complex
+from snclab.complexes import complex_from_json_dict, from_simplices
+from snclab.presentations import (
+    abelianization,
+    higman_presentation,
+    pi1_presentation,
+    sl2z_presentation,
+)
+from snclab.resolution import LocalModel, embed_snc, resolve
+from snclab.snc import build_snc, dual_complex
+from snclab.voronoi import (
+    SiteSet,
+    delaunay_dual,
+    region_from_json_dict,
+    select_subcomplex,
+    voronoi_complex,
+)
 
 
 def _seeded_sites(seed, n, dim, hi):
@@ -519,3 +532,37 @@ def test_embedded_roots_are_the_checked_models():
             assert hash(root) == hash(checked), case
             assert root.mdeg() == checked.mdeg(), case
             assert root.to_json_dict() == checked.to_json_dict(), case
+
+
+def test_pipeline_h1_is_the_abelianized_pi1(paths, capsys):
+    # the pipeline reads each stage's H_1 off its homology; by Hurewicz it
+    # is the abelianization of the stage's pi_1 presentation, checked on
+    # every pipeline case the golden digests pin
+    checked = 0
+    for case, argv in COMMANDS:
+        if argv[0] != "pipeline":
+            continue
+        _, complex_, sites, region = argv
+        code = main([paths.get(token, token) for token in argv])
+        out = capsys.readouterr().out
+        if code == 2:  # refused before any stage is profiled
+            assert GOLDEN[case][1] == 2, case
+            continue
+        data = FILES[sites]
+        vc = voronoi_complex(SiteSet.build(data["dim"], data["sites"]))
+        selection = select_subcomplex(vc, region_from_json_dict(FILES[region]))
+        dual = delaunay_dual(vc, selection)
+        model = build_snc(vc, selection)
+        stages = {
+            "input": complex_from_json_dict(FILES[complex_]),
+            "delaunay": dual,
+            "snc": dual_complex(model, dual),
+            "final": resolve(embed_snc(model)).nerve_complex(),
+        }
+        report = json.loads(out)
+        for stage, k in stages.items():
+            h1 = abelianization(pi1_presentation(k))
+            assert report[stage]["h1"] == {"rank": h1.rank, "torsion": list(h1.torsion)}, (
+                case, stage)
+        checked += 1
+    assert checked == 9

@@ -43,7 +43,7 @@ def load_sites(value):
 
 
 def load_roots(value):
-    # an explicit seed keeps SNCLAB_SEED out of the picture
+    # the namespace --seed and --max-steps give cmd_resolve
     args = argparse.Namespace(action="run", file="roots.json", seed=0, max_steps=None)
 
     def accept(roots, policy, max_steps):
