@@ -228,10 +228,13 @@ def _verify_ledger_match(vc, chart_a: Chart, chart_b: Chart, glue_key) -> None:
 def dual_complex(model: SncModel, reference: Optional[DeltaComplex] = None) -> DeltaComplex:
     """One (|J|-1)-cell per stratum; checked against the Delaunay dual.
 
-    The check is an honest graded isomorphism search, not a comparison of
-    the shared index bookkeeping.  `reference` is the Delaunay dual of the
-    model's selection when the caller already holds it; it is built here
-    otherwise.
+    The check is a graded isomorphism search (`delta_isomorphic`) between
+    the nerve of the model's strata and the Delaunay dual, the nerve of
+    the complex's faces inside the selection.  `build_snc` reads the strata
+    off those same faces, so the check guards the model's list of strata
+    and the nerve builder, not the geometry: a model that drops a stratum
+    fails it.  `reference` is the Delaunay dual of the model's selection
+    when the caller already holds it; it is built here otherwise.
     """
     try:
         out = build_complex(*nerve_cells(s.key for s in model.strata))

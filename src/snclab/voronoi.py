@@ -39,12 +39,13 @@ rules drive it.  The face rule (`voronoi_complex`) keeps the faces and
 extends J only while its closed face is non-empty, which only shrinks as
 J grows, so the work follows the number of faces; it decides the face
 lattice in integers: on a point H(J) by the signs of the rows, on a line
-by one pass over the bounds, elsewhere by integer Fourier-Motzkin
-(`feasible`).  The span rule (`_span_walk`) keeps every non-empty H(J),
-|J| >= 2, records the exceptional sets E, and extends every J but a point
-outside E, which has no child; a complex runs it on first use, which
-`voronoi classify`, `snc`, `resolve embed` and `pipeline` do and
-`voronoi build`, `simple`, `delaunay` and `select` never do.
+by one pass over the rows that stops at the first crossing of its bounds,
+elsewhere by integer Fourier-Motzkin (`feasible`).  The span rule
+(`_span_walk`) keeps every non-empty H(J), |J| >= 2, records the
+exceptional sets E, and extends every J but a point outside E, which has
+no child; a complex runs it on first use, which `voronoi classify`,
+`snc`, `resolve embed` and `pipeline` do and `voronoi build`, `simple`,
+`delaunay` and `select` never do.
 
 The subspace classification and the SNC gluing read the complex's
 `SubspaceArrangement`, built on first use from the span walk, which
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, repeat
+from itertools import combinations
 from math import lcm
 from operator import sub
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
@@ -74,7 +75,6 @@ from .qlinalg import (
     AffineSubspace,
     IntegerForm,
     Vector,
-    _tightest,
     feasible,
     feasible_point,
     integer_form,
@@ -314,28 +314,47 @@ def _line_children(
     """On a line H(J), given the face test's rows (a, b) for every site k
     (`SiteSet.rows` of min(J) up to one positive factor, zero for k in J):
     whether J is a face, and the later sites k whose children H(J + k),
-    cut by row k, can have a non-empty closed face, from one bound pass
-    (`_tightest`) over the rows taken non-strict, where J's zero rows bound
-    nothing.  Bounds and ends are ratios b / a, which the factor does not
-    move.  The closed face is the segment those rows bound, and the open
-    face, the strict rows' segment, is its interior unless a row outside J
-    is 0 <= 0 (site k ties with J on the whole line).  A child's closed
-    face lies on row k, so it is empty unless row k attains an end of the
-    segment or ties."""
-    bounds = _tightest(zip(rows, repeat(False)), 0)
-    if bounds is None:
-        return False, []
-    lower, upper = bounds
+    cut by row k, can have a non-empty closed face, from one pass over the
+    rows taken non-strict, a u <= b, where J's zero rows bound nothing.
+    The lower and upper bounds are integer pairs (lp, lq) and (up, uq),
+    q > 0, for the ratios p / q, which the factor does not move.  The pass returns (False, []) at the first
+    row that proves the closed face empty, a row 0 <= b < 0 or a bound
+    that crosses the bound on the other side; a segment that shrinks to a
+    point is not empty.  The closed face is the segment the rows bound,
+    and the open face, the strict rows' segment, is its interior unless a
+    row outside J is 0 <= 0 (site k ties with J on the whole line).  A
+    child's closed face lies on row k, so it is empty unless row k attains
+    an end of the segment or ties."""
+    lp = lq = up = uq = None
+    for a, b in rows:
+        if a > 0:  # u <= b / a
+            if up is None or b * uq < up * a:
+                if lp is not None and b * lq < lp * a:
+                    return False, []
+                up, uq = b, a
+        elif a < 0:  # u >= -b / -a
+            b, a = -b, -a
+            if lp is None or b * lq > lp * a:
+                if up is not None and b * uq > up * a:
+                    return False, []
+                lp, lq = b, a
+        elif b < 0:
+            return False, []
     open_face = rows.count((0, 0)) == len(indices) and (
-        lower is None or upper is None or upper[0] * lower[1] > lower[0] * upper[1]
+        lp is None or up is None or up * lq > lp * uq
     )
     children = []
     for k in range(indices[-1] + 1, len(rows)):
         # row a u <= b ends the segment when its bound b / a is the
-        # segment's bound (p, q) on its side: b q == p a
+        # segment's bound p / q on its side, b q == p a, and 0 <= 0 ties
         a, b = rows[k]
-        end = upper if a > 0 else lower
-        if (a, b) == (0, 0) or a and end and b * end[1] == end[0] * a:
+        if a > 0:
+            if up is not None and b * uq == up * a:
+                children.append(k)
+        elif a < 0:
+            if lp is not None and b * lq == lp * a:
+                children.append(k)
+        elif not b:
             children.append(k)
     return open_face, children
 
@@ -394,8 +413,9 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
       zero (no other site is as close), and its closed face is non-empty
       when no row is negative; H(J + k) is the same point when row k is
       zero.
-    - a line H(J): one bound pass decides the face and names the children
-      to visit (`_line_children`); the others are never derived.
+    - a line H(J): one pass over the bounds, which stops as soon as the
+      closed face is empty, decides the face and names the children to
+      visit (`_line_children`); the others are never derived.
     - a larger H(J): `feasible` (integer Fourier-Motzkin) on the strict
       rows, and only when it fails, on the rows taken non-strict; a
       non-empty closed face visits every child.
@@ -405,7 +425,9 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
     equals H(J) solved from J's bisector rows by `solve_affine` point for
     point, and the span walk's H(J) in integers.  No integer form is
     derived until it is read, and no Fraction until a span's point or
-    basis, or a face's witness (`VoronoiFace.witness`), is read.
+    basis, or a face's witness (`VoronoiFace.witness`), is read.  Each
+    face is filled without `__init__`, which only sets its four fields,
+    as `AffineSubspace.cut` fills a span.
     """
     n = len(site_set)
 
@@ -422,8 +444,11 @@ def voronoi_complex(site_set: SiteSet) -> VoronoiComplex:
         closed = open_face or feasible(_constraints(rows, indices, False), dim)
         return open_face, later if closed else ()
 
-    return VoronoiComplex(site_set, {key: VoronoiFace(key, span, site_set.dim, site_set)
-                                     for key, span in _walk(site_set, face_rule)})
+    faces = {}
+    for key, span in _walk(site_set, face_rule):
+        face = faces[key] = object.__new__(VoronoiFace)
+        face.__dict__.update(sites=key, span=span, ambient_dim=site_set.dim, site_set=site_set)
+    return VoronoiComplex(site_set, faces)
 
 
 def _cut_rows(

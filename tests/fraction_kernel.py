@@ -37,10 +37,17 @@ Fourier-Motzkin for a witness, point or not, and each child is cut out by
 the Fraction `cut`.  It returns the complex of its faces and its own map
 of every non-empty H(J).  `snclab.voronoi` must find the same faces,
 spans and witnesses, and its span walk the same subspaces.
+
+`line_children` is the walk's earlier line test: the bounds of all the
+rows at once, from the engine's Fourier-Motzkin bound routine
+(`qlinalg._tightest`), then the face and the children read off them.
+`snclab.voronoi._line_children`, one pass that stops at the first
+crossing, must return the same face test and children.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import Optional, Sequence
 
@@ -183,6 +190,29 @@ def cut(span: AffineSubspace, c: Constraint) -> Optional[AffineSubspace]:
             if i != t
         ),
     )
+
+
+def line_children(
+    rows: Sequence[tuple[int, int]], indices: Sequence[int]
+) -> tuple[bool, list[int]]:
+    """On a line H(J), from the rows (a, b), a u <= b, of every site k
+    (zero for k in J): whether J is a face, and the later sites k whose
+    row k is 0 <= 0 or attains an end of the closed face's segment, from
+    the tightest non-strict bounds of all the rows."""
+    bounds = qlinalg._tightest(zip(rows, repeat(False)), 0)
+    if bounds is None:
+        return False, []
+    lower, upper = bounds
+    open_face = rows.count((0, 0)) == len(indices) and (
+        lower is None or upper is None or upper[0] * lower[1] > lower[0] * upper[1]
+    )
+    children = []
+    for k in range(indices[-1] + 1, len(rows)):
+        a, b = rows[k]
+        end = upper if a > 0 else lower
+        if (a, b) == (0, 0) or a and end and b * end[1] == end[0] * a:
+            children.append(k)
+    return open_face, children
 
 
 def bisector(sites: SiteSet, i: int, j: int) -> tuple[tuple[int, ...], int]:

@@ -1,12 +1,13 @@
 """Exact Voronoi complexes: face lattice, duals, subspace classification."""
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import lcm
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_kernel
@@ -927,3 +928,61 @@ def test_equal_faces_hash_equal():
     assert set(first.faces.values()) == set(again.faces.values())
     faces = list(first.faces.values())
     assert len(set(faces)) == len(faces)
+
+
+@given(degenerate_site_sets())
+@every_corpus_site_set
+@example(seeded_sites(11, 11, 2))
+@example(seeded_sites(11, 6, 3))
+def test_filled_faces_keep_the_value_contract(sites):
+    # the walk fills each face without __init__; it must be the face the
+    # constructor makes: equal, hash equal, the same repr and fields, the
+    # same witness, and frozen
+    for face in voronoi_complex(sites).faces.values():
+        built = VoronoiFace(face.sites, face.span, face.ambient_dim, face.site_set)
+        assert vars(face) == vars(built)
+        assert face == built and hash(face) == hash(built) and repr(face) == repr(built)
+        assert face.witness == built.witness
+        for name in ("sites", "span", "ambient_dim", "site_set", "witness"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(face, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(face, name)
+
+
+@st.composite
+def line_rows(draw):
+    """The rows (a, b), a u <= b, of a line H(J) for n sites, as the walk
+    hands them to `_line_children`: zero for the sites of J, and outside J
+    ties (0, 0), rows (0, b) of either sign and bounds, some through one
+    point p / q so that the segment can shrink to it, each row scaled by a
+    positive factor of its own.  Rows of one sign make a one-sided
+    segment, and no bound an unbounded one."""
+    n = draw(st.integers(1, 9))
+    indices = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)))
+    p, q = draw(st.integers(-4, 4)), draw(st.integers(1, 3))
+    row = st.one_of(
+        st.tuples(st.integers(-4, 4), st.integers(-9, 9)),
+        st.sampled_from([-1, 1, 2]).map(lambda a: (a * q, a * p)),
+        st.sampled_from([(0, 0), (0, 0), (0, 1), (0, -1)]),
+    )
+    rows = [(0, 0) if k in indices else draw(row) for k in range(n)]
+    return [(c * a, c * b) for (a, b), c in zip(rows, draw(
+        st.lists(st.integers(1, 3), min_size=n, max_size=n)))], tuple(indices)
+
+
+@settings(max_examples=300)
+@given(line_rows())
+# an upper bound below the lower one, then a lower bound above the upper
+@example(([(0, 0), (-1, -2), (1, 1), (-1, 0)], (0,)))
+@example(([(0, 0), (1, 1), (-1, -2), (1, 2)], (0,)))
+# a segment that shrinks to the point u = 1, closed by either side
+@example(([(0, 0), (-2, -2), (1, 1)], (0,)))
+@example(([(0, 0), (1, 1), (-2, -2)], (0,)))
+# a row 0 <= b < 0 after both bounds
+@example(([(0, 0), (1, 1), (-1, 0), (0, -1)], (0,)))
+def test_line_pass_matches_the_bound_oracle(case):
+    # one pass that stops at the first crossing decides the face and the
+    # children as the bounds of all the rows do
+    rows, indices = case
+    assert voronoi._line_children(rows, indices) == fraction_kernel.line_children(rows, indices)
