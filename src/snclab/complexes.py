@@ -3,24 +3,24 @@
 A complex stores, per dimension, one record per cell: the ordered list of
 its (k-1)-dimensional faces.  A k-cell has exactly k+1 faces and the
 boundary map is the usual alternating sum (repeated faces add up, so they
-may cancel).  The composite boundary must vanish; build_complex checks
-this cell by cell on the face lists and names the first offending cell
-when it does not.  The sparse boundary columns are built for homology.
+may cancel).  The composite boundary must vanish: a nerve meets that by
+construction, and build_complex checks it cell by cell on the face lists of
+every other complex and names the first offending cell when it does not.
 
 Homology reduces the boundaries from the top dimension down: the
 unit-pivot reduction of intlinalg splits each boundary into identity
 pivots and a small residual block, and a k-cell that was a pivot row of
 the boundary above is cleared from the boundary below, whose remaining
-columns span the same lattice.  Ranks and torsion come from the Smith
-normal form of the residuals alone, one per boundary, so homology runs on
-integers and makes no Fraction.
+columns span the same lattice; the sparse column of a cleared cell is
+never built.  Ranks and torsion come from the Smith normal form of the
+residuals alone, one per boundary, so homology runs on integers and makes
+no Fraction.
 
 Every nerve in the package (the simplicial complex of from_simplices, the
-Delaunay dual, the SNC dual complex, the resolver's nerve) is built here
-from one face builder, which lists the downward closure of a family of
-index sets as sorted tuples: `closure` returns that family as sets,
-`nerve_cells` turns a downward-closed family into cells for build_complex,
-and from_simplices hands the builder's tuples to it directly.
+Delaunay dual, the SNC dual complex, the resolver's nerve) is built by
+`nerve` straight into its Delta-complex from a downward-closed family of
+index sets; `_faces` lists the downward closure of a family as sorted
+tuples and `closure` returns it as sets.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -113,11 +113,6 @@ class DeltaComplex:
         return sum((-1) ** k * len(layer) for k, layer in enumerate(self.cells))
 
     @cached_property
-    def _columns(self) -> tuple[tuple[dict[int, int], ...], ...]:
-        """The sparse boundary columns, indexed by dimension (none in dimension 0)."""
-        return ((),) + tuple(tuple(map(_col, layer)) for layer in self.cells[1:])
-
-    @cached_property
     def _reduced(self) -> tuple[tuple[tuple[int, ...], SmithNormalForm], ...]:
         """(unit pivot rows, Smith normal form of the residual block) of each
         boundary map d_k at index k - 1, k >= 1, reduced from the top
@@ -132,12 +127,13 @@ class DeltaComplex:
         combination of other columns of d_k, none of them p or an earlier
         pivot.  Backward induction from the last pivot puts every dropped
         column in the lattice of the kept ones.  The only assumption is d d = 0,
-        which build_complex checks on every complex.
+        which a nerve meets by construction and build_complex checks on every
+        other complex.  Only the kept columns are built.
         """
         reduced = []
         cleared: frozenset[int] = frozenset()
         for k in range(self.dim, 0, -1):
-            columns = [c for j, c in enumerate(self._columns[k]) if j not in cleared]
+            columns = [_col(f) for j, f in enumerate(self.cells[k]) if j not in cleared]
             pivots, residual = reduce_unit_pivots(columns, self.n_cells(k - 1))
             reduced.append((pivots, smith_normal_form(residual)))
             cleared = frozenset(pivots)
@@ -288,14 +284,15 @@ def closure(sets: Iterable[Iterable]) -> frozenset:
     return frozenset(map(frozenset, _faces(sets)))
 
 
-def nerve_cells(family: Iterable[Iterable]) -> tuple[list, list]:
-    """(cells, labels) for build_complex from a downward-closed family of
-    nonempty index sets.
+def nerve(family: Iterable[Iterable]) -> DeltaComplex:
+    """The nerve of a downward-closed family of nonempty index sets.
 
     Simplices are sorted lexicographically within each dimension, the i-th
-    face of a simplex drops its i-th vertex (which makes the boundary
-    identity automatic), and vertices are labelled by their keys.  A
-    simplex whose face is not in the family raises ComplexError.
+    face of a simplex drops its i-th vertex, and vertices are labelled by
+    their keys.  That face order meets d d = 0 by the simplicial identity,
+    so the face tuples are stored as they are made, with no check of the
+    composite.  A simplex whose face is not in the family raises
+    ComplexError.
     """
     simplices = sorted(map(tuple, map(sorted, family)), key=len)
     if not simplices:
@@ -303,30 +300,28 @@ def nerve_cells(family: Iterable[Iterable]) -> tuple[list, list]:
     by_dim: list[list[tuple]] = [[] for _ in simplices[-1]]
     for size, layer in groupby(simplices, len):
         by_dim[size - 1] = sorted(layer)
-    cells: list[list[list[int]]] = [[[] for _ in by_dim[0]]]
+    cells = [((),) * len(by_dim[0])]
     for k in range(1, len(by_dim)):
         index = dict(zip(by_dim[k - 1], range(len(by_dim[k - 1]))))
-        layer = []
-        for s in by_dim[k]:
-            try:
-                # combinations drop the last vertex first
-                faces = list(map(index.__getitem__, combinations(s, k)))
-            except KeyError:
+        face = index.__getitem__
+        try:
+            # combinations drop the last vertex first
+            cells.append(tuple([tuple(map(face, combinations(s, k)))[::-1] for s in by_dim[k]]))
+        except KeyError:
+            for s in by_dim[k]:
                 for i in range(len(s)):
                     sub = s[:i] + s[i + 1 :]
                     if sub not in index:
                         raise ComplexError(f"simplex {list(s)} lacks face {list(sub)}") from None
-            faces.reverse()
-            layer.append(faces)
-        cells.append(layer)
-    labels = [[str(v[0]) for v in by_dim[0]]] + [[None] * len(l) for l in cells[1:]]
-    return cells, labels
+    labels = (tuple(str(v[0]) for v in by_dim[0]),) + tuple((None,) * len(l) for l in cells[1:])
+    return DeltaComplex(tuple(cells), labels)
 
 
 def from_simplices(simplices: Iterable[Sequence[int]]) -> DeltaComplex:
     """The simplicial Delta-complex generated by the given simplices, with
-    vertices (arbitrary sortable keys) labelled by their keys."""
-    return build_complex(*nerve_cells(_faces(simplices)))
+    vertices (arbitrary sortable keys) labelled by their keys: the nerve of
+    their downward closure, which meets d d = 0 by construction."""
+    return nerve(_faces(simplices))
 
 
 def complex_from_json_dict(data: dict) -> DeltaComplex:

@@ -43,7 +43,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .complexes import DeltaComplex, closure, from_simplices
+# `from_simplices` is unused here but stays bound: perfbench/tracer.py wraps
+# resolution.from_simplices
+from .complexes import DeltaComplex, closure, from_simplices, nerve
 from .jsonread import expect_int, expect_list, expect_object
 from .snc import SncModel
 from .voronoi import CheckFailed
@@ -410,12 +412,11 @@ class ResolutionTrace:
         return self.snapshots[-1]
 
     def nerve_complex(self) -> DeltaComplex:
-        """The simplicial complex generated by the leaf x-index sets."""
-        maximal = [tuple(sorted(n.model.x_divisors)) for n in self.leaves()
-                   if n.model.x_divisors]
-        if not maximal:
+        """The simplicial complex generated by the leaf x-index sets: the
+        nerve of final_nerve, their closure as resolve recorded it."""
+        if not self.final_nerve():
             raise ResolutionError("empty nerve: no leaf has x-divisors")
-        return from_simplices(maximal)
+        return nerve(self.final_nerve())
 
     def to_json_dict(self) -> dict:
         # one model dict per distinct model, shared by the nodes that hold it

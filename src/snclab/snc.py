@@ -36,7 +36,7 @@ from .complexes import (
     DeltaComplex,
     build_complex,
     delta_isomorphic,
-    nerve_cells,
+    nerve,
 )
 from .voronoi import (
     CheckFailed,
@@ -237,7 +237,7 @@ def dual_complex(model: SncModel, reference: Optional[DeltaComplex] = None) -> D
     when the caller already holds it; it is built here otherwise.
     """
     try:
-        out = build_complex(*nerve_cells(s.key for s in model.strata))
+        out = nerve(s.key for s in model.strata)
     except ComplexError as exc:
         raise SncError(f"dual complex: {exc}") from exc
     if reference is None:

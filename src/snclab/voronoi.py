@@ -69,7 +69,8 @@ from math import lcm
 from operator import sub
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from .complexes import ComplexError, DeltaComplex, build_complex, nerve_cells
+# `build_complex` is unused here but stays bound: perfbench/tracer.py wraps voronoi.build_complex
+from .complexes import ComplexError, DeltaComplex, build_complex, nerve
 from .jsonread import expect_list, expect_object, expect_rational
 from .qlinalg import (
     AffineSubspace,
@@ -545,7 +546,7 @@ def delaunay_dual(vc: VoronoiComplex, selection: Optional[Sequence[int]] = None)
         raise NotSimpleError(witness)
     chosen = set(cells)
     try:
-        return build_complex(*nerve_cells(key for key in vc.faces if key <= chosen))
+        return nerve(key for key in vc.faces if key <= chosen)
     except ComplexError as exc:
         raise VoronoiError(f"Delaunay dual: {exc}") from exc
 

@@ -1,14 +1,16 @@
 """The homology kernel's per-cell and per-letter checks, kept as oracles.
 
 `build_complex` validates a whole layer at a time and checks d d = 0 on the
-face tuples; `reduce_unit_pivots` picks each pivot in one pass over its
-column; `Presentation` validates its letters in bulk.  The versions here
-do the same work one cell, one candidate and one letter at a time, and the
-differential tests require the same verdicts, the same messages and the
-same pivots from both.
+face tuples; `nerve` makes a nerve's face tuples directly and skips that
+check; `reduce_unit_pivots` picks each pivot in one pass over its column;
+`Presentation` validates its letters in bulk.  The versions here do the
+same work one cell, one candidate and one letter at a time (`nerve_cells`
+makes a nerve's cells as lists for `build_complex`, which checks them),
+and the differential tests require the same complexes, the same verdicts,
+the same messages and the same pivots from both.
 """
 
-from itertools import cycle
+from itertools import combinations, cycle, groupby
 
 from snclab.complexes import ComplexError
 from snclab.intlinalg import IntMatrix
@@ -66,6 +68,41 @@ def build_complex_verdict(cells):
             if any(composite.values()):
                 return f"boundary composite is nonzero on cell ({k},{j})"
     return None
+
+
+def nerve_cells(family):
+    """(cells, labels) for build_complex from a downward-closed family of
+    nonempty index sets.
+
+    Simplices are sorted lexicographically within each dimension, the i-th
+    face of a simplex drops its i-th vertex, and vertices are labelled by
+    their keys.  A simplex whose face is not in the family raises
+    ComplexError.
+    """
+    simplices = sorted(map(tuple, map(sorted, family)), key=len)
+    if not simplices:
+        raise ComplexError("no simplices given")
+    by_dim = [[] for _ in simplices[-1]]
+    for size, layer in groupby(simplices, len):
+        by_dim[size - 1] = sorted(layer)
+    cells = [[[] for _ in by_dim[0]]]
+    for k in range(1, len(by_dim)):
+        index = dict(zip(by_dim[k - 1], range(len(by_dim[k - 1]))))
+        layer = []
+        for s in by_dim[k]:
+            try:
+                # combinations drop the last vertex first
+                faces = list(map(index.__getitem__, combinations(s, k)))
+            except KeyError:
+                for i in range(len(s)):
+                    sub = s[:i] + s[i + 1 :]
+                    if sub not in index:
+                        raise ComplexError(f"simplex {list(s)} lacks face {list(sub)}") from None
+            faces.reverse()
+            layer.append(faces)
+        cells.append(layer)
+    labels = [[str(v[0]) for v in by_dim[0]]] + [[None] * len(l) for l in cells[1:]]
+    return cells, labels
 
 
 def reduce_unit_pivots(columns, rows):

@@ -464,6 +464,11 @@ def _escaping_mult2(model, i1=None):
     return "binres(1)", [(model.x_divisors | {99}, 0, model.exceptional)]
 
 
+def _standing_mult2(model, i1=None):
+    # a multiplicity-2 chart function whose one chart is its parent's own
+    return "binres(1)", [(model.x_divisors, model.det_size, model.exceptional)]
+
+
 @pytest.mark.parametrize(
     "module, name, replacement, argv, message",
     [
@@ -473,8 +478,11 @@ def _escaping_mult2(model, i1=None):
          ("voronoi", "classify", "triangle"), "intersection closure refused"),
         (resolution, "_mult2", _escaping_mult2, ("resolve", "run", "node"),
          "child x-index set escapes"),
+        (resolution, "_mult2", _standing_mult2, ("resolve", "run", "node"),
+         "binres on (frozenset({1, 2}), 1, ()): mdeg Mdeg(deg_x=2, deg_y=1, deg_z=0) "
+         "does not descend below Mdeg(deg_x=2, deg_y=1, deg_z=0)"),
     ],
-    ids=["dual_isomorphism", "intersection_closure", "resolver_nerve"],
+    ids=["dual_isomorphism", "intersection_closure", "resolver_nerve", "resolver_descent"],
 )
 def test_failed_check_exits_1(inputs, capsys, monkeypatch, module, name, replacement, argv,
                               message):
@@ -623,10 +631,10 @@ def test_pipeline_builds_one_delaunay_dual(inputs, capsys, monkeypatch):
     assert code == 0 and report["snc"]["dual_isomorphic_to_delaunay"]
     assert calls == {"delaunay_dual": 1, "delta_isomorphic": 1}
     calls.clear()
-    monkeypatch.setattr(snc, "build_complex", counted("build_complex", snc.build_complex))
+    monkeypatch.setattr(snc, "nerve", counted("nerve", snc.nerve))
     assert main(["snc", "dual", inputs["triangle"]]) == 0
     capsys.readouterr()
-    assert calls == {"build_complex": 1, "delaunay_dual": 1, "delta_isomorphic": 1}
+    assert calls == {"nerve": 1, "delaunay_dual": 1, "delta_isomorphic": 1}
 
 
 def test_pipeline_ring_preserves_circle_homology(inputs, capsys):

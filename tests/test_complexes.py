@@ -32,9 +32,10 @@ from snclab.complexes import (
     complex_from_json_dict,
     delta_isomorphic,
     from_simplices,
-    nerve_cells,
+    nerve,
 )
 from snclab import complexes, intlinalg
+from homology_oracles import nerve_cells, verdict
 from snclab.intlinalg import IntMatrix, smith_normal_form
 from snf_oracle import matmul, zero
 
@@ -126,15 +127,36 @@ def test_sparse_composite_check_matches_dense_product(triangles, tetrahedra, fou
 
 
 def test_building_a_complex_leaves_its_boundary_columns_unbuilt():
-    # build_complex checks d d = 0 on the face lists, so the sparse
-    # boundary columns are made only when homology reads them
+    # a nerve meets d d = 0 by construction and build_complex checks it on
+    # the face lists, so no boundary is reduced until homology is read
     torus = [[None], [[0, 0], [0, 0], [0, 0]], [[0, 2, 1], [1, 2, 0]]]
     for k, betti in ((from_simplices(combinations(range(6), 5)), (1, 0, 0, 0, 1)),
                      (from_simplices(RP2_FACES), (1, 0, 0)),
                      (build_complex(torus), (1, 2, 1))):
-        assert "_columns" not in vars(k) and "_reduced" not in vars(k)
+        assert "_reduced" not in vars(k)
         assert k.all_betti() == betti
-        assert "_columns" in vars(k)
+        assert "_reduced" in vars(k)
+
+
+def test_homology_builds_only_the_columns_it_reduces(monkeypatch):
+    # the columns of the k-cells that were pivot rows of d_(k+1) are
+    # cleared before d_k is reduced, and their boundary is never built
+    built = Counter()
+
+    def counted(faces):
+        built[len(faces) - 1] += 1
+        return col(faces)
+
+    col = complexes._col
+    monkeypatch.setattr(complexes, "_col", counted)
+    for k in (from_simplices(combinations(range(7), 6)),
+              from_simplices(suspension(suspension(RP2_FACES, 7, 8), 9, 10)),
+              from_simplices(random_pure_3d(3, 10, 30))):
+        built.clear()
+        k.all_betti()
+        cleared = [0] + [len(pivots) for pivots, _ in k._reduced[1:]] + [0]
+        assert built == {d: k.n_cells(d) - cleared[d] for d in range(1, k.dim + 1)}
+        assert sum(cleared) > 0
 
 
 def test_boundary_composites_vanish_on_corpus():
@@ -393,12 +415,45 @@ def test_closure_matches_brute_force(family):
 
 
 def test_nerve_cells_layout_and_missing_face():
-    cells, labels = nerve_cells(closure([(2, 0, 1)]))
-    assert cells == [[[], [], []], [[1, 0], [2, 0], [2, 1]], [[2, 1, 0]]]
-    assert labels == [["0", "1", "2"], [None] * 3, [None]]
+    k = nerve(closure([(2, 0, 1)]))
+    assert k.cells == (((), (), ()), ((1, 0), (2, 0), (2, 1)), ((2, 1, 0),))
+    assert k.labels == (("0", "1", "2"), (None,) * 3, (None,))
     family = closure([(0, 1, 2)]) - {frozenset({1, 2})}
     with pytest.raises(ComplexError, match=r"simplex \[0, 1, 2\] lacks face \[1, 2\]"):
-        nerve_cells(family)
+        nerve(family)
+    with pytest.raises(ComplexError, match="no simplices given"):
+        nerve([])
+
+
+def _checked_nerve(family):
+    """The oracle route: the nerve's cells as lists, checked by build_complex."""
+    return build_complex(*nerve_cells(family))
+
+
+@given(
+    st.one_of(
+        st.lists(st.frozensets(st.integers(-2, 6), max_size=5), max_size=6),
+        st.lists(st.frozensets(st.sampled_from(["a", "b", "ab", "x10", "x9", "Z"]), max_size=5),
+                 max_size=6),
+    ),
+    st.data(),
+)
+def test_nerve_matches_the_checked_oracle(family, data):
+    # the nerve's face tuples equal those of the oracle route, which runs
+    # the d d = 0 check; with one face removed both refuse it alike
+    faces = closure(family)
+    assert verdict(nerve, faces) == verdict(_checked_nerve, faces)
+    if faces:
+        k, reference = nerve(faces), _checked_nerve(faces)
+        assert (k.cells, k.labels) == (reference.cells, reference.labels)
+        assert k == reference
+        drop = data.draw(st.sampled_from(sorted(faces, key=lambda f: (len(f), sorted(f)))))
+        broken = faces - {drop}
+        message = verdict(nerve, broken)
+        assert message == verdict(_checked_nerve, broken)
+        assert (message is None) == (bool(broken) and not any(drop < f for f in faces))
+        if message is None:
+            assert nerve(broken) == _checked_nerve(broken)
 
 
 def _sympy_invariant_factors(m):
