@@ -294,7 +294,12 @@ def nerve(family: Iterable[Iterable]) -> DeltaComplex:
     composite.  A simplex whose face is not in the family raises
     ComplexError.
     """
-    simplices = sorted(map(tuple, map(sorted, family)), key=len)
+    return _nerve(map(tuple, map(sorted, family)))
+
+
+def _nerve(family: Iterable[tuple]) -> DeltaComplex:
+    """The nerve of a family given as sorted tuples (see nerve)."""
+    simplices = sorted(family, key=len)
     if not simplices:
         raise ComplexError("no simplices given")
     by_dim: list[list[tuple]] = [[] for _ in simplices[-1]]
@@ -321,7 +326,7 @@ def from_simplices(simplices: Iterable[Sequence[int]]) -> DeltaComplex:
     """The simplicial Delta-complex generated by the given simplices, with
     vertices (arbitrary sortable keys) labelled by their keys: the nerve of
     their downward closure, which meets d d = 0 by construction."""
-    return nerve(_faces(simplices))
+    return _nerve(_faces(simplices))
 
 
 def complex_from_json_dict(data: dict) -> DeltaComplex:

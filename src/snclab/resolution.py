@@ -22,10 +22,13 @@ det size, exponents in label order), and the resolver expands each
 distinct canonical state once per call: a hash-consed DAG with chart
 multiplicities on its edges (Filliatre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006).  The tree trace is stamped out of that
-DAG by relabelling.  A state whose charts take no fresh label has
-children that depend only on it and its node's labels, so they are built
-once per (state, labels) pair, and the nodes below equal such labelled
-models share one LocalModel object per chart.
+DAG by relabelling, its nodes as TraceNode tuples.  A state whose charts
+take no fresh label has children that depend only on it and its node's
+labels, so they are built once per (state, labels) pair, and the nodes
+below equal such labelled models share one LocalModel object per chart.
+The step's detail is kept with them unless the state's tag names the
+fresh label, which a monres-1 on an exponent-2 divisor does without
+taking it.
 
 The nerve of the x-index sets is an invariant of resolution.  The engine
 checks, once per distinct state, the two local facts that force it (each
@@ -135,7 +138,8 @@ _new = object.__new__
 
 def _setters(cls) -> tuple:
     """The slot setters of a frozen slotted dataclass, in field order; the
-    trusted constructors below fill the slots without __init__."""
+    trusted constructors below fill the slots without __init__.  Trace
+    nodes are tuples and need none: resolve makes them by tuple.__new__."""
     return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
@@ -364,8 +368,7 @@ def _rule_charts(model: LocalModel, rule, policy: Policy, fresh_label: Optional[
     raise ResolutionError(f"unknown rule {name!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class TraceNode:
+class TraceNode(NamedTuple):
     node_id: int
     model: LocalModel
     multiplicity: int
@@ -452,7 +455,6 @@ class ResolutionTrace:
         return json.dumps(self.to_json_dict(), sort_keys=True) + "\n"
 
 
-_NODE_SLOTS = _setters(TraceNode)
 _STEP_SLOTS = _setters(TraceStep)
 
 
@@ -635,11 +637,13 @@ def resolve(
     The tree is then built breadth first by relabelling the memo.  A fresh
     label is one past every label used so far in the call, so nodes,
     labels and step details are those of the worklist that expands every
-    node.  A node's children are built once per (state, labels) pair when
-    its state's charts take no fresh label, so nodes with equal labelled
-    models there hold one shared LocalModel; a state that takes a fresh
-    label builds them anew each time, and each step's detail is formatted
-    from the labels of its own node.  The step budget and MAX_TREE_NODES
+    node.  Nodes are TraceNode tuples, made without __init__.  A node's
+    children and its step's detail are built once per (state, labels)
+    pair when its state's charts take no fresh label, so nodes with equal
+    labelled models there hold one shared LocalModel; a state that takes a
+    fresh label builds both anew each time, and one whose tag names the
+    fresh label without taking it formats each node's detail from that
+    node's fresh label.  The step budget and MAX_TREE_NODES
     are checked against the exact tree size before any node is built, and
     a subtree above MAX_TREE_NODES stops the call as soon as the memo has
     counted it.
@@ -659,38 +663,41 @@ def resolve(
                   for i, (r, t) in enumerate(zip(roots, tops)) if t.rule is not None)
     fresh = max((j for r in roots for j, _ in r.exceptional), default=0) + 1
     steps: list[TraceStep] = []
-    # the children of a state whose charts take no fresh label, per (state, labels)
-    stamped: dict[tuple, list] = {}
-    new, push, pop = _new, queue.append, queue.popleft
+    # the children and detail of a state whose charts take no fresh label, per
+    # (state, labels); the detail is None when it names the fresh label
+    stamped: dict[tuple, tuple] = {}
+    new, new_node, push, pop = _new, tuple.__new__, queue.append, queue.popleft
     add_node, add_step = nodes.append, steps.append
-    set_id, set_model, set_mult, set_parent = _NODE_SLOTS
     set_step, set_node, set_rule, set_detail, set_children, set_descents, set_relabel = _STEP_SLOTS
     while queue:
         node_id, state, labels, multiplicity = pop()
-        names = labels + (fresh,)
         if state.fresh:
+            names = labels + (fresh,)
             fresh += 1
-            children = _stamp(state, names)
+            children, detail = _stamp(state, names), state.tag.format(*names)
         else:
-            children = stamped.get((state, labels))
-            if children is None:
-                children = stamped[state, labels] = _stamp(state, names)
+            cached = stamped.get((state, labels))
+            if cached is None:
+                names = labels + (fresh,)
+                # a tag may name the fresh slot without taking it (monres-1
+                # on an exponent-2 divisor): that detail is the node's own
+                detail = (None if "{%d}" % len(labels) in state.tag
+                          else state.tag.format(*names))
+                cached = stamped[state, labels] = (_stamp(state, names), detail)
+            children, detail = cached
+            if detail is None:
+                detail = state.tag.format(*labels, fresh)
         first = len(nodes)
         for child_id, (model, child, child_labels, mult) in enumerate(children, first):
             mult *= multiplicity
             if child is not None:
                 push((child_id, child, child_labels, mult))
-            node = new(TraceNode)
-            set_id(node, child_id)
-            set_model(node, model)
-            set_mult(node, mult)
-            set_parent(node, node_id)
-            add_node(node)
+            add_node(new_node(TraceNode, (child_id, model, mult, node_id)))
         step = new(TraceStep)
         set_step(step, len(steps))
         set_node(step, node_id)
         set_rule(step, state.rule)
-        set_detail(step, state.tag.format(*names))
+        set_detail(step, detail)
         set_children(step, tuple(range(first, len(nodes))))
         set_descents(step, state.descents)
         set_relabel(step, state.relabel)

@@ -439,14 +439,16 @@ def _checked_nerve(family):
     st.data(),
 )
 def test_nerve_matches_the_checked_oracle(family, data):
-    # the nerve's face tuples equal those of the oracle route, which runs
-    # the d d = 0 check; with one face removed both refuse it alike
+    # the nerve's face tuples, and from_simplices', equal those of the oracle
+    # route, which runs the d d = 0 check; with one face removed both refuse
+    # it alike
     faces = closure(family)
     assert verdict(nerve, faces) == verdict(_checked_nerve, faces)
     if faces:
         k, reference = nerve(faces), _checked_nerve(faces)
         assert (k.cells, k.labels) == (reference.cells, reference.labels)
         assert k == reference
+        assert from_simplices(family) == reference
         drop = data.draw(st.sampled_from(sorted(faces, key=lambda f: (len(f), sorted(f)))))
         broken = faces - {drop}
         message = verdict(nerve, broken)

@@ -18,6 +18,7 @@ from snclab.resolution import (
     Policy,
     ResolutionCheckError,
     ResolutionError,
+    TraceNode,
     embed_snc,
     normalize,
     resolve,
@@ -385,6 +386,45 @@ def test_children_are_stamped_once_per_state_and_labels(root):
             shared += 1
             assert all(a is b for a, b in zip(first, children, strict=True))
     assert shared > 100
+
+
+def test_trace_node_is_a_value_tuple():
+    # the public constructor, as the worklist oracle builds nodes, makes a
+    # node equal to and hashing like the one resolve builds
+    trace = resolve([LocalModel.build([1, 2], 2, [(10, 2)])])
+    node = trace.nodes[3]
+    assert TraceNode._fields == ("node_id", "model", "multiplicity", "parent")
+    same = TraceNode(node.node_id, node.model, node.multiplicity, node.parent)
+    assert node == same and hash(node) == hash(same)
+    assert node != TraceNode(node.node_id, node.model, node.multiplicity + 1, node.parent)
+    with pytest.raises(AttributeError):
+        node.multiplicity = 1
+    assert repr(node) == ("TraceNode(node_id=3, model=LocalModel(x_divisors=frozenset({1, 2}), "
+                          "det_size=1, exceptional=((10, 2), (11, 2))), multiplicity=4, parent=0)")
+
+
+@pytest.mark.parametrize("roots", [
+    [LocalModel.build([1, 2, 3, 4], 3)],
+    # the middle root takes label 11, so the third one's step names 12
+    [LocalModel.build([1, 2], 0, [(10, 2)]), LocalModel.build([1, 2], 2),
+     LocalModel.build([1, 2], 0, [(10, 2)])],
+], ids=["4_3_empty", "repeated_root"])
+def test_a_detail_that_names_an_untaken_fresh_label_is_the_nodes_own(roots):
+    # monres-1 on an exponent-2 divisor names the fresh label w but takes
+    # none: nodes with equal labelled models there share their children,
+    # not their detail
+    trace = resolve(roots)
+    expected = tree_resolver.resolve(roots)
+    details: dict[LocalModel, set] = {}
+    for step, oracle in zip(trace.steps, expected.steps, strict=True):
+        parent = trace.nodes[step.node].model
+        labels = {j for j, _ in parent.exceptional}
+        if step.rule != "monres-1" or any(j not in labels for c in step.children
+                                          for j, _ in trace.nodes[c].model.exceptional):
+            continue
+        assert step.detail == oracle.detail
+        details.setdefault(parent, set()).add(step.detail)
+    assert any(len(seen) > 1 for seen in details.values())
 
 
 def test_policy_permutation_fuzz():
