@@ -643,10 +643,10 @@ def resolve(
     labelled models there hold one shared LocalModel; a state that takes a
     fresh label builds both anew each time, and one whose tag names the
     fresh label without taking it formats each node's detail from that
-    node's fresh label.  The step budget and MAX_TREE_NODES
-    are checked against the exact tree size before any node is built, and
-    a subtree above MAX_TREE_NODES stops the call as soon as the memo has
-    counted it.
+    node's fresh label.  The step budget and MAX_TREE_NODES are checked
+    against the exact tree size before any node is built, and a subtree
+    above MAX_TREE_NODES stops the call as soon as the memo has counted
+    it.
     """
     if not roots:
         raise ResolutionError("no roots given")
