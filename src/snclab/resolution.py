@@ -35,10 +35,16 @@ checks, once per distinct state, the two local facts that force it (each
 child's x-index set lies inside the parent's, and some child keeps it)
 and the descent certificate, and compares the nerve itself once, at the
 roots and at the leaves.  A failed check raises ResolutionCheckError.
+
+The memo and the trace hold no reference cycle (each object points only
+down the tree or at values), so reference counting frees them, and
+resolve pauses the cyclic garbage collector, which would only rescan
+them, for the length of the call.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from collections import deque
@@ -647,65 +653,79 @@ def resolve(
     against the exact tree size before any node is built, and a subtree
     above MAX_TREE_NODES stops the call as soon as the memo has counted
     it.
+
+    The cyclic garbage collector is off for the call: nothing it builds
+    can form a cycle.  The trace is scanned once, by the first collection
+    after the call, which finds it alive.  On every exit, a raise included, the collector is
+    turned back on if it was on at entry, so a caller's gc.disable()
+    holds.  Calls in two threads share the one collector, so one may see
+    it turned back on when the other ends; resolve never leaves it off.
     """
     if not roots:
         raise ResolutionError("no roots given")
-    states = [(r.x_divisors, r.det_size, tuple(a for _, a in r.exceptional)) for r in roots]
-    memo = _expand_all(states, policy, max_steps)
-    tops = [memo[s] for s in states]
-    total_steps = sum(t.steps for t in tops)
-    if max_steps is not None and total_steps > max(max_steps, 0):
-        raise ResolutionError(f"step budget {max_steps} exhausted")
-    _check_tree_bound(sum(t.nodes for t in tops))
-    nodes = [TraceNode(i, r, 1, None) for i, r in enumerate(roots)]
-    # only unresolved nodes are queued: leaves take no step and fresh no label
-    queue = deque((i, t, tuple(j for j, _ in r.exceptional), 1)
-                  for i, (r, t) in enumerate(zip(roots, tops)) if t.rule is not None)
-    fresh = max((j for r in roots for j, _ in r.exceptional), default=0) + 1
-    steps: list[TraceStep] = []
-    # the children and detail of a state whose charts take no fresh label, per
-    # (state, labels); the detail is None when it names the fresh label
-    stamped: dict[tuple, tuple] = {}
-    new, new_node, push, pop = _new, tuple.__new__, queue.append, queue.popleft
-    add_node, add_step = nodes.append, steps.append
-    set_step, set_node, set_rule, set_detail, set_children, set_descents, set_relabel = _STEP_SLOTS
-    while queue:
-        node_id, state, labels, multiplicity = pop()
-        if state.fresh:
-            names = labels + (fresh,)
-            fresh += 1
-            children, detail = _stamp(state, names), state.tag.format(*names)
-        else:
-            cached = stamped.get((state, labels))
-            if cached is None:
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        states = [(r.x_divisors, r.det_size, tuple(a for _, a in r.exceptional)) for r in roots]
+        memo = _expand_all(states, policy, max_steps)
+        tops = [memo[s] for s in states]
+        total_steps = sum(t.steps for t in tops)
+        if max_steps is not None and total_steps > max(max_steps, 0):
+            raise ResolutionError(f"step budget {max_steps} exhausted")
+        _check_tree_bound(sum(t.nodes for t in tops))
+        nodes = [TraceNode(i, r, 1, None) for i, r in enumerate(roots)]
+        # only unresolved nodes are queued: leaves take no step and fresh no label
+        queue = deque((i, t, tuple(j for j, _ in r.exceptional), 1)
+                      for i, (r, t) in enumerate(zip(roots, tops)) if t.rule is not None)
+        fresh = max((j for r in roots for j, _ in r.exceptional), default=0) + 1
+        steps: list[TraceStep] = []
+        # the children and detail of a state whose charts take no fresh label, per
+        # (state, labels); the detail is None when it names the fresh label
+        stamped: dict[tuple, tuple] = {}
+        new, new_node, push, pop = _new, tuple.__new__, queue.append, queue.popleft
+        add_node, add_step = nodes.append, steps.append
+        (set_step, set_node, set_rule, set_detail, set_children, set_descents,
+         set_relabel) = _STEP_SLOTS
+        while queue:
+            node_id, state, labels, multiplicity = pop()
+            if state.fresh:
                 names = labels + (fresh,)
-                # a tag may name the fresh slot without taking it (monres-1
-                # on an exponent-2 divisor): that detail is the node's own
-                detail = (None if "{%d}" % len(labels) in state.tag
-                          else state.tag.format(*names))
-                cached = stamped[state, labels] = (_stamp(state, names), detail)
-            children, detail = cached
-            if detail is None:
-                detail = state.tag.format(*labels, fresh)
-        first = len(nodes)
-        for child_id, (model, child, child_labels, mult) in enumerate(children, first):
-            mult *= multiplicity
-            if child is not None:
-                push((child_id, child, child_labels, mult))
-            add_node(new_node(TraceNode, (child_id, model, mult, node_id)))
-        step = new(TraceStep)
-        set_step(step, len(steps))
-        set_node(step, node_id)
-        set_rule(step, state.rule)
-        set_detail(step, detail)
-        set_children(step, tuple(range(first, len(nodes))))
-        set_descents(step, state.descents)
-        set_relabel(step, state.relabel)
-        add_step(step)
-    leaf_sets = {s[0] for s, e in memo.items() if e.rule is None}
-    snapshots = (closure(r.x_divisors for r in roots),
-                 closure(sorted(leaf_sets, key=len, reverse=True)))
-    return ResolutionTrace(tuple(range(len(roots))), tuple(nodes), tuple(steps), snapshots)
+                fresh += 1
+                children, detail = _stamp(state, names), state.tag.format(*names)
+            else:
+                cached = stamped.get((state, labels))
+                if cached is None:
+                    names = labels + (fresh,)
+                    # a tag may name the fresh slot without taking it (monres-1
+                    # on an exponent-2 divisor): that detail is the node's own
+                    detail = (None if "{%d}" % len(labels) in state.tag
+                              else state.tag.format(*names))
+                    cached = stamped[state, labels] = (_stamp(state, names), detail)
+                children, detail = cached
+                if detail is None:
+                    detail = state.tag.format(*labels, fresh)
+            first = len(nodes)
+            for child_id, (model, child, child_labels, mult) in enumerate(children, first):
+                mult *= multiplicity
+                if child is not None:
+                    push((child_id, child, child_labels, mult))
+                add_node(new_node(TraceNode, (child_id, model, mult, node_id)))
+            step = new(TraceStep)
+            set_step(step, len(steps))
+            set_node(step, node_id)
+            set_rule(step, state.rule)
+            set_detail(step, detail)
+            set_children(step, tuple(range(first, len(nodes))))
+            set_descents(step, state.descents)
+            set_relabel(step, state.relabel)
+            add_step(step)
+        leaf_sets = {s[0] for s, e in memo.items() if e.rule is None}
+        snapshots = (closure(r.x_divisors for r in roots),
+                     closure(sorted(leaf_sets, key=len, reverse=True)))
+        return ResolutionTrace(tuple(range(len(roots))), tuple(nodes), tuple(steps), snapshots)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def embed_snc(model: SncModel) -> list[LocalModel]:

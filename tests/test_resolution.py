@@ -1,5 +1,6 @@
 """The blow-up rewriting calculus: rules, descent, termination, nerves."""
 
+import gc
 import json
 from collections import Counter
 
@@ -343,6 +344,82 @@ def test_resolve_refuses_rules_that_return_to_a_state(monkeypatch):
     # binres after normalize gives back the root's state (2, 0, (1,))
     _binres_to(monkeypatch, lambda xs, w: [(xs - {1}, 1, ()), (xs, 0, ((w, 1),))])
     _refused(SINGLE, "the rules return to a state they left")
+
+
+@pytest.fixture(params=[True, False], ids=["on", "off"])
+def collector(request):
+    """The cyclic garbage collector turned on or off for the test, and put
+    back as it was after it."""
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_resolve_pauses_the_collector_and_restores_it(collector, monkeypatch):
+    seen = []
+
+    def spy(real):
+        def wrapped(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(resolution, "_expand_all", spy(resolution._expand_all))
+    monkeypatch.setattr(resolution, "closure", spy(resolution.closure))
+    assert resolve([LocalModel.build([1, 2, 3], 1, [(4, 2)])]).all_resolved()
+    # off while the memo is expanded and while both nerves are taken
+    assert seen == [False, False, False]
+    assert gc.isenabled() is collector
+
+
+def _escaping_mult2(model, i1=None):
+    # a multiplicity-2 chart function whose chart adds an x-divisor
+    return "binres(1)", [(model.x_divisors | {99}, 0, model.exceptional)]
+
+
+@pytest.mark.parametrize("patch, roots, max_steps, error, message", [
+    (None, [LocalModel.build([1, 2, 3, 4], 3, [(5, 4)])], 5, ResolutionError,
+     "step budget 5 exhausted"),
+    # one state expanded, two steps in the tree
+    (None, [NODE, NODE], 1, ResolutionError, "step budget 1 exhausted"),
+    # a subtree of 6 nodes, refused as soon as it is counted
+    (("MAX_TREE_NODES", 5), [LocalModel.build([1, 2, 3], 1, [(4, 2)])], None, ResolutionError,
+     "the resolution tree has at least 6 nodes, more than the bound of 5"),
+    # each tree has 3 nodes, the two 6
+    (("MAX_TREE_NODES", 5), [NODE, NODE], None, ResolutionError,
+     "the resolution tree has at least 6 nodes, more than the bound of 5"),
+    (("_mult2", _escaping_mult2), [NODE], None, ResolutionCheckError,
+     "child x-index set escapes the parent's"),
+], ids=["budget_while_expanding", "budget_of_the_tree", "bound_of_a_subtree",
+        "bound_of_the_tree", "failed_self_check"])
+def test_a_raising_resolve_restores_the_collector(collector, monkeypatch, patch, roots,
+                                                  max_steps, error, message):
+    if patch is not None:
+        monkeypatch.setattr(resolution, *patch)
+    with pytest.raises(ResolutionError) as caught:
+        resolve(roots, max_steps=max_steps)
+    assert (type(caught.value), str(caught.value)) == (error, message)
+    assert gc.isenabled() is collector
+
+
+def test_the_memo_and_trace_hold_no_reference_cycle():
+    # what resolve pauses the collector for: with it off throughout,
+    # reference counting frees every trace and memo, and nothing is left
+    # for a collection to find
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for policy in (Policy(), Policy(seed=3)):
+            for model in BOX:
+                trace = resolve([model], policy)
+                assert trace.all_resolved()
+                del trace
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_nodes_with_equal_states_have_equal_models():
