@@ -20,6 +20,7 @@ import json
 
 import pytest
 
+from corpus import HIDDEN_CONTAINMENTS
 from snclab import cli, snc
 from snclab.cli import main
 from snclab.voronoi import SubspaceArrangement
@@ -107,14 +108,13 @@ def test_parasitic_parent_check_fires_when_a_parent_is_not_seen(tmp_path, capsys
 
 # the non-face H[1, 4, 8] lies on the bisector H[0, 5], so the arrangement
 # has an exceptional set and the closure check meets disjoint pairs
-EXCEPTIONAL = [[0, 26], [9, 17], [16, 0], [20, 97], [21, 37],
-               [23, 49], [27, 21], [40, 25], [56, 16], [79, 79]]
+EXCEPTIONAL = HIDDEN_CONTAINMENTS["random5_n10"]
 
 
 def test_intersection_closure_fires_when_a_meet_is_misread(tmp_path, capsys, monkeypatch):
     # the meet of the parasitic lines H[0, 5] and H[1, 8] is the point
     # H[1, 4, 8]; the arrangement reads it as the edge H[1, 4] of cell 1
-    sites = write_sites(tmp_path, "exceptional", 2, EXCEPTIONAL)
+    sites = write_sites(tmp_path, "exceptional", EXCEPTIONAL.dim, EXCEPTIONAL.sites)
     assert run(["snc", "build", sites], capsys)[0] == 0
     lookup = SubspaceArrangement.lookup
 
